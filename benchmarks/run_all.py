@@ -46,13 +46,6 @@ tests against the ``batch`` engine on the E3 (hybrid forced on) and E4
 to ``BENCH_dense.json`` and the acceptance bar is >= 3x (>= 2x under
 ``--quick``, which downscales n).
 
-The *backends* run advances the same 1024-row stacked ensemble once per
-available array backend (numpy always; cupy/jax when installed — see
-``repro.engine.backend``) from the same seed stream and records per-
-backend wall clock in ``BENCH_backends.json``; draws stay on the host
-generator, so the interaction counts must be bit-identical across
-backends.
-
 Regression gate
 ---------------
 Before overwriting them, the driver loads the *committed*
@@ -783,106 +776,6 @@ dense_scale.__doc__ = dense_scale.__doc__.format(
 )
 
 
-BACKENDS_N = 4000
-BACKENDS_ROUNDS = 10.0
-BACKENDS_ROWS = 1024
-
-
-def backend_sweep(
-    n=BACKENDS_N, rounds=BACKENDS_ROUNDS, rows=BACKENDS_ROWS, seed=0
-):
-    """One stacked E3 ensemble run per registered array backend.
-
-    Every available backend advances the same R-row oscillator ensemble
-    from the same seed stream.  Random draws happen on the host
-    generator regardless of backend (see docs/ENGINES.md), so the total
-    interaction count must come back bit-identical across backends —
-    the sweep checks that while recording per-backend wall clock,
-    kernel seconds and batch counts in ``BENCH_backends.json``.
-    Registered-but-unavailable backends (cupy/jax not installed) are
-    listed under ``skipped`` so the file shape stays stable across
-    machines.
-    """
-    from repro.engine import EnsembleEngine
-    from repro.engine.backend import available_backends, backend_names
-
-    from repro.oscillator import make_oscillator_protocol
-
-    avail = available_backends()
-    skipped = sorted(set(backend_names()) - set(avail))
-    print(
-        "backends: E3 stacked ensemble, n={}, {} rounds, {} rows; "
-        "available: {}{}".format(
-            n, rounds, rows, ", ".join(avail),
-            " (skipped: {})".format(", ".join(skipped)) if skipped else "",
-        )
-    )
-    protocol = make_oscillator_protocol()
-    # compile once up front so no backend pays the table build
-    EnsembleEngine(
-        protocol,
-        _oscillator_population(protocol.schema, n),
-        rng=np.random.default_rng(seed),
-    )
-    records = {}
-    reference = None
-    bit_identical = True
-    for name in avail:
-        print("  {:<8} ...".format(name), end=" ", flush=True)
-        start = time.perf_counter()
-        eng = EnsembleEngine(
-            protocol,
-            _oscillator_population(protocol.schema, n),
-            rng=np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(31,))),
-            rows=rows,
-            backend=name,
-        )
-        eng.run(rounds=rounds)
-        wall = time.perf_counter() - start
-        interactions = int(sum(eng.row_interactions_of(r) for r in range(rows)))
-        records[name] = {
-            "wall_seconds": round(wall, 4),
-            "interactions": interactions,
-            "batches": int(eng.batches),
-            "fallbacks": int(eng.fallbacks),
-            "kernel_seconds": round(float(eng.kernel_seconds), 4),
-        }
-        if reference is None:
-            reference = interactions
-        elif interactions != reference:
-            bit_identical = False
-        print("{:.2f}s ({} batches, {} interactions)".format(
-            wall, eng.batches, interactions
-        ))
-    payload = {
-        "experiment": "backend_kernels",
-        "description": (
-            "E3 oscillator stacked ensemble, one run per available array "
-            "backend from the same seed stream; host-side draws make the "
-            "interaction counts bit-identical across backends"
-        ),
-        "n": n,
-        "rounds": rounds,
-        "rows": rows,
-        "seed": seed,
-        "available": list(avail),
-        "skipped": skipped,
-        "backends": records,
-        "bit_identical_across_backends": bit_identical,
-        "meets_target": bool(records.get("numpy") and bit_identical),
-    }
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    for path in (
-        os.path.join(REPO_ROOT, "BENCH_backends.json"),
-        os.path.join(RESULTS_DIR, "BENCH_backends.json"),
-    ):
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-    print("  wrote BENCH_backends.json")
-    return payload
-
-
 # -- regression gate ---------------------------------------------------------
 
 #: Fresh wall time may grow to this multiple of the committed baseline
@@ -1020,7 +913,7 @@ def chaos(seed=0, processes=2):
     import shutil
     import tempfile
 
-    from repro import FaultPlan, resume_sweep, run_replicas
+    from repro import EngineConfig, FaultPlan, resume_sweep, run_replicas
     from repro.engine import BatchCountEngine, clear_memo, compile_table
     from repro.faults import ALWAYS, corrupt_cache_entry
     from repro.workloads import build_workload
@@ -1030,10 +923,9 @@ def chaos(seed=0, processes=2):
     replicas = 6
     common = dict(
         replicas=replicas,
-        engine="batch",
+        config=EngineConfig(engine="batch", guards=True),
         seed=seed,
         stop=workload.stop,
-        engine_opts={"guards": True},
     )
     workdir = tempfile.mkdtemp(prefix="repro-chaos-")
     ok = True
@@ -1217,9 +1109,6 @@ def main(argv=None) -> int:
     baseline_ensemble = load_baseline(
         os.path.join(args.baseline_dir, "BENCH_ensemble.json")
     )
-    baseline_backends = load_baseline(
-        os.path.join(args.baseline_dir, "BENCH_backends.json")
-    )
     baseline_bghkpu = load_baseline(
         os.path.join(args.baseline_dir, "BENCH_bghkpu.json")
     )
@@ -1232,7 +1121,6 @@ def main(argv=None) -> int:
         n=args.kernels_n, rounds=args.kernels_rounds, seed=args.seed
     )
     ensemble_payload = ensemble_sweep(seed=args.seed)
-    backends_payload = backend_sweep(seed=args.seed)
     # --quick downscales the n=10^8 race to a 10^6 smoke so quick runs
     # stay seconds; the gate skips the mismatched-config comparison.
     bghkpu_n = args.bghkpu_n or (BGHKPU_QUICK_N if args.quick else BGHKPU_N)
@@ -1245,7 +1133,6 @@ def main(argv=None) -> int:
         payload["meets_target"]
         and kernel_payload["meets_target"]
         and ensemble_payload["meets_target"]
-        and backends_payload["meets_target"]
         and bghkpu_payload["meets_target"]
         and dense_payload["meets_target"]
     )
@@ -1257,8 +1144,6 @@ def main(argv=None) -> int:
                  ("n", "seed", "rounds")),
                 (ensemble_payload, baseline_ensemble, "engines",
                  ("n", "seed", "rounds", "replicas")),
-                (backends_payload, baseline_backends, "backends",
-                 ("n", "seed", "rounds", "rows")),
                 (bghkpu_payload, baseline_bghkpu, "engines",
                  ("n", "seed", "ks_replicas")),
                 (dense_payload, baseline_dense, "engines",

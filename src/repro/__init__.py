@@ -15,16 +15,15 @@ Quick start::
         rule(V("I"), ~V("I"), None, {"I": True}, name="infect"),
     ])
     pop = Population.from_groups(schema, [({"I": True}, 1), ({"I": False}, 999)])
-    config = EngineConfig(engine="batch", backend="numpy")
+    config = EngineConfig(engine="batch", accuracy=0.01)
     simulate(epidemic, pop, config, stop=lambda p: p.all_satisfy(V("I")))
 
 Engine construction knobs travel in a typed :class:`EngineConfig`
-(engine name, array backend, batching knobs); the same config flows
-through :func:`make_engine`, :func:`run_replicas`, the run manifests and
-the CLI.  The public surface is the explicit ``__all__`` below; the old
-loose ``engine_opts`` kwargs and the ``ENGINES`` / ``ENGINE_CHOICES``
-module constants keep working for one release behind a
-``DeprecationWarning`` (use :func:`engine_names` / ``repro.simulate``).
+(engine name plus batching knobs) — the one way to configure an engine;
+the same config flows through :func:`make_engine`, :func:`run_replicas`,
+the run manifests, the service and the CLI.  The public surface is the
+explicit ``__all__`` below; :func:`engine_names` lists the registry
+names.
 """
 
 from .core import (
@@ -43,10 +42,8 @@ from .core import (
     single_thread,
 )
 from .engine import (
-    ArrayBackend,
     ArrayEngine,
     BGHKPUEngine,
-    BackendUnavailableError,
     BatchCountEngine,
     CompiledTable,
     CountEngine,
@@ -61,12 +58,8 @@ from .engine import (
     ReplicaSet,
     SimulationHealthError,
     Trace,
-    available_backends,
-    backend_names,
     compile_table,
-    get_backend,
     map_replicas,
-    register_backend,
     run_replicas,
     run_single_replica,
     supervise,
@@ -86,40 +79,11 @@ from .workloads import Workload, build_workload
 
 __version__ = "1.3.0"
 
-#: Names kept importable for one release behind a DeprecationWarning.
-_DEPRECATED_ALIASES = {
-    "ENGINES": (
-        "repro.ENGINES is deprecated; use repro.engine_names() for the "
-        "registry names or repro.simulate.ENGINES for the class map"
-    ),
-    "ENGINE_CHOICES": (
-        "repro.ENGINE_CHOICES is deprecated; use repro.engine_names()"
-    ),
-}
-
-
-def __getattr__(name):
-    if name in _DEPRECATED_ALIASES:
-        import importlib
-        import warnings
-
-        warnings.warn(
-            _DEPRECATED_ALIASES[name], DeprecationWarning, stacklevel=2
-        )
-        # NB: attribute access via the package would find the simulate()
-        # *function* re-exported above, not the module
-        return getattr(importlib.import_module(__name__ + ".simulate"), name)
-    raise AttributeError(
-        "module {!r} has no attribute {!r}".format(__name__, name)
-    )
-
 
 __all__ = [
     "ANY",
-    "ArrayBackend",
     "ArrayEngine",
     "BGHKPUEngine",
-    "BackendUnavailableError",
     "BatchCountEngine",
     "CompiledTable",
     "CountEngine",
@@ -146,18 +110,14 @@ __all__ = [
     "Trace",
     "V",
     "Workload",
-    "available_backends",
-    "backend_names",
     "build_workload",
     "coin_rule",
     "compile_table",
     "compose",
     "engine_names",
-    "get_backend",
     "load_manifest",
     "make_engine",
     "map_replicas",
-    "register_backend",
     "replay_replica",
     "resume_sweep",
     "rule",

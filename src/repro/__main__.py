@@ -15,11 +15,10 @@ Examples::
     python -m repro replay runs/epidemic.jsonl --index 3
 
 Every subcommand accepts the same engine flags: ``--engine`` (registry
-name, ``auto`` picks the best fit), ``--backend`` (array backend for the
-stacked kernels — numpy/cupy/jax, see docs/ENGINES.md), ``--ensemble-chunk``
-(rows per stacked chunk; implies ``--engine ensemble``), ``--no-guards``
-and ``--stats``.  Unknown engine or backend names are rejected with the
-list of registered ones.
+name, ``auto`` picks the best fit), ``--ensemble-chunk`` (rows per
+stacked chunk; implies ``--engine ensemble``), ``--no-guards`` and
+``--stats``.  Unknown engine names are rejected with the list of
+registered ones.
 """
 
 from __future__ import annotations
@@ -32,19 +31,6 @@ import numpy as np
 
 def _rng(args) -> np.random.Generator:
     return np.random.default_rng(args.seed)
-
-
-def _backend_arg(name: str) -> str:
-    """argparse type= validator for ``--backend`` (dynamic registry)."""
-    from .engine.backend import backend_names
-
-    if name not in backend_names():
-        raise argparse.ArgumentTypeError(
-            "unknown backend {!r}; registered backends: {}".format(
-                name, ", ".join(backend_names())
-            )
-        )
-    return name
 
 
 def _config_from_args(args, auto: str = None):
@@ -97,7 +83,6 @@ def _config_from_args(args, auto: str = None):
     # guards stay engine-default here; sweeps flip them on (cmd_sweep)
     return EngineConfig(
         engine=engine,
-        backend=getattr(args, "backend", None),
         ensemble_chunk=chunk,
         collision_frac=collision_frac,
         alias_rebuild_tol=alias_rebuild_tol,
@@ -265,7 +250,6 @@ def cmd_sweep(args) -> int:
             processes=args.processes,
             timeout=args.timeout,
             max_retries=args.max_retries,
-            backend=args.backend,
         )
         name = "resume {}".format(args.resume)
         manifest_path = args.resume
@@ -318,7 +302,7 @@ def cmd_replay(args) -> int:
 
     manifest = load_manifest(args.manifest)
     original = manifest.record(args.index)
-    fresh = replay_replica(manifest, args.index, backend=args.backend)
+    fresh = replay_replica(manifest, args.index)
     match = (
         fresh.rounds == original.rounds
         and fresh.interactions == original.interactions
@@ -387,15 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ENGINE_CHOICES,
         default="auto",
         help="simulation engine (default: auto — pick the best fit)",
-    )
-    common.add_argument(
-        "--backend",
-        type=_backend_arg,
-        default=None,
-        metavar="NAME",
-        help="array backend for the stacked batch/ensemble kernels "
-        "(registered: numpy, cupy, jax; default: the REPRO_BACKEND env "
-        "var, else numpy)",
     )
     common.add_argument(
         "--ensemble-chunk", type=int, default=None, metavar="R",

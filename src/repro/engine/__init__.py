@@ -2,14 +2,6 @@
 
 from .alias import ActivePairSampler, AliasTable, alias_pick
 from .api import Engine, EngineStats
-from .backend import (
-    ArrayBackend,
-    BackendUnavailableError,
-    available_backends,
-    backend_names,
-    get_backend,
-    register_backend,
-)
 from .batch import ArrayEngine, apply_pairs
 from .bghkpu import BGHKPUEngine
 from .compiled import (
@@ -46,10 +38,8 @@ from .table import LazyTable, PairOutcomes, reachable_codes
 __all__ = [
     "ActivePairSampler",
     "AliasTable",
-    "ArrayBackend",
     "ArrayEngine",
     "BGHKPUEngine",
-    "BackendUnavailableError",
     "BatchCountEngine",
     "CompiledTable",
     "CountEngine",
@@ -71,16 +61,12 @@ __all__ = [
     "VectorizedStop",
     "alias_pick",
     "apply_pairs",
-    "available_backends",
     "available_cpus",
-    "backend_names",
     "clear_memo",
     "compile_table",
     "corrupt_cache_events",
     "ensemble_chunk_members",
-    "get_backend",
     "map_replicas",
-    "register_backend",
     "protocol_fingerprint",
     "reachable_codes",
     "resolve_guards",

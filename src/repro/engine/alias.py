@@ -17,10 +17,10 @@ needs for that:
 :class:`ActivePairSampler`
     The epoch manager: it freezes the active ordered-pair weight matrix
     ``c_i (c_j - δ_ij) p_change(i, j)`` (built from the
-    :class:`~repro.engine.compiled.CompiledTable` CSR arrays through the
-    engine's :class:`~repro.engine.backend.ArrayBackend` kernels) at the
-    top of an epoch and serves cell draws from it.  Three draw shapes
-    cover the density spectrum:
+    :class:`~repro.engine.compiled.CompiledTable` ``p_change`` matrix by
+    :func:`~repro.engine.jump.pair_weights`) at the top of an epoch and
+    serves cell draws from it.  Three draw shapes cover the density
+    spectrum:
 
     - a *lone* active cell needs no RNG at all (the endgame shape);
     - dense supports with ``top_k > 0`` use the **hybrid split**: the K
@@ -72,6 +72,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .jump import pair_weights
+
 
 def alias_pick(
     rng: np.random.Generator,
@@ -81,11 +83,8 @@ def alias_pick(
 ) -> np.ndarray:
     """``size`` O(1) alias-method draws from ``(prob, alias)``.
 
-    The reference (host/NumPy) alias lookup kernel: one uniform per draw
-    decides both the column ``i = ⌊u·k⌋`` and — via its fractional part —
-    whether to keep ``i`` or take ``alias[i]``.  Backends route this
-    through :meth:`repro.engine.backend.ArrayBackend.alias_pick`; the
-    uniforms always come from the host generator.
+    One uniform per draw decides both the column ``i = ⌊u·k⌋`` and — via
+    its fractional part — whether to keep ``i`` or take ``alias[i]``.
     """
     k = len(prob)
     u = rng.random(size) * k
@@ -180,8 +179,7 @@ class ActivePairSampler:
     :meth:`refresh` re-freezes a drifted epoch in place — a patch of the
     derived sums when the touched fraction is small, a touched-row/column
     scan otherwise — and :meth:`sample_cells` serves one batch's cell
-    draws.  All randomness flows through the engine's host generator; the
-    backend only runs the gather/weight/draw kernels.
+    draws.  All randomness flows through the engine's generator.
 
     ``top_k``/``patch_frac`` default to 0 (hybrid split and patching
     off), matching the classic whole-grid sampler; the engine wires its
@@ -189,7 +187,6 @@ class ActivePairSampler:
     """
 
     __slots__ = (
-        "backend",
         "matrix",
         "tol",
         "top_k",
@@ -236,7 +233,6 @@ class ActivePairSampler:
 
     def __init__(
         self,
-        backend,
         p_change_matrix: np.ndarray,
         tol: float,
         top_k: int = 0,
@@ -248,7 +244,6 @@ class ActivePairSampler:
             raise ValueError("top_k must be >= 0")
         if not 0.0 <= patch_frac <= 1.0:
             raise ValueError("patch_frac must be in [0, 1]")
-        self.backend = backend
         self.matrix = p_change_matrix
         self.tol = float(tol)
         self.top_k = int(top_k)
@@ -324,7 +319,6 @@ class ActivePairSampler:
         boundary states stop forcing rebuilds.
         """
         start = time.perf_counter()
-        xp = self.backend
         act = np.nonzero(full_c > 0.0)[0]
         prev = self.act
         if prev is not None:
@@ -333,10 +327,10 @@ class ActivePairSampler:
             else:
                 act = np.union1d(prev, act)
         if act is not self.act or self.psub is None:
-            self.psub = xp.to_numpy(xp.gather_p_change(self.matrix, act))
+            self.psub = self.matrix[np.ix_(act, act)]
             self.act = act
         self.ca = full_c[act].copy()
-        self.w = xp.pair_weights(self.ca, self.psub)
+        self.w = pair_weights(self.ca, self.psub)
         self._select_heavy()
         self._finalize()
         self.rebuilds += 1
@@ -381,7 +375,7 @@ class ActivePairSampler:
                     # wide drift: recomputing the whole weight matrix is
                     # one fused kernel, cheaper than four fancy-indexed
                     # row/column updates
-                    self.w = self.backend.pair_weights(ca, psub)
+                    self.w = pair_weights(ca, psub)
                 else:
                     w = self.w
                     w[touched, :] = (
@@ -655,9 +649,7 @@ class ActivePairSampler:
                 table = self._alias
                 if table is None:
                     table = self._alias = AliasTable(self.w.ravel())
-                draws = self.backend.alias_pick(
-                    rng, table.prob, table.alias, fired
-                )
+                draws = alias_pick(rng, table.prob, table.alias, fired)
                 return np.unique(draws, return_counts=True)
             cell_counts = rng.multinomial(fired, self.pvals)
             cells = np.nonzero(cell_counts)[0]
@@ -681,7 +673,7 @@ class ActivePairSampler:
         buf[:k] = hw
         buf[k] = tail_mass
         buf /= buf.sum()
-        draws = self.backend.split_topk(rng, fired, buf)
+        draws = rng.multinomial(fired, buf)
         tail_n = int(draws[k])
         hsel = draws[:k] > 0
         cells = hc[hsel]

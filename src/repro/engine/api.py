@@ -97,41 +97,8 @@ class EngineStats:
     :meth:`as_dict` / :meth:`format`.
     """
 
-    __slots__ = (
-        "engine",
-        "backend",
-        "runs",
-        "run_seconds",
-        "interactions",
-        "rounds",
-        "events",
-        "stop_evals",
-        "batches",
-        "fallbacks",
-        "kernel_seconds",
-        "alias_rebuilds",
-        "alias_build_seconds",
-        "alias_refresh_seconds",
-        "alias_patches",
-        "cell_draw_seconds",
-        "outcome_split_seconds",
-        "collision_events",
-        "repair_events",
-        "active_states",
-        "active_pairs_max",
-        "active_pairs_mean",
-        "ensemble_rows",
-        "table_kind",
-        "table_states",
-        "table_pairs",
-        "table_compile_seconds",
-        "table_cache",
-        "cache_corrupt",
-    )
-
     _ORDER = (
         "engine",
-        "backend",
         "runs",
         "run_seconds",
         "interactions",
@@ -160,6 +127,7 @@ class EngineStats:
         "table_cache",
         "cache_corrupt",
     )
+    __slots__ = _ORDER
 
     def __init__(self, engine_name: str):
         self.engine = engine_name
@@ -176,9 +144,6 @@ class EngineStats:
         self.run_seconds += wall_seconds
         self.interactions = int(engine.interactions)
         self.rounds = float(engine.rounds)
-        backend = getattr(engine, "backend", None)
-        if backend is not None:
-            self.backend = getattr(backend, "name", str(backend))
         for attr in (
             "events",
             "batches",

@@ -4,7 +4,10 @@
 Hammer, Kaaser, Meyer, Penschuck & Tran ("Simulating Population Protocols
 in Sub-Constant Time per Interaction", arXiv:2005.03584, PAPERS.md) on
 top of the compiled count representation of
-:class:`~repro.engine.jump.BatchCountEngine`:
+:class:`~repro.engine.jump.BatchCountEngine`.  The registry name
+``"bghkpu"`` is historical — it does not spell those authors' initials —
+and stays because manifests, service requests and benchmark specs
+select the engine by it:
 
 1. the active ordered-pair weights are *frozen* into an epoch by
    :class:`~repro.engine.alias.ActivePairSampler` and only re-frozen when
@@ -70,7 +73,7 @@ from ..core.protocol import Protocol
 from .alias import ActivePairSampler
 from .api import Observer, StopCondition, require_budget
 from .compiled import COMPILE_STATE_LIMIT, CompiledTable
-from .jump import MAX_BATCH, BatchCountEngine
+from .jump import MAX_BATCH, BatchCountEngine, split_outcomes_grouped
 from .silence import silent_weight
 from .table import LazyTable
 
@@ -141,7 +144,6 @@ class BGHKPUEngine(BatchCountEngine):
         compile_limit: int = COMPILE_STATE_LIMIT,
         cache: object = "auto",
         guards: object = None,
-        backend: object = None,
         collision_frac: float = 0.2,
         alias_rebuild_tol: float = 0.05,
         dense_top_k: int = 512,
@@ -160,7 +162,7 @@ class BGHKPUEngine(BatchCountEngine):
             protocol, population, rng=rng, table=table, batch=batch,
             accuracy=accuracy, min_batch_events=min_batch_events,
             compiled=compiled, compile_limit=compile_limit, cache=cache,
-            guards=guards, backend=backend,
+            guards=guards,
         )
         self.collision_frac = float(collision_frac)
         self.alias_rebuild_tol = float(alias_rebuild_tol)
@@ -318,7 +320,7 @@ class BGHKPUEngine(BatchCountEngine):
         pair_flat = gi * ct.num_states + gj
         start = ct.off[pair_flat]
         width = ct.off[pair_flat + 1] - start
-        self.backend.split_outcomes(
+        split_outcomes_grouped(
             self.rng, delta, counts, start, width,
             ct.out_p, ct.out_a, ct.out_b,
         )
@@ -478,7 +480,7 @@ class BGHKPUEngine(BatchCountEngine):
         sampler = self._sampler
         if sampler is None:
             sampler = self._sampler = ActivePairSampler(
-                self.backend, self._ct.p_change_matrix,
+                self._ct.p_change_matrix,
                 self.alias_rebuild_tol,
                 top_k=self.dense_top_k,
                 patch_frac=self.alias_patch_frac,
@@ -579,7 +581,6 @@ class BGHKPUEngine(BatchCountEngine):
                     same = gi == gj
                     cf = self.collision_frac
                     min_ev = self.min_batch_events
-                    fired_counts = self.backend.fired_counts
                     stop_now = False
                     while True:
                         ci = float(full_c[gi])
@@ -627,7 +628,7 @@ class BGHKPUEngine(BatchCountEngine):
                             if batch < 1:
                                 batch = 1
                             fired = int(
-                                fired_counts(rng, batch, p if p < 1.0 else 1.0)
+                                rng.binomial(batch, p if p < 1.0 else 1.0)
                             )
                             limit = int(ci) // 2 if same else int(min(ci, cj))
                             if fired > limit:
@@ -751,7 +752,7 @@ class BGHKPUEngine(BatchCountEngine):
             if self.guards is not None:
                 self.guards.check_batch(self, batch)
 
-            fired = int(self.backend.fired_counts(rng, batch, min(p_change, 1.0)))
+            fired = int(rng.binomial(batch, min(p_change, 1.0)))
             applied = 0
             fallbacks_before = self.fallbacks
             repaired = 0

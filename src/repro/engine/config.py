@@ -1,22 +1,17 @@
 """Typed engine-construction configuration.
 
-:class:`EngineConfig` replaces the loose ``engine_opts`` dicts that used
-to flow (untyped and unvalidated) through :func:`repro.make_engine`, the
-replica runner, the run manifests and every CLI subcommand.  One frozen,
-picklable object now carries the engine name, the array backend and the
-construction knobs end-to-end:
+:class:`EngineConfig` is the one way to configure an engine: a frozen,
+picklable object carrying the engine name and the construction knobs
+end-to-end through :func:`repro.make_engine`, the replica runner, the run
+manifests, the service and every CLI subcommand.
 
 - :meth:`engine_kwargs` projects the set fields onto a concrete engine
-  class, passing only the knobs that engine accepts (a non-default
-  ``backend`` on an engine without backend support raises instead of
-  being dropped silently);
+  class, passing only the knobs that engine accepts;
 - :meth:`as_dict` / :meth:`from_dict` round-trip through JSON for the
-  manifest header, so :func:`repro.obs.replay_replica` and
-  :func:`repro.obs.resume_sweep` restore the exact backend + options;
-- :meth:`from_legacy` / :meth:`coerce` absorb the deprecated
-  ``engine_opts`` dicts (the public entry points emit a
-  ``DeprecationWarning`` for one release; internal callers coerce
-  silently).
+  manifest header and the service journal, so
+  :func:`repro.obs.replay_replica` and :func:`repro.obs.resume_sweep`
+  restore the exact options.  :meth:`from_dict` is also the reader of
+  configs stored by older releases.
 
 ``None`` means "engine default" for every knob (``cache`` uses its real
 default ``"auto"`` since ``None`` there meaningfully disables the cache):
@@ -29,20 +24,11 @@ still fail loudly with a ``TypeError``.
 from __future__ import annotations
 
 import inspect
-import warnings
 from dataclasses import dataclass, field, fields, replace as _dc_replace
 from typing import Any, Dict, Mapping, Optional
 
-from .backend import ArrayBackend, get_backend
-
-_DEPRECATION_MSG = (
-    "loose engine_opts kwargs are deprecated; build a repro.EngineConfig "
-    "and pass it as config= (old kwargs keep working for one release)"
-)
-
 #: Construction knobs with a typed field (everything else goes to extra).
 _TYPED_OPTS = (
-    "backend",
     "batch",
     "accuracy",
     "min_batch_events",
@@ -58,26 +44,17 @@ _TYPED_OPTS = (
 )
 
 
-def warn_engine_opts(stacklevel: int = 3) -> None:
-    """Emit the one-release deprecation warning for legacy engine_opts."""
-    warnings.warn(_DEPRECATION_MSG, DeprecationWarning, stacklevel=stacklevel)
-
-
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine name + backend + construction knobs, as one typed value.
+    """Engine name + construction knobs, as one typed value.
 
     ``engine`` is a registry name (``"auto"`` resolves per workload, see
-    :func:`repro.simulate.resolve_engine`); ``backend`` is an array
-    backend *name* (kept as a string so configs pickle cleanly into
-    worker processes and serialize into manifests — resolve with
-    :meth:`resolved_backend`); ``ensemble_chunk`` is the replica
-    runner's rows-per-worker setting (a supervision knob, never passed
-    to engine constructors).
+    :func:`repro.simulate.resolve_engine`); ``ensemble_chunk`` is the
+    replica runner's rows-per-worker setting (a supervision knob, never
+    passed to engine constructors).
     """
 
     engine: str = "auto"
-    backend: Optional[str] = None
     batch: Optional[int] = None
     accuracy: Optional[float] = None
     min_batch_events: Optional[float] = None
@@ -92,10 +69,6 @@ class EngineConfig:
     batch_autotune: Optional[bool] = None
     ensemble_chunk: Optional[int] = None
     extra: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if isinstance(self.backend, ArrayBackend):
-            object.__setattr__(self, "backend", self.backend.name)
 
     # -- functional update -------------------------------------------------
     def replace(self, **changes: Any) -> "EngineConfig":
@@ -120,16 +93,9 @@ class EngineConfig:
 
         Only knobs the class accepts are emitted (a typed knob that does
         not apply to the chosen engine is dropped — the config describes
-        intent, engines take what applies), except a **non-default**
-        ``backend``: asking cupy/jax of an engine without backend support
-        is an error, not a silent CPU fallback.  Naming the default
-        numpy backend explicitly is dropped like any other inapplicable
-        knob (backend-less engines *are* plain numpy), so a shared
-        ``--backend numpy`` flag works on every engine.  ``extra``
-        passes through unconditionally.
+        intent, engines take what applies); ``extra`` passes through
+        unconditionally.
         """
-        from .backend import DEFAULT_BACKEND
-
         params = inspect.signature(engine_cls.__init__).parameters
         var_kw = any(
             p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
@@ -138,21 +104,8 @@ class EngineConfig:
         for name, value in self._set_opts().items():
             if name in params or var_kw:
                 out[name] = value
-            elif name == "backend" and value != DEFAULT_BACKEND:
-                raise ValueError(
-                    "engine {!r} does not support array backends "
-                    "(backend={!r} requested); use the batch or ensemble "
-                    "engine".format(
-                        getattr(engine_cls, "name", engine_cls.__name__),
-                        value,
-                    )
-                )
         out.update(self.extra)
         return out
-
-    def resolved_backend(self) -> ArrayBackend:
-        """The :class:`~repro.engine.backend.ArrayBackend` this config names."""
-        return get_backend(self.backend)
 
     # -- serialization ------------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:
@@ -167,94 +120,51 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, data: Optional[Mapping[str, Any]]) -> "EngineConfig":
-        """Inverse of :meth:`as_dict`; unknown keys survive into ``extra``."""
+        """Inverse of :meth:`as_dict`; unknown keys survive into ``extra``.
+
+        A ``backend`` key (the retired array-backend setting of releases
+        up to 1.3.0) is dropped whatever its value: every random draw was
+        made on the host generator under every backend, so old manifest
+        headers and service journals replay the same run without it.
+        """
         payload = dict(data or {})
+        payload.pop("backend", None)
         extra = dict(payload.pop("extra", None) or {})
         known = {f.name for f in fields(cls)} - {"extra"}
         kwargs = {k: payload.pop(k) for k in list(payload) if k in known}
         extra.update(payload)
         return cls(extra=extra, **kwargs)
 
-    def legacy_opts(self) -> Dict[str, Any]:
-        """The equivalent legacy ``engine_opts`` dict (manifest back-compat)."""
-        out = self._set_opts()
-        if self.ensemble_chunk is not None:
-            out["ensemble_chunk"] = self.ensemble_chunk
-        out.update(self.extra)
-        return out
-
-    # -- legacy absorption ---------------------------------------------------
-    @classmethod
-    def from_legacy(
-        cls,
-        engine: Optional[str] = "auto",
-        engine_opts: Optional[Mapping[str, Any]] = None,
-        base: Optional["EngineConfig"] = None,
-        warn: bool = False,
-        stacklevel: int = 3,
-    ) -> "EngineConfig":
-        """Build a config from an (engine name, engine_opts dict) pair.
-
-        Known opt names land in their typed fields, the rest in
-        ``extra``.  ``warn=True`` emits the deprecation warning iff the
-        opts dict is non-empty (passing a plain engine name stays
-        warning-free — names remain first-class).
-        """
-        opts = dict(engine_opts or {})
-        if warn and opts:
-            warn_engine_opts(stacklevel=stacklevel + 1)
-        cfg = base if base is not None else cls(engine=engine or "auto")
-        changes: Dict[str, Any] = {}
-        for key in list(opts):
-            if key in _TYPED_OPTS or key == "ensemble_chunk":
-                changes[key] = opts.pop(key)
-        if opts:
-            merged = dict(cfg.extra)
-            merged.update(opts)
-            changes["extra"] = merged
-        return cfg.replace(**changes) if changes else cfg
-
     @classmethod
     def coerce(
         cls,
         engine: Any = "auto",
         config: Optional["EngineConfig"] = None,
-        engine_opts: Optional[Mapping[str, Any]] = None,
-        warn: bool = False,
-        stacklevel: int = 3,
     ) -> "EngineConfig":
-        """Normalize the legacy (engine, config, engine_opts) triple.
+        """Normalize an (engine, config) pair to one config.
 
         Accepts an :class:`EngineConfig` in the ``engine`` slot (the
-        canonical modern call), a registry name string, or ``None``;
-        merges any legacy opts on top (warning per ``warn``).
+        canonical call), or a registry name string / ``None`` there with
+        an optional ``config=`` whose ``"auto"`` engine the name fills in.
         """
         if isinstance(engine, cls):
             if config is not None:
                 raise ValueError(
                     "pass either an EngineConfig or config=, not both"
                 )
-            base = engine
-        elif config is not None:
-            if not isinstance(config, cls):
-                raise TypeError(
-                    "config must be an EngineConfig, got {!r}".format(config)
-                )
-            base = config
-            if engine not in (None, "auto", base.engine):
-                if base.engine == "auto":
-                    base = base.replace(engine=engine)
-                else:
-                    raise ValueError(
-                        "conflicting engine={!r} vs config.engine={!r}".format(
-                            engine, base.engine
-                        )
-                    )
-        else:
-            base = cls(engine=engine or "auto")
-        if engine_opts:
-            base = cls.from_legacy(
-                base.engine, engine_opts, base=base, warn=warn,
-                stacklevel=stacklevel + 1,
+            return engine
+        if config is None:
+            return cls(engine=engine or "auto")
+        if not isinstance(config, cls):
+            raise TypeError(
+                "config must be an EngineConfig, got {!r}".format(config)
             )
-        return base
+        if engine in (None, "auto", config.engine):
+            return config
+        if config.engine == "auto":
+            return config.replace(engine=engine)
+        raise ValueError(
+            "conflicting engine={!r} vs config.engine={!r}".format(
+                engine, config.engine
+            )
+        )

@@ -56,9 +56,8 @@ import numpy as np
 from ..core.population import Population
 from ..core.protocol import Protocol
 from .api import Engine, EngineStats, Observer, StopCondition, _StopRecorder, require_budget
-from .backend import ArrayBackend, get_backend
 from .compiled import COMPILE_STATE_LIMIT, CompiledTable, compile_table
-from .jump import MAX_BATCH
+from .jump import MAX_BATCH, pair_weights, split_outcomes_grouped
 from .sequential import CountEngine
 from .silence import silent_weight
 
@@ -128,14 +127,6 @@ class EnsembleEngine(Engine):
         Compiled-table options.  The ensemble *requires* a compiled table
         (the stacked kernels are defined over its flat arrays); a closure
         above ``compile_limit`` raises ``RuntimeError``.
-    backend:
-        Array backend running the stacked kernels — a registered name
-        (``"numpy"``/``"cupy"``/``"jax"``), an
-        :class:`~repro.engine.backend.ArrayBackend` instance, or ``None``
-        for the ``REPRO_BACKEND`` env / NumPy default.  The NumPy backend
-        is a zero-copy passthrough and bit-identical to the pre-backend
-        engine; accelerator backends change the device of the weight
-        algebra, never the random streams.
     """
 
     name = "ensemble"
@@ -156,7 +147,6 @@ class EnsembleEngine(Engine):
         compile_limit: int = COMPILE_STATE_LIMIT,
         cache: object = "auto",
         guards: object = None,
-        backend: Union[None, str, ArrayBackend] = None,
     ):
         if rows < 1:
             raise ValueError("rows must be a positive integer")
@@ -166,8 +156,6 @@ class EnsembleEngine(Engine):
             raise ValueError("accuracy must be in (0, 1]")
         self._init_common(protocol, population, rng, guards=guards)
         self._population = population
-        #: Array backend behind the stacked kernels (host RNG either way).
-        self.backend = get_backend(backend)
 
         if isinstance(compiled, CompiledTable):
             ct = compiled
@@ -278,7 +266,6 @@ class EnsembleEngine(Engine):
         iteration).
         """
         stats = EngineStats(self.name)
-        stats.backend = self.backend.name
         stats.runs = 1
         stats.run_seconds = float(self._row_wall[r])
         stats.interactions = int(self._row_interactions[r])
@@ -461,13 +448,12 @@ class EnsembleEngine(Engine):
                 continue
 
             kernel_start = time.perf_counter()
-            xp = self.backend
             L = len(idx)
             sub = self._C[idx]
             cols = np.nonzero((sub > 0.0).any(axis=0))[0]
             a = len(cols)
             ca = sub[:, cols]
-            W = xp.pair_weights(ca, xp.gather_p_change(ct.p_change_matrix, cols))
+            W = pair_weights(ca, ct.p_change_matrix[np.ix_(cols, cols)])
             if self.guards is not None:
                 # NaN/Inf survive the max-reduction across rows, so the
                 # collapsed (a, a) matrix carries any row's poison
@@ -496,13 +482,13 @@ class EnsembleEngine(Engine):
                 batchable = alive.copy()
             else:
                 consume = W.sum(axis=2) + W.sum(axis=1)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    per_state = np.where(
-                        consume > 0.0,
-                        self.accuracy * ca * pairs_total
-                        / np.maximum(consume, 1e-300),
-                        np.inf,
-                    )
+                # an unconsumed state puts no bound on the batch; dividing
+                # by a floored ``consume`` instead overflows at n >= 1e8
+                per_state = np.divide(
+                    self.accuracy * ca * pairs_total, consume,
+                    out=np.full(consume.shape, np.inf),
+                    where=consume > 0.0,
+                )
                 cap = per_state.min(axis=1)
                 cap = np.where(np.isfinite(cap), cap, 0.0)
                 expected = cap * p_change
@@ -530,12 +516,14 @@ class EnsembleEngine(Engine):
                 self._active_pairs_max = max(self._active_pairs_max, cells)
                 self._active_states_last = a
 
-                fired = xp.fired_counts(self.rng, B[lb], p_change[lb])
+                fired = self.rng.binomial(B[lb], p_change[lb])
                 delta = np.zeros((len(lb), q), dtype=np.int64)
                 pos_f = fired > 0
                 if pos_f.any():
-                    cell_counts = xp.split_cells(
-                        self.rng, fired[pos_f], W[lb][pos_f]
+                    w_fired = W[lb][pos_f]
+                    flat = w_fired.reshape(len(w_fired), -1)
+                    cell_counts = self.rng.multinomial(
+                        fired[pos_f], flat / flat.sum(axis=1, keepdims=True)
                     )
                     rnz, cnz = np.nonzero(cell_counts)
                     counts = cell_counts[rnz, cnz].astype(np.int64)
@@ -547,7 +535,7 @@ class EnsembleEngine(Engine):
                     pair_flat = gi * q + gj
                     start = ct.off[pair_flat]
                     width = ct.off[pair_flat + 1] - start
-                    xp.split_outcomes(
+                    split_outcomes_grouped(
                         self.rng, delta, counts, start, width,
                         ct.out_p, ct.out_a, ct.out_b, rows=drow,
                     )

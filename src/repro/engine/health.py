@@ -26,7 +26,7 @@ codes, so a replica supervisor can log *where* a worker went bad and —
 because the failure is deterministic in the seed — skip retrying it.
 
 Guards are opt-in per engine (``guards=`` constructor option, i.e.
-``engine_opts={"guards": True}`` through :func:`repro.simulate.make_engine`)
+``EngineConfig(guards=True)`` through :func:`repro.simulate.make_engine`)
 and on by default in ``python -m repro sweep``.  The checks are amortized:
 per *batch* on the jump engine (batches are large, so the cost vanishes)
 and every ``check_every`` events on the exact path, keeping the overhead

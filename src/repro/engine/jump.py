@@ -77,6 +77,32 @@ from .table import LazyTable
 MAX_BATCH = 2 ** 62
 
 
+def pair_weights(counts: np.ndarray, p_sub: np.ndarray) -> np.ndarray:
+    """Effective-weight tensor ``c_i (c_j - δ_ij) p_change(i, j)``.
+
+    ``counts`` is ``(a,)`` for a single configuration (returns ``(a, a)``)
+    or ``(L, a)`` for stacked ensemble rows (returns ``(L, a, a)``);
+    ``p_sub`` is the ``(a, a)`` sub-matrix ``p_change[np.ix_(act, act)]``
+    over the same active states.  Negative products (transient
+    inconsistencies) are clamped to zero.  Shared by the jump, ensemble
+    and alias-epoch samplers, whose sample paths depend on these exact
+    floating-point expressions.
+    """
+    if counts.ndim == 1:
+        w = counts[:, None] * counts[None, :]
+        diag = np.arange(len(counts))
+        w[diag, diag] = counts * (counts - 1.0)
+        w *= p_sub
+        np.maximum(w, 0.0, out=w)
+        return w
+    w = counts[:, :, None] * counts[:, None, :]
+    diag = np.arange(counts.shape[1])
+    w[:, diag, diag] = counts * (counts - 1.0)
+    w *= p_sub[None, :, :]
+    np.maximum(w, 0.0, out=w)
+    return w
+
+
 def split_outcomes_grouped(
     rng: np.random.Generator,
     delta: np.ndarray,
@@ -163,13 +189,6 @@ class BatchCountEngine(CountEngine):
         Compiled-table cache policy (see
         :func:`repro.engine.compiled.compile_table`): ``"auto"``, a
         directory path, or ``None`` to disable caching.
-    backend:
-        Array backend for the compiled batch kernels — a registered name
-        (``"numpy"``/``"cupy"``/``"jax"``), an
-        :class:`~repro.engine.backend.ArrayBackend` instance, or ``None``
-        for the ``REPRO_BACKEND`` env / NumPy default.  Random draws stay
-        on the host generator under every backend (the determinism
-        contract); the legacy dense-support path is NumPy-only.
     """
 
     name = "batch"
@@ -188,16 +207,11 @@ class BatchCountEngine(CountEngine):
         compile_limit: int = COMPILE_STATE_LIMIT,
         cache: object = "auto",
         guards: object = None,
-        backend: object = None,
     ):
-        from .backend import get_backend  # lazy: backend.py imports this module
-
         if batch is not None and batch < 1:
             raise ValueError("batch must be a positive integer or None")
         if not 0.0 < accuracy <= 1.0:
             raise ValueError("accuracy must be in (0, 1]")
-        #: Array backend behind the compiled batch kernels.
-        self.backend = get_backend(backend)
 
         ct: Optional[CompiledTable] = None
         if isinstance(compiled, CompiledTable):
@@ -356,10 +370,7 @@ class BatchCountEngine(CountEngine):
         """
         act = np.nonzero(self._full_c > 0.0)[0]
         ca = self._full_c[act]
-        xp = self.backend
-        w = xp.pair_weights(
-            ca, xp.gather_p_change(self._ct.p_change_matrix, act)
-        )
+        w = pair_weights(ca, self._ct.p_change_matrix[np.ix_(act, act)])
         return act, w
 
     def _per_state_batch_cap(
@@ -397,14 +408,14 @@ class BatchCountEngine(CountEngine):
         event counts would drive some state's count negative.
         """
         ct = self._ct
-        xp = self.backend
         q = ct.num_states
         p_change = min(total_weight / pairs_total, 1.0)
-        fired = int(xp.fired_counts(self.rng, batch, p_change))
+        fired = int(self.rng.binomial(batch, p_change))
         if fired == 0:
             self._batch_events = 0
             return np.zeros(q, dtype=np.int64)
-        cell_counts = xp.split_cells(self.rng, fired, w)
+        flat = w.ravel()
+        cell_counts = self.rng.multinomial(fired, flat / flat.sum())
         nz = np.nonzero(cell_counts)[0]
         counts = cell_counts[nz].astype(np.int64)
         a = len(act)
@@ -420,7 +431,7 @@ class BatchCountEngine(CountEngine):
         pair_flat = gi * q + gj
         start = ct.off[pair_flat]
         width = ct.off[pair_flat + 1] - start
-        xp.split_outcomes(
+        split_outcomes_grouped(
             self.rng, delta, counts, start, width,
             ct.out_p, ct.out_a, ct.out_b,
         )

@@ -61,7 +61,7 @@ import numpy as np
 
 from ..core.population import Population
 from ..core.protocol import Protocol
-from .config import EngineConfig, warn_engine_opts
+from .config import EngineConfig
 from .health import SimulationHealthError
 
 
@@ -255,7 +255,6 @@ def run_single_replica(
     protocol: Protocol,
     population: Population,
     engine: Any = "auto",
-    engine_opts: Optional[Dict[str, Any]] = None,
     run_kwargs: Optional[Dict[str, Any]] = None,
     stop: Optional[Callable[[Population], bool]] = None,
     faults: Optional[Any] = None,
@@ -268,15 +267,15 @@ def run_single_replica(
     primitive of :mod:`repro.obs`: the same ``(index, seed_seq, ...)``
     inputs give a bit-identical record (minus wall time).  Engine
     construction travels as an :class:`~repro.engine.config.EngineConfig`
-    (``config=``, or directly in the ``engine`` slot); a registry name
-    plus legacy ``engine_opts`` still works.  ``faults`` is an optional
+    (``config=``, or directly in the ``engine`` slot; a plain registry
+    name works too).  ``faults`` is an optional
     :class:`repro.faults.FaultPlan` whose injectors fire here, inside
     the worker; ``attempt`` is the supervisor's retry counter (0 on the
     first attempt).
     """
     from ..simulate import make_engine
 
-    cfg = EngineConfig.coerce(engine, config=config, engine_opts=engine_opts)
+    cfg = EngineConfig.coerce(engine, config=config)
     if faults is not None:
         faults.before_run(index, attempt)
     rng = np.random.default_rng(seed_seq)
@@ -317,14 +316,11 @@ def run_single_replica(
 
 def _engine_replica(payload) -> ReplicaRecord:
     """Worker: run one seeded engine replica (top-level for pickling)."""
-    (index, seed_seq, protocol, population, engine, engine_opts, run_kwargs,
-     stop, *rest) = payload
-    faults = rest[0] if len(rest) > 0 else None
-    attempt = rest[1] if len(rest) > 1 else 0
+    (index, seed_seq, protocol, population, config, run_kwargs, stop,
+     faults, attempt) = payload
     return run_single_replica(
-        index, seed_seq, protocol, population,
-        engine=engine, engine_opts=engine_opts, run_kwargs=run_kwargs,
-        stop=stop, faults=faults, attempt=attempt,
+        index, seed_seq, protocol, population, config,
+        run_kwargs=run_kwargs, stop=stop, faults=faults, attempt=attempt,
     )
 
 
@@ -334,12 +330,11 @@ def run_ensemble_chunk(
     shared_seq: np.random.SeedSequence,
     protocol: Protocol,
     population: Population,
-    engine_opts: Optional[Any] = None,
+    config: Optional[EngineConfig] = None,
     run_kwargs: Optional[Dict[str, Any]] = None,
     stop: Optional[Callable[[Population], bool]] = None,
     faults: Optional[Any] = None,
     attempt: int = 0,
-    config: Optional[EngineConfig] = None,
 ) -> List[ReplicaRecord]:
     """Run one ensemble chunk: the replicas ``indices`` as stacked rows.
 
@@ -358,11 +353,7 @@ def run_ensemble_chunk(
     """
     from .ensemble import EnsembleEngine
 
-    if isinstance(engine_opts, EngineConfig):
-        config, engine_opts = engine_opts, None
-    cfg = EngineConfig.coerce(
-        "ensemble", config=config, engine_opts=engine_opts
-    )
+    cfg = EngineConfig.coerce("ensemble", config=config)
     indices = [int(k) for k in indices]
     seed_seqs = list(seed_seqs)
     if len(seed_seqs) != len(indices):
@@ -424,12 +415,11 @@ def run_ensemble_chunk(
 
 def _ensemble_chunk(payload) -> List[ReplicaRecord]:
     """Worker: run one ensemble chunk (top-level for pickling)."""
-    (indices, seed_seqs, shared_seq, protocol, population, engine_opts,
+    (indices, seed_seqs, shared_seq, protocol, population, config,
      run_kwargs, stop, faults, attempt) = payload
     return run_ensemble_chunk(
-        indices, seed_seqs, shared_seq, protocol, population,
-        engine_opts=engine_opts, run_kwargs=run_kwargs, stop=stop,
-        faults=faults, attempt=attempt,
+        indices, seed_seqs, shared_seq, protocol, population, config,
+        run_kwargs=run_kwargs, stop=stop, faults=faults, attempt=attempt,
     )
 
 
@@ -874,7 +864,6 @@ def run_replicas(
     seed: Optional[int] = 0,
     processes: Optional[int] = None,
     stop: Optional[Callable[[Population], bool]] = None,
-    engine_opts: Optional[Dict[str, Any]] = None,
     config: Optional[EngineConfig] = None,
     manifest: Optional[str] = None,
     manifest_meta: Optional[Dict[str, Any]] = None,
@@ -897,8 +886,7 @@ def run_replicas(
         :class:`~repro.engine.config.EngineConfig` — pass it as
         ``config=`` or directly in the ``engine`` slot; a plain registry
         name (``auto``/``count``/``batch``/``matching``/``array``) stays
-        first-class, and the legacy ``engine_opts`` dict keeps working
-        for one release with a ``DeprecationWarning``.
+        first-class.
         ``engine="ensemble"`` switches the fan-out strategy: replicas are
         grouped into fixed chunks of ``config.ensemble_chunk`` rows
         (default :data:`DEFAULT_ENSEMBLE_CHUNK`) and each chunk is one
@@ -959,9 +947,7 @@ def run_replicas(
         raise ValueError(
             "replicas must be a positive integer, got {}".format(replicas)
         )
-    if engine_opts:
-        warn_engine_opts(stacklevel=3)
-    cfg = EngineConfig.coerce(engine, config=config, engine_opts=engine_opts)
+    cfg = EngineConfig.coerce(engine, config=config)
     engine_name = cfg.engine
     root = np.random.SeedSequence(seed)
     seeds = list(root.spawn(replicas))
@@ -999,7 +985,7 @@ def run_replicas(
 
     def payload_for(k: int, seed_seq, attempt: int):
         return (
-            k, seed_seq, protocol, population, cfg, None,
+            k, seed_seq, protocol, population, cfg,
             run_kwargs, stop, plan, attempt,
         )
 

@@ -7,7 +7,7 @@ This module gives :func:`repro.engine.replicas.run_replicas` a structured
 JSONL *run manifest*:
 
 * line 1 — one ``{"kind": "run", ...}`` header: schema version, root seed
-  entropy, engine name/options, run kwargs, worker count, supervisor
+  entropy, the engine ``config``, run kwargs, worker count, supervisor
   settings, a protocol fingerprint (see
   :func:`repro.engine.compiled.protocol_fingerprint`) and any
   caller-supplied metadata (typically a
@@ -38,7 +38,7 @@ resumes verify the manifest's recorded protocol fingerprint against the
 freshly built protocol, so stale code never silently replays a different
 experiment.
 
-Values in ``run_kwargs`` / ``engine_opts`` that do not survive JSON
+Values in ``run_kwargs`` / ``config`` that do not survive JSON
 (observer callables, rng objects) are recorded as ``{"!repr": "..."}``
 placeholders and *excluded* from replay; everything the paper's sweeps
 pass (budgets, observe grids, batch knobs) round-trips exactly.
@@ -62,10 +62,9 @@ from .engine.replicas import ReplicaRecord, ReplicaSet, run_single_replica
 #: Version 2 added the supervision fields (``status``/``error``/
 #: ``attempts``, ``seed.retry_of``) and the ``supervisor`` header block;
 #: version 3 added the serialized ``config``
-#: (:meth:`repro.EngineConfig.as_dict`) alongside the legacy
-#: ``engine``/``engine_opts`` projections — both purely additive, so
-#: version-1/2 manifests still load (replays rebuild their config from
-#: the legacy keys).
+#: (:meth:`repro.EngineConfig.as_dict`).  Version-1/2 manifests still
+#: load: replays rebuild their config from the ``engine``/``engine_opts``
+#: keys those versions wrote.
 SCHEMA_VERSION = 3
 
 #: Schema versions this reader understands.
@@ -99,20 +98,19 @@ def _header_config(header: Dict[str, Any]) -> EngineConfig:
     """Rebuild the sweep's :class:`~repro.EngineConfig` from a header.
 
     Version-3 manifests record the config directly; older ones carry only
-    the legacy ``engine``/``engine_opts`` keys, which map onto the same
-    typed fields.  ``!repr`` placeholders (irreplayable values) are
-    dropped on the way, exactly like the legacy replay path did.
+    the ``engine``/``engine_opts`` keys, whose flat options map onto the
+    same typed fields.  Both go through :meth:`EngineConfig.from_dict`.
+    ``!repr`` placeholders (irreplayable values) are dropped on the way.
     """
     raw = header.get("config")
     if raw:
         data = _replayable(raw)
         if isinstance(data.get("extra"), dict):
             data["extra"] = _replayable(data["extra"])
-        return EngineConfig.from_dict(data)
-    return EngineConfig.from_legacy(
-        header.get("engine") or "auto",
-        _replayable(header.get("engine_opts")),
-    )
+    else:
+        data = _replayable(header.get("engine_opts"))
+        data["engine"] = header.get("engine") or "auto"
+    return EngineConfig.from_dict(data)
 
 
 def _protocol_summary(
@@ -179,7 +177,6 @@ class ManifestWriter:
         append: bool = False,
         seed_entropy: Optional[int] = None,
         engine: str = "auto",
-        engine_opts: Optional[Dict[str, Any]] = None,
         config: Optional[EngineConfig] = None,
         run_kwargs: Optional[Dict[str, Any]] = None,
         protocol: Optional[Protocol] = None,
@@ -189,11 +186,7 @@ class ManifestWriter:
         supervisor: Optional[Dict[str, Any]] = None,
         meta: Optional[Dict[str, Any]] = None,
     ):
-        # the config is the canonical construction record; the legacy
-        # engine/engine_opts header keys are projections of it, kept so
-        # older readers keep working for the deprecation window
-        if config is None:
-            config = EngineConfig.from_legacy(engine, engine_opts)
+        config = EngineConfig.coerce(engine, config=config)
         self.path = path
         self.records_written = 0
         directory = os.path.dirname(os.path.abspath(path))
@@ -207,8 +200,6 @@ class ManifestWriter:
                 "schema_version": SCHEMA_VERSION,
                 "root_entropy": _jsonable(seed_entropy),
                 "replicas": replicas,
-                "engine": config.engine,
-                "engine_opts": _jsonable(config.legacy_opts()),
                 "config": _jsonable(config.as_dict()),
                 "run_kwargs": _jsonable(run_kwargs or {}),
                 "processes": processes,
@@ -265,7 +256,6 @@ def write_manifest(
     *,
     seed_entropy: Optional[int] = None,
     engine: str = "auto",
-    engine_opts: Optional[Dict[str, Any]] = None,
     config: Optional[EngineConfig] = None,
     run_kwargs: Optional[Dict[str, Any]] = None,
     protocol: Optional[Protocol] = None,
@@ -283,7 +273,6 @@ def write_manifest(
         path,
         seed_entropy=seed_entropy,
         engine=engine,
-        engine_opts=engine_opts,
         config=config,
         run_kwargs=run_kwargs,
         protocol=protocol,
@@ -509,7 +498,6 @@ def _replay_ensemble_chunk(
     protocol: Protocol,
     population: Population,
     stop: Optional[Callable[[Population], bool]],
-    backend: Optional[str] = None,
 ) -> ReplicaRecord:
     """Re-run the ensemble chunk owning ``record`` and return its row.
 
@@ -529,8 +517,6 @@ def _replay_ensemble_chunk(
     )
 
     cfg = _header_config(manifest.header)
-    if backend is not None:
-        cfg = cfg.replace(backend=backend)
     chunk = (
         DEFAULT_ENSEMBLE_CHUNK
         if cfg.ensemble_chunk is None
@@ -570,15 +556,9 @@ def replay_replica(
     population: Optional[Population] = None,
     stop: Optional[Callable[[Population], bool]] = None,
     check_fingerprint: bool = True,
-    backend: Optional[str] = None,
     observer: Optional[Callable[[float, Population], None]] = None,
 ) -> ReplicaRecord:
     """Re-run one replica of a manifest and return the fresh record.
-
-    ``backend`` swaps the array backend for the re-run (the manifest's
-    recorded :class:`~repro.EngineConfig` supplies it otherwise); replays
-    stay bit-identical either way because every random draw happens on
-    the host generator regardless of backend.
 
     ``observer`` re-attaches an observation callback for the re-run.
     Observer callables cannot be serialized, so a manifest records them
@@ -609,8 +589,6 @@ def replay_replica(
     if check_fingerprint:
         verify_fingerprint(manifest, protocol, population)
     cfg = _header_config(manifest.header)
-    if backend is not None:
-        cfg = cfg.replace(backend=backend)
     if cfg.engine == "ensemble":
         if observer is not None:
             raise ValueError(
@@ -619,7 +597,7 @@ def replay_replica(
                 .format(manifest.path)
             )
         return _replay_ensemble_chunk(
-            manifest, record, protocol, population, stop, backend=backend
+            manifest, record, protocol, population, stop
         )
     run_kwargs = _replayable(manifest.header.get("run_kwargs"))
     if observer is not None:
@@ -647,7 +625,6 @@ def resume_sweep(
     population: Optional[Population] = None,
     stop: Optional[Callable[[Population], bool]] = None,
     check_fingerprint: bool = True,
-    backend: Optional[str] = None,
 ) -> ReplicaSet:
     """Finish an interrupted sweep from its manifest checkpoint.
 
@@ -662,9 +639,7 @@ def resume_sweep(
     ``timeout`` / ``max_retries`` / ``backoff`` default to the supervisor
     settings recorded in the header.  ``faults`` re-injects failures on
     the resumed replicas (chaos tests); leave ``None`` to actually finish
-    the sweep.  ``backend`` swaps the array backend for the resumed
-    replicas (results are bit-identical across backends — random draws
-    happen on the host generator).
+    the sweep.
     """
     from .engine.replicas import run_replicas
 
@@ -683,8 +658,6 @@ def resume_sweep(
     if not missing:
         return manifest.replica_set()
     cfg = _header_config(manifest.header)
-    if backend is not None:
-        cfg = cfg.replace(backend=backend)
     supervisor = manifest.header.get("supervisor") or {}
     if timeout is None:
         timeout = supervisor.get("timeout")

@@ -53,7 +53,7 @@ from .core.protocol import Protocol
 from .engine.api import Engine
 from .engine.batch import ArrayEngine
 from .engine.bghkpu import BGHKPUEngine
-from .engine.config import EngineConfig, warn_engine_opts
+from .engine.config import EngineConfig
 from .engine.dense import supports_dense
 from .engine.ensemble import EnsembleEngine
 from .engine.jump import BatchCountEngine
@@ -132,27 +132,18 @@ def make_engine(
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
     config: Optional[EngineConfig] = None,
-    backend: Optional[object] = None,
-    **engine_opts: Any,
 ) -> Engine:
     """Construct (but do not run) an engine from an :class:`EngineConfig`.
 
     The canonical call passes a config — either as ``config=`` or
     directly in the ``engine`` slot::
 
-        make_engine(protocol, pop, EngineConfig(engine="batch", backend="numpy"))
+        make_engine(protocol, pop, EngineConfig(engine="batch", accuracy=0.01))
 
-    A plain registry name in ``engine`` stays first-class (no warning).
-    ``backend=`` overrides the config's backend.  Loose construction
-    kwargs (``**engine_opts``) still work for one release but emit a
-    ``DeprecationWarning`` — fold them into the config instead.
+    A plain registry name in ``engine`` stays first-class.
     """
     global LAST_ENGINE
-    cfg = EngineConfig.coerce(
-        engine, config=config, engine_opts=engine_opts, warn=True,
-    )
-    if backend is not None:
-        cfg = cfg.replace(backend=backend)
+    cfg = EngineConfig.coerce(engine, config=config)
     cls = resolve_engine(cfg.engine, protocol, population)
     if rng is None and seed is not None:
         rng = np.random.default_rng(seed)
@@ -167,9 +158,7 @@ def simulate(
     engine: Union[str, EngineConfig] = "auto",
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
-    engine_opts: Optional[Dict[str, Any]] = None,
     config: Optional[EngineConfig] = None,
-    backend: Optional[object] = None,
     **run_kwargs: Any,
 ) -> Engine:
     """Simulate ``protocol`` on ``population`` and return the engine.
@@ -177,18 +166,12 @@ def simulate(
     ``run_kwargs`` are passed to :meth:`Engine.run` (``rounds=...``,
     ``stop=...``, ``observer=...``); engine construction knobs travel in
     an :class:`EngineConfig` (``config=``, or an ``EngineConfig`` in the
-    ``engine`` slot).  The legacy ``engine_opts`` dict keeps working for
-    one release but emits a ``DeprecationWarning``.  The returned engine
-    exposes the final configuration (``.population``), elapsed parallel
-    time (``.rounds``) and raw ``.interactions``.
+    ``engine`` slot).  The returned engine exposes the final
+    configuration (``.population``), elapsed parallel time (``.rounds``)
+    and raw ``.interactions``.
     """
-    if engine_opts:
-        warn_engine_opts(stacklevel=3)
-    cfg = EngineConfig.coerce(
-        engine, config=config, engine_opts=engine_opts, warn=False,
-    )
     eng = make_engine(
-        protocol, population, cfg, rng=rng, seed=seed, backend=backend,
+        protocol, population, engine, rng=rng, seed=seed, config=config,
     )
     eng.run(**run_kwargs)
     return eng

@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import chisquare
 
 from repro.engine import ActivePairSampler, AliasTable, alias_pick
-from repro.engine.backend import get_backend
+from repro.engine.jump import pair_weights
 
 SKEWED = np.array([5.0, 1.0, 0.1, 10.0, 3.0, 0.5, 2.0, 8.0])
 GOF_ALPHA = 0.001
@@ -125,7 +125,7 @@ class TestActivePairSampler:
     )
 
     def make(self, tol=0.05):
-        return ActivePairSampler(get_backend("numpy"), self.MATRIX, tol)
+        return ActivePairSampler(self.MATRIX, tol)
 
     def test_tol_validated(self):
         with pytest.raises(ValueError, match="alias_rebuild_tol"):
@@ -198,11 +198,10 @@ class TestActivePairSampler:
         assert s.cap_events == pytest.approx(8.0 / 2.0)
 
     def test_knob_validation(self):
-        backend = get_backend("numpy")
         with pytest.raises(ValueError, match="top_k"):
-            ActivePairSampler(backend, self.MATRIX, 0.05, top_k=-1)
+            ActivePairSampler(self.MATRIX, 0.05, top_k=-1)
         with pytest.raises(ValueError, match="patch_frac"):
-            ActivePairSampler(backend, self.MATRIX, 0.05, patch_frac=1.5)
+            ActivePairSampler(self.MATRIX, 0.05, patch_frac=1.5)
 
     def test_sticky_union_active_set(self):
         """Rebuilds union the support with the lineage's past states.
@@ -258,7 +257,7 @@ class TestHybridSampler:
 
     def make(self, top_k, tol=0.05, patch_frac=0.0):
         return ActivePairSampler(
-            get_backend("numpy"), _dense_matrix(), tol,
+            _dense_matrix(), tol,
             top_k=top_k, patch_frac=patch_frac,
         )
 
@@ -304,7 +303,7 @@ class TestHybridSampler:
         the draw immediately — no staleness window.
         """
         matrix = _dense_matrix()
-        s = ActivePairSampler(get_backend("numpy"), matrix, 0.0, top_k=8)
+        s = ActivePairSampler(matrix, 0.0, top_k=8)
         full_c = _dense_counts()
         dead = 3
         full_c[dead] = 0.0
@@ -337,7 +336,7 @@ class TestPartialRefreshExactness:
         """(incrementally refreshed, freshly rebuilt) sampler pair."""
         matrix = _dense_matrix()
         s = ActivePairSampler(
-            get_backend("numpy"), matrix, tol,
+            matrix, tol,
             top_k=top_k, patch_frac=patch_frac,
         )
         full_c = _dense_counts()
@@ -362,15 +361,13 @@ class TestPartialRefreshExactness:
                 full_c[idx] = 0.0 if full_c[idx] < 50.0 else full_c[idx]
             s.refresh(full_c)
         fresh = ActivePairSampler(
-            get_backend("numpy"), matrix, tol,
+            matrix, tol,
             top_k=top_k, patch_frac=patch_frac,
         )
         fresh.act = s.act  # same (sticky) active set, fresh derivation
-        fresh.psub = fresh.backend.to_numpy(
-            fresh.backend.gather_p_change(matrix, s.act)
-        )
+        fresh.psub = matrix[np.ix_(s.act, s.act)]
         fresh.ca = full_c[s.act].copy()
-        fresh.w = fresh.backend.pair_weights(fresh.ca, fresh.psub)
+        fresh.w = pair_weights(fresh.ca, fresh.psub)
         fresh._select_heavy()
         fresh._finalize()
         return s, fresh
@@ -418,7 +415,7 @@ class TestScratchReuse:
         must leave ``scratch_allocs`` flat.
         """
         s = ActivePairSampler(
-            get_backend("numpy"), _dense_matrix(), 0.0,
+            _dense_matrix(), 0.0,
             top_k=8, patch_frac=0.5,
         )
         full_c = _dense_counts()

@@ -166,17 +166,11 @@ class TestCommittedBaselines:
         kernels = run_all.load_baseline(
             os.path.join(root, "BENCH_kernels.json")
         )
-        backends = run_all.load_baseline(
-            os.path.join(root, "BENCH_backends.json")
-        )
         bghkpu = run_all.load_baseline(
             os.path.join(root, "BENCH_bghkpu.json")
         )
         assert engines and "engines" in engines
         assert kernels and "paths" in kernels
-        assert backends and "backends" in backends
-        assert "numpy" in backends["backends"]
-        assert backends["bit_identical_across_backends"] is True
         assert bghkpu and "engines" in bghkpu
         assert bghkpu["distribution_ok"] is True
         assert bghkpu["speedup_batch_over_bghkpu"] >= bghkpu["target_speedup"]
@@ -184,7 +178,6 @@ class TestCommittedBaselines:
         for fresh, key, cfg in (
             (engines, "engines", ("n", "seed")),
             (kernels, "paths", ("n", "seed", "rounds")),
-            (backends, "backends", ("n", "seed", "rounds", "rows")),
             (bghkpu, "engines", ("n", "seed", "ks_replicas")),
         ):
             regressions, skipped = run_all.check_regressions(

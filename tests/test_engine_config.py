@@ -1,13 +1,17 @@
 """EngineConfig: the typed engine-construction path.
 
-One frozen config carries engine name + backend + construction knobs
-through ``make_engine`` / ``simulate`` / ``run_replicas``, into manifest
-headers, and back out through ``replay_replica`` / ``resume_sweep``.
-The legacy loose ``engine_opts`` kwargs keep working for one release but
-emit a ``DeprecationWarning``.
+One frozen config carries engine name + construction knobs through
+``make_engine`` / ``simulate`` / ``run_replicas``, into manifest headers
+and service journals, and back out through ``replay_replica`` /
+``resume_sweep`` / service recovery.  Records written by older releases
+(``engine``/``engine_opts`` headers, configs naming a ``backend``) still
+replay bit-identically.
 """
 
+import json
+import os
 import pickle
+import time
 import warnings
 
 import numpy as np
@@ -24,8 +28,8 @@ from repro import (
     simulate,
 )
 from repro.engine import BatchCountEngine, CountEngine, EnsembleEngine
-from repro.engine.config import warn_engine_opts
 from repro.obs import _header_config
+from repro.service import ServiceApp, SubmitRequest
 
 
 def epidemic(n=120):
@@ -43,25 +47,14 @@ class TestEngineConfig:
         assert cfg.engine_kwargs(BatchCountEngine) == {}
 
     def test_typed_knobs_reach_supporting_engines(self):
-        cfg = EngineConfig(engine="batch", backend="numpy", batch=8, guards=True)
+        cfg = EngineConfig(engine="batch", batch=8, guards=True)
         kwargs = cfg.engine_kwargs(BatchCountEngine)
-        assert kwargs == {"backend": "numpy", "batch": 8, "guards": True}
+        assert kwargs == {"batch": 8, "guards": True}
 
     def test_inapplicable_knob_is_dropped_silently(self):
         # CountEngine has no batching; the config describes intent
         cfg = EngineConfig(engine="count", batch=8)
         assert "batch" not in cfg.engine_kwargs(CountEngine)
-
-    def test_nondefault_backend_on_unsupporting_engine_raises(self):
-        cfg = EngineConfig(engine="count", backend="cupy")
-        with pytest.raises(ValueError, match="does not support array backends"):
-            cfg.engine_kwargs(CountEngine)
-
-    def test_default_backend_on_unsupporting_engine_is_dropped(self):
-        # backend-less engines ARE plain numpy: a shared --backend numpy
-        # flag must work on every engine, including T3's count engine
-        cfg = EngineConfig(engine="count", backend="numpy")
-        assert cfg.engine_kwargs(CountEngine) == {}
 
     def test_extra_passes_through_and_typos_fail_loudly(self):
         workload = epidemic()
@@ -69,16 +62,9 @@ class TestEngineConfig:
         with pytest.raises(TypeError):
             make_engine(workload.protocol, workload.population, cfg)
 
-    def test_backend_instance_normalizes_to_name(self):
-        from repro.engine.backend import get_backend
-
-        cfg = EngineConfig(backend=get_backend("numpy"))
-        assert cfg.backend == "numpy"
-
     def test_round_trip_as_dict_from_dict(self):
         cfg = EngineConfig(
             engine="ensemble",
-            backend="numpy",
             batch=4,
             guards=True,
             ensemble_chunk=8,
@@ -92,17 +78,13 @@ class TestEngineConfig:
         assert cfg.extra == {"rows": 7}
 
     def test_picklable(self):
-        cfg = EngineConfig(engine="batch", backend="numpy", guards=True)
+        cfg = EngineConfig(engine="batch", guards=True)
         assert pickle.loads(pickle.dumps(cfg)) == cfg
 
-    def test_legacy_opts_projection(self):
-        cfg = EngineConfig(
-            engine="ensemble", backend="numpy", ensemble_chunk=4,
-            extra={"rows": 2},
-        )
-        assert cfg.legacy_opts() == {
-            "backend": "numpy", "ensemble_chunk": 4, "rows": 2,
-        }
+    def test_from_dict_drops_retired_backend_key(self):
+        for value in ("numpy", "cupy", "jax"):
+            cfg = EngineConfig.from_dict({"engine": "batch", "backend": value})
+            assert cfg == EngineConfig(engine="batch")
 
 
 class TestCoerce:
@@ -124,26 +106,11 @@ class TestCoerce:
         with pytest.raises(ValueError, match="conflicting engine"):
             EngineConfig.coerce("batch", config=cfg)
 
-    def test_legacy_opts_merge_into_typed_fields(self):
-        cfg = EngineConfig.coerce(
-            "batch", engine_opts={"guards": True, "rows": 2}
-        )
-        assert cfg.guards is True
-        assert cfg.extra == {"rows": 2}
 
-
-# -- deprecation window ------------------------------------------------------
+# -- one way to configure an engine ------------------------------------------
 
 
 class TestDeprecation:
-    def test_make_engine_loose_kwargs_warn(self):
-        workload = epidemic()
-        with pytest.warns(DeprecationWarning, match="engine_opts"):
-            make_engine(
-                workload.protocol, workload.population.copy(),
-                engine="batch", seed=0, batch=2,
-            )
-
     def test_config_path_is_warning_free(self):
         workload = epidemic()
         with warnings.catch_warnings():
@@ -153,47 +120,37 @@ class TestDeprecation:
                 EngineConfig(engine="batch", batch=2), seed=0,
             )
 
-    def test_simulate_engine_opts_dict_warns(self):
+    def test_loose_engine_kwargs_are_rejected(self):
         workload = epidemic()
-        with pytest.warns(DeprecationWarning, match="engine_opts"):
+        with pytest.raises(TypeError):
+            make_engine(
+                workload.protocol, workload.population.copy(),
+                engine="batch", seed=0, batch=2,
+            )
+        with pytest.raises(TypeError):
             simulate(
                 workload.protocol, workload.population.copy(),
                 engine="batch", seed=0, engine_opts={"batch": 2}, rounds=1.0,
             )
-
-    def test_warn_engine_opts_is_a_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning):
-            warn_engine_opts(stacklevel=1)
-
-    def test_top_level_engines_alias_warns(self):
-        import repro
-
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            choices = repro.ENGINE_CHOICES
-        assert "batch" in choices
 
 
 # -- make_engine / simulate integration --------------------------------------
 
 
 class TestMakeEngine:
-    def test_config_selects_engine_and_backend(self):
+    def test_config_selects_engine(self):
         workload = epidemic()
         eng = make_engine(
             workload.protocol, workload.population.copy(),
-            EngineConfig(engine="batch", backend="numpy"), seed=0,
+            EngineConfig(engine="batch", accuracy=0.01), seed=0,
         )
         assert isinstance(eng, BatchCountEngine)
-        assert eng.backend.name == "numpy"
-
-    def test_backend_kwarg_overrides_config(self):
-        workload = epidemic()
+        assert eng.accuracy == 0.01
         eng = make_engine(
             workload.protocol, workload.population.copy(),
-            EngineConfig(engine="ensemble"), seed=0, backend="numpy",
+            EngineConfig(engine="ensemble"), seed=0,
         )
         assert isinstance(eng, EnsembleEngine)
-        assert eng.backend.name == "numpy"
 
     def test_plain_engine_name_stays_first_class(self):
         workload = epidemic()
@@ -228,20 +185,16 @@ def sweep(tmp_path, config, replicas=3, seed=9, **kwargs):
 
 
 class TestManifestConfig:
-    def test_header_records_config_and_legacy_projection(self, tmp_path):
-        cfg = EngineConfig(engine="batch", backend="numpy", guards=True)
+    def test_header_records_config(self, tmp_path):
+        cfg = EngineConfig(engine="batch", guards=True)
         _, path, _ = sweep(tmp_path, cfg)
         header = load_manifest(path).header
-        assert header["config"] == {
-            "engine": "batch", "backend": "numpy", "guards": True,
-        }
-        # legacy keys stay as projections for old readers
-        assert header["engine"] == "batch"
-        assert header["engine_opts"] == {"backend": "numpy", "guards": True}
+        assert header["config"] == {"engine": "batch", "guards": True}
+        assert "engine" not in header and "engine_opts" not in header
         assert _header_config(header) == cfg
 
     def test_replay_restores_exact_config(self, tmp_path):
-        cfg = EngineConfig(engine="batch", backend="numpy", guards=True)
+        cfg = EngineConfig(engine="batch", guards=True)
         _, path, rs = sweep(tmp_path, cfg)
         manifest = load_manifest(path)
         for record in rs.records:
@@ -250,14 +203,8 @@ class TestManifestConfig:
             assert fresh.interactions == record.interactions
             assert fresh.converged == record.converged
 
-    def test_replay_backend_override_is_bit_identical(self, tmp_path):
-        cfg = EngineConfig(engine="batch", guards=True)
-        _, path, rs = sweep(tmp_path, cfg)
-        fresh = replay_replica(load_manifest(path), 0, backend="numpy")
-        assert fresh.interactions == rs.records[0].interactions
-
     def test_ensemble_config_round_trip(self, tmp_path):
-        cfg = EngineConfig(engine="ensemble", backend="numpy", ensemble_chunk=2)
+        cfg = EngineConfig(engine="ensemble", ensemble_chunk=2)
         _, path, rs = sweep(tmp_path, cfg, replicas=4)
         manifest = load_manifest(path)
         assert _header_config(manifest.header) == cfg
@@ -266,7 +213,7 @@ class TestManifestConfig:
         assert fresh.rounds == rs.records[1].rounds
 
     def test_resume_restores_config(self, tmp_path):
-        cfg = EngineConfig(engine="batch", backend="numpy", guards=True)
+        cfg = EngineConfig(engine="batch", guards=True)
         workload, full_path, full = sweep(tmp_path, cfg, replicas=4, seed=11)
         partial_path = str(tmp_path / "partial.jsonl")
         run_replicas(
@@ -290,20 +237,96 @@ class TestManifestConfig:
         assert _header_config(header) == cfg
 
 
+# -- records written by 1.3.0 and earlier ------------------------------------
+
+
+def _rewrite_header(path, edit):
+    with open(path) as fh:
+        lines = fh.readlines()
+    header = json.loads(lines[0])
+    edit(header)
+    lines[0] = json.dumps(header) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+def _v2_header(header):
+    """Schema-2 shape: no config, only the flat engine/engine_opts keys."""
+    del header["config"]
+    header["schema_version"] = 2
+    header["engine"] = "batch"
+    header["engine_opts"] = {"backend": "numpy", "guards": True}
+
+
+def _v3_backend_header(header):
+    """Schema-3 shape of 1.3.0: the config still names its array backend."""
+    header["config"]["backend"] = "numpy"
+
+
+class TestOldRecords:
+    CFG = EngineConfig(engine="batch", guards=True)
+
+    @pytest.mark.parametrize(
+        "edit", [_v2_header, _v3_backend_header],
+        ids=["v2-engine-opts", "v3-config-backend"],
+    )
+    def test_old_header_replays_bit_identically(self, tmp_path, edit):
+        _, path, rs = sweep(tmp_path, self.CFG)
+        _rewrite_header(path, edit)
+        manifest = load_manifest(path)
+        assert _header_config(manifest.header) == self.CFG
+        for record in rs.records:
+            fresh = replay_replica(manifest, record.index)
+            assert fresh.rounds == record.rounds
+            assert fresh.interactions == record.interactions
+            assert fresh.converged == record.converged
+
+    def test_journaled_job_with_backend_recovers_bit_identically(
+        self, tmp_path
+    ):
+        spec = {
+            "workload": "epidemic", "params": {"n": 120}, "replicas": 3,
+            "seed": 9, "config": {"engine": "batch"},
+        }
+        root = str(tmp_path / "runs")
+        store = ServiceApp(root, recover=False).store
+        run_id = store.create(SubmitRequest.from_payload(spec))
+        request_path = os.path.join(store.run_dir(run_id), "request.json")
+        with open(request_path) as fh:
+            stored = json.load(fh)
+        stored["config"]["backend"] = "numpy"
+        with open(request_path, "w") as fh:
+            json.dump(stored, fh)
+        store.append_journal(run_id, "started")  # killed before any work
+
+        app = ServiceApp(root, workers=1, sandbox=False)
+        assert app.recovered == [run_id]
+        handle = app.start_background()
+        try:
+            deadline = time.monotonic() + 60.0
+            while app.store.status(run_id)["state"] != "done":
+                assert time.monotonic() < deadline, app.store.status(run_id)
+                time.sleep(0.02)
+        finally:
+            handle.stop()
+        served = load_manifest(app.store.manifest_path(run_id))
+        workload = build_workload("epidemic", n=120)
+        control = run_replicas(
+            workload.protocol, workload.population, replicas=3, seed=9,
+            processes=1, stop=workload.stop,
+            config=EngineConfig(engine="batch"),
+        )
+        for record in control.records:
+            loaded = served.record(record.index)
+            assert loaded.rounds == record.rounds
+            assert loaded.interactions == record.interactions
+            assert loaded.converged == record.converged
+
+
 # -- CLI surface ---------------------------------------------------------------
 
 
 class TestCLI:
-    def test_unknown_backend_rejected_with_names(self, capsys):
-        from repro.__main__ import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["majority", "--n", "200", "--backend", "nope"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "unknown backend" in err
-        assert "numpy" in err
-
     def test_unknown_engine_rejected(self):
         from repro.__main__ import main
 
@@ -322,26 +345,14 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "--ensemble-chunk" in capsys.readouterr().err
 
-    def test_config_from_args_backend_and_chunk(self):
+    def test_config_from_args_chunk(self):
         from repro.__main__ import _config_from_args, build_parser
 
         args = build_parser().parse_args([
-            "sweep", "epidemic", "--backend", "numpy", "--ensemble-chunk", "4",
+            "sweep", "epidemic", "--ensemble-chunk", "4",
         ])
         cfg = _config_from_args(args)
-        assert cfg == EngineConfig(
-            engine="ensemble", backend="numpy", ensemble_chunk=4,
-        )
-
-    def test_backend_flag_runs_end_to_end(self, capsys):
-        from repro.__main__ import main
-
-        code = main([
-            "majority", "--n", "300", "--seed", "1",
-            "--engine", "batch", "--backend", "numpy",
-        ])
-        assert code == 0
-        assert "majority says" in capsys.readouterr().out
+        assert cfg == EngineConfig(engine="ensemble", ensemble_chunk=4)
 
 
 class TestInterpreterConfig:

@@ -24,6 +24,7 @@ from repro.core import Population
 from repro.engine import (
     DEFAULT_ENSEMBLE_CHUNK,
     CountEngine,
+    EngineConfig,
     EnsembleEngine,
     run_replicas,
 )
@@ -160,6 +161,73 @@ class TestEnsembleCore:
             )
 
 
+#: EnsembleEngine(oscillator, n=1200, rows=8, seed 12345, cache=None),
+#: run(rounds=12.0) — captured before the stacked kernels were factored
+#: out of the engine; any change to the draw sequence breaks it.
+GOLDEN_ENSEMBLE = {
+    "events": 5453,
+    "batches": 192,
+    "row_interactions": 14400,
+    "species": [
+        [416, 387, 394],
+        [413, 379, 405],
+        [397, 386, 414],
+        [413, 412, 372],
+        [381, 415, 401],
+        [408, 415, 374],
+        [403, 404, 390],
+        [390, 396, 411],
+    ],
+}
+
+
+class TestEnsembleGolden:
+    def test_bit_identical_to_prerefactor(self):
+        protocol = make_oscillator_protocol()
+        eng = EnsembleEngine(
+            protocol,
+            oscillator_population(protocol.schema, 1200),
+            rng=np.random.default_rng(12345),
+            rows=8,
+            cache=None,
+        )
+        eng.run(rounds=12.0)
+        assert eng.events == GOLDEN_ENSEMBLE["events"]
+        assert eng.batches == GOLDEN_ENSEMBLE["batches"]
+        for r in range(8):
+            assert (
+                eng.row_interactions_of(r)
+                == GOLDEN_ENSEMBLE["row_interactions"]
+            )
+            pop = eng.row_population(r)
+            got = [pop.count(species(i)) for i in range(3)]
+            assert got == GOLDEN_ENSEMBLE["species"][r]
+
+    def test_rows1_batch1_matches_solo_count_engine(self):
+        """A one-row batch=1 ensemble is bit-identical to a solo CountEngine."""
+        protocol = make_oscillator_protocol()
+        seed = np.random.SeedSequence(42, spawn_key=(0,))
+        ens = EnsembleEngine(
+            protocol,
+            oscillator_population(protocol.schema, 900),
+            rng=np.random.default_rng(42),
+            rows=1,
+            row_rngs=[np.random.default_rng(seed)],
+            cache=None,
+            batch=1,
+        )
+        ens.run(rounds=10.0)
+        solo = CountEngine(
+            protocol,
+            oscillator_population(protocol.schema, 900),
+            rng=np.random.default_rng(seed),
+        )
+        solo.run(rounds=10.0)
+        row = ens.row_population(0)
+        assert row.counts == solo.population.counts
+        assert ens.row_interactions_of(0) == solo.interactions
+
+
 class TestEnsembleDistribution:
     @pytest.mark.slow
     def test_oscillator_species_counts_pooled_ks(self):
@@ -196,7 +264,7 @@ class TestEnsembleDistribution:
         ens = run_replicas(
             protocol, population.copy(), replicas=replicas, engine="ensemble",
             seed=5, processes=1, stop=stop, rounds=400.0,
-            engine_opts={"ensemble_chunk": 8},
+            config=EngineConfig(ensemble_chunk=8),
         )
         ref = run_replicas(
             protocol, population.copy(), replicas=replicas, engine="batch",
@@ -211,7 +279,7 @@ class TestEnsembleRunner:
         protocol, population, stop = epidemic(n=200)
         defaults = dict(
             replicas=10, engine="ensemble", seed=42, processes=1,
-            stop=stop, rounds=300.0, engine_opts={"ensemble_chunk": 4},
+            stop=stop, rounds=300.0, config=EngineConfig(ensemble_chunk=4),
         )
         defaults.update(kwargs)
         return run_replicas(protocol, population.copy(), **defaults)
@@ -234,7 +302,7 @@ class TestEnsembleRunner:
             assert record.stats["table_cache"] == "prewarmed"
 
     def test_default_chunk_size_applies(self):
-        rs = self._sweep(replicas=3, engine_opts={})
+        rs = self._sweep(replicas=3, config=EngineConfig())
         assert all(
             r.extra["ensemble_chunk"] == [0, 1, 2] for r in rs.ok
         )
@@ -259,7 +327,7 @@ class TestEnsembleRunner:
 
     def test_chunk_crash_is_retried_with_fresh_seeds(self):
         rs = self._sweep(
-            replicas=6, engine_opts={"ensemble_chunk": 3},
+            replicas=6, config=EngineConfig(ensemble_chunk=3),
             faults=FaultPlan(crash={2: 1}), max_retries=2,
         )
         assert len(rs.ok) == 6
@@ -275,7 +343,7 @@ class TestEnsembleRunner:
 
     def test_exhausted_chunk_fails_every_member(self):
         rs = self._sweep(
-            replicas=6, engine_opts={"ensemble_chunk": 3},
+            replicas=6, config=EngineConfig(ensemble_chunk=3),
             faults=FaultPlan(crash={1: ALWAYS}), max_retries=1,
         )
         failed = rs.failures
@@ -288,7 +356,7 @@ class TestEnsembleRunner:
 
     def test_corrupt_table_fails_chunk_nonretryably(self):
         rs = self._sweep(
-            replicas=4, engine_opts={"ensemble_chunk": 2, "guards": True},
+            replicas=4, config=EngineConfig(ensemble_chunk=2, guards=True),
             faults=FaultPlan(corrupt_table={0: "nan"}), max_retries=2,
         )
         failed = rs.failures
@@ -301,7 +369,7 @@ class TestEnsembleRunner:
         full = run_replicas(
             protocol, population.copy(), replicas=10, engine="ensemble",
             seed=42, processes=1, stop=stop, rounds=300.0,
-            engine_opts={"ensemble_chunk": 4}, manifest=path,
+            config=EngineConfig(ensemble_chunk=4), manifest=path,
             manifest_meta={"workload": {"name": "epidemic",
                                         "params": {"n": 200}}},
         )
@@ -325,7 +393,7 @@ class TestEnsembleRunner:
         rs = run_replicas(
             protocol, population.copy(), replicas=6, engine="ensemble",
             seed=13, processes=1, stop=stop, rounds=300.0,
-            engine_opts={"ensemble_chunk": 3}, manifest=path,
+            config=EngineConfig(ensemble_chunk=3), manifest=path,
             manifest_meta={"workload": {"name": "epidemic",
                                         "params": {"n": 200}}},
         )
@@ -356,7 +424,7 @@ class TestEnsembleRunner:
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ValueError, match="ensemble_chunk"):
-            self._sweep(engine_opts={"ensemble_chunk": 0})
+            self._sweep(config=EngineConfig(ensemble_chunk=0))
 
 
 def _draw_int(seed_seq):

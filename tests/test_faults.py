@@ -16,7 +16,13 @@ import time
 import numpy as np
 import pytest
 
-from repro import FaultPlan, load_manifest, resume_sweep, run_replicas
+from repro import (
+    EngineConfig,
+    FaultPlan,
+    load_manifest,
+    resume_sweep,
+    run_replicas,
+)
 from repro.core import Population, Rule, StateSchema, V, single_thread
 from repro.engine import (
     SimulationHealthError,
@@ -326,7 +332,7 @@ class TestRunReplicasWithFaults:
         rs = run_replicas(
             protocol, population, replicas=2, engine="batch", seed=7,
             processes=1, stop=all_infected, backoff=0.0, max_retries=2,
-            engine_opts={"guards": True},
+            config=EngineConfig(guards=True),
             faults=FaultPlan(corrupt_table={0: "nan"}),
         )
         record = rs.records[0]

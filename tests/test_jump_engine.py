@@ -146,6 +146,47 @@ class TestInvariants:
         assert eng.events == 0
 
 
+#: BatchCountEngine(oscillator, n=5000, seed 777, cache=None),
+#: run(rounds=15.0) — captured before the batch kernels were factored out
+#: of the engine; any change to the draw sequence breaks it.
+GOLDEN_BATCH = {
+    "interactions": 75000,
+    "events": 3514,
+    "batches": 30,
+    "species": [1676, 1651, 1670],
+}
+
+
+def oscillator_population(schema, n):
+    third = (n - 3) // 3
+    return Population.from_groups(
+        schema,
+        [
+            ({"osc": weak_value(0)}, third + (n - 3) - 3 * third),
+            ({"osc": weak_value(1)}, third),
+            ({"osc": weak_value(2)}, third),
+            ({"osc": weak_value(0), "X": True}, 3),
+        ],
+    )
+
+
+class TestGolden:
+    def test_bit_identical_to_prerefactor(self):
+        protocol = make_oscillator_protocol()
+        eng = BatchCountEngine(
+            protocol,
+            oscillator_population(protocol.schema, 5000),
+            rng=np.random.default_rng(777),
+            cache=None,
+        )
+        eng.run(rounds=15.0)
+        assert eng.interactions == GOLDEN_BATCH["interactions"]
+        assert eng.events == GOLDEN_BATCH["events"]
+        assert eng.batches == GOLDEN_BATCH["batches"]
+        got = [eng.population.count(species(i)) for i in range(3)]
+        assert got == GOLDEN_BATCH["species"]
+
+
 def _hitting_times(engine_factory, make_pop, stop, seeds, **run_kwargs):
     times = []
     for seed in seeds:

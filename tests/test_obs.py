@@ -74,7 +74,7 @@ class TestManifestRoundTrip:
         manifest = load_manifest(path)
         assert isinstance(manifest, Manifest)
         assert manifest.header["schema_version"] == SCHEMA_VERSION
-        assert manifest.header["engine"] == "batch"
+        assert manifest.header["config"] == {"engine": "batch"}
         assert manifest.header["root_entropy"] == 9
         assert manifest.header["workload"] == {
             "name": "epidemic", "params": {"n": 120},

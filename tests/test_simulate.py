@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Population, Rule, StateSchema, V, single_thread
-from repro.engine import ArrayEngine, BatchCountEngine, CountEngine, MatchingEngine
+from repro.engine import BatchCountEngine, EngineConfig
 from repro.simulate import (
     ENGINE_CHOICES,
     ENGINES,
@@ -89,7 +89,9 @@ class TestMakeEngine:
 
     def test_engine_opts_forwarded(self, epidemic):
         pop = epidemic_population(epidemic.schema, 100)
-        eng = make_engine(epidemic, pop, engine="batch", seed=0, batch=1)
+        eng = make_engine(
+            epidemic, pop, EngineConfig(engine="batch", batch=1), seed=0
+        )
         assert eng.batch == 1
 
     def test_seed_reproducible(self, epidemic):
@@ -120,8 +122,8 @@ class TestSimulate:
     def test_engine_opts(self, epidemic):
         pop = epidemic_population(epidemic.schema, 200)
         eng = simulate(
-            epidemic, pop, engine="batch", seed=3, rounds=2,
-            engine_opts={"accuracy": 0.5},
+            epidemic, pop, EngineConfig(engine="batch", accuracy=0.5),
+            seed=3, rounds=2,
         )
         assert eng.accuracy == 0.5
 
