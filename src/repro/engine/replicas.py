@@ -21,19 +21,29 @@ no pool overhead.  Replica seeds come from
 :meth:`numpy.random.SeedSequence.spawn`, guaranteeing independent streams
 regardless of worker scheduling.
 
-Fault tolerance
----------------
+Blocks and fault tolerance
+--------------------------
+Every supervised task is a **block** of replica indices: one replica for
+every engine except ``ensemble``, whose blocks are fixed runs of
+``ensemble_chunk`` rows (:func:`block_size`) stacked into one engine.
+:func:`plan_block` builds everything a block needs for one attempt (its
+members, their seed streams and, for ``ensemble``, the block's shared
+stream) and :func:`run_block` runs it.  The runner and
+:func:`repro.obs.replay_replica` both plan with it, and the service's
+checkpoint groups are :func:`replica_blocks`, so replay, resume and the
+service agree with the runner by construction.
+
 The fan-out is *supervised* (:func:`supervise`): each worker process owns
 a duplex pipe to the parent, which attributes every crash, hang and
-exception to the specific replica that caused it.  A replica that fails
-or exceeds the per-replica ``timeout`` is retried up to ``max_retries``
-times with exponential backoff on a **fresh seed child**
+exception to the specific block that caused it.  A block that fails or
+exceeds the per-task ``timeout`` is retried up to ``max_retries`` times
+with exponential backoff, every member moving to a **fresh seed child**
 (``SeedSequence(root_entropy, spawn_key=(k, attempt))``, recorded as
 ``seed["retry_of"]``); dead workers are reaped and replaced without
-disturbing the replicas running on their siblings.  Exhausted replicas
-come back as explicit ``ReplicaRecord(status="failed"|"timeout", ...)``
-records instead of raising — ``summary()`` reports the failure tally and
-aggregates only the ``ok`` records.  A
+disturbing the blocks running on their siblings.  An exhausted block
+comes back as one explicit ``ReplicaRecord(status="failed"|"timeout",
+...)`` per member instead of raising — ``summary()`` reports the failure
+tally and aggregates only the ``ok`` records.  A
 :class:`~repro.engine.health.SimulationHealthError` from a worker is
 **non-retryable** (the failure is deterministic in the seed), and a
 :class:`TimeoutError` subclass raised *inside* a worker (e.g. an injected
@@ -51,6 +61,7 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import multiprocessing.connection
+import numbers
 import os
 import time
 from collections import deque
@@ -71,33 +82,46 @@ def spawn_seeds(seed: Optional[int], k: int) -> List[np.random.SeedSequence]:
     return list(root.spawn(k))
 
 
-#: Default replica-row count per ensemble chunk (``engine="ensemble"``).
-#: A fixed constant, never derived from the worker count, so chunk
-#: membership — and therefore every chunk's shared draw stream — is
+#: Default replica-row count per ensemble block (``engine="ensemble"``).
+#: A fixed constant, never derived from the worker count, so block
+#: membership — and therefore every block's shared draw stream — is
 #: identical across ``processes`` settings and across resume runs.
 DEFAULT_ENSEMBLE_CHUNK = 16
 
-#: Spawn-key salt of the per-chunk shared generators.  Chunk keys are the
+#: Spawn-key salt of the per-block shared generators.  Their keys are the
 #: 3-tuple ``(salt, first_index, attempt)`` — replica streams use length-1
 #: keys ``(k,)`` and retry streams length-2 keys ``(k, attempt)``, so the
 #: three families can never collide.
 ENSEMBLE_SEED_SALT = 0x454E53  # "ENS"
 
 
-def _ensemble_shared_seed(
-    root: np.random.SeedSequence, chunk_start: int, attempt: int
-) -> np.random.SeedSequence:
-    """Seed of the chunk's *shared* stacked-draw generator."""
-    return np.random.SeedSequence(
-        entropy=root.entropy,
-        spawn_key=(ENSEMBLE_SEED_SALT, chunk_start, attempt),
-    )
+def block_size(config: EngineConfig) -> int:
+    """Replicas per supervised task: ``ensemble_chunk`` rows, or 1.
+
+    The one home of the chunk-size rule.  ``engine="ensemble"`` stacks
+    ``config.ensemble_chunk`` rows per block (default
+    :data:`DEFAULT_ENSEMBLE_CHUNK`); every other engine runs one replica
+    per block.  A set ``ensemble_chunk`` must be a positive integer
+    whatever the engine — anything else raises ``ValueError``.
+    """
+    chunk = config.ensemble_chunk
+    if chunk is not None and (
+        isinstance(chunk, bool)
+        or not isinstance(chunk, numbers.Integral)
+        or chunk < 1
+    ):
+        raise ValueError(
+            "ensemble_chunk must be a positive integer, got {!r}".format(chunk)
+        )
+    if config.engine != "ensemble":
+        return 1
+    return DEFAULT_ENSEMBLE_CHUNK if chunk is None else int(chunk)
 
 
 def ensemble_chunk_members(block: int, chunk: int, replicas: int) -> List[int]:
-    """Replica indices of ensemble chunk ``block``.
+    """Replica indices of block number ``block`` of size ``chunk``.
 
-    Chunks are fixed blocks of the full index space (block ``j`` owns
+    Blocks are fixed runs of the full index space (block ``j`` owns
     ``[j*chunk, min((j+1)*chunk, replicas))``), independent of process
     count and of which indices a resume requests — a resumed block
     re-runs whole and reproduces its rows bit-identically.
@@ -105,6 +129,86 @@ def ensemble_chunk_members(block: int, chunk: int, replicas: int) -> List[int]:
     lo = block * chunk
     hi = min(lo + chunk, replicas)
     return list(range(lo, hi))
+
+
+def replica_blocks(
+    config: EngineConfig,
+    replicas: int,
+    indices: Optional[Sequence[int]] = None,
+) -> List[List[int]]:
+    """Members of every block that runs one of ``indices`` (default: all)."""
+    size = block_size(config)
+    if indices is None:
+        blocks: Sequence[int] = range(-(-replicas // size))
+    else:
+        blocks = sorted({int(k) // size for k in indices})
+    return [ensemble_chunk_members(b, size, replicas) for b in blocks]
+
+
+def _retry_seed(
+    root: np.random.SeedSequence, index: int, attempt: int
+) -> np.random.SeedSequence:
+    """Seed of replica ``index`` on ``attempt`` (0 = the first run).
+
+    The first attempt runs on the root's ``index``-th spawned child,
+    ``spawn_key=(index,)``; retry ``attempt >= 1`` on a fresh child with
+    ``spawn_key=(index, attempt)``, which never collides with any
+    first-attempt stream (no child is ever spawned *from* a replica seed).
+    """
+    key = (index,) if attempt == 0 else (index, attempt)
+    return np.random.SeedSequence(entropy=root.entropy, spawn_key=key)
+
+
+def _seed_coords(
+    seed_seq: np.random.SeedSequence, index: int, attempt: int
+) -> Dict[str, Any]:
+    """A record's ``seed`` field: enough to rebuild its exact stream."""
+    coords: Dict[str, Any] = {
+        "entropy": seed_seq.entropy,
+        "spawn_key": list(seed_seq.spawn_key),
+    }
+    if attempt > 0:
+        coords["retry_of"] = [index]
+    return coords
+
+
+@dataclass
+class ReplicaBlock:
+    """One supervised task at one attempt, as planned by :func:`plan_block`."""
+
+    members: List[int]
+    #: one stream per member (an ensemble row's exact-fallback stream)
+    seeds: List[np.random.SeedSequence]
+    #: the ensemble block's stacked-draw stream; ``None`` for other engines
+    shared: Optional[np.random.SeedSequence]
+    attempt: int
+
+
+def plan_block(
+    config: EngineConfig,
+    root: np.random.SeedSequence,
+    replicas: int,
+    index: int,
+    attempt: int = 0,
+) -> ReplicaBlock:
+    """Everything the block running replica ``index`` needs for ``attempt``.
+
+    The only derivation of a task's members, per-row seeds (a retried
+    block moves every row to a fresh retry child) and ensemble shared
+    seed: :func:`run_replicas` plans its tasks and failure records here,
+    and :func:`repro.obs.replay_replica` re-plans the block a record
+    rode in, so a replay re-runs exactly what the sweep ran.
+    """
+    size = block_size(config)
+    members = ensemble_chunk_members(index // size, size, replicas)
+    shared = None
+    if config.engine == "ensemble":
+        shared = np.random.SeedSequence(
+            entropy=root.entropy,
+            spawn_key=(ENSEMBLE_SEED_SALT, members[0], attempt),
+        )
+    seeds = [_retry_seed(root, k, attempt) for k in members]
+    return ReplicaBlock(members, seeds, shared, attempt)
 
 
 @dataclass
@@ -122,8 +226,8 @@ class ReplicaRecord:
     Supervision fields: ``status`` is ``"ok"`` for a completed run,
     ``"failed"`` for a replica whose worker crashed or raised (``error``
     holds the reason), ``"timeout"`` for one that exceeded the
-    supervisor's per-replica deadline; ``attempts`` counts how many times
-    the replica was started (1 = no retries).  A retried replica's
+    supervisor's per-task deadline; ``attempts`` counts how many times
+    the replica's block was started (1 = no retries).  A retried replica's
     ``seed`` carries ``retry_of`` (the original spawn key) alongside the
     fresh retry coordinates.
     """
@@ -293,12 +397,6 @@ def run_single_replica(
         converged = eng.stop_verdict
         if converged is None:  # run never evaluated stop (e.g. silent)
             converged = bool(stop(final))
-    seed_coords: Dict[str, Any] = {
-        "entropy": seed_seq.entropy,
-        "spawn_key": list(seed_seq.spawn_key),
-    }
-    if attempt > 0:
-        seed_coords["retry_of"] = [index]
     return ReplicaRecord(
         index=index,
         rounds=float(eng.rounds),
@@ -307,20 +405,10 @@ def run_single_replica(
         converged=converged,
         engine=eng.name,
         stats=eng.stats.as_dict(),
-        seed=seed_coords,
+        seed=_seed_coords(seed_seq, index, attempt),
         extra={"support": final.support_size, "engine": eng.name},
         status="ok",
         attempts=attempt + 1,
-    )
-
-
-def _engine_replica(payload) -> ReplicaRecord:
-    """Worker: run one seeded engine replica (top-level for pickling)."""
-    (index, seed_seq, protocol, population, config, run_kwargs, stop,
-     faults, attempt) = payload
-    return run_single_replica(
-        index, seed_seq, protocol, population, config,
-        run_kwargs=run_kwargs, stop=stop, faults=faults, attempt=attempt,
     )
 
 
@@ -345,7 +433,8 @@ def run_ensemble_chunk(
     path), while all stacked draws come from the generator seeded by
     ``shared_seq``; the same ``(indices, seed_seqs, shared_seq, ...)``
     inputs reproduce the chunk bit-identically (minus wall time), which is
-    what :func:`repro.obs.replay_replica` relies on.
+    what :func:`repro.obs.replay_replica` relies on.  :func:`run_block`
+    calls it with a block from :func:`plan_block`.
 
     Returns one :class:`ReplicaRecord` per row, in ``indices`` order, with
     the chunk's wall time apportioned evenly and per-row
@@ -385,12 +474,6 @@ def run_ensemble_chunk(
             converged = eng.row_verdict(pos)
             if converged is None:  # run never evaluated stop (e.g. silent)
                 converged = bool(stop(final))
-        seed_coords: Dict[str, Any] = {
-            "entropy": seed_seqs[pos].entropy,
-            "spawn_key": list(seed_seqs[pos].spawn_key),
-        }
-        if attempt > 0:
-            seed_coords["retry_of"] = [k]
         records.append(
             ReplicaRecord(
                 index=k,
@@ -400,7 +483,7 @@ def run_ensemble_chunk(
                 converged=converged,
                 engine=eng.name,
                 stats=eng.row_stats(pos).as_dict(),
-                seed=seed_coords,
+                seed=_seed_coords(seed_seqs[pos], k, attempt),
                 extra={
                     "support": final.support_size,
                     "engine": eng.name,
@@ -413,14 +496,66 @@ def run_ensemble_chunk(
     return records
 
 
-def _ensemble_chunk(payload) -> List[ReplicaRecord]:
-    """Worker: run one ensemble chunk (top-level for pickling)."""
-    (indices, seed_seqs, shared_seq, protocol, population, config,
-     run_kwargs, stop, faults, attempt) = payload
-    return run_ensemble_chunk(
-        indices, seed_seqs, shared_seq, protocol, population, config,
-        run_kwargs=run_kwargs, stop=stop, faults=faults, attempt=attempt,
-    )
+def run_block(
+    block: ReplicaBlock,
+    protocol: Protocol,
+    population: Population,
+    config: EngineConfig,
+    run_kwargs: Optional[Dict[str, Any]] = None,
+    stop: Optional[Callable[[Population], bool]] = None,
+    faults: Optional[Any] = None,
+) -> List[ReplicaRecord]:
+    """Run one planned block and return one record per member.
+
+    An ensemble block (``block.shared`` set) stacks its members as rows
+    of one engine (:func:`run_ensemble_chunk`); any other block is a
+    single replica (:func:`run_single_replica`).
+    """
+    if block.shared is not None:
+        return run_ensemble_chunk(
+            block.members, block.seeds, block.shared, protocol, population,
+            config, run_kwargs=run_kwargs, stop=stop, faults=faults,
+            attempt=block.attempt,
+        )
+    (index,), (seed_seq,) = block.members, block.seeds
+    return [run_single_replica(
+        index, seed_seq, protocol, population, config,
+        run_kwargs=run_kwargs, stop=stop, faults=faults,
+        attempt=block.attempt,
+    )]
+
+
+def _block_worker(payload) -> List[ReplicaRecord]:
+    """Worker entry point: run one block (top-level for pickling)."""
+    return run_block(*payload)
+
+
+def _failure_records(
+    block: ReplicaBlock, outcome: TaskOutcome, engine: str
+) -> List[ReplicaRecord]:
+    """One explicit failure record per member of an exhausted block.
+
+    The worker never returned, so each record points at its member's
+    seed coordinates of the last attempt made (``block``).
+    """
+    extra = {} if block.shared is None else {"ensemble_chunk": block.members}
+    return [
+        ReplicaRecord(
+            index=k,
+            rounds=float("nan"),
+            interactions=0,
+            wall=outcome.wall,
+            converged=None,
+            engine=engine,
+            stats=None,
+            seed=_seed_coords(seed_seq, k, block.attempt),
+            extra=dict(extra),
+            status=outcome.status,
+            error=outcome.error,
+            attempts=outcome.attempts,
+        )
+        for k, seed_seq in zip(block.members, block.seeds)
+    ]
 
 
 def _prewarm_table(
@@ -474,12 +609,6 @@ def _task_replica(payload):
     """Worker: run one generic task replica (top-level for pickling)."""
     task, seed_seq = payload
     return task(seed_seq)
-
-
-def _task_chunk(payload):
-    """Worker: run one generic task over a chunk of seeds (for pickling)."""
-    task, seed_seqs = payload
-    return [task(seed_seq) for seed_seq in seed_seqs]
 
 
 # ---------------------------------------------------------------------------
@@ -840,21 +969,6 @@ def supervise(
     )
 
 
-def _retry_seed(
-    root: np.random.SeedSequence, index: int, attempt: int
-) -> np.random.SeedSequence:
-    """Fresh seed child for retry ``attempt`` (1-based) of replica ``index``.
-
-    Root children carry ``spawn_key=(index,)``; retry children use
-    ``spawn_key=(index, attempt)`` with ``attempt >= 1`` — the streams
-    never collide with any first-attempt stream (no child is ever spawned
-    *from* a replica seed).
-    """
-    return np.random.SeedSequence(
-        entropy=root.entropy, spawn_key=(index, attempt)
-    )
-
-
 def run_replicas(
     protocol: Protocol,
     population: Population,
@@ -887,13 +1001,13 @@ def run_replicas(
         ``config=`` or directly in the ``engine`` slot; a plain registry
         name (``auto``/``count``/``batch``/``matching``/``array``) stays
         first-class.
-        ``engine="ensemble"`` switches the fan-out strategy: replicas are
-        grouped into fixed chunks of ``config.ensemble_chunk`` rows
-        (default :data:`DEFAULT_ENSEMBLE_CHUNK`) and each chunk is one
-        supervised task running a stacked
-        :class:`~repro.engine.ensemble.EnsembleEngine` — the supervisor's
-        ``timeout``/``max_retries`` then apply per *chunk*, and a failed
-        chunk records failure for every member replica.
+        Each supervised task is a block of replicas (:func:`plan_block`):
+        one replica, or for ``engine="ensemble"`` a fixed block of
+        ``config.ensemble_chunk`` rows (default
+        :data:`DEFAULT_ENSEMBLE_CHUNK`) stacked into one
+        :class:`~repro.engine.ensemble.EnsembleEngine`.  The supervisor's
+        ``timeout``/``max_retries`` apply per block, and an exhausted
+        block records failure for every member replica.
     seed:
         Root seed; replica ``k`` gets the ``k``-th spawned child stream.
     processes:
@@ -921,14 +1035,14 @@ def run_replicas(
         Append records to an existing manifest instead of starting a new
         one (the resume path — no second header is written).
     timeout:
-        Per-replica wall-clock deadline in seconds; a replica past it has
+        Per-task wall-clock deadline in seconds; a block past it has
         its worker terminated and is retried (``processes > 1`` only — the
         in-process path cannot preempt, though workers raising a
         ``TimeoutError`` subclass still record ``status="timeout"``).
     max_retries:
-        How many times a failed/timed-out replica is retried before being
-        recorded as ``status="failed"``/``"timeout"``; each retry runs on
-        a fresh seed child after exponential backoff
+        How many times a failed/timed-out block is retried before its
+        replicas are recorded as ``status="failed"``/``"timeout"``; each
+        retry runs on fresh seed children after exponential backoff
         (``backoff * 2**(retry-1)`` seconds).  Health-guard violations
         (:class:`~repro.engine.health.SimulationHealthError`) are never
         retried — they are deterministic in the protocol, not transient.
@@ -948,9 +1062,7 @@ def run_replicas(
             "replicas must be a positive integer, got {}".format(replicas)
         )
     cfg = EngineConfig.coerce(engine, config=config)
-    engine_name = cfg.engine
     root = np.random.SeedSequence(seed)
-    seeds = list(root.spawn(replicas))
     if indices is None:
         run_indices = list(range(replicas))
     else:
@@ -969,56 +1081,15 @@ def run_replicas(
     if plan is not None and processes <= 1:
         plan = plan.simulated()
 
-    # engine="ensemble" groups replicas into fixed chunks of stacked rows;
-    # ensemble_chunk is a runner option carried on the config (never
-    # projected onto engine constructors), so the same config rides the
-    # manifest header and round-trips through resume
-    ensemble_chunk_size: Optional[int] = None
-    if engine_name == "ensemble":
-        ensemble_chunk_size = (
-            DEFAULT_ENSEMBLE_CHUNK
-            if cfg.ensemble_chunk is None
-            else int(cfg.ensemble_chunk)
-        )
-        if ensemble_chunk_size < 1:
-            raise ValueError("ensemble_chunk must be a positive integer")
+    # every task is one block, keyed by the block's first replica index
+    def payload(index: int, attempt: int):
+        block = plan_block(cfg, root, replicas, index, attempt)
+        return (block, protocol, population, cfg, run_kwargs, stop, plan)
 
-    def payload_for(k: int, seed_seq, attempt: int):
-        return (
-            k, seed_seq, protocol, population, cfg,
-            run_kwargs, stop, plan, attempt,
-        )
-
-    def retry_payload(key, base, attempt):
-        return payload_for(key, _retry_seed(root, key, attempt), attempt)
-
-    if ensemble_chunk_size is None:
-        worker = _engine_replica
-        retry = retry_payload
-        tasks = [(k, payload_for(k, seeds[k], 0)) for k in run_indices]
-    else:
-        csize = ensemble_chunk_size
-
-        def chunk_payload(block: int, attempt: int):
-            members = ensemble_chunk_members(block, csize, replicas)
-            if attempt == 0:
-                row_seeds = [seeds[k] for k in members]
-            else:
-                # a retried chunk moves every row to a fresh seed child
-                row_seeds = [_retry_seed(root, k, attempt) for k in members]
-            shared = _ensemble_shared_seed(root, block * csize, attempt)
-            return (
-                members, row_seeds, shared, protocol, population,
-                cfg, run_kwargs, stop, plan, attempt,
-            )
-
-        def chunk_retry(key, base, attempt):
-            return chunk_payload(key, attempt)
-
-        worker = _ensemble_chunk
-        retry = chunk_retry
-        blocks = sorted({k // csize for k in run_indices})
-        tasks = [(b, chunk_payload(b, 0)) for b in blocks]
+    tasks = [
+        (members[0], payload(members[0], 0))
+        for members in replica_blocks(cfg, replicas, run_indices)
+    ]
 
     writer = None
     if manifest is not None:
@@ -1042,91 +1113,15 @@ def run_replicas(
             meta=manifest_meta,
         )
 
-    def outcome_record(outcome: TaskOutcome) -> ReplicaRecord:
-        if outcome.status == "ok":
-            record = outcome.value
-            record.attempts = outcome.attempts
-            return record
-        # the worker never returned: synthesize a record of the failure,
-        # pointing at the seed coordinates of the last attempt made
-        last_attempt = max(outcome.attempts - 1, 0)
-        if last_attempt > 0:
-            seed_seq = _retry_seed(root, outcome.key, last_attempt)
-            seed_coords = {
-                "entropy": seed_seq.entropy,
-                "spawn_key": list(seed_seq.spawn_key),
-                "retry_of": [outcome.key],
-            }
-        else:
-            seed_seq = seeds[outcome.key]
-            seed_coords = {
-                "entropy": seed_seq.entropy,
-                "spawn_key": list(seed_seq.spawn_key),
-            }
-        return ReplicaRecord(
-            index=outcome.key,
-            rounds=float("nan"),
-            interactions=0,
-            wall=outcome.wall,
-            converged=None,
-            engine=engine_name,
-            stats=None,
-            seed=seed_coords,
-            status=outcome.status,
-            error=outcome.error,
-            attempts=outcome.attempts,
-        )
-
-    def chunk_failure_records(outcome: TaskOutcome) -> List[ReplicaRecord]:
-        # a chunk that exhausted its retries takes every member replica
-        # down with it: one explicit failure record per row, pointing at
-        # the per-row seed coordinates of the last attempt made
-        members = ensemble_chunk_members(
-            outcome.key, ensemble_chunk_size, replicas
-        )
-        last_attempt = max(outcome.attempts - 1, 0)
-        records = []
-        for k in members:
-            if last_attempt > 0:
-                seed_seq = _retry_seed(root, k, last_attempt)
-                seed_coords = {
-                    "entropy": seed_seq.entropy,
-                    "spawn_key": list(seed_seq.spawn_key),
-                    "retry_of": [k],
-                }
-            else:
-                seed_seq = seeds[k]
-                seed_coords = {
-                    "entropy": seed_seq.entropy,
-                    "spawn_key": list(seed_seq.spawn_key),
-                }
-            records.append(
-                ReplicaRecord(
-                    index=k,
-                    rounds=float("nan"),
-                    interactions=0,
-                    wall=outcome.wall,
-                    converged=None,
-                    engine=engine_name,
-                    stats=None,
-                    seed=seed_coords,
-                    extra={"ensemble_chunk": members},
-                    status=outcome.status,
-                    error=outcome.error,
-                    attempts=outcome.attempts,
-                )
-            )
-        return records
-
     prewarmed = _prewarm_table(protocol, population, cfg)
     records_by_index: Dict[int, ReplicaRecord] = {}
     requested = set(run_indices)
 
     def accept(record: ReplicaRecord) -> None:
-        # a resumed ensemble sweep re-runs whole chunks: only the replicas
-        # actually requested may be recorded, or the re-run's duplicate ok
-        # records would shadow the originals under the manifest's
-        # latest-ok-wins dedup
+        # a resumed sweep re-runs whole blocks: only the replicas actually
+        # requested may be recorded, or the re-run's duplicate ok records
+        # would shadow the originals under the manifest's latest-ok-wins
+        # dedup
         if record.index not in requested:
             return
         if (
@@ -1142,25 +1137,27 @@ def run_replicas(
             writer.append_record(record)
 
     def on_result(outcome: TaskOutcome) -> None:
-        if ensemble_chunk_size is None:
-            accept(outcome_record(outcome))
-        elif outcome.status == "ok":
-            for record in outcome.value:
+        if outcome.status == "ok":
+            records = outcome.value
+            for record in records:
                 record.attempts = outcome.attempts
-                accept(record)
         else:
-            for record in chunk_failure_records(outcome):
-                accept(record)
+            last = plan_block(
+                cfg, root, replicas, outcome.key, max(outcome.attempts - 1, 0)
+            )
+            records = _failure_records(last, outcome, cfg.engine)
+        for record in records:
+            accept(record)
 
     try:
         supervise(
-            worker,
+            _block_worker,
             tasks,
             processes=processes,
             timeout=timeout,
             max_retries=max_retries,
             backoff=backoff,
-            retry_payload=retry,
+            retry_payload=lambda key, base, attempt: payload(key, attempt),
             on_result=on_result,
         )
     finally:
@@ -1179,7 +1176,6 @@ def map_replicas(
     timeout: Optional[float] = None,
     max_retries: int = 0,
     backoff: float = 0.1,
-    chunk: int = 1,
 ) -> List[Any]:
     """Fan a picklable ``task(seed_sequence)`` out over ``replicas`` seeds.
 
@@ -1190,50 +1186,23 @@ def map_replicas(
     retries on fresh seed children), but unlike :func:`run_replicas` a
     replica that exhausts its retries **raises** — generic tasks have no
     record schema to absorb a failure into.
-
-    ``chunk`` groups that many consecutive seeds into one dispatched task
-    (the worker loops over them in-process), amortizing per-task pickling
-    and pipe traffic for sub-millisecond trials; seeds and result order
-    are unchanged.  Supervisor ``timeout``/retries then apply per chunk,
-    and a retried chunk moves *all* its seeds to fresh retry children.
     """
     if replicas < 1:
         raise ValueError(
             "replicas must be a positive integer, got {}".format(replicas)
         )
-    if chunk < 1:
-        raise ValueError("chunk must be a positive integer")
     root = np.random.SeedSequence(seed)
-    seeds = list(root.spawn(replicas))
-
-    if chunk == 1:
-        worker = _task_replica
-        tasks = [(k, (task, seeds[k])) for k in range(replicas)]
-
-        def retry_payload(key, base, attempt):
-            return (task, _retry_seed(root, key, attempt))
-
-    else:
-        worker = _task_chunk
-        groups = [
-            list(range(lo, min(lo + chunk, replicas)))
-            for lo in range(0, replicas, chunk)
-        ]
-        by_start = {g[0]: g for g in groups}
-        tasks = [(g[0], (task, [seeds[k] for k in g])) for g in groups]
-
-        def retry_payload(key, base, attempt):
-            return (task, [_retry_seed(root, k, attempt) for k in by_start[key]])
-
-    processes = _resolve_processes(processes, len(tasks))
+    tasks = [(k, (task, _retry_seed(root, k, 0))) for k in range(replicas)]
     outcomes = supervise(
-        worker,
+        _task_replica,
         tasks,
-        processes=processes,
+        processes=_resolve_processes(processes, replicas),
         timeout=timeout,
         max_retries=max_retries,
         backoff=backoff,
-        retry_payload=retry_payload,
+        retry_payload=lambda key, base, attempt: (
+            task, _retry_seed(root, key, attempt)
+        ),
     )
     bad = [o for o in outcomes if o.status != "ok"]
     if bad:
@@ -1243,6 +1212,4 @@ def map_replicas(
                 len(bad), replicas, bad[0].key, bad[0].status, bad[0].error
             )
         )
-    if chunk == 1:
-        return [o.value for o in outcomes]
-    return [value for o in outcomes for value in o.value]
+    return [o.value for o in outcomes]

@@ -31,9 +31,10 @@ an uninterrupted run (asserted in ``tests/test_resume.py``).
 The loader side turns a manifest back into live objects:
 :func:`load_manifest` parses the JSONL, :func:`replica_seed` rebuilds any
 replica's :class:`numpy.random.SeedSequence`, and :func:`replay_replica`
-re-runs one replica through the same single-replica primitive the pool
-workers use (:func:`repro.engine.replicas.run_single_replica`), giving a
-bit-identical record (modulo wall time) for debugging.  Replays and
+re-runs the block one replica rode in through the same planner and worker
+entry point the runner uses (:func:`repro.engine.replicas.plan_block`,
+:func:`repro.engine.replicas.run_block`), giving a bit-identical record
+(modulo wall time) for debugging.  Replays and
 resumes verify the manifest's recorded protocol fingerprint against the
 freshly built protocol, so stale code never silently replays a different
 experiment.
@@ -56,7 +57,7 @@ import numpy as np
 from .core.population import Population
 from .core.protocol import Protocol
 from .engine.config import EngineConfig
-from .engine.replicas import ReplicaRecord, ReplicaSet, run_single_replica
+from .engine.replicas import ReplicaRecord, ReplicaSet, plan_block, run_block
 
 #: Manifest format version; bump on incompatible schema changes.
 #: Version 2 added the supervision fields (``status``/``error``/
@@ -492,62 +493,6 @@ def _workload_from_header(
     return protocol, population, stop
 
 
-def _replay_ensemble_chunk(
-    manifest: Manifest,
-    record: ReplicaRecord,
-    protocol: Protocol,
-    population: Population,
-    stop: Optional[Callable[[Population], bool]],
-) -> ReplicaRecord:
-    """Re-run the ensemble chunk owning ``record`` and return its row.
-
-    An ensemble replica's sample path depends on the whole chunk (the
-    stacked batches draw from the chunk's *shared* generator), so the unit
-    of bit-identical replay is the chunk, not the row: rebuild the owning
-    chunk's member list, per-row seeds and shared seed exactly as
-    :func:`~repro.engine.replicas.run_replicas` derived them, re-run it,
-    and return the requested row's fresh record.
-    """
-    from .engine.replicas import (
-        DEFAULT_ENSEMBLE_CHUNK,
-        _ensemble_shared_seed,
-        _retry_seed,
-        ensemble_chunk_members,
-        run_ensemble_chunk,
-    )
-
-    cfg = _header_config(manifest.header)
-    chunk = (
-        DEFAULT_ENSEMBLE_CHUNK
-        if cfg.ensemble_chunk is None
-        else int(cfg.ensemble_chunk)
-    )
-    root = np.random.SeedSequence(manifest.header.get("root_entropy"))
-    members = record.extra.get("ensemble_chunk") or ensemble_chunk_members(
-        record.index // chunk, chunk, manifest.replicas
-    )
-    members = [int(k) for k in members]
-    attempt = max(record.attempts - 1, 0)
-    if attempt == 0:
-        children = root.spawn(manifest.replicas)
-        row_seeds = [children[k] for k in members]
-    else:
-        row_seeds = [_retry_seed(root, k, attempt) for k in members]
-    shared = _ensemble_shared_seed(root, members[0], attempt)
-    fresh = run_ensemble_chunk(
-        members,
-        row_seeds,
-        shared,
-        protocol,
-        population,
-        config=cfg,
-        run_kwargs=_replayable(manifest.header.get("run_kwargs")),
-        stop=stop,
-        attempt=attempt,
-    )
-    return fresh[members.index(record.index)]
-
-
 def replay_replica(
     manifest: Manifest,
     index: int,
@@ -574,13 +519,14 @@ def replay_replica(
     :mod:`repro.workloads`).  The rebuilt protocol's fingerprint is
     verified against the manifest's recorded one (set
     ``check_fingerprint=False`` to skip, e.g. when deliberately replaying
-    under modified code).  The replay goes through the same
-    single-replica primitive the pool workers use, seeded with the exact
-    recorded seed sequence, so ``rounds`` / ``interactions`` /
-    ``converged`` come back bit-identical to the original record (wall
-    time excepted).  Manifests recorded with ``engine="ensemble"`` replay
-    the whole chunk the replica rode in (the stacked kernels share one
-    chunk-level generator) and return the requested row.
+    under modified code).  The replay re-plans the block the replica rode
+    in with the runner's own :func:`~repro.engine.replicas.plan_block`
+    (same members, same attempt's seeds) and re-runs it through the
+    worker's :func:`~repro.engine.replicas.run_block`, so the fresh
+    record is bit-identical to the original (wall time and timing
+    counters excepted).  For ``engine="ensemble"`` that re-runs the whole
+    block — its stacked kernels share one block-level generator — and
+    returns the requested row.
     """
     record = manifest.record(index)
     protocol, population, stop = _workload_from_header(
@@ -589,28 +535,26 @@ def replay_replica(
     if check_fingerprint:
         verify_fingerprint(manifest, protocol, population)
     cfg = _header_config(manifest.header)
-    if cfg.engine == "ensemble":
-        if observer is not None:
+    run_kwargs = _replayable(manifest.header.get("run_kwargs"))
+    if observer is not None:
+        if cfg.engine == "ensemble":
             raise ValueError(
                 "manifest {} was recorded with the ensemble engine, which "
                 "does not support observers; replay without observer="
                 .format(manifest.path)
             )
-        return _replay_ensemble_chunk(
-            manifest, record, protocol, population, stop
-        )
-    run_kwargs = _replayable(manifest.header.get("run_kwargs"))
-    if observer is not None:
         run_kwargs["observer"] = observer
-    return run_single_replica(
+    block = plan_block(
+        cfg,
+        np.random.SeedSequence(manifest.header.get("root_entropy")),
+        manifest.replicas,
         record.index,
-        replica_seed(record),
-        protocol,
-        population,
-        config=cfg,
-        run_kwargs=run_kwargs,
-        stop=stop,
+        max(record.attempts - 1, 0),
     )
+    fresh = run_block(
+        block, protocol, population, cfg, run_kwargs=run_kwargs, stop=stop
+    )
+    return fresh[block.members.index(record.index)]
 
 
 def resume_sweep(

@@ -10,9 +10,9 @@ Each accepted submission becomes a :class:`Job`.  By default the job
 executes in a supervised **sandbox subprocess**
 (:mod:`repro.service.sandbox`): the child applies the job's quota via
 ``resource.setrlimit``, runs the sweep through
-:func:`repro.engine.replicas.run_replicas` in *checkpoint groups* (for
-the ensemble engine, aligned to the runner's own ``ensemble_chunk``
-boundaries so service runs stay bit-identical to library runs), appends
+:func:`repro.engine.replicas.run_replicas` in *checkpoint groups* (the
+runner's own blocks, :func:`repro.engine.replicas.replica_blocks`, so
+service runs stay bit-identical to library runs), appends
 each group to the run manifest, and streams its events back over a pipe.
 A quota breach surfaces as ``status="killed"`` naming the violated
 limit; an unexpected child death is retried (the respawn resumes from

@@ -40,12 +40,11 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 import traceback
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional
 
-from ..engine.replicas import DEFAULT_ENSEMBLE_CHUNK, run_replicas
+from ..engine.replicas import replica_blocks, run_replicas
 from ..faults import CRASH_EXIT_CODE, ServiceFaultPlan
 from .schema import QuotaSpec, SubmitRequest
 from .store import RunStore
@@ -71,26 +70,6 @@ CPU_HARD_GRACE = 5
 _PR_SET_PDEATHSIG = 1
 
 
-def index_groups(request: SubmitRequest) -> List[List[int]]:
-    """Replica indices grouped into checkpoint/cancellation units.
-
-    Non-ensemble engines checkpoint per replica.  The ensemble engine
-    stacks rows, so its groups must match the chunks a plain full-sweep
-    call would form — ``ensemble_chunk``-sized runs from index 0 — or
-    the row-stacked RNG streams (and with them the recorded results)
-    would depend on where the service happened to cut.
-    """
-    total = request.replicas
-    if request.config.engine == "ensemble":
-        chunk = request.config.ensemble_chunk or DEFAULT_ENSEMBLE_CHUNK
-    else:
-        chunk = 1
-    return [
-        list(range(start, min(start + chunk, total)))
-        for start in range(0, total, chunk)
-    ]
-
-
 def execute_groups(
     request: SubmitRequest,
     run_id: str,
@@ -101,6 +80,12 @@ def execute_groups(
     faults: Optional[ServiceFaultPlan] = None,
 ) -> Dict[str, Any]:
     """The checkpoint-group loop shared by sandbox children and inline mode.
+
+    The groups are the runner's own blocks
+    (:func:`~repro.engine.replicas.replica_blocks`): one replica each, or
+    ``ensemble_chunk`` stacked rows for the ensemble engine, so the
+    row-stacked RNG streams (and with them the recorded results) never
+    depend on where the service happened to cut.
 
     Detects a pre-existing manifest and **resumes** it: groups whose
     replicas all carry ``ok`` records are skipped, the rest re-run with
@@ -121,7 +106,7 @@ def execute_groups(
         "workload": workload.spec(),
         "service": {"run_id": run_id, "label": request.label},
     }
-    groups = index_groups(request)
+    groups = replica_blocks(request.config, request.replicas)
     missing = set(range(request.replicas))
     seen: set = set()
     converged = 0

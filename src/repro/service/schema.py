@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from ..engine.config import EngineConfig
+from ..engine.replicas import block_size
 from ..workloads import WORKLOADS, Workload, build_workload
 
 #: Hard ceiling on replicas per submission; sweeps beyond this belong in
@@ -209,6 +210,10 @@ class SubmitRequest:
                     ", ".join(sorted(config.extra))
                 ),
             )
+        try:
+            block_size(config)
+        except ValueError as exc:
+            raise ServiceError(400, "bad config: {}".format(exc)) from exc
 
         run_kwargs = data.pop("run", None) or {}
         _require(isinstance(run_kwargs, Mapping), "run must be a JSON object")

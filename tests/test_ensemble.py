@@ -29,7 +29,7 @@ from repro.engine import (
     run_replicas,
 )
 from repro.engine.ensemble import VectorizedStop
-from repro.engine.replicas import ensemble_chunk_members, map_replicas
+from repro.engine.replicas import ensemble_chunk_members
 from repro.faults import ALWAYS, FaultPlan
 from repro.obs import load_manifest, replay_replica, resume_sweep
 from repro.oscillator import make_oscillator_protocol, species, weak_value
@@ -415,17 +415,6 @@ class TestEnsembleRunner:
             r.stats["table_cache"] == "prewarmed" for r in rs.ok
         )
 
-    def test_map_replicas_chunked_matches_unchunked(self):
-        a = map_replicas(_draw_int, 11, seed=3, processes=1, chunk=1)
-        b = map_replicas(_draw_int, 11, seed=3, processes=1, chunk=4)
-        assert a == b
-        with pytest.raises(ValueError):
-            map_replicas(_draw_int, 4, chunk=0)
-
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ValueError, match="ensemble_chunk"):
             self._sweep(config=EngineConfig(ensemble_chunk=0))
-
-
-def _draw_int(seed_seq):
-    return int(np.random.default_rng(seed_seq).integers(0, 10 ** 6))

@@ -13,6 +13,8 @@ import pytest
 from repro.core import V
 
 from repro import (
+    EngineConfig,
+    FaultPlan,
     build_workload,
     load_manifest,
     replay_replica,
@@ -147,6 +149,34 @@ class TestReplay:
         _, path, rs = sweep(tmp_path, rounds=500.0)
         fresh = replay_replica(load_manifest(path), 0)
         assert fresh.rounds == rs.records[0].rounds
+
+    @pytest.mark.parametrize("config", [
+        {"engine": "bghkpu"},
+        {"engine": "ensemble", "ensemble_chunk": 3},
+    ], ids=["single", "ensemble"])
+    def test_retried_record_replays_bit_identically(self, tmp_path, config):
+        # replica 1's first attempt crashes, so its record (and, for the
+        # ensemble, every row of its block) comes from the retry seeds
+        workload = build_workload("leader", n=400)
+        path = str(tmp_path / "retried.jsonl")
+        run_replicas(
+            workload.protocol, workload.population, replicas=5,
+            config=EngineConfig.from_dict(config), seed=4, processes=1,
+            stop=workload.stop, manifest=path,
+            manifest_meta={"workload": workload.spec()},
+            backoff=0.0, faults=FaultPlan(crash={1: 1}),
+        )
+        manifest = load_manifest(path)
+        original = manifest.record(1)
+        assert original.attempts == 2
+        assert original.seed["retry_of"] == [1]
+        fresh = replay_replica(manifest, 1)
+
+        def fields(r):
+            return (r.index, r.status, r.attempts, r.seed, r.interactions,
+                    r.rounds, r.converged, r.extra)
+
+        assert fields(fresh) == fields(original)
 
     def test_replay_without_workload_spec(self, tmp_path):
         workload = build_workload("epidemic", n=60)

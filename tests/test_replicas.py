@@ -20,13 +20,15 @@ from repro.analysis import (
     aggregate_engine_stats,
 )
 from repro.core import Population, Rule, StateSchema, V, single_thread
-from repro.engine import ReplicaSet, map_replicas, run_replicas
+from repro.engine import EngineConfig, ReplicaSet, map_replicas, run_replicas
 from repro.engine.replicas import (
     ReplicaRecord,
     _resolve_processes,
     run_single_replica,
     spawn_seeds,
 )
+from repro.faults import ALWAYS, FaultPlan
+from repro.workloads import build_workload
 
 
 def make_epidemic():
@@ -410,3 +412,106 @@ class TestEngineStatsThreading:
             [ReplicaRecord(index=0, rounds=1.0, interactions=5, wall=0.1)]
         )
         assert tallies == {}
+
+
+# -- golden records -----------------------------------------------------------
+#
+# Every field a sweep's records are compared on across runs, pinned for two
+# small sweeps: a bghkpu leader fight (one replica per supervised task) and
+# an ensemble epidemic in blocks of three rows.  The faulted variants crash
+# one task's first attempt (its retry succeeds on fresh seed children) and
+# every attempt of another (the block is exhausted after one retry).
+
+def _golden_sweep(kind, faulted, processes):
+    if kind == "leader":
+        workload = build_workload("leader", n=2000)
+        config = EngineConfig(engine="bghkpu")
+        replicas, crash = 5, {1: 1, 4: ALWAYS}
+    else:
+        workload = build_workload("epidemic", n=300)
+        config = EngineConfig(engine="ensemble", ensemble_chunk=3)
+        replicas, crash = 7, {1: 1, 6: ALWAYS}
+    rs = run_replicas(
+        workload.protocol, workload.population, replicas=replicas,
+        config=config, seed=11, processes=processes, stop=workload.stop,
+        max_retries=1, backoff=0.0,
+        faults=FaultPlan(crash=crash) if faulted else None,
+    )
+    return [
+        (r.index, r.status, r.attempts, r.seed, r.interactions,
+         None if np.isnan(r.rounds) else r.rounds, r.converged, r.extra)
+        for r in rs
+    ]
+
+
+def _seed(k, attempt=0):
+    if attempt == 0:
+        return {"entropy": 11, "spawn_key": [k]}
+    return {"entropy": 11, "spawn_key": [k, attempt], "retry_of": [k]}
+
+
+_BGHKPU = {"engine": "bghkpu", "support": 2}
+
+
+def _ens(members):
+    return {"engine": "ensemble", "ensemble_chunk": members, "support": 1}
+
+
+GOLDEN = {
+    ("leader", False): [
+        (0, "ok", 1, _seed(0), 2922017, 1461.0085, True, _BGHKPU),
+        (1, "ok", 1, _seed(1), 2576264, 1288.132, True, _BGHKPU),
+        (2, "ok", 1, _seed(2), 3961021, 1980.5105, True, _BGHKPU),
+        (3, "ok", 1, _seed(3), 3787945, 1893.9725, True, _BGHKPU),
+        (4, "ok", 1, _seed(4), 4206515, 2103.2575, True, _BGHKPU),
+    ],
+    ("leader", True): [
+        (0, "ok", 1, _seed(0), 2922017, 1461.0085, True, _BGHKPU),
+        (1, "ok", 2, _seed(1, 1), 3789792, 1894.896, True, _BGHKPU),
+        (2, "ok", 1, _seed(2), 3961021, 1980.5105, True, _BGHKPU),
+        (3, "ok", 1, _seed(3), 3787945, 1893.9725, True, _BGHKPU),
+        (4, "failed", 2, _seed(4, 1), 0, None, None, {}),
+    ],
+    ("ensemble", False): [
+        (0, "ok", 1, _seed(0), 3660, 12.2, True, _ens([0, 1, 2])),
+        (1, "ok", 1, _seed(1), 3824, 12.746666666666666, True,
+         _ens([0, 1, 2])),
+        (2, "ok", 1, _seed(2), 4364, 14.546666666666667, True,
+         _ens([0, 1, 2])),
+        (3, "ok", 1, _seed(3), 5648, 18.826666666666668, True,
+         _ens([3, 4, 5])),
+        (4, "ok", 1, _seed(4), 3792, 12.64, True, _ens([3, 4, 5])),
+        (5, "ok", 1, _seed(5), 4145, 13.816666666666666, True,
+         _ens([3, 4, 5])),
+        (6, "ok", 1, _seed(6), 3764, 12.546666666666667, True, _ens([6])),
+    ],
+    ("ensemble", True): [
+        (0, "ok", 2, _seed(0, 1), 3061, 10.203333333333333, True,
+         _ens([0, 1, 2])),
+        (1, "ok", 2, _seed(1, 1), 3734, 12.446666666666667, True,
+         _ens([0, 1, 2])),
+        (2, "ok", 2, _seed(2, 1), 4002, 13.34, True, _ens([0, 1, 2])),
+        (3, "ok", 1, _seed(3), 5648, 18.826666666666668, True,
+         _ens([3, 4, 5])),
+        (4, "ok", 1, _seed(4), 3792, 12.64, True, _ens([3, 4, 5])),
+        (5, "ok", 1, _seed(5), 4145, 13.816666666666666, True,
+         _ens([3, 4, 5])),
+        (6, "failed", 2, _seed(6, 1), 0, None, None,
+         {"ensemble_chunk": [6]}),
+    ],
+}
+
+
+class TestGoldenRecords:
+    """Record fields pinned across runner refactors and worker counts."""
+
+    # processes=None: REPRO_PROCESSES, else the usable CPU count; under
+    # real workers an injected crash kills the worker process
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "processes", [1, 2, None], ids=["serial", "two", "default"]
+    )
+    @pytest.mark.parametrize("faulted", [False, True], ids=["plain", "faults"])
+    @pytest.mark.parametrize("kind", ["leader", "ensemble"])
+    def test_records(self, kind, faulted, processes):
+        assert _golden_sweep(kind, faulted, processes) == GOLDEN[kind, faulted]

@@ -502,3 +502,16 @@ class TestTransportErrors:
         )
         assert status == 400
         assert "workload" in payload["error"]
+
+    @pytest.mark.parametrize("chunk", [0, -1, "x", 2.5, True])
+    def test_bad_ensemble_chunk_is_400(self, server, chunk):
+        # rejected at submission by the runner's own chunk-size rule, not
+        # accepted and then failed (0) or finished with no replicas (-1)
+        status, _, payload = call_json(server.port, "POST", "/runs", dict(
+            SUBMIT, replicas=5,
+            config={"engine": "ensemble", "ensemble_chunk": chunk},
+        ))
+        assert status == 400
+        assert "ensemble_chunk" in payload["error"]
+        _, _, listing = call_json(server.port, "GET", "/runs")
+        assert listing["runs"] == []
