@@ -3,8 +3,8 @@ simulation of the paper's protocols tractable.
 
 * null-event skipping in the count engine (vs. per-interaction stepping);
 * multinomial jump batching in the batch engine (vs. per-event stepping);
-* collision-free batching + dense tables in the array engine;
-* lazy transition tables (reachable pair space vs. packed state space).
+* collision-free batching + vectorized table apply in the array engine;
+* open transition tables (reachable pair space vs. packed state space).
 """
 
 import time
@@ -121,7 +121,7 @@ def run_experiment():
         ]
     )
 
-    # 4) lazy tables: cached pair space vs packed state space
+    # 4) open tables: materialized pair rows vs packed pair space
     from repro.lang import compile_program
     from repro.protocols import leader_election_program
 
@@ -129,10 +129,7 @@ def run_experiment():
     cpop = compiled.make_population([({}, 150)], x_agents=2)
     engine = MatchingEngine(compiled.protocol, cpop, rng=np.random.default_rng(2))
     engine.run(rounds=2000)
-    table = engine.table
-    cached = getattr(table, "cached_pairs", None)
-    if cached is None:
-        cached = len(getattr(table, "_entries", {}))
+    cached = engine.table.num_pairs
     rows.append(
         [
             "lazy transition table (compiled LE)",

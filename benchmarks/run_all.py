@@ -12,15 +12,14 @@ The jump engine simulates the same sequential scheduler but advances by
 multinomial batches, so the speedup grows with n; the acceptance bar is
 >= 5x at n = 10^6.
 
-The *kernels* run races the compiled active-pair batch path against the
-legacy dense-support batch path (``compiled=False``, the PR-1 engine) on
-the composed oscillator + phase-clock protocol C_o — a many-state
-workload (q = 168 reachable states with the k=2 ring) where the legacy
-path degenerates: its global min-count batch cap is throttled by the
-#X = 3 source agents, so it takes zero batches and falls back to
-per-event stepping.  The compiled path's per-state cap keeps batching.
-Results (including engine perf counters) go to ``BENCH_kernels.json``;
-the acceptance bar is >= 3x wall clock at equal accuracy.
+The *kernels* run times the active-pair batch kernel of
+``BatchCountEngine`` on the composed oscillator + phase-clock protocol
+C_o (q = 168 reachable states with the k=2 ring) twice: on the compiled
+closed table, and on an open ``LazyTable`` that fills rows as pairs
+become active (the path that serves closures too large to compile and
+every ``repro.lang`` runtime window).  Results (including engine perf
+counters) go to ``BENCH_kernels.json``; both walls are tracked by the
+regression gate, there is no speedup target.
 
 The *ensemble* run races R solo batch engines against one
 ``EnsembleEngine`` advancing all R replica rows per stacked batch on the
@@ -178,15 +177,15 @@ def _clock_workload(n, n_x=3):
     return protocol, population
 
 
-def _time_kernel(compiled, n, rounds, seed, cache):
-    from repro.engine import BatchCountEngine
+def _time_kernel(table, n, rounds, seed, cache):
+    from repro.engine import BatchCountEngine, LazyTable
 
     protocol, population = _clock_workload(n)
     eng = BatchCountEngine(
         protocol,
         population,
         rng=np.random.default_rng(seed),
-        compiled=compiled,
+        table=LazyTable(protocol) if table == "open" else None,
         cache=cache,
     )
     start = time.perf_counter()
@@ -207,40 +206,34 @@ def _time_kernel(compiled, n, rounds, seed, cache):
 
 
 def kernels(n=KERNELS_N, rounds=KERNELS_ROUNDS, seed=0, cache="auto"):
-    """Compiled active-pair vs legacy dense batch path on the C_o clock."""
+    """The active-pair batch kernel on a closed vs an open table (C_o)."""
     print(
         "kernels: C_o oscillator+phase-clock (q=168), n={}, {} rounds".format(
             n, rounds
         )
     )
     results = {}
-    for label, compiled in (("compiled", None), ("legacy", False)):
-        print("  {} batch path ...".format(label), end=" ", flush=True)
-        results[label] = _time_kernel(compiled, n, rounds, seed, cache)
+    for label in ("compiled", "open"):
+        print("  {} table ...".format(label), end=" ", flush=True)
+        results[label] = _time_kernel(label, n, rounds, seed, cache)
         print("{:.2f}s ({} batches, {} events)".format(
             results[label]["wall_seconds"],
             results[label].get("batches", 0),
             results[label].get("events", 0),
         ))
-    speedup = results["legacy"]["wall_seconds"] / max(
-        results["compiled"]["wall_seconds"], 1e-9
-    )
     payload = {
         "experiment": "compiled_kernel_batch_jumps",
         "description": (
             "composed oscillator + phase-clock protocol (ClockParams k=2, "
-            "168 reachable states): compiled active-pair batch jumps vs "
-            "the legacy dense-support batch path at equal accuracy"
+            "168 reachable states): active-pair batch jumps on the "
+            "compiled closed table vs an open table filled as pairs "
+            "become active"
         ),
         "n": n,
         "rounds": rounds,
         "seed": seed,
         "paths": results,
-        "speedup_legacy_over_compiled": round(speedup, 2),
-        "target_speedup": 3.0,
-        "meets_target": speedup >= 3.0,
     }
-    print("  speedup: {:.1f}x (target >= 3x)".format(speedup))
     os.makedirs(RESULTS_DIR, exist_ok=True)
     for path in (
         os.path.join(REPO_ROOT, "BENCH_kernels.json"),
@@ -1131,7 +1124,6 @@ def main(argv=None) -> int:
         full_sweeps(engine=args.engine, processes=args.processes)
     ok = (
         payload["meets_target"]
-        and kernel_payload["meets_target"]
         and ensemble_payload["meets_target"]
         and bghkpu_payload["meets_target"]
         and dense_payload["meets_target"]

@@ -45,7 +45,6 @@ from .engine import (
     ArrayEngine,
     BGHKPUEngine,
     BatchCountEngine,
-    CompiledTable,
     CountEngine,
     Engine,
     EngineConfig,
@@ -58,6 +57,7 @@ from .engine import (
     ReplicaSet,
     SimulationHealthError,
     Trace,
+    TransitionTable,
     compile_table,
     map_replicas,
     run_replicas,
@@ -85,7 +85,6 @@ __all__ = [
     "ArrayEngine",
     "BGHKPUEngine",
     "BatchCountEngine",
-    "CompiledTable",
     "CountEngine",
     "Engine",
     "EngineConfig",
@@ -108,6 +107,7 @@ __all__ = [
     "StateSchema",
     "Thread",
     "Trace",
+    "TransitionTable",
     "V",
     "Workload",
     "build_workload",

@@ -102,7 +102,7 @@ def run_aag18_majority(
     protocol, _ = make_aag18_majority(n)
     population = aag18_population(protocol.schema, n, count_a, count_b)
     # every interaction advances a private counter, so null skipping never
-    # helps here; the dense-table array engine is the right tool
+    # helps here; the vectorized array engine is the right tool
     engine = ArrayEngine(protocol, population, rng=rng)
     a_formula, b_formula = V("tok", "A"), V("tok", "B")
 

@@ -2,10 +2,9 @@
 
 from .alias import ActivePairSampler, AliasTable, alias_pick
 from .api import Engine, EngineStats
-from .batch import ArrayEngine, apply_pairs
+from .batch import ArrayEngine
 from .bghkpu import BGHKPUEngine
 from .compiled import (
-    CompiledTable,
     clear_memo,
     compile_table,
     corrupt_cache_events,
@@ -33,7 +32,7 @@ from .replicas import (
     supervise,
 )
 from .sequential import CountEngine
-from .table import LazyTable, PairOutcomes, reachable_codes
+from .table import LazyTable, PairOutcomes, TransitionTable, reachable_codes
 
 __all__ = [
     "ActivePairSampler",
@@ -41,7 +40,6 @@ __all__ = [
     "ArrayEngine",
     "BGHKPUEngine",
     "BatchCountEngine",
-    "CompiledTable",
     "CountEngine",
     "DEFAULT_ENSEMBLE_CHUNK",
     "Engine",
@@ -58,9 +56,9 @@ __all__ = [
     "SimulationHealthError",
     "TaskOutcome",
     "Trace",
+    "TransitionTable",
     "VectorizedStop",
     "alias_pick",
-    "apply_pairs",
     "available_cpus",
     "clear_memo",
     "compile_table",

@@ -17,7 +17,7 @@ needs for that:
 :class:`ActivePairSampler`
     The epoch manager: it freezes the active ordered-pair weight matrix
     ``c_i (c_j - δ_ij) p_change(i, j)`` (built from the
-    :class:`~repro.engine.compiled.CompiledTable` ``p_change`` matrix by
+    closed :class:`~repro.engine.table.TransitionTable` ``p_change`` matrix by
     :func:`~repro.engine.jump.pair_weights`) at the top of an epoch and
     serves cell draws from it.  Three draw shapes cover the density
     spectrum:

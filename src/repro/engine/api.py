@@ -91,8 +91,8 @@ class EngineStats:
     :meth:`Engine.run` refreshes the counters after each call, so
     ``eng.stats`` always reflects the engine's cumulative work: wall time,
     scheduler progress, batching behaviour (for engines that batch), the
-    transition-table representation and its compile/cache provenance, and
-    the active-pair sizes seen by the compiled batch kernels.  Fields that
+    transition table (closed or open) and its compile/cache provenance,
+    and the active-pair sizes seen by the batch kernels.  Fields that
     do not apply to an engine stay ``None`` and are omitted from
     :meth:`as_dict` / :meth:`format`.
     """
@@ -168,31 +168,25 @@ class EngineStats:
                 self.active_pairs_mean = total / count
                 self.active_pairs_max = peak
                 self.active_states = states
-        self.observe_table(getattr(engine, "table", None))
-        compiled = getattr(engine, "_ct", None)
-        if compiled is not None:
-            self.observe_table(compiled)
+        self.observe_table(engine.table, getattr(engine, "table_source", None))
 
-    def observe_table(self, table: object) -> None:
-        """Record the transition-table representation behind an engine."""
-        if table is None:
-            return
-        if hasattr(table, "cache_status"):  # CompiledTable
-            self.table_kind = "compiled"
-            self.table_states = int(table.num_states)
-            self.table_pairs = int(table.num_pairs)
-            self.table_compile_seconds = float(table.compile_seconds)
-            self.table_cache = table.cache_status
-            corrupt = int(getattr(table, "cache_corrupt", 0) or 0)
-            if corrupt:  # stays None (omitted) on the common clean path
-                self.cache_corrupt = corrupt
-        elif hasattr(table, "ensure"):  # DenseTable
-            self.table_kind = "dense"
-            self.table_states = int(table.size)
-            self.table_pairs = int(getattr(table, "misses", 0))
-        elif hasattr(table, "cached_pairs"):  # LazyTable
-            self.table_kind = "lazy"
-            self.table_pairs = int(table.cached_pairs)
+    def observe_table(self, table, source=None) -> None:
+        """Record an engine's transition table and how it was obtained.
+
+        ``source`` is the engine's own
+        :class:`~repro.engine.compiled.TableSource` (``None`` when the
+        engine was handed its table or runs on an open one), so compile
+        seconds and cache provenance are per acquisition, never those of
+        whichever process first built a shared table.
+        """
+        self.table_kind = "compiled" if table.closed else "lazy"
+        self.table_states = table.num_states
+        self.table_pairs = table.num_pairs
+        if source is not None:
+            self.table_compile_seconds = source.seconds
+            self.table_cache = source.cache
+            if source.corrupt:  # stays None (omitted) on the common clean path
+                self.cache_corrupt = source.corrupt
 
     # -- reporting ---------------------------------------------------------
     def as_dict(self) -> Dict[str, object]:
@@ -309,7 +303,7 @@ class Engine(abc.ABC):
         self.stop_verdict = None
         if self.guards is not None:
             # attach() is idempotent per engine: the first run records the
-            # expected population size and vets any compiled table.
+            # expected population size and vets a closed table.
             self.guards.attach(self)
         start = time.perf_counter()
         try:

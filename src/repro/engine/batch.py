@@ -25,56 +25,7 @@ import numpy as np
 from ..core.population import Population
 from ..core.protocol import Protocol
 from .api import Engine, Observer, StopCondition, require_budget
-from .dense import make_table
-from .table import LazyTable
-
-
-def apply_pairs(
-    agents: np.ndarray,
-    idx_a: np.ndarray,
-    idx_b: np.ndarray,
-    table,
-    rng: np.random.Generator,
-) -> int:
-    """Apply one interaction per (initiator, responder) index pair.
-
-    All indices must be distinct across the two arrays.  Returns the number
-    of interactions that changed at least one agent's state.  Dispatches to
-    the fully vectorized path when ``table`` is a
-    :class:`~repro.engine.dense.DenseTable`.
-    """
-    if len(idx_a) == 0:
-        return 0
-    if hasattr(table, "apply"):
-        return table.apply(agents, idx_a, idx_b, rng)
-    state_a = agents[idx_a]
-    state_b = agents[idx_b]
-    num_states = table.protocol.schema.num_states
-    if num_states < 2 ** 31:
-        flat_keys = state_a * num_states + state_b
-        unique_flat, inverse = np.unique(flat_keys, return_inverse=True)
-        unique = [(int(k) // num_states, int(k) % num_states) for k in unique_flat]
-    else:
-        keys = np.stack([state_a, state_b], axis=1)
-        unique_arr, inverse = np.unique(keys, axis=0, return_inverse=True)
-        unique = [(int(a), int(b)) for a, b in unique_arr]
-    changed = 0
-    for group, (code_a, code_b) in enumerate(unique):
-        entry = table.outcomes(code_a, code_b)
-        members = np.nonzero(inverse == group)[0]
-        if entry.p_change <= 0.0:
-            continue
-        u = rng.random(len(members))
-        firing = u < entry.p_change
-        if not firing.any():
-            continue
-        hits = members[firing]
-        out_idx = np.searchsorted(entry.cum, u[firing], side="right")
-        out_idx = np.minimum(out_idx, len(entry) - 1)
-        agents[idx_a[hits]] = entry.codes_a[out_idx]
-        agents[idx_b[hits]] = entry.codes_b[out_idx]
-        changed += len(hits)
-    return changed
+from .table import LazyTable, TransitionTable
 
 
 def _collision_free_prefix(idx_a: np.ndarray, idx_b: np.ndarray) -> int:
@@ -104,7 +55,7 @@ class ArrayEngine(Engine):
         population: Population,
         *,
         rng: Optional[np.random.Generator] = None,
-        table: Optional[LazyTable] = None,
+        table: Optional[TransitionTable] = None,
         batch_pairs: Optional[int] = None,
         guards: object = None,
     ):
@@ -114,9 +65,7 @@ class ArrayEngine(Engine):
                 "packed state space too large for int64 agent arrays; "
                 "use CountEngine instead"
             )
-        if table is None:
-            table = make_table(protocol)
-        self.table = table
+        self.table = table if table is not None else LazyTable(protocol)
         # NOTE: the engine works on a private agent array; unlike
         # CountEngine it does NOT mutate the passed Population — read the
         # evolving configuration from the ``population`` property.
@@ -157,13 +106,7 @@ class ArrayEngine(Engine):
         k = _collision_free_prefix(self._buf_a[:avail], self._buf_b[:avail])
         if k == 0:
             k = 1  # a single pair conflicts with nothing
-        apply_pairs(
-            self.agents,
-            self._buf_a[:k],
-            self._buf_b[:k],
-            self.table,
-            self.rng,
-        )
+        self.table.apply(self.agents, self._buf_a[:k], self._buf_b[:k], self.rng)
         self._buf_a = self._buf_a[k:]
         self._buf_b = self._buf_b[k:]
         self.interactions += k

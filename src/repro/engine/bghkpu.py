@@ -50,9 +50,9 @@ Unlike the parent engine, applying a batch never touches the per-support
 ``_c``/``_v`` bookkeeping of :class:`~repro.engine.sequential.CountEngine`
 — deltas land directly on the compiled count vector and the population
 dict, and the exact-path state is rebuilt lazily only when the engine
-actually delegates (tiny initial active set, forced ``batch=1``, or a
-reachable closure too large to compile, all of which fall back to
-``BatchCountEngine`` wholesale).
+actually delegates (tiny initial active set, forced ``batch=1``, or an
+open table — a reachable closure too large to compile, or one passed as
+``table=`` — all of which fall back to ``BatchCountEngine`` wholesale).
 
 Distributional correctness is gated by the same KS-equivalence suites as
 the parent (E1/E3 observer grids, pooled ``ks_2samp`` vs ``batch``);
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -72,10 +72,9 @@ from ..core.population import Population
 from ..core.protocol import Protocol
 from .alias import ActivePairSampler
 from .api import Observer, StopCondition, require_budget
-from .compiled import COMPILE_STATE_LIMIT, CompiledTable
 from .jump import MAX_BATCH, BatchCountEngine, split_outcomes_grouped
 from .silence import silent_weight
-from .table import LazyTable
+from .table import TransitionTable
 
 
 class BGHKPUEngine(BatchCountEngine):
@@ -136,12 +135,10 @@ class BGHKPUEngine(BatchCountEngine):
         population: Population,
         *,
         rng: Optional[np.random.Generator] = None,
-        table: Optional[LazyTable] = None,
+        table: Optional[TransitionTable] = None,
         batch: Optional[int] = None,
         accuracy: float = 0.05,
         min_batch_events: float = 8.0,
-        compiled: Union[None, bool, CompiledTable] = None,
-        compile_limit: int = COMPILE_STATE_LIMIT,
         cache: object = "auto",
         guards: object = None,
         collision_frac: float = 0.2,
@@ -161,8 +158,7 @@ class BGHKPUEngine(BatchCountEngine):
         super().__init__(
             protocol, population, rng=rng, table=table, batch=batch,
             accuracy=accuracy, min_batch_events=min_batch_events,
-            compiled=compiled, compile_limit=compile_limit, cache=cache,
-            guards=guards,
+            cache=cache, guards=guards,
         )
         self.collision_frac = float(collision_frac)
         self.alias_rebuild_tol = float(alias_rebuild_tol)
@@ -231,7 +227,7 @@ class BGHKPUEngine(BatchCountEngine):
         if act is None:
             return None
         if self._act_mask_src is not act:
-            mask = np.zeros(self._ct.num_states, dtype=bool)
+            mask = np.zeros(self.table.num_states, dtype=bool)
             mask[act] = True
             self._act_mask = mask
             self._act_mask_src = act
@@ -258,7 +254,7 @@ class BGHKPUEngine(BatchCountEngine):
             if mask is None or not mask[nz[created]].all():
                 self._need_rebuild = True
         full_c[nz] += dn
-        codes = self._ct.codes
+        codes = self.table.codes
         pop = self._population
         for k in range(len(nz)):
             d = int(dn[k])
@@ -281,7 +277,7 @@ class BGHKPUEngine(BatchCountEngine):
     def _cells_to_delta_inner(
         self, cells: np.ndarray, counts: np.ndarray
     ) -> np.ndarray:
-        ct = self._ct
+        ct = self.table
         act = self._sampler.act
         a = len(act)
         counts = counts.astype(np.int64, copy=False)
@@ -423,7 +419,7 @@ class BGHKPUEngine(BatchCountEngine):
         cells_nz = sampler.cells_nz
         if cells_nz is None:
             return None
-        ct = self._ct
+        ct = self.table
         act = sampler.act
         a = len(act)
         cell = int(cells_nz[0])
@@ -468,9 +464,9 @@ class BGHKPUEngine(BatchCountEngine):
     ) -> "BGHKPUEngine":
         """Advance the simulation (same contract as :meth:`CountEngine.run`)."""
         self._sync_exact()
-        if self._ct is None or self._full_c is None or self.batch == 1:
-            # no compiled table (closure too large / foreign support) or
-            # forced exact stepping: the parent engine covers both.
+        if not self.table.closed or self.batch == 1:
+            # an open table (closure too large to compile, or one passed
+            # in) or forced exact stepping: the parent engine covers both.
             return super()._run(
                 rounds=rounds, interactions=interactions, stop=stop,
                 observer=observer, observe_every=observe_every,
@@ -480,7 +476,7 @@ class BGHKPUEngine(BatchCountEngine):
         sampler = self._sampler
         if sampler is None:
             sampler = self._sampler = ActivePairSampler(
-                self._ct.p_change_matrix,
+                self.table.p_change_matrix,
                 self.alias_rebuild_tol,
                 top_k=self.dense_top_k,
                 patch_frac=self.alias_patch_frac,
@@ -558,7 +554,7 @@ class BGHKPUEngine(BatchCountEngine):
                 # freezing, no arrays, and strictly *better* fidelity,
                 # since every batch and every sparse gap is sized from the
                 # true current counts.
-                ct = self._ct
+                ct = self.table
                 act = sampler.act
                 a = len(act)
                 cell = int(sampler.cells_nz[0])
@@ -689,7 +685,7 @@ class BGHKPUEngine(BatchCountEngine):
                 break
             if self.guards is not None:
                 self.guards.check_weights(
-                    self, sampler.w, codes=self._ct.codes[sampler.act]
+                    self, sampler.w, codes=self.table.codes[sampler.act]
                 )
 
             gamma = sampler.gamma

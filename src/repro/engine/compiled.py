@@ -1,28 +1,16 @@
-"""Compiled sparse transition kernels over the reachable pair space.
+"""Closed transition tables: compile, fingerprint and cache.
 
-The paper's large-constant protocols (oscillator ``P_o``, the clock
-hierarchy, the ``#X`` control processes) have packed state spaces in the
+The paper's large-constant protocols (oscillator ``P_o``, the phase clock
+``C_o``, the ``#X`` control processes) have packed state spaces in the
 hundreds while only a handful of state pairs are ever populated at once.
-:class:`CompiledTable` eagerly closes the reachable state space once (via
-:func:`repro.engine.table.reachable_codes`) and flattens every ordered
-pair's outcome distribution into CSR-style numpy arrays:
+:func:`compile_table` closes the reachable state space of an initial
+support once (:func:`repro.engine.table.reachable_codes`) and returns a
+*closed* :class:`~repro.engine.table.TransitionTable`: every ordered pair
+of the closure owns a CSR row, pair ``(i, j)`` row ``i * q + j``, in the
+deterministic BFS index order — the same order whichever engine or
+replica asks, so shared tables never make results depend on history.
 
-* ``codes``       — int64[q], the reachable codes in deterministic order;
-* ``p_change_matrix`` — float64[q, q], per-pair change probability;
-* ``off``         — int64[q² + 1], per-pair offsets into the outcome arrays
-  (pair ``(i, j)`` owns the slice ``off[i*q+j] : off[i*q+j+1]``);
-* ``out_a/out_b`` — int64[nnz], outcome states as *compiled indices*;
-* ``out_p``       — float64[nnz], outcome probabilities.
-
-Engines consume the flat arrays directly (the jump engine's active-pair
-batch math, the array engines' vectorized ``apply``); the scalar
-``outcomes(a, b)`` / ``p_change(a, b)`` interface of
-:class:`~repro.engine.table.LazyTable` is preserved so every exact code
-path keeps working — with bit-identical probabilities, since the arrays
-are built from the very same :class:`~repro.engine.table.PairOutcomes`
-entries.
-
-Compiled tables are cached twice: an in-process memo (replica workers and
+Closed tables are cached twice: an in-process memo (replica workers and
 repeated constructions reuse the arrays for free) and an on-disk ``.npz``
 cache keyed by a protocol fingerprint.  The fingerprint covers the kernel
 code version, the schema layout, every rule's description, weight and
@@ -32,40 +20,37 @@ initial support itself — mutating any of these misses the cache (see
 (:class:`~repro.core.rules.DynamicRule`) are fingerprinted through their
 name and the probe, so changing a dynamic rule's behaviour *without*
 renaming it and without affecting initial-support transitions requires a
-manual cache flush (or a ``CODE_VERSION`` bump).
+manual cache flush (or a ``CODE_VERSION`` bump).  A cache entry whose
+arrays or probabilities fail validation is discarded and recompiled.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 import threading
-import time
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from ..core.protocol import Protocol
-from .table import LazyTable, PairOutcomes, reachable_codes
+from .table import TransitionTable
 
 #: Bump to invalidate every on-disk compiled table (covers kernel-layout
 #: changes in this module).
 CODE_VERSION = 1
 
-#: Default ceiling on the reachable closure; above it compilation refuses
-#: (engines then fall back to :class:`LazyTable` memoization).
+#: Ceiling on the reachable closure; above it compilation refuses (the
+#: batch engines then run on an open :data:`~repro.engine.table.LazyTable`).
 COMPILE_STATE_LIMIT = 1024
 
 #: Environment variable overriding the on-disk cache directory.  Set to
 #: ``0`` / ``off`` / ``none`` to disable the disk cache entirely.
 CACHE_ENV = "REPRO_TABLE_CACHE"
 
-#: In-process memo: fingerprint -> CompiledTable (shared, read-only arrays).
-_MEMO: Dict[str, "CompiledTable"] = {}
+#: In-process memo: fingerprint -> closed table (shared, read-only arrays).
+_MEMO: Dict[str, TransitionTable] = {}
 
 #: Process-wide count of corrupt on-disk cache entries discarded by
-#: :meth:`CompiledTable.load` (mutable cell so the classmethod can bump it).
+#: :meth:`TransitionTable.load` (mutable cell so the loader can bump it).
 _CORRUPT_EVENTS = [0]
 
 #: Per-fingerprint compile locks: concurrent service requests for the
@@ -85,7 +70,7 @@ def _fingerprint_lock(fingerprint: str) -> threading.Lock:
 
 
 def clear_memo() -> None:
-    """Drop the in-process compiled-table memo (tests / fault injection)."""
+    """Drop the in-process closed-table memo (tests / fault injection)."""
     _MEMO.clear()
 
 
@@ -145,381 +130,90 @@ def protocol_fingerprint(protocol: Protocol, initial_codes: Iterable[int]) -> st
     return h.hexdigest()
 
 
-class CompiledTable:
-    """Flat transition kernels for the reachable pair space of a protocol.
+class TableSource(NamedTuple):
+    """How one engine obtained its closed table — one per acquisition.
 
-    Construct via :func:`compile_table` (or :meth:`from_protocol`), not
-    directly.  Provides both the flat arrays consumed by the vectorized
-    engines and the scalar ``outcomes`` / ``p_change`` interface of
-    :class:`~repro.engine.table.LazyTable`.
+    ``cache`` is the provenance ("miss" freshly compiled, "hit" loaded
+    from disk, "memo" in-process reuse, "off" compiled with caching off,
+    "corrupt" a cache entry failed to load and was recompiled);
+    ``seconds`` is the compile time *this* acquisition spent (0 unless it
+    built the table); ``corrupt`` counts the cache entries it discarded.
     """
 
-    def __init__(
-        self,
-        protocol: Protocol,
-        codes: np.ndarray,
-        p_change_matrix: np.ndarray,
-        off: np.ndarray,
-        out_a: np.ndarray,
-        out_b: np.ndarray,
-        out_p: np.ndarray,
-        *,
-        fingerprint: str = "",
-        compile_seconds: float = 0.0,
-        cache_status: str = "off",
-    ):
-        self.protocol = protocol
-        self.codes = codes
-        self.index: Dict[int, int] = {int(c): i for i, c in enumerate(codes)}
-        self.p_change_matrix = p_change_matrix
-        self.off = off
-        self.out_a = out_a
-        self.out_b = out_b
-        self.out_p = out_p
-        self.fingerprint = fingerprint
-        self.compile_seconds = compile_seconds
-        #: how this table was obtained: "miss" (freshly compiled), "hit"
-        #: (loaded from disk), "memo" (in-process reuse), "off" (no cache),
-        #: "corrupt" (cache entry existed but failed to load; recompiled)
-        self.cache_status = cache_status
-        #: corrupt cache entries discarded while obtaining this table
-        self.cache_corrupt = 0
-        self._entries: Dict[Tuple[int, int], PairOutcomes] = {}
-        # lazily built padded arrays for the vectorized apply() path
-        self._pad_cum: Optional[np.ndarray] = None
-        self._pad_a: Optional[np.ndarray] = None
-        self._pad_b: Optional[np.ndarray] = None
-        self._sorted_codes: Optional[np.ndarray] = None
-        self._sorted_pos: Optional[np.ndarray] = None
+    cache: str
+    seconds: float
+    corrupt: int = 0
 
-    # -- sizing ----------------------------------------------------------------
-    @property
-    def num_states(self) -> int:
-        return len(self.codes)
 
-    @property
-    def num_pairs(self) -> int:
-        return len(self.codes) ** 2
+def acquire_table(
+    protocol: Protocol,
+    initial_codes: Iterable[int],
+    limit: Optional[int] = None,
+    cache: object = "auto",
+) -> Tuple[TransitionTable, TableSource]:
+    """Compile (or fetch a cached) closed table and say how it was obtained.
 
-    @property
-    def num_changing_pairs(self) -> int:
-        """Ordered pairs with at least one changing outcome."""
-        return int(np.count_nonzero(self.p_change_matrix))
-
-    @property
-    def cached_pairs(self) -> int:
-        """Scalar entries materialized so far (LazyTable compatibility)."""
-        return len(self._entries)
-
-    # -- scalar interface (LazyTable-compatible) --------------------------------
-    def outcomes(self, code_a: int, code_b: int) -> PairOutcomes:
-        key = (code_a, code_b)
-        entry = self._entries.get(key)
-        if entry is not None:
-            return entry
-        i = self.index.get(code_a)
-        j = self.index.get(code_b)
-        if i is None or j is None:
-            # outside the compiled closure: fall back to the protocol
-            changing, _ = self.protocol.transition(code_a, code_b)
-            entry = PairOutcomes(changing)
-        else:
-            q = len(self.codes)
-            flat = i * q + j
-            lo, hi = int(self.off[flat]), int(self.off[flat + 1])
-            entry = PairOutcomes(
-                [
-                    (
-                        int(self.codes[self.out_a[k]]),
-                        int(self.codes[self.out_b[k]]),
-                        float(self.out_p[k]),
-                    )
-                    for k in range(lo, hi)
-                ]
-            )
-        self._entries[key] = entry
-        return entry
-
-    def p_change(self, code_a: int, code_b: int) -> float:
-        i = self.index.get(code_a)
-        j = self.index.get(code_b)
-        if i is None or j is None:
-            return self.outcomes(code_a, code_b).p_change
-        return float(self.p_change_matrix[i, j])
-
-    # -- vectorized agent-array application -------------------------------------
-    def _build_apply_arrays(self) -> None:
-        q = len(self.codes)
-        widths = np.diff(self.off)
-        max_out = max(int(widths.max()) if len(widths) else 0, 1)
-        pairs = q * q
-        cum = np.zeros((pairs, max_out), dtype=np.float64)
-        pad_a = np.zeros((pairs, max_out), dtype=np.int64)
-        pad_b = np.zeros((pairs, max_out), dtype=np.int64)
-        packed = self.codes
-        p_flat = self.p_change_matrix.ravel()
-        for flat in range(pairs):
-            lo, hi = int(self.off[flat]), int(self.off[flat + 1])
-            running = 0.0
-            for k in range(lo, hi):
-                running += float(self.out_p[k])
-                cum[flat, k - lo] = running
-                pad_a[flat, k - lo] = packed[self.out_a[k]]
-                pad_b[flat, k - lo] = packed[self.out_b[k]]
-            # pad so searchsorted-style selection never overruns
-            cum[flat, hi - lo :] = max(running, float(p_flat[flat])) + 1.0
-            if hi > lo:
-                pad_a[flat, hi - lo :] = packed[self.out_a[hi - 1]]
-                pad_b[flat, hi - lo :] = packed[self.out_b[hi - 1]]
-        self._pad_cum = cum
-        self._pad_a = pad_a
-        self._pad_b = pad_b
-
-    def _compiled_indices(self, states: np.ndarray) -> np.ndarray:
-        if self._sorted_codes is None:
-            order = np.argsort(self.codes, kind="stable")
-            self._sorted_codes = self.codes[order]
-            self._sorted_pos = order
-        where = np.searchsorted(self._sorted_codes, states)
-        where = np.minimum(where, len(self._sorted_codes) - 1)
-        hit = self._sorted_codes[where] == states
-        if not hit.all():
-            missing = np.unique(states[~hit])[:5]
-            raise ValueError(
-                "agent states {} are outside the compiled reachable space "
-                "(compile from the population's initial support)".format(
-                    missing.tolist()
-                )
-            )
-        return self._sorted_pos[where]
-
-    def apply(
-        self,
-        agents: np.ndarray,
-        idx_a: np.ndarray,
-        idx_b: np.ndarray,
-        rng: np.random.Generator,
-    ) -> int:
-        """Apply one interaction per index pair (all indices distinct).
-
-        Same contract as :meth:`repro.engine.dense.DenseTable.apply`; used
-        by :func:`repro.engine.batch.apply_pairs` for the array and
-        matching engines.
-        """
-        if len(idx_a) == 0:
-            return 0
-        if self._pad_cum is None:
-            self._build_apply_arrays()
-        q = len(self.codes)
-        ia = self._compiled_indices(agents[idx_a])
-        ib = self._compiled_indices(agents[idx_b])
-        flat = ia * q + ib
-        u = rng.random(len(flat))
-        changing = u < self.p_change_matrix.ravel()[flat]
-        if not changing.any():
-            return 0
-        hits = np.nonzero(changing)[0]
-        flat_hits = flat[hits]
-        sel = (u[hits, None] >= self._pad_cum[flat_hits]).sum(axis=1)
-        agents[idx_a[hits]] = self._pad_a[flat_hits, sel]
-        agents[idx_b[hits]] = self._pad_b[flat_hits, sel]
-        return int(len(hits))
-
-    # -- construction ------------------------------------------------------------
-    @classmethod
-    def from_protocol(
-        cls,
-        protocol: Protocol,
-        initial_codes: Iterable[int],
-        limit: int = COMPILE_STATE_LIMIT,
-        fingerprint: str = "",
-    ) -> "CompiledTable":
-        """Compile the reachable pair space into flat arrays (no caching).
-
-        Raises ``RuntimeError`` when the reachable closure exceeds
-        ``limit`` states.
-        """
-        start = time.perf_counter()
-        lazy = LazyTable(protocol)
-        order = reachable_codes(protocol, initial_codes, limit=limit, table=lazy)
-        q = len(order)
-        codes = np.array(order, dtype=np.int64)
-        index = {code: i for i, code in enumerate(order)}
-        p_matrix = np.zeros((q, q), dtype=np.float64)
-        off = np.zeros(q * q + 1, dtype=np.int64)
-        out_a: List[int] = []
-        out_b: List[int] = []
-        out_p: List[float] = []
-        flat = 0
-        for i, a in enumerate(order):
-            for j, b in enumerate(order):
-                entry = lazy.outcomes(a, b)
-                p_matrix[i, j] = entry.p_change
-                for k in range(len(entry)):
-                    out_a.append(index[int(entry.codes_a[k])])
-                    out_b.append(index[int(entry.codes_b[k])])
-                    out_p.append(float(entry.probs[k]))
-                flat += 1
-                off[flat] = len(out_p)
-        table = cls(
-            protocol,
-            codes,
-            p_matrix,
-            off,
-            np.array(out_a, dtype=np.int64),
-            np.array(out_b, dtype=np.int64),
-            np.array(out_p, dtype=np.float64),
-            fingerprint=fingerprint,
-            compile_seconds=time.perf_counter() - start,
-            cache_status="off",
+    ``cache`` is ``"auto"`` (in-process memo + default disk directory, see
+    :func:`default_cache_dir`), ``None``/``False`` (no caching at all), or
+    an explicit directory path.  Raises ``RuntimeError`` when the
+    reachable closure exceeds ``limit`` states (default
+    :data:`COMPILE_STATE_LIMIT`, read at call time) — callers treat that as
+    "use an open :data:`~repro.engine.table.LazyTable`".  The returned
+    :class:`TableSource` belongs to this call alone, so shared memo
+    entries never carry another caller's compile time.
+    """
+    initial = sorted(int(c) for c in initial_codes)
+    if not initial:
+        raise ValueError("cannot compile a table for an empty support")
+    if limit is None:
+        limit = COMPILE_STATE_LIMIT
+    fingerprint = protocol_fingerprint(protocol, initial)
+    if cache is None or cache is False:
+        table = TransitionTable.from_protocol(
+            protocol, initial, limit=limit, fingerprint=fingerprint
         )
-        return table
-
-    # -- disk cache ---------------------------------------------------------------
-    def save(self, cache_dir: str) -> str:
-        """Persist the flat arrays; returns the cache file path."""
-        os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, self.fingerprint + ".npz")
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(
-                    handle,
-                    codes=self.codes,
-                    p_change=self.p_change_matrix,
-                    off=self.off,
-                    out_a=self.out_a,
-                    out_b=self.out_b,
-                    out_p=self.out_p,
+        return table, TableSource("off", table.compile_seconds)
+    # serialize per fingerprint: concurrent requests for the same protocol
+    # compile exactly once (whoever wins populates the memo + disk entry,
+    # the rest fall through to it); unrelated protocols stay concurrent
+    with _fingerprint_lock(fingerprint):
+        table = _MEMO.get(fingerprint)
+        source = TableSource("memo", 0.0)
+        cache_dir = default_cache_dir() if cache == "auto" else str(cache)
+        corrupt_before = _CORRUPT_EVENTS[0]
+        if table is None and cache_dir is not None:
+            table = TransitionTable.load(protocol, fingerprint, cache_dir)
+            source = TableSource("hit", 0.0)
+        if table is not None:
+            if table.num_states > limit:
+                raise RuntimeError(
+                    "reachable state space exceeds limit={} states".format(limit)
                 )
-                handle.flush()
-                # land the bytes before the rename publishes the entry, so
-                # a crash can only ever leave a whole old/new file behind —
-                # never a visible half-written one
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)  # atomic: concurrent replica workers race safely
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        return path
-
-    @classmethod
-    def load(
-        cls, protocol: Protocol, fingerprint: str, cache_dir: str
-    ) -> Optional["CompiledTable"]:
-        """Load a previously saved table, or ``None`` on miss/corruption."""
-        path = os.path.join(cache_dir, fingerprint + ".npz")
-        if not os.path.exists(path):
-            return None
-        try:
-            with np.load(path) as data:
-                table = cls(
-                    protocol,
-                    data["codes"],
-                    data["p_change"],
-                    data["off"],
-                    data["out_a"],
-                    data["out_b"],
-                    data["out_p"],
-                    fingerprint=fingerprint,
-                    cache_status="hit",
-                )
-            table._validate_arrays()
-            return table
-        except Exception:
-            # corrupt / truncated cache entry: recompile rather than crash
-            _CORRUPT_EVENTS[0] += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-
-    def _validate_arrays(self) -> None:
-        """Structural sanity of the flat arrays; raises when they lie.
-
-        A torn cache write can survive ``np.load`` — the zip container
-        stays readable while an inner array was truncated or zeroed — so
-        the loader re-checks the CSR invariants before any engine
-        consumes the offsets.
-        """
-        q = len(self.codes)
-        off = self.off
-        if self.p_change_matrix.shape != (q, q):
-            raise ValueError("p_change matrix shape mismatch")
-        if off.shape != (q * q + 1,) or int(off[0]) != 0:
-            raise ValueError("offset array shape mismatch")
-        if (np.diff(off) < 0).any():
-            raise ValueError("offsets not monotone")
-        nnz = int(off[-1])
-        if not (len(self.out_a) == len(self.out_b) == len(self.out_p) == nnz):
-            raise ValueError("outcome arrays inconsistent with offsets")
-        if nnz and (
-            int(self.out_a.min()) < 0
-            or int(self.out_b.min()) < 0
-            or int(self.out_a.max()) >= q
-            or int(self.out_b.max()) >= q
-        ):
-            raise ValueError("outcome indices out of range")
+        else:
+            table = TransitionTable.from_protocol(
+                protocol, initial, limit=limit, fingerprint=fingerprint
+            )
+            corrupted = _CORRUPT_EVENTS[0] - corrupt_before
+            source = TableSource(
+                "corrupt" if corrupted else "miss", table.compile_seconds,
+                corrupted,
+            )
+            if cache_dir is not None:
+                table.save(cache_dir)
+        _MEMO[fingerprint] = table
+        table.cache_status, table.cache_corrupt = source.cache, source.corrupt
+        return table, source
 
 
 def compile_table(
     protocol: Protocol,
     initial_codes: Iterable[int],
-    limit: int = COMPILE_STATE_LIMIT,
+    limit: Optional[int] = None,
     cache: object = "auto",
-) -> CompiledTable:
-    """Compile (or fetch a cached) :class:`CompiledTable` for a protocol.
+) -> TransitionTable:
+    """The closed table of :func:`acquire_table`, without its provenance.
 
-    ``cache`` is ``"auto"`` (in-process memo + default disk directory, see
-    :func:`default_cache_dir`), ``None``/``False`` (no caching at all), or
-    an explicit directory path.  Raises ``RuntimeError`` when the
-    reachable closure exceeds ``limit`` states — callers treat that as
-    "fall back to :class:`~repro.engine.table.LazyTable`".
+    The table's ``cache_status`` / ``cache_corrupt`` describe the latest
+    acquisition of that (possibly shared) table.
     """
-    initial = sorted(int(c) for c in initial_codes)
-    if not initial:
-        raise ValueError("cannot compile a table for an empty support")
-    use_cache = cache is not None and cache is not False
-    fingerprint = protocol_fingerprint(protocol, initial)
-    if not use_cache:
-        return CompiledTable.from_protocol(
-            protocol, initial, limit=limit, fingerprint=fingerprint
-        )
-    # serialize per fingerprint: concurrent requests for the same protocol
-    # compile exactly once (whoever wins populates the memo + disk entry,
-    # the rest fall through to it); unrelated protocols stay concurrent
-    with _fingerprint_lock(fingerprint):
-        memo = _MEMO.get(fingerprint)
-        if memo is not None:
-            if memo.num_states > limit:
-                raise RuntimeError(
-                    "reachable state space exceeds limit={} states".format(limit)
-                )
-            memo.cache_status = "memo"
-            return memo
-        cache_dir = default_cache_dir() if cache == "auto" else str(cache)
-        corrupt_before = _CORRUPT_EVENTS[0]
-        if cache_dir is not None:
-            loaded = CompiledTable.load(protocol, fingerprint, cache_dir)
-            if loaded is not None:
-                if loaded.num_states > limit:
-                    raise RuntimeError(
-                        "reachable state space exceeds limit={} states".format(
-                            limit
-                        )
-                    )
-                _MEMO[fingerprint] = loaded
-                return loaded
-        table = CompiledTable.from_protocol(
-            protocol, initial, limit=limit, fingerprint=fingerprint
-        )
-        table.cache_status = "miss"
-        if cache_dir is not None:
-            corrupted = _CORRUPT_EVENTS[0] - corrupt_before
-            if corrupted:
-                table.cache_status = "corrupt"
-                table.cache_corrupt = corrupted
-            table.save(cache_dir)
-        _MEMO[fingerprint] = table
-        return table
+    return acquire_table(protocol, initial_codes, limit=limit, cache=cache)[0]

@@ -32,8 +32,6 @@ _TYPED_OPTS = (
     "batch",
     "accuracy",
     "min_batch_events",
-    "compiled",
-    "compile_limit",
     "cache",
     "guards",
     "collision_frac",
@@ -52,14 +50,21 @@ class EngineConfig:
     :func:`repro.simulate.resolve_engine`); ``ensemble_chunk`` is the
     replica runner's rows-per-worker setting (a supervision knob, never
     passed to engine constructors).
+
+    The transition table is not a knob.  There is one table type with two
+    ways to fill it: the count-batch engines compile the reachable closure
+    into a closed table whenever it fits
+    :data:`~repro.engine.compiled.COMPILE_STATE_LIMIT` states (cached per
+    ``cache``) and otherwise run on an open
+    :data:`~repro.engine.table.LazyTable` that grows with the occupied
+    support; the agent-array and exact engines start from an open table.
+    A pre-built table of either kind travels as ``extra["table"]``.
     """
 
     engine: str = "auto"
     batch: Optional[int] = None
     accuracy: Optional[float] = None
     min_batch_events: Optional[float] = None
-    compiled: Optional[Any] = None
-    compile_limit: Optional[int] = None
     cache: Any = "auto"
     guards: Optional[Any] = None
     collision_frac: Optional[float] = None
@@ -126,9 +131,22 @@ class EngineConfig:
         up to 1.3.0) is dropped whatever its value: every random draw was
         made on the host generator under every backend, so old manifest
         headers and service journals replay the same run without it.
+
+        The retired ``compiled`` / ``compile_limit`` knobs of the same
+        releases are dropped too: every engine now compiles the closure
+        whenever it fits the fixed limit, which is what ``compiled: true``
+        or a limit the closure fits under selected.  ``compiled: false``
+        selected the retired legacy dense-support batch path, whose sample
+        paths no engine reproduces, so it raises ``ValueError``.
         """
         payload = dict(data or {})
         payload.pop("backend", None)
+        if payload.pop("compiled", None) is False:
+            raise ValueError(
+                "compiled=false selected the legacy dense-support batch "
+                "path, which was removed; its runs cannot be replayed"
+            )
+        payload.pop("compile_limit", None)
         extra = dict(payload.pop("extra", None) or {})
         known = {f.name for f in fields(cls)} - {"extra"}
         kwargs = {k: payload.pop(k) for k in list(payload) if k in known}

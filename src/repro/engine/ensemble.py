@@ -8,8 +8,8 @@ batch, but at the paper's active-state counts (a ≈ 3–10) those calls are
 dominated by fixed Python/numpy dispatch overhead, paid R times per grid
 point.  :class:`EnsembleEngine` amortizes it R-fold: the R replica
 configurations live in one ``(R, q)`` count matrix over one shared
-:class:`~repro.engine.compiled.CompiledTable`, and each iteration advances
-*all* live rows with stacked kernels —
+closed :class:`~repro.engine.table.TransitionTable`, and each iteration
+advances *all* live rows with stacked kernels —
 
 1. the ``(L, a, a)`` effective-weight tensor over the union active set of
    the live rows (a = active states across the whole ensemble);
@@ -49,17 +49,18 @@ from __future__ import annotations
 
 import math
 import time
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..core.population import Population
 from ..core.protocol import Protocol
 from .api import Engine, EngineStats, Observer, StopCondition, _StopRecorder, require_budget
-from .compiled import COMPILE_STATE_LIMIT, CompiledTable, compile_table
+from .compiled import TableSource, acquire_table
 from .jump import MAX_BATCH, pair_weights, split_outcomes_grouped
 from .sequential import CountEngine
 from .silence import silent_weight
+from .table import TransitionTable
 
 
 class VectorizedStop:
@@ -75,7 +76,7 @@ class VectorizedStop:
     to construction, and rows already marked ``done`` are skipped.
     """
 
-    def __init__(self, stop: StopCondition, table: CompiledTable, schema):
+    def __init__(self, stop: StopCondition, table: TransitionTable, schema):
         self.stop = stop
         self.schema = schema
         self.codes = table.codes
@@ -123,10 +124,12 @@ class EnsembleEngine(Engine):
     batch / accuracy / min_batch_events:
         As for :class:`~repro.engine.jump.BatchCountEngine`, applied per
         row (``batch=1`` forces the exact path for every row).
-    compiled / compile_limit / cache:
-        Compiled-table options.  The ensemble *requires* a compiled table
-        (the stacked kernels are defined over its flat arrays); a closure
-        above ``compile_limit`` raises ``RuntimeError``.
+    table / cache:
+        The ensemble *requires* a closed table (the stacked kernels index
+        its fixed ``i * q + j`` row geometry): a closed ``table`` is used
+        as given, otherwise the closure is compiled with this ``cache``
+        policy, and a closure above the compile limit raises
+        ``RuntimeError``.
     """
 
     name = "ensemble"
@@ -137,14 +140,12 @@ class EnsembleEngine(Engine):
         population: Population,
         *,
         rng: Optional[np.random.Generator] = None,
-        table: Optional[object] = None,
+        table: Optional[TransitionTable] = None,
         rows: int = 1,
         row_rngs: Optional[Sequence[np.random.Generator]] = None,
         batch: Optional[int] = None,
         accuracy: float = 0.05,
         min_batch_events: float = 8.0,
-        compiled: Union[None, bool, CompiledTable] = None,
-        compile_limit: int = COMPILE_STATE_LIMIT,
         cache: object = "auto",
         guards: object = None,
     ):
@@ -157,17 +158,13 @@ class EnsembleEngine(Engine):
         self._init_common(protocol, population, rng, guards=guards)
         self._population = population
 
-        if isinstance(compiled, CompiledTable):
-            ct = compiled
-        elif isinstance(table, CompiledTable):
-            ct = table
-        else:
-            ct = compile_table(
-                protocol, population.counts.keys(),
-                limit=compile_limit, cache=cache,
+        #: how this engine obtained its closed table (``None`` if handed one)
+        self.table_source: Optional[TableSource] = None
+        if table is None or not table.closed:
+            table, self.table_source = acquire_table(
+                protocol, population.counts.keys(), cache=cache
             )
-        self._ct = ct
-        self.table = ct  # scalar outcomes() interface for the exact path
+        self.table = table
 
         self.rows = int(rows)
         self.batch = batch
@@ -185,13 +182,13 @@ class EnsembleEngine(Engine):
         else:
             self._row_rngs = list(self.rng.spawn(self.rows))
 
-        q = ct.num_states
+        q = table.num_states
         self._pops: List[Population] = [population] + [
             population.copy() for _ in range(self.rows - 1)
         ]
         base_row = np.zeros(q, dtype=np.float64)
         for code, count in population.counts.items():
-            idx = ct.index.get(code)
+            idx = table.index.get(code)
             if idx is None:
                 raise ValueError(
                     "population occupies state {} outside the compiled "
@@ -276,7 +273,11 @@ class EnsembleEngine(Engine):
         stats.kernel_seconds = float(self._row_kernel_seconds[r])
         stats.stop_evals = int(self._row_stop_evals[r])
         stats.ensemble_rows = self.rows
-        stats.observe_table(self._ct)
+        source = self.table_source
+        if source is not None and r:
+            # the rows share one acquisition: row 0 carries its cost
+            source = source._replace(seconds=0.0, corrupt=0)
+        stats.observe_table(self.table, source)
         return stats
 
     # -- row bookkeeping -----------------------------------------------------
@@ -287,7 +288,7 @@ class EnsembleEngine(Engine):
         pop = self._pops[r]
         pop.counts.clear()
         row = self._C[r]
-        codes = self._ct.codes
+        codes = self.table.codes
         for idx in np.nonzero(row)[0]:
             pop.counts[int(codes[idx])] = int(row[idx])
         self._pop_stale[r] = False
@@ -296,7 +297,7 @@ class EnsembleEngine(Engine):
         """Rebuild the count-matrix row from row ``r``'s Population."""
         row = self._C[r]
         row[:] = 0.0
-        index = self._ct.index
+        index = self.table.index
         for code, count in self._pops[r].counts.items():
             idx = index.get(code)
             if idx is None:
@@ -314,7 +315,7 @@ class EnsembleEngine(Engine):
             self._sync_pop(r)
             eng = CountEngine(
                 self.protocol, self._pops[r],
-                rng=self._row_rngs[r], table=self._ct, guards=None,
+                rng=self._row_rngs[r], table=self.table, guards=None,
             )
             self._row_eng[r] = eng
         return eng
@@ -402,7 +403,7 @@ class EnsembleEngine(Engine):
 
         n = self._n
         pairs_total = float(n) * float(n - 1)
-        ct = self._ct
+        ct = self.table
         q = ct.num_states
         R = self.rows
 

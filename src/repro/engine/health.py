@@ -132,17 +132,15 @@ class HealthMonitor:
     # -- wiring ---------------------------------------------------------------
     def attach(self, engine) -> None:
         """Bind to an engine: record the expected population size and vet
-        any already-compiled transition table.  Idempotent per engine, so
-        repeated ``run()`` calls keep the original expected count."""
+        a closed transition table.  Idempotent per engine, so repeated
+        ``run()`` calls keep the original expected count."""
         if self._engine is engine:
             return
         self._engine = engine
         self._expected_n = int(engine.population.n)
         self._last_change_interactions = int(engine.interactions)
-        if self.finite:
-            table = getattr(engine, "_ct", None)
-            if table is not None:
-                self.check_table(engine, table)
+        if self.finite and engine.table.closed:
+            self.check_table(engine, engine.table)
 
     def _raise(self, check: str, codes: Sequence[int] = (), detail: str = "") -> None:
         self.violations += 1
@@ -155,7 +153,7 @@ class HealthMonitor:
         """The engine's live count vector and matching state codes."""
         full = getattr(engine, "_full_c", None)
         if full is not None:
-            return full, engine._ct.codes
+            return full, engine.table.codes
         c = getattr(engine, "_c", None)
         if c is not None:
             return c, getattr(engine, "_codes", None)
@@ -308,11 +306,11 @@ class HealthMonitor:
             )
 
     def check_table(self, engine, table) -> None:
-        """Vet a compiled table's probability arrays at attach time."""
+        """Vet a closed table's probability arrays at attach time."""
         if not self.finite:
             return
-        p = getattr(table, "p_change_matrix", None)
-        if p is not None and not np.isfinite(p).all():
+        p = table.p_change_matrix
+        if not np.isfinite(p).all():
             bad = ~np.isfinite(p)
             rows = bad.any(axis=1) | bad.any(axis=0)
             self._raise(
@@ -320,8 +318,7 @@ class HealthMonitor:
                 self._offending(rows, table.codes),
                 "compiled p_change matrix contains NaN/Inf entries",
             )
-        out_p = getattr(table, "out_p", None)
-        if out_p is not None and len(out_p) and not np.isfinite(out_p).all():
+        if not np.isfinite(table.out_p).all():
             self._raise(
                 "finite-probabilities",
                 [],

@@ -16,32 +16,23 @@ batches of ``B`` scheduler interactions at once:
    a further multinomial, and all resulting count deltas are applied in
    one vectorised update.
 
-The batch math runs on one of two paths:
+The batch math runs over the **active pair set** — ordered pairs whose
+*both* counts are positive — of the engine's
+:class:`~repro.engine.table.TransitionTable`.  By default the protocol's
+reachable closure is compiled once into a closed table
+(:func:`~repro.engine.compiled.acquire_table`, with an on-disk cache keyed
+by a protocol fingerprint); a closure above
+:data:`~repro.engine.compiled.COMPILE_STATE_LIMIT` states runs on an open
+:data:`~repro.engine.table.LazyTable` instead, as does any open table
+passed as ``table=`` — the batch kernel first fills the missing rows among
+the active states.  Cell weights, the binomial/multinomial split and the
+count deltas are pure vectorized numpy over the active set: O(active²)
+per batch, independent of the table size.  The batch size is capped **per
+state**: the expected number of events consuming state ``s`` stays below
+``accuracy · c_s`` for every ``s``, so a few scarce control states (e.g.
+the paper's ``#X ≈ 3`` source agents) do not throttle the whole batch.
 
-Compiled (default)
-    The protocol's reachable pair space is compiled once into flat numpy
-    kernels (:class:`~repro.engine.compiled.CompiledTable`, with an
-    on-disk cache keyed by a protocol fingerprint) and every batch touches
-    only the **active pair set** — pairs whose *both* counts are positive.
-    Cell weights, the binomial/multinomial split and the count deltas are
-    pure vectorized numpy over that set: O(active²) per batch instead of
-    O(q²), with q the reachable-state count (hundreds for the paper's
-    oscillator/clock protocols, of which a handful are active at a time).
-    The batch size is capped **per state**: the expected number of events
-    consuming state ``s`` stays below ``accuracy · c_s`` for every ``s``,
-    so a few scarce control states (e.g. the paper's ``#X ≈ 3`` source
-    agents) no longer throttle the whole batch the way the global
-    min-count cap of the legacy path does.
-    Falls back to the legacy path automatically when the reachable
-    closure exceeds ``compile_limit`` states.
-
-Legacy (``compiled=False``, or fallback)
-    Dense O(q²)-per-batch math over the occupied support with a *global*
-    event cap of ``accuracy``× the smallest consumable count (the PR-1
-    jump engine; kept as the benchmark baseline in
-    ``benchmarks/run_all.py``).
-
-Both paths freeze the pair-selection probabilities at the batch's
+Batches freeze the pair-selection probabilities at the batch's
 *initial* counts, whereas the exact sequential process updates them after
 every event; ``accuracy`` bounds the resulting within-batch drift (the
 per-state relative consumption, hence a per-batch total-variation
@@ -53,7 +44,7 @@ negative), the engine falls back to **exact** per-event stepping, reusing
 :class:`~repro.engine.sequential.CountEngine`'s geometric null-skipping.
 With ``batch=1`` the engine *only* uses that path and is therefore exactly
 the sequential scheduler process — bit-identical to ``CountEngine`` with a
-``LazyTable`` under the same seed, compiled table or not (the equivalence
+``LazyTable`` under the same seed, closed table or open (the equivalence
 suite in ``tests/test_jump_engine.py`` checks this).
 """
 
@@ -61,17 +52,17 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..core.population import Population
 from ..core.protocol import Protocol
 from .api import Observer, StopCondition, require_budget
-from .compiled import COMPILE_STATE_LIMIT, CompiledTable, compile_table
+from .compiled import TableSource, acquire_table
 from .sequential import CountEngine
 from .silence import silent_weight
-from .table import LazyTable
+from .table import LazyTable, TransitionTable
 
 #: Largest batch ever attempted (keeps binomial/multinomial draws in int64).
 MAX_BATCH = 2 ** 62
@@ -159,35 +150,28 @@ class BatchCountEngine(CountEngine):
 
     Parameters
     ----------
+    table:
+        ``None`` (default) compiles the reachable closure into a closed
+        table, or uses an open :data:`~repro.engine.table.LazyTable` when
+        the closure exceeds the compile limit; or pass a pre-built table
+        (closed tables must cover the population's support).
     batch:
         ``None`` (default) sizes batches adaptively from ``accuracy``;
         an integer forces that batch size.  ``batch=1`` disables batching
         entirely — the engine then runs the exact null-skipping process.
     accuracy:
-        Within-batch drift budget.  On the compiled path the expected
-        events *consuming each state* ``s`` are kept below
-        ``accuracy · c_s``; on the legacy path the total expected events
-        are kept below ``accuracy`` times the smallest consumable count.
-        Smaller is more faithful and slower; ``0.05`` keeps convergence
-        statistics of the paper's workloads indistinguishable from exact
-        runs at n = 10⁶ while still jumping millions of interactions per
-        batch.
+        Within-batch drift budget: the expected events *consuming each
+        state* ``s`` are kept below ``accuracy · c_s``.  Smaller is more
+        faithful and slower; ``0.05`` keeps convergence statistics of the
+        paper's workloads indistinguishable from exact runs at n = 10⁶
+        while still jumping millions of interactions per batch.
     min_batch_events:
         Below this expected number of effective events per batch the exact
         path is used instead (null skipping already makes sparse-event
         regimes cheap, so batching there only costs accuracy).
-    compiled:
-        ``None`` (default) compiles the reachable pair space into flat
-        kernels unless an explicit ``table`` was passed; ``False`` forces
-        the legacy dense-support path; ``True`` insists on compiling
-        (raising if the closure exceeds ``compile_limit``); or pass a
-        pre-built :class:`~repro.engine.compiled.CompiledTable`.
-    compile_limit:
-        Reachable-closure ceiling for automatic compilation; beyond it the
-        engine silently falls back to the legacy path.
     cache:
-        Compiled-table cache policy (see
-        :func:`repro.engine.compiled.compile_table`): ``"auto"``, a
+        Closed-table cache policy (see
+        :func:`repro.engine.compiled.acquire_table`): ``"auto"``, a
         directory path, or ``None`` to disable caching.
     """
 
@@ -199,12 +183,10 @@ class BatchCountEngine(CountEngine):
         population: Population,
         *,
         rng: Optional[np.random.Generator] = None,
-        table: Optional[LazyTable] = None,
+        table: Optional[TransitionTable] = None,
         batch: Optional[int] = None,
         accuracy: float = 0.05,
         min_batch_events: float = 8.0,
-        compiled: Union[None, bool, CompiledTable] = None,
-        compile_limit: int = COMPILE_STATE_LIMIT,
         cache: object = "auto",
         guards: object = None,
     ):
@@ -213,21 +195,16 @@ class BatchCountEngine(CountEngine):
         if not 0.0 < accuracy <= 1.0:
             raise ValueError("accuracy must be in (0, 1]")
 
-        ct: Optional[CompiledTable] = None
-        if isinstance(compiled, CompiledTable):
-            ct = compiled
-        elif compiled is True or (compiled is None and table is None):
+        #: how this engine obtained its closed table (``None`` when it was
+        #: handed one or runs on an open table)
+        self.table_source: Optional[TableSource] = None
+        if table is None:
             try:
-                ct = compile_table(
-                    protocol, population.counts.keys(),
-                    limit=compile_limit, cache=cache,
+                table, self.table_source = acquire_table(
+                    protocol, population.counts.keys(), cache=cache
                 )
             except RuntimeError:
-                if compiled is True:
-                    raise
-                ct = None  # closure too large: legacy LazyTable path
-        if ct is not None and table is None:
-            table = ct  # exact fallback shares the compiled probabilities
+                table = LazyTable(protocol)  # closure too large to compile
         super().__init__(protocol, population, rng=rng, table=table, guards=guards)
 
         self.batch = batch
@@ -242,21 +219,10 @@ class BatchCountEngine(CountEngine):
         self._active_pairs_max = 0
         self._active_states_last = 0
 
-        self._ct = ct
-        self._full_c: Optional[np.ndarray] = None
-        if ct is not None:
-            full_c = np.zeros(ct.num_states, dtype=np.float64)
-            ok = True
-            for code, count in population.counts.items():
-                idx = ct.index.get(code)
-                if idx is None:
-                    ok = False  # pre-built table for a different support
-                    break
-                full_c[idx] = count
-            if ok:
-                self._full_c = full_c
-            else:
-                self._ct = None
+        #: counts over the table's dense state indices
+        self._full_c = np.zeros(table.num_states, dtype=np.float64)
+        for code, count in population.counts.items():
+            self._full_c[table.state_index(code)] = count
 
     # -- stats surface ---------------------------------------------------------
     @property
@@ -272,106 +238,34 @@ class BatchCountEngine(CountEngine):
         )
 
     # -- count bookkeeping -----------------------------------------------------
+    def _sync_counts(self) -> None:
+        """Grow the count vector to states an open table indexed since."""
+        missing = self.table.num_states - len(self._full_c)
+        if missing > 0:
+            self._full_c = np.concatenate([self._full_c, np.zeros(missing)])
+
     def _bump(self, code: int, delta: int) -> None:
         super()._bump(code, delta)
-        if self._full_c is not None:
-            idx = self._ct.index.get(code)
-            if idx is None:
-                # state escaped the compiled closure (e.g. externally
-                # mutated population): drop to the legacy path for safety
-                self._ct = None
-                self._full_c = None
-            else:
-                self._full_c[idx] += delta
+        idx = self.table.state_index(code)
+        if idx >= len(self._full_c):
+            self._sync_counts()
+        self._full_c[idx] += delta
 
-    # -- legacy batch machinery (dense over the occupied support) ---------------
-    def _effective_weights(self) -> np.ndarray:
-        """Matrix of per-cell effective weights ``c_i (c_j - δ_ij) q_ij``."""
-        pair_counts = np.outer(self._c, self._c)
-        np.fill_diagonal(pair_counts, self._c * (self._c - 1.0))
-        weights = pair_counts * self._q
-        np.maximum(weights, 0.0, out=weights)
-        return weights
-
-    def _min_consumable_count(self, weights: np.ndarray) -> float:
-        """Smallest count among states consumed by some effective pair."""
-        active = (weights.sum(axis=1) > 0.0) | (weights.sum(axis=0) > 0.0)
-        if not active.any():
-            return 0.0
-        return float(self._c[active].min())
-
-    def _sample_batch_deltas(
-        self, batch: int, weights: np.ndarray, total_weight: float, pairs_total: float
-    ) -> Optional[Dict[int, int]]:
-        """Sample one batch's count deltas; ``None`` if infeasible.
-
-        Returns the net per-code deltas of ``batch`` interactions, or
-        ``None`` when the sampled event counts would drive some state's
-        count negative (the independence approximation broke down).
-        """
-        p_change = min(total_weight / pairs_total, 1.0)
-        fired = int(self.rng.binomial(batch, p_change))
-        if fired == 0:
-            self._batch_events = 0
-            return {}
-        flat = weights.ravel()
-        cell_counts = self.rng.multinomial(fired, flat / flat.sum())
-        deltas: Dict[int, int] = {}
-        size = len(self._codes)
-        nz = np.nonzero(cell_counts)[0]
-        counts = cell_counts[nz].astype(np.int64)
-        cells_i = nz // size
-        cells_j = nz % size
-        entries = [
-            self.table.outcomes(self._codes[i], self._codes[j])
-            for i, j in zip(cells_i, cells_j)
-        ]
-        for i, j, count in zip(cells_i, cells_j, counts):
-            for code in (self._codes[i], self._codes[j]):
-                deltas[code] = deltas.get(code, 0) - int(count)
-        # split each cell's events over its outcome distribution with one
-        # stacked multinomial per distinct outcome width (2-D pvals) instead
-        # of a python-loop draw per active cell
-        widths = np.array([len(e.probs) for e in entries], dtype=np.int64)
-        for w in np.unique(widths):
-            sel = np.nonzero(widths == w)[0]
-            pv = np.stack([entries[s].probs for s in sel])
-            splits = self.rng.multinomial(
-                counts[sel], pv / pv.sum(axis=1, keepdims=True)
-            )
-            for row, s in enumerate(sel):
-                entry = entries[s]
-                for k in np.nonzero(splits[row])[0]:
-                    m = int(splits[row][k])
-                    for code in (int(entry.codes_a[k]), int(entry.codes_b[k])):
-                        deltas[code] = deltas.get(code, 0) + m
-        for code, delta in deltas.items():
-            idx = self._index.get(code)
-            have = self._c[idx] if idx is not None else 0.0
-            if have + delta < 0:
-                return None
-        self._batch_events = fired
-        return deltas
-
-    def _apply_batch(self, deltas: Dict[int, int]) -> None:
-        for code, delta in deltas.items():
-            if delta:
-                self._bump(code, delta)
-
-    # -- compiled batch machinery (active pairs only) ----------------------------
+    # -- batch machinery (active pairs only) -------------------------------------
     def _active_weights(self) -> Tuple[np.ndarray, np.ndarray]:
         """Active states and their effective-weight matrix.
 
-        Returns ``(act, w)`` where ``act`` holds the compiled indices of
-        states with positive counts and ``w[i, j]`` is the effective
-        weight ``c_i (c_j - δ_ij) p_change(i, j)`` of the ordered active
-        pair — everything downstream is O(len(act)²), independent of the
-        full reachable-state count q.
+        Returns ``(act, w)`` where ``act`` holds the table indices of
+        states with positive counts, in the table's canonical order, and
+        ``w[i, j]`` is the effective weight ``c_i (c_j - δ_ij)
+        p_change(i, j)`` of the ordered active pair — everything
+        downstream is O(len(act)²), independent of the table size.  On an
+        open table this first computes any missing rows among ``act``.
         """
-        act = np.nonzero(self._full_c > 0.0)[0]
-        ca = self._full_c[act]
-        w = pair_weights(ca, self._ct.p_change_matrix[np.ix_(act, act)])
-        return act, w
+        act = self.table.canonical(np.nonzero(self._full_c > 0.0)[0])
+        p_sub = self.table.p_change_block(act)
+        self._sync_counts()  # the new rows may have indexed new states
+        return act, pair_weights(self._full_c[act], p_sub)
 
     def _per_state_batch_cap(
         self, act: np.ndarray, w: np.ndarray, pairs_total: float
@@ -393,7 +287,7 @@ class BatchCountEngine(CountEngine):
         caps = self.accuracy * ca[live] * pairs_total / consume[live]
         return float(caps.min())
 
-    def _sample_batch_deltas_compiled(
+    def _sample_active_deltas(
         self,
         batch: int,
         act: np.ndarray,
@@ -401,14 +295,14 @@ class BatchCountEngine(CountEngine):
         total_weight: float,
         pairs_total: float,
     ) -> Optional[np.ndarray]:
-        """Sample one batch's count deltas over the compiled state space.
+        """Sample one batch's count deltas over the table's states.
 
-        Returns an int64 delta vector over all q compiled states (empty
+        Returns an int64 delta vector over all indexed states (empty
         batches return the zero vector), or ``None`` when the sampled
         event counts would drive some state's count negative.
         """
-        ct = self._ct
-        q = ct.num_states
+        table = self.table
+        q = len(self._full_c)
         p_change = min(total_weight / pairs_total, 1.0)
         fired = int(self.rng.binomial(batch, p_change))
         if fired == 0:
@@ -428,21 +322,22 @@ class BatchCountEngine(CountEngine):
         # stacked multinomial per distinct outcome width: cells grouped by
         # width w draw as a single (m, w) multinomial with 2-D pvals,
         # replacing the per-position binomial chain
-        pair_flat = gi * q + gj
-        start = ct.off[pair_flat]
-        width = ct.off[pair_flat + 1] - start
+        rows = table.rows(gi, gj)
+        start = table.off[rows]
+        width = table.off[rows + 1] - start
         split_outcomes_grouped(
             self.rng, delta, counts, start, width,
-            ct.out_p, ct.out_a, ct.out_b,
+            table.out_p, table.out_a, table.out_b,
         )
         if np.any(self._full_c + delta < 0):
             return None
         self._batch_events = fired
         return delta
 
-    def _apply_batch_compiled(self, delta: np.ndarray) -> None:
-        for idx in np.nonzero(delta)[0]:
-            self._bump(int(self._ct.codes[idx]), int(delta[idx]))
+    def _apply_active_deltas(self, delta: np.ndarray) -> None:
+        codes = self.table.codes
+        for idx in self.table.canonical(np.nonzero(delta)[0]):
+            self._bump(int(codes[idx]), int(delta[idx]))
 
     # -- main loop -----------------------------------------------------------
     def _run(
@@ -517,20 +412,13 @@ class BatchCountEngine(CountEngine):
                 continue
 
             kernel_start = time.perf_counter()
-            use_compiled = self._ct is not None
-            if use_compiled:
-                act, weights = self._active_weights()
-            else:
-                weights = self._effective_weights()
+            act, weights = self._active_weights()
             if self.guards is not None:
                 # NaN weights would otherwise degrade silently (cap=0 →
                 # exact path) — vet them before they feed any arithmetic.
-                if use_compiled:
-                    self.guards.check_weights(
-                        self, weights, codes=self._ct.codes[act]
-                    )
-                else:
-                    self.guards.check_weights(self, weights, codes=self._codes)
+                self.guards.check_weights(
+                    self, weights, codes=self.table.codes[act]
+                )
             total_weight = float(weights.sum())
             p_change = total_weight / pairs_total
             if silent_weight(total_weight):
@@ -547,14 +435,8 @@ class BatchCountEngine(CountEngine):
             if self.batch is not None:
                 batch = self.batch
             else:
-                if use_compiled:
-                    cap = self._per_state_batch_cap(act, weights, pairs_total)
-                    expected_events = cap * p_change
-                else:
-                    expected_events = self.accuracy * self._min_consumable_count(
-                        weights
-                    )
-                    cap = expected_events / p_change
+                cap = self._per_state_batch_cap(act, weights, pairs_total)
+                expected_events = cap * p_change
                 if expected_events < self.min_batch_events:
                     # sparse-event regime: exact null skipping is cheap
                     # *and* exact — batching would only cost accuracy.
@@ -580,42 +462,28 @@ class BatchCountEngine(CountEngine):
             if self.guards is not None:
                 self.guards.check_batch(self, batch)
 
-            if use_compiled:
-                self._active_count += 1
-                self._active_pairs_sum += int(np.count_nonzero(weights))
-                self._active_pairs_max = max(
-                    self._active_pairs_max, int(np.count_nonzero(weights))
-                )
-                self._active_states_last = len(act)
-                deltas = self._sample_batch_deltas_compiled(
+            self._active_count += 1
+            self._active_pairs_sum += int(np.count_nonzero(weights))
+            self._active_pairs_max = max(
+                self._active_pairs_max, int(np.count_nonzero(weights))
+            )
+            self._active_states_last = len(act)
+            deltas = self._sample_active_deltas(
+                batch, act, weights, total_weight, pairs_total
+            )
+            while deltas is None and batch > 1:
+                # infeasible draw: halve towards the exact regime, retry
+                self.fallbacks += 1
+                batch //= 2
+                deltas = self._sample_active_deltas(
                     batch, act, weights, total_weight, pairs_total
                 )
-                while deltas is None and batch > 1:
-                    # infeasible draw: halve towards the exact regime, retry
-                    self.fallbacks += 1
-                    batch //= 2
-                    deltas = self._sample_batch_deltas_compiled(
-                        batch, act, weights, total_weight, pairs_total
-                    )
-            else:
-                deltas = self._sample_batch_deltas(
-                    batch, weights, total_weight, pairs_total
-                )
-                while deltas is None and batch > 1:
-                    self.fallbacks += 1
-                    batch //= 2
-                    deltas = self._sample_batch_deltas(
-                        batch, weights, total_weight, pairs_total
-                    )
             self.kernel_seconds += time.perf_counter() - kernel_start
             if deltas is None:
                 if not exact_event():
                     break
             else:
-                if use_compiled:
-                    self._apply_batch_compiled(deltas)
-                else:
-                    self._apply_batch(deltas)
+                self._apply_active_deltas(deltas)
                 self.interactions += batch
                 self.events += self._batch_events
                 events_done += self._batch_events

@@ -24,9 +24,7 @@ import numpy as np
 from ..core.population import Population
 from ..core.protocol import Protocol
 from .api import Engine, Observer, StopCondition, require_budget
-from .batch import apply_pairs
-from .dense import make_table
-from .table import LazyTable
+from .table import LazyTable, TransitionTable
 
 
 class MatchingEngine(Engine):
@@ -40,7 +38,7 @@ class MatchingEngine(Engine):
         population: Population,
         *,
         rng: Optional[np.random.Generator] = None,
-        table: Optional[LazyTable] = None,
+        table: Optional[TransitionTable] = None,
         guards: object = None,
     ):
         self._init_common(protocol, population, rng, guards=guards)
@@ -49,7 +47,7 @@ class MatchingEngine(Engine):
                 "packed state space too large for int64 agent arrays; "
                 "use CountEngine instead"
             )
-        self.table = table if table is not None else make_table(protocol)
+        self.table = table if table is not None else LazyTable(protocol)
         # NOTE: the engine works on a private agent array; unlike
         # CountEngine it does NOT mutate the passed Population — read the
         # evolving configuration from the ``population`` property.
@@ -79,7 +77,7 @@ class MatchingEngine(Engine):
         usable = self._n - (self._n % 2)
         idx_a = perm[0:usable:2]
         idx_b = perm[1:usable:2]
-        changed = apply_pairs(self.agents, idx_a, idx_b, self.table, self.rng)
+        changed = self.table.apply(self.agents, idx_a, idx_b, self.rng)
         self.steps += 1
         self.interactions += usable // 2
         return changed

@@ -572,14 +572,11 @@ def _prewarm_table(
     hit it immediately).  Returns ``True`` when a table was prewarmed —
     the runner then relabels the workers' ``table_cache`` provenance as
     ``"prewarmed"``.  No-op for engines that never compile, for runs that
-    pass an explicit table, and for closures that fail to compile (the
-    workers will surface the real error themselves).
+    pass an explicit table or disable the cache, and for closures that
+    fail to compile (the workers will surface the real error themselves).
     """
-    if config.extra.get("table") is not None:
-        return False
-    compiled = config.compiled
-    if compiled is not None and compiled is not True:
-        return False  # disabled (False) or an explicit CompiledTable
+    if config.extra.get("table") is not None or config.cache in (None, False):
+        return False  # nothing to share: each replica compiles its own
     engine = config.engine
     if engine == "auto":
         from ..simulate import default_engine_name
@@ -587,19 +584,10 @@ def _prewarm_table(
         engine = default_engine_name(protocol, population)
     if engine not in ("batch", "bghkpu", "ensemble"):
         return False
-    from .compiled import COMPILE_STATE_LIMIT, compile_table
+    from .compiled import compile_table
 
     try:
-        compile_table(
-            protocol,
-            population.counts.keys(),
-            limit=(
-                COMPILE_STATE_LIMIT
-                if config.compile_limit is None
-                else config.compile_limit
-            ),
-            cache=config.cache,
-        )
+        compile_table(protocol, population.counts.keys(), cache=config.cache)
     except (RuntimeError, ValueError):
         return False
     return True

@@ -35,7 +35,7 @@ from ..core.population import Population
 from ..core.protocol import Protocol
 from .api import Engine, Observer, StopCondition, require_budget
 from .silence import CRUMB_GUARD, exact_change_weight, silent_weight
-from .table import LazyTable, PairOutcomes
+from .table import LazyTable, PairOutcomes, TransitionTable
 
 
 class CountEngine(Engine):
@@ -49,7 +49,7 @@ class CountEngine(Engine):
         population: Population,
         *,
         rng: Optional[np.random.Generator] = None,
-        table: Optional[LazyTable] = None,
+        table: Optional[TransitionTable] = None,
         guards: object = None,
     ):
         self._init_common(protocol, population, rng, guards=guards)

@@ -1,23 +1,54 @@
-"""Transition tables: memoized per-pair outcome distributions.
+"""The transition table: indexed states and per-pair CSR outcome rows.
 
-Engines never walk a protocol's rule list per interaction.  Instead they ask
-a :class:`LazyTable` for the aggregated outcome distribution of an ordered
-state pair; the table evaluates the protocol's rules once per distinct pair
-and memoizes the result.  The *reachable* pair space of the paper's
-protocols is minuscule compared to the packed state space (the "O(1)
-states" constant is huge, but almost all combinations never occur), which
-is why lazy memoization beats dense precompilation for everything but the
-smallest substrates.
+Engines never walk a protocol's rule list per interaction.  They read one
+:class:`TransitionTable`, whose layout is an indexed state space plus one
+outcome row per ordered state pair:
+
+* ``codes``  — int64[q], the packed state code of every dense index;
+* ``off``    — int64[R + 1], row ``r`` owns ``off[r] : off[r + 1]`` of
+  the outcome arrays;
+* ``out_a`` / ``out_b`` — int64[nnz], outcome states as *dense indices*;
+* ``out_p``  — float64[nnz], outcome probabilities (protocol order);
+* ``p_row``  — float64[R], each row's change probability (the sequential
+  sum of its ``out_p``).
+
+A row is computed by ``protocol.transition`` the first time it is needed.
+There are two ways to fill a table:
+
+* :func:`LazyTable(protocol) <LazyTable>` is an empty, *open* table.  It
+  indexes states and appends rows as pairs become active, so its size
+  follows the occupied support, never the packed space (the paper's
+  compiled programs pack ~10⁹ states but touch a few thousand).
+* :func:`repro.engine.compiled.compile_table` fills a *closed* table from
+  the reachable closure of an initial support: every ordered pair of the
+  closure has a row, and pair ``(i, j)`` owns row ``i * q + j``.  That
+  fixed geometry is what the alias and ensemble kernels index directly
+  (:attr:`TransitionTable.p_change_matrix`).
+
+An open table's indices follow the order in which states were first seen,
+which depends on whichever engine touched them first; engines that order
+work by state must use :meth:`TransitionTable.canonical` so their sample
+paths do not depend on that history.  A closed table's (BFS) index order
+is already canonical.
+
+The scalar :meth:`~TransitionTable.outcomes` view (:class:`PairOutcomes`)
+serves the exact per-event engines; :meth:`~TransitionTable.apply` applies
+a batch of agent pairs for the agent-array engines; the count-batch
+engines read :meth:`~TransitionTable.rows` and
+:meth:`~TransitionTable.p_change_block` over their active states.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import tempfile
+import time
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..core.protocol import Protocol
-
 
 class PairOutcomes:
     """Aggregated changing outcomes of one ordered state pair.
@@ -56,49 +87,490 @@ class PairOutcomes:
         return int(self.codes_a[idx]), int(self.codes_b[idx])
 
 
-class LazyTable:
-    """Memoized transition table for a protocol.
+class _Column:
+    """Append-only numpy column with amortized doubling."""
 
-    ``outcomes(a, b)`` returns the :class:`PairOutcomes` for the ordered
-    pair of state codes ``(a, b)``, computing and caching it on first use.
+    __slots__ = ("buf", "size")
+
+    def __init__(self, values: np.ndarray):
+        self.buf = values
+        self.size = len(values)
+
+    def extend(self, values) -> np.ndarray:
+        """Append ``values``; returns the live view of the whole column."""
+        end = self.size + len(values)
+        if end > len(self.buf):
+            grown = np.empty(max(end, 2 * len(self.buf), 64), self.buf.dtype)
+            grown[: self.size] = self.buf[: self.size]
+            self.buf = grown
+        self.buf[self.size : end] = values
+        self.size = end
+        return self.buf[:end]
+
+
+class _Lookup:
+    """Vectorized reads of a growing ``int -> int`` dict with keys ``>= 0``.
+
+    A snapshot of the dict answers most keys in numpy: a direct-address
+    array when the keys are dense, else a sorted array and
+    ``searchsorted``.  Keys missing from the snapshot go one by one
+    through ``resolve``, which may add them to the dict; the snapshot is
+    rebuilt once those misses have cost about as much as a rebuild, so
+    lookups stay cheap for a small settled dict and a large growing one.
     """
 
-    def __init__(self, protocol: Protocol):
+    __slots__ = ("direct", "keys", "values", "size", "misses")
+
+    def __init__(self):
+        # the empty snapshot: every key reads the spare -1 slot and misses
+        self.direct: Optional[np.ndarray] = np.full(1, -1, dtype=np.int64)
+        self.keys: Optional[np.ndarray] = None
+        self.values: Optional[np.ndarray] = None
+        self.size = 0  # entries in the snapshot
+        self.misses = 0  # keys resolved one by one since it was built
+
+    def _rebuild(self, mapping: Dict[int, int]) -> None:
+        keys = np.fromiter(mapping, np.int64, len(mapping))
+        values = np.fromiter(mapping.values(), np.int64, len(mapping))
+        span = int(keys.max()) + 1 if len(keys) else 0
+        if span <= 4 * len(keys) + 4096:
+            # one spare -1 slot: clipped out-of-range keys read it as a miss
+            self.direct = np.full(span + 1, -1, dtype=np.int64)
+            self.direct[keys] = values
+        else:
+            order = keys.argsort()
+            self.direct, self.keys, self.values = None, keys[order], values[order]
+        self.size, self.misses = len(keys), 0
+
+    def __call__(self, mapping: Dict[int, int], keys: np.ndarray, resolve) -> np.ndarray:
+        if self.misses > self.size:
+            self._rebuild(mapping)
+        if self.direct is not None:
+            found = self.direct.take(keys, mode="clip")
+        else:
+            pos = np.minimum(np.searchsorted(self.keys, keys), self.size - 1)
+            found = np.where(self.keys[pos] == keys, self.values[pos], -1)
+        miss = found < 0
+        if miss.any():
+            uniq, inverse = np.unique(keys[miss], return_inverse=True)
+            self.misses += len(uniq)
+            found[miss] = np.array(
+                [resolve(key) for key in uniq.tolist()], dtype=np.int64
+            )[inverse]
+        return found
+
+
+def _pair_key(i, j):
+    """Szudzik pairing: one key per index pair, all below ``(max(i, j) + 1)²``.
+
+    Small tables thus get small, dense pair keys (see :class:`_Lookup`).
+    """
+    return np.where(i < j, j * j + i, i * i + i + j)
+
+
+class TransitionTable:
+    """Indexed states plus one CSR outcome row per ordered state pair.
+
+    ``TransitionTable(protocol)`` (alias :data:`LazyTable`) is an empty
+    open table; :func:`repro.engine.compiled.compile_table` (or
+    :meth:`from_protocol`) returns a closed one over a reachable closure.
+    See the module docstring for the layout.
+    """
+
+    def __init__(
+        self,
+        protocol: Protocol,
+        codes: Optional[np.ndarray] = None,
+        p_change: Optional[np.ndarray] = None,
+        off: Optional[np.ndarray] = None,
+        out_a: Optional[np.ndarray] = None,
+        out_b: Optional[np.ndarray] = None,
+        out_p: Optional[np.ndarray] = None,
+        *,
+        fingerprint: str = "",
+        compile_seconds: float = 0.0,
+    ):
         self.protocol = protocol
-        self._cache: Dict[Tuple[int, int], PairOutcomes] = {}
+        #: closed tables hold every pair of a reachable closure and never
+        #: grow; open tables index states and rows on first use
+        self.closed = codes is not None
+        if codes is None:
+            codes = np.zeros(0, dtype=np.int64)
+            p_change = np.zeros(0, dtype=np.float64)
+            off = np.zeros(1, dtype=np.int64)
+            out_a = np.zeros(0, dtype=np.int64)
+            out_b = np.zeros(0, dtype=np.int64)
+            out_p = np.zeros(0, dtype=np.float64)
+        self.codes = codes
+        self.p_row = np.asarray(p_change).reshape(-1)
+        self.off = off
+        self.out_a = out_a
+        self.out_b = out_b
+        self.out_p = out_p
+        self.index: Dict[int, int] = {int(c): i for i, c in enumerate(codes)}
+        self.fingerprint = fingerprint
+        #: wall seconds spent building this table's closure (0 when loaded)
+        self.compile_seconds = compile_seconds
+        #: provenance of the latest :func:`compile_table` acquisition
+        #: ("miss", "hit", "memo", "off", "corrupt"); engines record their
+        #: own per-acquisition :class:`~repro.engine.compiled.TableSource`
+        self.cache_status = "off"
+        self.cache_corrupt = 0
+        #: rows computed by ``protocol.transition`` / scalar cache hits
         self.misses = 0
         self.hits = 0
+        self._pair_row: Dict[int, int] = {}  # open tables: pair key -> row
+        self._reset_caches()
 
+    def _reset_caches(self) -> None:
+        self._entries: Dict[Tuple[int, int], PairOutcomes] = {}
+        self._state_lookup = _Lookup()
+        self._row_lookup = _Lookup()
+        self._columns: Optional[Dict[str, _Column]] = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        for key in ("_entries", "_state_lookup", "_row_lookup", "_columns"):
+            del state[key]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._reset_caches()
+
+    # -- sizing ----------------------------------------------------------------
+    @property
+    def num_states(self) -> int:
+        return len(self.codes)
+
+    @property
+    def num_pairs(self) -> int:
+        """Rows materialized so far (``q²`` for a closed table)."""
+        return len(self.p_row)
+
+    cached_pairs = num_pairs
+
+    @property
+    def p_change_matrix(self) -> np.ndarray:
+        """The ``(q, q)`` change-probability matrix of a closed table."""
+        if not self.closed:
+            raise ValueError("an open table has no dense p_change matrix")
+        q = len(self.codes)
+        return self.p_row.reshape(q, q)
+
+    # -- growth (open tables only) ---------------------------------------------
+    def _extend(self, **values) -> None:
+        if self._columns is None:
+            self._columns = {
+                name: _Column(getattr(self, name))
+                for name in ("codes", "p_row", "off", "out_a", "out_b", "out_p")
+            }
+        for name, vals in values.items():
+            setattr(self, name, self._columns[name].extend(vals))
+
+    def state_index(self, code: int) -> int:
+        """Dense index of a state code, indexing it first on an open table."""
+        idx = self.index.get(code)
+        if idx is None:
+            if self.closed:
+                raise ValueError(
+                    "state {} is outside the compiled reachable space "
+                    "(compile from the population's initial support)".format(
+                        code
+                    )
+                )
+            idx = self.index[code] = len(self.codes)
+            self._extend(codes=[code])
+        return idx
+
+    def indices(self, codes: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`state_index` over an int64 code array."""
+        return self._state_lookup(self.index, codes, self.state_index)
+
+    def _fill(self, key: int) -> int:
+        """Compute and append the row of a missing pair key."""
+        s = math.isqrt(key)  # invert _pair_key
+        i, j = (key - s * s, s) if key - s * s < s else (s, key - s * s - s)
+        changing, _ = self.protocol.transition(int(self.codes[i]), int(self.codes[j]))
+        out_a = [self.state_index(a) for a, _, _ in changing]
+        out_b = [self.state_index(b) for _, b, _ in changing]
+        out_p = [p for _, _, p in changing]
+        p_row = 0.0
+        for p in out_p:
+            p_row += p  # the sequential sum PairOutcomes' cumsum ends on
+        row = self._pair_row[key] = len(self.p_row)
+        self.misses += 1
+        self._extend(
+            p_row=[p_row],
+            off=[len(self.out_p) + len(out_p)],
+            out_a=out_a,
+            out_b=out_b,
+            out_p=out_p,
+        )
+        return row
+
+    def _key_row(self, key: int) -> int:
+        row = self._pair_row.get(key)
+        return self._fill(key) if row is None else row
+
+    # -- rows ------------------------------------------------------------------
+    def _row(self, i: int, j: int) -> int:
+        """Scalar :meth:`rows`."""
+        if self.closed:
+            return i * len(self.codes) + j
+        return self._key_row(int(_pair_key(i, j)))
+
+    def rows(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        """Row ids of the index pairs ``(ia, ib)``, computing missing rows."""
+        if self.closed:
+            return ia * len(self.codes) + ib
+        keys = _pair_key(np.asarray(ia, dtype=np.int64), ib)
+        return self._row_lookup(self._pair_row, keys, self._key_row)
+
+    def p_change_block(self, act: np.ndarray) -> np.ndarray:
+        """The ``(a, a)`` change probabilities among the indices ``act``."""
+        a = len(act)
+        return self.p_row[self.rows(np.repeat(act, a), np.tile(act, a))].reshape(a, a)
+
+    def canonical(self, idx: np.ndarray) -> np.ndarray:
+        """``idx`` in a state order that does not depend on table history.
+
+        A closed table's index order (the BFS order of its closure) is
+        canonical; an open table's follows first use, so it sorts by code.
+        """
+        if self.closed:
+            return idx
+        return idx[np.argsort(self.codes[idx], kind="stable")]
+
+    # -- scalar interface --------------------------------------------------------
     def outcomes(self, code_a: int, code_b: int) -> PairOutcomes:
         key = (code_a, code_b)
-        cached = self._cache.get(key)
-        if cached is not None:
+        entry = self._entries.get(key)
+        if entry is not None:
             self.hits += 1
-            return cached
-        self.misses += 1
-        changing, _ = self.protocol.transition(code_a, code_b)
-        entry = PairOutcomes(changing)
-        self._cache[key] = entry
+            return entry
+        if self.closed and (code_a not in self.index or code_b not in self.index):
+            # outside the closure: the protocol answers, the table stays closed
+            changing, _ = self.protocol.transition(code_a, code_b)
+            return PairOutcomes(changing)
+        row = self._row(self.state_index(code_a), self.state_index(code_b))
+        lo, hi = int(self.off[row]), int(self.off[row + 1])
+        entry = PairOutcomes(list(zip(
+            self.codes[self.out_a[lo:hi]].tolist(),
+            self.codes[self.out_b[lo:hi]].tolist(),
+            self.out_p[lo:hi].tolist(),
+        )))
+        self._entries[key] = entry
         return entry
 
     def p_change(self, code_a: int, code_b: int) -> float:
-        return self.outcomes(code_a, code_b).p_change
+        if self.closed and (code_a not in self.index or code_b not in self.index):
+            return self.outcomes(code_a, code_b).p_change
+        row = self._row(self.state_index(code_a), self.state_index(code_b))
+        return float(self.p_row[row])
 
-    @property
-    def cached_pairs(self) -> int:
-        return len(self._cache)
+    # -- vectorized agent-array application --------------------------------------
+    def apply(
+        self,
+        agents: np.ndarray,
+        idx_a: np.ndarray,
+        idx_b: np.ndarray,
+        rng: np.random.Generator,
+    ) -> int:
+        """Apply one interaction per (initiator, responder) index pair.
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "LazyTable({} pairs cached, {} misses, {} hits)".format(
-            self.cached_pairs, self.misses, self.hits
+        All indices must be distinct across the two arrays.  One uniform
+        draw per pair, in pair order, decides both whether it fires
+        (``u < p_change``) and which outcome it takes (the first whose
+        cumulative probability exceeds ``u``), so the result depends on
+        the rows' contents, never on the table's index order.  Returns the
+        number of pairs that changed state.
+        """
+        if len(idx_a) == 0:
+            return 0
+        states = self.indices(agents[np.concatenate([idx_a, idx_b])])
+        rows = self.rows(states[: len(idx_a)], states[len(idx_a) :])
+        u = rng.random(len(rows))
+        hits = np.nonzero(u < self.p_row[rows])[0]
+        if not len(hits):
+            return 0
+        rows = rows[hits]
+        pick = self.off[rows]
+        width = self.off[rows + 1] - pick
+        widest = int(width.max())
+        if widest > 1:
+            cols = np.arange(widest)
+            pos = np.minimum(pick[:, None] + cols, len(self.out_p) - 1)
+            cum = np.cumsum(
+                np.where(cols < width[:, None], self.out_p[pos], 0.0), axis=1
+            )
+            pick = pick + np.minimum((u[hits, None] >= cum).sum(axis=1), width - 1)
+        agents[idx_a[hits]] = self.codes[self.out_a[pick]]
+        agents[idx_b[hits]] = self.codes[self.out_b[pick]]
+        return int(len(hits))
+
+    # -- closure --------------------------------------------------------------------
+    @classmethod
+    def from_protocol(
+        cls,
+        protocol: Protocol,
+        initial_codes: Iterable[int],
+        limit: Optional[int] = None,
+        fingerprint: str = "",
+    ) -> "TransitionTable":
+        """The closed table of the reachable closure (no caching).
+
+        Raises ``RuntimeError`` when the closure exceeds ``limit`` states
+        (default :data:`~repro.engine.compiled.COMPILE_STATE_LIMIT`).
+        """
+        from . import compiled
+
+        if limit is None:
+            limit = compiled.COMPILE_STATE_LIMIT
+        start = time.perf_counter()
+        lazy = cls(protocol)
+        order = reachable_codes(protocol, initial_codes, limit=limit, table=lazy)
+        q = len(order)
+        seen = lazy.indices(np.array(order, dtype=np.int64))
+        src = lazy.rows(np.repeat(seen, q), np.tile(seen, q))
+        begin = lazy.off[src]
+        width = lazy.off[src + 1] - begin
+        off = np.zeros(q * q + 1, dtype=np.int64)
+        np.cumsum(width, out=off[1:])
+        gather = np.repeat(begin - off[:-1], width) + np.arange(off[-1])
+        to_closed = np.empty(lazy.num_states, dtype=np.int64)
+        to_closed[seen] = np.arange(q)
+        return cls(
+            protocol,
+            np.array(order, dtype=np.int64),
+            lazy.p_row[src],
+            off,
+            to_closed[lazy.out_a[gather]],
+            to_closed[lazy.out_b[gather]],
+            lazy.out_p[gather],
+            fingerprint=fingerprint,
+            compile_seconds=time.perf_counter() - start,
         )
+
+    # -- disk cache -------------------------------------------------------------------
+    def save(self, cache_dir: str) -> str:
+        """Persist a closed table's arrays; returns the cache file path."""
+        os.makedirs(cache_dir, exist_ok=True)
+        path = os.path.join(cache_dir, self.fingerprint + ".npz")
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                np.savez(
+                    handle,
+                    codes=self.codes,
+                    p_change=self.p_change_matrix,
+                    off=self.off,
+                    out_a=self.out_a,
+                    out_b=self.out_b,
+                    out_p=self.out_p,
+                )
+                handle.flush()
+                # land the bytes before the rename publishes the entry, so
+                # a crash can only ever leave a whole old/new file behind —
+                # never a visible half-written one
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)  # atomic: concurrent replica workers race safely
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return path
+
+    @classmethod
+    def load(
+        cls, protocol: Protocol, fingerprint: str, cache_dir: str
+    ) -> Optional["TransitionTable"]:
+        """Load a saved closed table, or ``None`` on miss/corruption.
+
+        A corrupt entry is unlinked and counted (see
+        :func:`repro.engine.compiled.corrupt_cache_events`).
+        """
+        from .compiled import _CORRUPT_EVENTS
+
+        path = os.path.join(cache_dir, fingerprint + ".npz")
+        if not os.path.exists(path):
+            return None
+        try:
+            with np.load(path) as data:
+                if data["p_change"].ndim != 2:
+                    raise ValueError("p_change is not a matrix")
+                table = cls(
+                    protocol,
+                    data["codes"],
+                    data["p_change"],
+                    data["off"],
+                    data["out_a"],
+                    data["out_b"],
+                    data["out_p"],
+                    fingerprint=fingerprint,
+                )
+            table._validate_arrays()
+            return table
+        except Exception:
+            # corrupt / truncated cache entry: recompile rather than crash
+            _CORRUPT_EVENTS[0] += 1
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+            return None
+
+    def _validate_arrays(self) -> None:
+        """Structural and numeric sanity of a closed table; raises on lies.
+
+        A torn cache write can survive ``np.load`` — the zip container
+        stays readable while an inner array was truncated or zeroed — so
+        the loader re-checks the CSR invariants before any engine
+        consumes the offsets, and the probabilities before any engine
+        draws from them.
+        """
+        q = len(self.codes)
+        off = self.off
+        if self.p_row.shape != (q * q,):
+            raise ValueError("p_change matrix shape mismatch")
+        if off.shape != (q * q + 1,) or int(off[0]) != 0:
+            raise ValueError("offset array shape mismatch")
+        width = np.diff(off)
+        if (width < 0).any():
+            raise ValueError("offsets not monotone")
+        nnz = int(off[-1])
+        if not (len(self.out_a) == len(self.out_b) == len(self.out_p) == nnz):
+            raise ValueError("outcome arrays inconsistent with offsets")
+        if nnz and (
+            int(self.out_a.min()) < 0
+            or int(self.out_b.min()) < 0
+            or int(self.out_a.max()) >= q
+            or int(self.out_b.max()) >= q
+        ):
+            raise ValueError("outcome indices out of range")
+        p, out_p = self.p_row, self.out_p
+        if not (np.isfinite(p).all() and np.isfinite(out_p).all()):
+            raise ValueError("non-finite probabilities")
+        if (p < 0.0).any() or (p > 1.0 + 1e-9).any():
+            raise ValueError("change probability outside [0, 1]")
+        if (out_p < 0.0).any():
+            raise ValueError("negative outcome probability")
+        sums = np.bincount(
+            np.repeat(np.arange(q * q), width), weights=out_p, minlength=q * q
+        )
+        if (np.abs(sums - p) > 1e-9).any():
+            raise ValueError("outcome probabilities do not sum to p_change")
+
+
+#: The open table: ``LazyTable(protocol)`` is an empty
+#: :class:`TransitionTable` that grows as pairs become active.
+LazyTable = TransitionTable
 
 
 def reachable_codes(
     protocol: Protocol,
     initial_codes: Iterable[int],
     limit: int = 100000,
-    table: Optional[LazyTable] = None,
+    table: Optional[TransitionTable] = None,
 ) -> List[int]:
     """Closure of state codes reachable from the initial support.
 
@@ -109,31 +581,31 @@ def reachable_codes(
     deterministic for a given protocol and initial support (sorted initial
     codes, then discovery rounds in sorted order).
 
-    Pass a pre-built ``table`` to reuse its memoized entries (and to leave
-    the fully explored pair space in it afterwards — the compiled kernel
-    layer builds its flat arrays from exactly that cache).  Useful for
-    sizing mean-field systems, for sanity checks on compiled protocols
-    ("the constant is big, but *this* big?") and as the first stage of
-    :class:`repro.engine.compiled.CompiledTable`.
+    Pass an open ``table`` to reuse its rows (and to leave the fully
+    explored pair space in it afterwards —
+    :meth:`TransitionTable.from_protocol` builds the closed table from
+    exactly those rows).  Useful for sizing mean-field systems and for
+    sanity checks on compiled protocols ("the constant is big, but *this*
+    big?").
     """
     if table is None:
         table = LazyTable(protocol)
-    seen: Set[int] = set(initial_codes)
+    seen: Set[int] = set(int(c) for c in initial_codes)
     order = sorted(seen)
     frontier = list(order)
     while frontier:
-        new: Set[int] = set()
-        for a in frontier:
-            for b in order:
-                for entry in (table.outcomes(a, b), table.outcomes(b, a)):
-                    for code in entry.codes_a:
-                        code = int(code)
-                        if code not in seen:
-                            new.add(code)
-                    for code in entry.codes_b:
-                        code = int(code)
-                        if code not in seen:
-                            new.add(code)
+        f = table.indices(np.array(frontier, dtype=np.int64))
+        o = table.indices(np.array(order, dtype=np.int64))
+        rows = table.rows(
+            np.concatenate([np.repeat(f, len(o)), np.tile(o, len(f))]),
+            np.concatenate([np.tile(o, len(f)), np.repeat(f, len(o))]),
+        )
+        begin = table.off[rows]
+        width = table.off[rows + 1] - begin
+        total = int(width.sum())
+        entries = np.repeat(begin - np.cumsum(width) + width, width) + np.arange(total)
+        reached = table.codes[np.concatenate([table.out_a[entries], table.out_b[entries]])]
+        new = set(np.unique(reached).tolist()) - seen
         if len(seen) + len(new) > limit:
             raise RuntimeError(
                 "reachable state space exceeds limit={} states".format(limit)

@@ -18,12 +18,12 @@ Injectors
   reasonable deadline; the supervisor must enforce its per-replica
   timeout, terminate the worker and retry.
 * **rule-table corruption** (:attr:`FaultPlan.corrupt_table`) — a
-  replica's compiled transition table is tampered with in-memory
+  replica's closed transition table is tampered with in-memory
   (:func:`corrupt_table` modes below); the engine's health guards must
   catch it with a :class:`~repro.engine.health.SimulationHealthError`,
   which the supervisor records as a *non-retryable* failure.
 * **cache corruption** (:func:`corrupt_cache_entry`) — on-disk ``.npz``
-  table-cache entries are overwritten with garbage; ``CompiledTable.load``
+  table-cache entries are overwritten with garbage; ``TransitionTable.load``
   must survive, recompile, and count a ``cache_corrupt`` event.
 
 A :class:`FaultPlan` travels (pickled) inside each replica payload, so
@@ -66,9 +66,13 @@ CORRUPT_MODES = ("nan", "drop", "bitflip")
 
 
 def corrupt_table(table, mode: str = "nan"):
-    """Return a corrupted *copy* of a compiled transition table.
+    """Return a corrupted *copy* of a closed transition table.
 
-    The copy matters: compiled tables are memoized process-wide
+    The corruption hits the flat arrays the batch kernels read; the scalar
+    ``outcomes`` / ``p_change`` view of the exact per-event path keeps
+    serving the original rows.
+
+    The copy matters: closed tables are memoized process-wide
     (``repro.engine.compiled._MEMO``), so corrupting one in place would
     poison every other replica sharing the memo entry.
 
@@ -94,10 +98,10 @@ def corrupt_table(table, mode: str = "nan"):
             )
         )
     bad = copy.copy(table)
+    bad.outcomes, bad.p_change = table.outcomes, table.p_change
     if mode == "nan":
-        p = table.p_change_matrix.copy()
-        p.flat[0] = np.nan
-        bad.p_change_matrix = p
+        bad.p_row = table.p_row.copy()
+        bad.p_row[0] = np.nan
     elif mode == "drop":
         bad.off = np.zeros_like(table.off)
     else:  # bitflip
@@ -111,7 +115,7 @@ def corrupt_cache_entry(cache_dir, pattern: str = "*.npz") -> List[str]:
     """Overwrite cached ``.npz`` table entries with garbage bytes.
 
     Returns the corrupted paths (empty if the directory holds no
-    entries).  ``CompiledTable.load`` must treat these as cache misses —
+    entries).  ``TransitionTable.load`` must treat these as cache misses —
     recorded as ``cache_corrupt`` — and recompile from the protocol.
     """
     corrupted = []
@@ -175,20 +179,16 @@ class FaultPlan:
             time.sleep(self.hang_seconds)
 
     def tamper_engine(self, engine, index: int, attempt: int = 0) -> None:
-        """Swap the engine's compiled table for a corrupted copy."""
+        """Swap the engine's closed table for a corrupted copy."""
         mode = self.corrupt_table.get(index)
         if mode is None:
             return
-        table = getattr(engine, "_ct", None)
-        if table is None:
+        if not engine.table.closed:
             raise RuntimeError(
                 "cannot corrupt the table of replica {}: engine {!r} has no "
-                "compiled table".format(index, engine.name)
+                "closed table".format(index, engine.name)
             )
-        bad = corrupt_table(table, mode)
-        engine._ct = bad
-        if getattr(engine, "table", None) is table:
-            engine.table = bad
+        engine.table = corrupt_table(engine.table, mode)
 
     def touches(self, index: int) -> bool:
         """Whether any injector is scheduled for this replica index."""

@@ -12,9 +12,10 @@ Engine names
     null-skipping.  Always applicable (arbitrary packed state spaces).
 ``batch``
     :class:`~repro.engine.jump.BatchCountEngine` — count-based multinomial
-    jumps over the active pair set (compiled transition kernels with a
-    lazy-table fallback), exact per-event fallback.  Always applicable;
-    the default for large populations.
+    jumps over the active pair set of the transition table (the compiled
+    closure, or an open table when the closure is too large), exact
+    per-event fallback.  Always applicable; the default for large
+    populations.
 ``array``
     :class:`~repro.engine.batch.ArrayEngine` — exact agent array with
     collision-free batching; needs the packed space to fit int64.
@@ -25,15 +26,15 @@ Engine names
 ``ensemble``
     :class:`~repro.engine.ensemble.EnsembleEngine` — R replica rows
     advanced per batch in one stacked ``(R, q)`` kernel over a shared
-    compiled table; the replica runner's intra-worker strategy for
+    closed table; the replica runner's intra-worker strategy for
     ``--engine ensemble`` sweeps.  Requires a compilable reachable
     closure; never chosen by ``auto``.
 ``bghkpu``
     :class:`~repro.engine.bghkpu.BGHKPUEngine` — alias-table batches
     with collision-aware sizing (Berenbrink et al., arXiv:2005.03584)
     over the compiled count representation; the n ≥ 10⁸ scale engine.
-    Falls back to ``batch`` for tiny active sets or uncompilable
-    closures; never chosen by ``auto`` (opt in per run).
+    Falls back to ``batch`` for tiny active sets or open tables; never
+    chosen by ``auto`` (opt in per run).
 ``auto``
     Count-based jump engine when the configuration lives on a small
     occupied support (the regime of every protocol in this repo), the
@@ -54,7 +55,6 @@ from .engine.api import Engine
 from .engine.batch import ArrayEngine
 from .engine.bghkpu import BGHKPUEngine
 from .engine.config import EngineConfig
-from .engine.dense import supports_dense
 from .engine.ensemble import EnsembleEngine
 from .engine.jump import BatchCountEngine
 from .engine.matching import MatchingEngine
@@ -83,6 +83,9 @@ def engine_names() -> tuple:
 #: Occupied-support size up to which count-based engines are preferred.
 SUPPORT_LIMIT = 512
 
+#: Packed state spaces up to this size always run count-based.
+SMALL_SPACE_LIMIT = 2048
+
 #: The engine most recently constructed by :func:`make_engine` (hence by
 #: :func:`simulate`, the interpreter runtime and every CLI subcommand).
 #: The CLI's ``--stats`` flag reads ``LAST_ENGINE.stats`` after a command
@@ -94,7 +97,7 @@ def default_engine_name(
     protocol: Protocol, population: Optional[Population] = None
 ) -> str:
     """Pick the engine ``auto`` resolves to for this workload."""
-    if supports_dense(protocol):
+    if protocol.schema.num_states <= SMALL_SPACE_LIMIT:
         return "batch"
     if population is not None and population.support_size <= SUPPORT_LIMIT:
         # huge packed space but tiny occupied support: count-based engines

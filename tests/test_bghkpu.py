@@ -16,7 +16,7 @@ from scipy.stats import ks_2samp
 
 from repro.analysis import aggregate_convergence
 from repro.core import Population, Rule, StateSchema, V, single_thread
-from repro.engine import BGHKPUEngine, BatchCountEngine, Trace
+from repro.engine import BGHKPUEngine, BatchCountEngine, Trace, compiled
 from repro.engine.config import EngineConfig
 from repro.engine.health import HealthMonitor, SimulationHealthError
 from repro.simulate import engine_names, make_engine, resolve_engine
@@ -148,9 +148,11 @@ class TestExactness:
         assert a.interactions == b.interactions
         assert a.events == b.events == 499
 
-    def test_compile_limit_fallback(self):
+    def test_compile_limit_fallback(self, monkeypatch):
         """An uncompilable closure falls back to the parent wholesale."""
-        eng, pop = run_leader("bghkpu", 2_000, seed=3, compile_limit=1)
+        monkeypatch.setattr(compiled, "COMPILE_STATE_LIMIT", 1)
+        eng, pop = run_leader("bghkpu", 2_000, seed=3, cache=None)
+        assert not eng.table.closed
         assert pop.count(V("L")) == 1
         assert eng.events == 1_999
 

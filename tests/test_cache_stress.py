@@ -19,11 +19,11 @@ import pytest
 
 from repro.engine import compiled
 from repro.engine.compiled import (
-    CompiledTable,
     clear_memo,
     compile_table,
     protocol_fingerprint,
 )
+from repro.engine.table import TransitionTable
 from repro.workloads import build_workload
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -92,9 +92,9 @@ class TestTwoProcessStress:
         protocol, population = epidemic()
         fingerprint = protocol_fingerprint(protocol, population.counts.keys())
         assert os.path.exists(os.path.join(cache_dir, fingerprint + ".npz"))
-        loaded = CompiledTable.load(protocol, fingerprint, cache_dir)
+        loaded = TransitionTable.load(protocol, fingerprint, cache_dir)
         assert loaded is not None
-        fresh = CompiledTable.from_protocol(protocol, population.counts.keys())
+        fresh = TransitionTable.from_protocol(protocol, population.counts.keys())
         np.testing.assert_array_equal(loaded.codes, fresh.codes)
         np.testing.assert_array_equal(loaded.off, fresh.off)
         np.testing.assert_array_equal(loaded.out_p, fresh.out_p)
@@ -153,7 +153,7 @@ class TestCorruptEntries:
             )
 
         poison()
-        assert CompiledTable.load(protocol, first.fingerprint, cache_dir) is None
+        assert TransitionTable.load(protocol, first.fingerprint, cache_dir) is None
         assert not os.path.exists(path)  # poisoned entry was unlinked
 
         poison()
@@ -165,7 +165,7 @@ class TestCorruptEntries:
 
     def test_validate_rejects_nonmonotone_offsets(self):
         protocol, population = epidemic()
-        table = CompiledTable.from_protocol(protocol, population.counts.keys())
+        table = TransitionTable.from_protocol(protocol, population.counts.keys())
         table._validate_arrays()  # healthy table passes
         table.off = table.off[::-1].copy()
         with pytest.raises(ValueError):
@@ -177,7 +177,7 @@ class TestCompileOnceLock:
         protocol, population = epidemic()
         compiles = []
         gate = threading.Event()
-        original = CompiledTable.from_protocol.__func__
+        original = TransitionTable.from_protocol.__func__
 
         def counted(cls, *args, **kwargs):
             compiles.append(threading.get_ident())
@@ -185,7 +185,7 @@ class TestCompileOnceLock:
             return original(cls, *args, **kwargs)
 
         monkeypatch.setattr(
-            CompiledTable, "from_protocol", classmethod(counted)
+            TransitionTable, "from_protocol", classmethod(counted)
         )
 
         results = [None] * 8

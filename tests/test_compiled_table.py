@@ -1,11 +1,13 @@
 """Compiled sparse transition kernels (`repro.engine.compiled`).
 
 Covers: deterministic reachable-closure ordering, bit-identical agreement
-of the CSR arrays with LazyTable, the vectorized apply path, the
-fingerprinted disk cache (hit / miss / memo, invalidation on protocol
-mutation, corruption recovery), the closure-limit fallback rule, and the
-uniform EngineStats surface.
+of the closed table's CSR arrays with an open LazyTable, the vectorized
+apply path, the fingerprinted disk cache (hit / miss / memo, invalidation
+on protocol mutation, corruption recovery), the closure-limit fallback
+rule, and the uniform EngineStats surface.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -15,14 +17,17 @@ from repro.engine import (
     ArrayEngine,
     BatchCountEngine,
     CountEngine,
+    EngineConfig,
     LazyTable,
     MatchingEngine,
+    TransitionTable,
     compile_table,
     protocol_fingerprint,
     reachable_codes,
+    run_replicas,
 )
-from repro.engine.compiled import _MEMO, CompiledTable
-from repro.engine.dense import DenseTable
+from repro.engine import compiled
+from repro.engine.compiled import _MEMO
 from repro.oscillator import make_oscillator_protocol, strong_value, weak_value
 
 
@@ -120,10 +125,11 @@ class TestCompiledArrays:
 
 class TestVectorizedApply:
     def test_apply_matches_dense_table_stream(self, oscillator):
+        """Closed and open tables apply the same stream (one ``u`` per pair)."""
         n = 600
         pop = oscillator_population(oscillator.schema, n)
         ct = compile_table(oscillator, pop.counts.keys(), cache=None)
-        dense = DenseTable(oscillator)
+        dense = LazyTable(oscillator)
         agents_c = pop.to_agent_array(np.random.default_rng(7))
         agents_d = agents_c.copy()
         rng_c = np.random.default_rng(42)
@@ -257,32 +263,61 @@ class TestFingerprintCache:
         assert again.cache_status == "hit"
 
 
+    def test_impossible_probabilities_recompile(self, tmp_path):
+        """A cache entry with intact shapes but lying values is corrupt."""
+        protocol = leader_fight()
+        pop = Population.uniform(protocol.schema, 50, {"L": True})
+        codes = list(pop.counts.keys())
+        fp = protocol_fingerprint(protocol, codes)
+        _MEMO.pop(fp, None)
+        good = compile_table(protocol, codes, cache=str(tmp_path))
+        path = tmp_path / (fp + ".npz")
+
+        def poison(**bad):
+            arrays = dict(
+                codes=good.codes, p_change=good.p_change_matrix, off=good.off,
+                out_a=good.out_a, out_b=good.out_b, out_p=good.out_p,
+            )
+            arrays.update(bad)
+            np.savez(str(path)[: -len(".npz")], **arrays)
+
+        p = good.p_change_matrix
+        cases = [
+            dict(p_change=np.full_like(p, 7.5)),
+            dict(p_change=np.where(p > 0, np.nan, p)),
+            dict(out_p=-0.3 * np.ones_like(good.out_p)),
+            dict(out_p=good.out_p / 2),  # rows no longer sum to p_change
+        ]
+        for case in cases:
+            poison(**case)
+            assert TransitionTable.load(protocol, fp, str(tmp_path)) is None
+            assert not path.exists()  # the lying entry was unlinked
+            poison(**case)
+            _MEMO.pop(fp, None)
+            table = compile_table(protocol, codes, cache=str(tmp_path))
+            assert table.cache_status == "corrupt"
+            assert np.array_equal(table.p_change_matrix, p)
+            assert np.array_equal(table.out_p, good.out_p)
+
+
 class TestFallbackRule:
     def test_closure_limit_raises(self, oscillator):
         pop = oscillator_population(oscillator.schema, 100)
         with pytest.raises(RuntimeError):
             compile_table(oscillator, pop.counts.keys(), limit=2, cache=None)
 
-    def test_engine_falls_back_to_lazy_table(self, oscillator):
-        pop = oscillator_population(oscillator.schema, 500)
+    def test_engine_falls_back_to_lazy_table(self, oscillator, monkeypatch):
+        monkeypatch.setattr(compiled, "COMPILE_STATE_LIMIT", 2)
+        pop = oscillator_population(oscillator.schema, 20000)
         eng = BatchCountEngine(
-            oscillator,
-            pop,
-            rng=np.random.default_rng(3),
-            compile_limit=2,
-            cache=None,
+            oscillator, pop, rng=np.random.default_rng(3), cache=None
         )
-        assert eng._ct is None
-        assert isinstance(eng.table, LazyTable)
+        assert not eng.table.closed
+        assert eng.table_source is None
         eng.run(rounds=5)
-        assert eng.population.n == 500
-
-    def test_compiled_true_propagates_the_error(self, oscillator):
-        pop = oscillator_population(oscillator.schema, 100)
-        with pytest.raises(RuntimeError):
-            BatchCountEngine(
-                oscillator, pop, compiled=True, compile_limit=2, cache=None
-            )
+        assert eng.population.n == 20000
+        assert eng.batches > 0  # the open table runs the active-pair path
+        assert eng.stats.table_kind == "lazy"
 
     def test_explicit_table_disables_compilation(self, oscillator):
         pop = oscillator_population(oscillator.schema, 200)
@@ -290,8 +325,9 @@ class TestFallbackRule:
         eng = BatchCountEngine(
             oscillator, pop, rng=np.random.default_rng(0), table=table
         )
-        assert eng._ct is None
         assert eng.table is table
+        assert not table.closed
+        assert eng.table_source is None
 
 
 class TestEngineStats:
@@ -307,7 +343,7 @@ class TestEngineStats:
         assert stats["run_seconds"] > 0
         assert stats["interactions"] == eng.interactions
         assert stats["table_kind"] == "compiled"
-        assert stats["table_states"] == eng._ct.num_states
+        assert stats["table_states"] == eng.table.num_states
         assert stats["table_cache"] == "off"
         assert stats["batches"] == eng.batches
         if eng.batches:
@@ -316,6 +352,37 @@ class TestEngineStats:
             assert stats["kernel_seconds"] > 0
         text = eng.stats.format()
         assert "table_kind" in text and "compiled" in text
+
+    def test_compile_seconds_count_once_per_sweep(self, oscillator, tmp_path):
+        """Replicas reusing a shared table report no compile time."""
+        n, replicas = 300, 24
+        pop = oscillator_population(oscillator.schema, n)
+        _MEMO.pop(protocol_fingerprint(oscillator, pop.counts.keys()), None)
+        start = time.perf_counter()
+        rs = run_replicas(
+            oscillator, pop, replicas=replicas, seed=1, processes=1,
+            rounds=0.2, config=EngineConfig(engine="batch", cache=str(tmp_path)),
+        )
+        wall = time.perf_counter() - start
+        seconds = [r.stats["table_compile_seconds"] for r in rs.records]
+        assert sum(seconds) <= wall
+        # the runner's prewarm built the table; no replica did
+        assert seconds == [0.0] * replicas
+        assert {r.stats["table_cache"] for r in rs.records} == {"prewarmed"}
+
+    def test_compile_seconds_are_per_acquisition(self, oscillator, tmp_path):
+        pop = oscillator_population(oscillator.schema, 300)
+        _MEMO.pop(protocol_fingerprint(oscillator, pop.counts.keys()), None)
+        first = BatchCountEngine(oscillator, pop, cache=str(tmp_path))
+        second = BatchCountEngine(oscillator, pop, cache=str(tmp_path))
+        assert second.table is first.table
+        for eng in (first, second):
+            eng.run(rounds=0.1)
+        built, reused = first.stats, second.stats
+        assert built.table_cache == "miss"
+        assert built.table_compile_seconds == first.table.compile_seconds > 0
+        assert reused.table_cache == "memo"
+        assert reused.table_compile_seconds == 0.0
 
     def test_every_engine_populates_stats(self, oscillator):
         n = 200

@@ -1,11 +1,11 @@
-"""Statistical and structural tests for the dense transition table."""
+"""Vectorized apply of an open transition table on small packed spaces."""
 
 import numpy as np
 import pytest
 
 from repro.core import Rule, StateSchema, V, single_thread
 from repro.core.rules import Branch  # noqa: F401 (used in fixtures)
-from repro.engine.dense import DENSE_STATE_LIMIT, DenseTable, make_table, supports_dense
+from repro.engine import compile_table
 from repro.engine.table import LazyTable
 
 
@@ -26,36 +26,10 @@ def coin_protocol():
     return single_thread("coin", schema, [rule])
 
 
-class TestSelection:
-    def test_small_schema_gets_dense(self):
-        schema = StateSchema()
-        schema.flag("A")
-        proto = single_thread("p", schema, [Rule(V("A"), None, {"A": False})])
-        assert supports_dense(proto)
-        assert isinstance(make_table(proto), DenseTable)
-
-    def test_large_schema_gets_lazy(self):
-        schema = StateSchema()
-        for i in range(4):
-            schema.enum("e{}".format(i), 12)
-        proto = single_thread(
-            "p", schema, [Rule(V("e0", 0), None, {"e0": 1})]
-        )
-        assert not supports_dense(proto)
-        assert isinstance(make_table(proto), LazyTable)
-
-    def test_dense_rejects_oversized(self, coin_protocol):
-        schema = StateSchema()
-        schema.enum("big", DENSE_STATE_LIMIT + 1)
-        proto = single_thread("p", schema, [Rule(V("big", 0), None, {"big": 1})])
-        with pytest.raises(ValueError):
-            DenseTable(proto)
-
-
 class TestOutcomeSampling:
     def test_apply_matches_branch_distribution(self, coin_protocol):
         """Chi-square-style check of the vectorized outcome sampler."""
-        table = DenseTable(coin_protocol)
+        table = LazyTable(coin_protocol)
         rng = np.random.default_rng(0)
         trials = 30000
         agents = np.zeros(2 * trials, dtype=np.int64)
@@ -69,26 +43,32 @@ class TestOutcomeSampling:
         assert fractions[3] == pytest.approx(0.2, abs=0.02)
 
     def test_scalar_interface_agrees_with_lazy(self, coin_protocol):
-        dense = DenseTable(coin_protocol)
+        # rows filled by the vectorized apply, by the scalar interface and
+        # by a closure compile all hold the protocol's outcomes
+        applied = LazyTable(coin_protocol)
+        agents = np.array([0, 0, 0, 1, 2, 3, 3, 2], dtype=np.int64)
+        applied.apply(agents, np.arange(4), np.arange(4, 8), np.random.default_rng(3))
         lazy = LazyTable(coin_protocol)
+        closed = compile_table(coin_protocol, range(4), cache=None)
         for a in range(4):
             for b in range(4):
-                d = dense.outcomes(a, b)
-                l = lazy.outcomes(a, b)
-                assert d.p_change == pytest.approx(l.p_change)
-                assert sorted(zip(d.codes_a, d.codes_b)) == sorted(
-                    zip(l.codes_a, l.codes_b)
-                )
+                changing, p_change = coin_protocol.transition(a, b)
+                for table in (applied, lazy, closed):
+                    entry = table.outcomes(a, b)
+                    assert entry.p_change == pytest.approx(p_change)
+                    assert sorted(zip(entry.codes_a, entry.codes_b)) == sorted(
+                        (x, y) for x, y, _ in changing
+                    )
 
     def test_lazy_fill_only_touches_used_pairs(self, coin_protocol):
-        table = DenseTable(coin_protocol)
+        table = LazyTable(coin_protocol)
         rng = np.random.default_rng(1)
         agents = np.zeros(4, dtype=np.int64)
         table.apply(agents, np.array([0]), np.array([1]), rng)
         assert table.misses == 1  # only the (0, 0) pair was computed
 
     def test_outcome_growth(self):
-        """Tables grow their outcome arrays when a pair has many branches."""
+        """Rows hold as many outcomes as a pair has branches."""
         from repro.core.rules import Branch  # noqa: F401 (used in fixtures)
 
         schema = StateSchema()
@@ -99,7 +79,7 @@ class TestOutcomeSampling:
             branches=[Branch(1.0 / 7.0, {"x": i}) for i in range(1, 8)],
         )
         proto = single_thread("many", schema, [rule])
-        table = DenseTable(proto, max_outcomes=2)
+        table = LazyTable(proto)
         entry = table.outcomes(0, 0)
         assert len(entry) == 7
         rng = np.random.default_rng(2)

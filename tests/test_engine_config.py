@@ -8,6 +8,7 @@ and service journals, and back out through ``replay_replica`` /
 replay bit-identically.
 """
 
+import http.client
 import json
 import os
 import pickle
@@ -263,12 +264,25 @@ def _v3_backend_header(header):
     header["config"]["backend"] = "numpy"
 
 
+def _v3_compiled_header(header):
+    """Schema-3 shape of 1.3.0 with the retired ``compiled: true`` knob."""
+    header["config"]["compiled"] = True
+
+
+def _v3_compile_limit_header(header):
+    """Schema-3 shape of 1.3.0 with a ``compile_limit`` the closure fits."""
+    header["config"]["compile_limit"] = 64
+
+
 class TestOldRecords:
     CFG = EngineConfig(engine="batch", guards=True)
 
     @pytest.mark.parametrize(
-        "edit", [_v2_header, _v3_backend_header],
-        ids=["v2-engine-opts", "v3-config-backend"],
+        "edit",
+        [_v2_header, _v3_backend_header, _v3_compiled_header,
+         _v3_compile_limit_header],
+        ids=["v2-engine-opts", "v3-config-backend", "v3-compiled-true",
+             "v3-compile-limit"],
     )
     def test_old_header_replays_bit_identically(self, tmp_path, edit):
         _, path, rs = sweep(tmp_path, self.CFG)
@@ -280,6 +294,40 @@ class TestOldRecords:
             assert fresh.rounds == record.rounds
             assert fresh.interactions == record.interactions
             assert fresh.converged == record.converged
+
+    def test_compiled_false_names_the_legacy_path(self, tmp_path):
+        # compiled: false selected the retired legacy batch path, whose
+        # sample paths nothing reproduces: refuse instead of replaying
+        # something else under its name
+        with pytest.raises(ValueError, match="legacy dense-support batch path"):
+            EngineConfig.from_dict({"engine": "batch", "compiled": False})
+        _, path, _ = sweep(tmp_path, self.CFG)
+        _rewrite_header(path, lambda h: h["config"].update(compiled=False))
+        with pytest.raises(ValueError, match="legacy dense-support"):
+            replay_replica(load_manifest(path), 0)
+
+    def test_compiled_false_is_a_400(self, tmp_path):
+        handle = ServiceApp(
+            str(tmp_path / "runs"), workers=1, sandbox=False
+        ).start_background()
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+        try:
+            conn.request(
+                "POST", "/runs",
+                json.dumps({
+                    "workload": "epidemic", "params": {"n": 120},
+                    "replicas": 2, "seed": 9,
+                    "config": {"engine": "batch", "compiled": False},
+                }),
+                {"Content-Type": "application/json"},
+            )
+            resp = conn.getresponse()
+            status, payload = resp.status, json.loads(resp.read())
+        finally:
+            conn.close()
+            handle.stop()
+        assert status == 400
+        assert "legacy dense-support batch path" in payload["error"]
 
     def test_journaled_job_with_backend_recovers_bit_identically(
         self, tmp_path

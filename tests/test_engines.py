@@ -12,7 +12,7 @@ import pytest
 from repro.core import Population, Rule, StateSchema, V, single_thread
 from repro.engine import ArrayEngine, CountEngine, MatchingEngine, Trace
 from repro.engine.batch import _collision_free_prefix
-from repro.engine.dense import DenseTable
+from repro.engine.compiled import compile_table
 from repro.engine.table import LazyTable
 
 
@@ -200,8 +200,9 @@ class TestTables:
         assert table.hits >= 1
 
     def test_dense_and_lazy_agree(self, epidemic):
+        """An open table and the compiled closure agree pair by pair."""
         lazy = LazyTable(epidemic)
-        dense = DenseTable(epidemic)
+        dense = compile_table(epidemic, [0, 1], cache=None)
         for a in range(2):
             for b in range(2):
                 assert lazy.outcomes(a, b).p_change == pytest.approx(
@@ -209,9 +210,74 @@ class TestTables:
                 )
 
     def test_dense_apply_matches_distribution(self, epidemic):
-        dense = DenseTable(epidemic)
+        dense = LazyTable(epidemic)
         rng = np.random.default_rng(0)
         agents = np.array([1, 0, 1, 0, 1, 0], dtype=np.int64)
         # initiators infected (1), responders susceptible (0): always infects
         dense.apply(agents, np.array([0, 2, 4]), np.array([1, 3, 5]), rng)
         assert agents.sum() == 6
+
+
+def _oscillator_population(schema, n):
+    from repro.oscillator import strong_value, weak_value
+
+    c1, c2 = int(0.8 * (n - 3)), int(0.17 * (n - 3))
+    return Population.from_groups(
+        schema,
+        [
+            ({"osc": strong_value(0)}, c1),
+            ({"osc": weak_value(1)}, c2),
+            ({"osc": weak_value(2)}, (n - 3) - c1 - c2),
+            ({"osc": weak_value(0), "X": True}, 3),
+        ],
+    )
+
+
+class TestAgentEngineGolden:
+    """Oscillator sample paths of the agent-array engines, pinned.
+
+    One uniform draw per pair, in pair order, makes the paths independent
+    of the table's index order, so open and closed tables give the same.
+    """
+
+    GOLDEN = {
+        "array": (
+            15000,
+            [
+                ((1, 397), (2, 84), (4, 16), (6, 3)),
+                ((0, 8), (1, 356), (2, 107), (3, 20), (4, 6), (6, 3)),
+                ((0, 8), (1, 302), (2, 140), (3, 42), (4, 5), (6, 3)),
+                ((0, 7), (1, 230), (2, 185), (3, 71), (4, 4), (6, 3)),
+            ],
+        ),
+        "matching": (
+            10000,
+            [
+                ((0, 8), (1, 377), (2, 93), (3, 9), (4, 10), (6, 3)),
+                ((0, 12), (1, 352), (2, 109), (3, 17), (4, 7), (6, 3)),
+                ((0, 16), (1, 324), (2, 121), (3, 31), (4, 5), (6, 3)),
+                ((0, 10), (1, 297), (2, 143), (3, 43), (4, 4), (6, 3)),
+            ],
+        ),
+    }
+    RUNS = {"array": (ArrayEngine, 11, 30), "matching": (MatchingEngine, 12, 40)}
+
+    @pytest.mark.parametrize("kind", ["array", "matching"])
+    @pytest.mark.parametrize("table", ["default", "closed"])
+    def test_sample_path(self, kind, table):
+        from repro.oscillator import make_oscillator_protocol
+
+        protocol = make_oscillator_protocol()
+        pop = _oscillator_population(protocol.schema, 500)
+        opts = {}
+        if table == "closed":
+            opts["table"] = compile_table(protocol, pop.counts.keys(), cache=None)
+        cls, seed, rounds = self.RUNS[kind]
+        eng = cls(protocol, pop, rng=np.random.default_rng(seed), **opts)
+        snaps = []
+        eng.run(
+            rounds=rounds,
+            observer=lambda t, p: snaps.append(tuple(sorted(p.counts.items()))),
+            observe_every=10,
+        )
+        assert (eng.interactions, snaps) == self.GOLDEN[kind]

@@ -28,6 +28,7 @@ from repro.engine import (
     EnsembleEngine,
     run_replicas,
 )
+from repro.engine import compiled
 from repro.engine.ensemble import VectorizedStop
 from repro.engine.replicas import ensemble_chunk_members
 from repro.faults import ALWAYS, FaultPlan
@@ -111,7 +112,7 @@ class TestEnsembleCore:
         eng = EnsembleEngine(
             protocol, population, rng=np.random.default_rng(2), rows=3
         )
-        vstop = VectorizedStop(stop, eng._ct, protocol.schema)
+        vstop = VectorizedStop(stop, eng.table, protocol.schema)
         assert vstop._fast is not None
         verdicts = vstop(eng._C)
         assert verdicts.tolist() == [False, False, False]
@@ -129,7 +130,7 @@ class TestEnsembleCore:
         eng = EnsembleEngine(
             protocol, population, rng=np.random.default_rng(3), rows=2
         )
-        vstop = VectorizedStop(no_healthy, eng._ct, protocol.schema)
+        vstop = VectorizedStop(no_healthy, eng.table, protocol.schema)
         assert vstop._fast is None
         assert vstop(eng._C).tolist() == [False, False]
 
@@ -147,10 +148,11 @@ class TestEnsembleCore:
         with pytest.raises(ValueError, match="observer"):
             eng.run(rounds=1.0, observer=lambda *a: None)
 
-    def test_requires_compilable_closure(self):
+    def test_requires_compilable_closure(self, monkeypatch):
+        monkeypatch.setattr(compiled, "COMPILE_STATE_LIMIT", 1)
         protocol, population, _ = epidemic(n=60)
         with pytest.raises(RuntimeError):
-            EnsembleEngine(protocol, population, compile_limit=1)
+            EnsembleEngine(protocol, population, cache=None)
 
     def test_row_rngs_length_checked(self):
         protocol, population, _ = epidemic(n=60)

@@ -130,14 +130,14 @@ class TestCorruptTable:
         protocol, population = make_epidemic()
         eng = BatchCountEngine(protocol, population)
         with pytest.raises(ValueError, match="corruption mode"):
-            corrupt_table(eng._ct, "melt")
+            corrupt_table(eng.table, "melt")
 
     def test_corruption_is_a_copy(self):
         from repro.engine import BatchCountEngine
 
         protocol, population = make_epidemic()
         eng = BatchCountEngine(protocol, population)
-        table = eng._ct
+        table = eng.table
         bad = corrupt_table(table, "nan")
         assert np.isnan(bad.p_change_matrix).any()
         assert not np.isnan(table.p_change_matrix).any()

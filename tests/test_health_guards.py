@@ -96,11 +96,7 @@ class TestGuardsCatchCorruption:
         eng = BatchCountEngine(
             protocol, population, rng=np.random.default_rng(0), guards=True
         )
-        original = eng._ct
-        bad = corrupt_table(original, mode)
-        eng._ct = bad
-        if eng.table is original:
-            eng.table = bad
+        eng.table = corrupt_table(eng.table, mode)
         return eng
 
     def test_nan_table_caught_at_attach(self):
@@ -128,11 +124,7 @@ class TestGuardsCatchCorruption:
         eng = BatchCountEngine(
             protocol, population, rng=np.random.default_rng(0)
         )
-        original = eng._ct
-        bad = corrupt_table(original, "drop")
-        eng._ct = bad
-        if eng.table is original:
-            eng.table = bad
+        eng.table = corrupt_table(eng.table, "drop")
         eng.run(rounds=5.0)  # no error raised; agents silently vanish
 
     def test_error_pickles_with_structure(self):

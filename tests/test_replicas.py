@@ -20,7 +20,13 @@ from repro.analysis import (
     aggregate_engine_stats,
 )
 from repro.core import Population, Rule, StateSchema, V, single_thread
-from repro.engine import EngineConfig, ReplicaSet, map_replicas, run_replicas
+from repro.engine import (
+    EngineConfig,
+    LazyTable,
+    ReplicaSet,
+    map_replicas,
+    run_replicas,
+)
 from repro.engine.replicas import (
     ReplicaRecord,
     _resolve_processes,
@@ -184,6 +190,33 @@ class TestRunReplicas:
         assert serial.rounds.tolist() == pooled.rounds.tolist()
         assert [r.converged for r in serial] == [r.converged for r in pooled]
         assert [r.seed for r in serial] == [r.seed for r in pooled]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("processes", [2, None], ids=["two", "default"])
+    def test_open_table_determinism_across_process_counts(self, processes):
+        # serial replicas share one open table that grows as they run;
+        # spawned workers each get a pickled (empty) copy — the records
+        # must not depend on rows or indices an earlier replica added
+        workload = build_workload("clock", n=2000)
+
+        def sweep(procs):
+            table = LazyTable(workload.protocol)
+            config = EngineConfig(engine="batch", extra={"table": table})
+            rs = run_replicas(
+                workload.protocol, workload.population, replicas=2, seed=5,
+                processes=procs, stop=workload.stop,
+                config=config,
+            )
+            return [
+                (r.index, r.seed, r.interactions, r.rounds, r.converged,
+                 r.stats["events"], r.stats["batches"], r.stats["table_kind"])
+                for r in rs
+            ]
+
+        serial = sweep(1)
+        assert {row[-1] for row in serial} == {"lazy"}
+        assert sum(row[-2] for row in serial) > 0  # the batch kernel ran
+        assert sweep(processes) == serial
 
 
 def _square(seed_seq, offset=0):

@@ -18,6 +18,7 @@ from repro.analysis.convergence import is_silent
 from repro.core import Population, Rule, StateSchema, V, single_thread
 from repro.engine.config import EngineConfig
 from repro.engine.silence import CRUMB_GUARD, exact_change_weight, silent_weight
+from repro.engine.table import LazyTable
 from repro.simulate import make_engine
 from repro.workloads import build_workload, unique_leader
 
@@ -108,8 +109,10 @@ class TestCountEngineEndgame:
 class TestBatchEngineEndgame:
     @pytest.mark.parametrize("compiled", [True, False])
     def test_converges_to_one_leader(self, compiled):
+        """Closed (compiled closure) and open tables alike."""
         protocol, pop, stop = endgame()
-        cfg = EngineConfig(engine="batch", compiled=compiled, cache=False)
+        extra = {} if compiled else {"table": LazyTable(protocol)}
+        cfg = EngineConfig(engine="batch", cache=False, extra=extra)
         eng = make_engine(protocol, pop, engine=cfg, seed=4)
         eng.run(stop=stop, max_events=10)
         assert pop.count(V("L")) == 1
