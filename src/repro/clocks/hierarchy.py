@@ -78,12 +78,16 @@ class LevelFields:
         return self.osc_new is not None
 
 
-def _diff_assignments(schema: StateSchema, old_code: int, new_code: int) -> Dict[str, object]:
-    if old_code == new_code:
-        return {}
-    old = schema.decode(old_code)
-    new = schema.decode(new_code)
-    return {name: value for name, value in new.items() if old[name] != value}
+def _diff_assignments(
+    schema: StateSchema, names, old_code: int, new_code: int
+) -> Dict[str, object]:
+    """The fields among ``names`` whose value differs between the codes."""
+    out: Dict[str, object] = {}
+    for name in names:
+        value = schema.value_of(new_code, name)
+        if schema.value_of(old_code, name) != value:
+            out[name] = value
+    return out
 
 
 class ClockHierarchy:
@@ -221,13 +225,15 @@ class ClockHierarchy:
             outcomes, p_change = inner.transition(ca, cb)
             result = []
             for new_a, new_b, prob in outcomes:
+                # the inner threads' footprint memos guarantee that only
+                # the current copies (osc, clk) can differ
                 assign_a = {
                     cur_to_new[name]: value
-                    for name, value in _diff_assignments(schema, ca, new_a).items()
+                    for name, value in _diff_assignments(schema, cur_to_new, ca, new_a).items()
                 }
                 assign_b = {
                     cur_to_new[name]: value
-                    for name, value in _diff_assignments(schema, cb, new_b).items()
+                    for name, value in _diff_assignments(schema, cur_to_new, cb, new_b).items()
                 }
                 assign_a[trigger] = False
                 assign_b[trigger] = False

@@ -20,7 +20,7 @@ Example
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterator, Optional, Tuple, Union
 
 
 class Formula:
@@ -257,6 +257,32 @@ def _coerce(value: FormulaLike) -> Formula:
 def coerce_formula(value: FormulaLike) -> Formula:
     """Public coercion entry point: ``None``/``True`` become ``ANY``."""
     return _coerce(value)
+
+
+def read_set(formula: Formula) -> Optional[FrozenSet[str]]:
+    """The variables ``formula`` can read, or ``None`` when that is unknown.
+
+    Unknown means a :class:`Predicate` that declares no variables, or a
+    formula type without :meth:`Formula.variables`.  Per-thread memoization
+    (:mod:`repro.core.protocol`) keys rows on these names, so a guess here
+    would silently change the law.
+    """
+    if isinstance(formula, Predicate):
+        return frozenset(formula.variables()) or None
+    if isinstance(formula, Not):
+        return read_set(formula.operand)
+    if isinstance(formula, (And, Or)):
+        names: set = set()
+        for operand in formula.operands:
+            seen = read_set(operand)
+            if seen is None:
+                return None
+            names |= seen
+        return frozenset(names)
+    try:
+        return frozenset(formula.variables())
+    except NotImplementedError:
+        return None
 
 
 def V(name: str, value: object = True) -> Var:

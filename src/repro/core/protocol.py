@@ -10,17 +10,47 @@ checks that discipline when asked.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .formula import Formula
 from .rules import Outcome, Rule
-from .state import StateSchema
+from .state import State, StateSchema
+
+#: One memoized rule outcome: (rule position in its thread, code delta of
+#: the initiator, code delta of the responder, branch probability).
+RowEntry = Tuple[int, int, int, float]
+
+
+class FootprintError(ValueError):
+    """A thread touched a field outside its footprint (``reads ∪ writes``
+    plus what its static rules show), or its memoized rows differ from
+    the full path."""
 
 
 class Thread:
-    """A named ruleset participating in a protocol composition."""
+    """A named ruleset participating in a protocol composition.
 
-    __slots__ = ("name", "rules", "writes", "reads")
+    ``writes``/``reads`` declare the fields the thread's rules may write
+    and read.  They are the thread's *footprint* together with what static
+    rules show (guard variables and update keys, see
+    :meth:`~repro.core.rules.Rule.footprint`).  Thread composition (paper
+    Section 1.3) means a thread's outcome on a pair depends only on its
+    footprint fields and changes only those, so
+    :meth:`Protocol.transition` memoizes each thread's rule outcomes on the
+    pair projected onto the footprint and lifts a hit by adding code
+    deltas.  A thread with a :class:`~repro.core.rules.DynamicRule`, a
+    callable guard or an effect must declare what those touch; without any
+    declaration it takes the full path (every rule on every pair), and so
+    does a thread whose footprint is the whole schema.  A
+    write outside the footprint raises :class:`FootprintError` when the
+    memo computes the row; :func:`check_footprints` also catches
+    under-declared reads on sampled pairs.
+
+    The memo lives on the thread, one per schema, so every protocol that
+    reuses the thread shares it; it is not pickled.
+    """
+
+    __slots__ = ("name", "rules", "writes", "reads", "_memos")
 
     def __init__(
         self,
@@ -35,13 +65,128 @@ class Thread:
         self.rules = tuple(rules)
         self.writes = frozenset(writes)
         self.reads = frozenset(reads)
+        self._memos: Dict[StateSchema, Optional[FootprintMemo]] = {}
+
+    def __getstate__(self):
+        return (self.name, self.rules, self.writes, self.reads)
+
+    def __setstate__(self, state) -> None:
+        self.name, self.rules, self.writes, self.reads = state
+        self._memos = {}
 
     @property
     def total_weight(self) -> float:
         return sum(rule.weight for rule in self.rules)
 
+    def footprint(self, schema: StateSchema) -> Optional[FrozenSet[str]]:
+        """Fields the thread's outcomes depend on and change, or ``None``
+        when they are unknown (an opaque rule and no declaration, or a
+        declared name missing from ``schema``)."""
+        declared = self.reads | self.writes
+        names = set(declared)
+        for rule in self.rules:
+            seen = rule.footprint()
+            if seen is None:
+                if not declared:
+                    return None
+            else:
+                names |= seen
+        if not all(schema.has_field(name) for name in names):
+            return None
+        return frozenset(names)
+
+    def memo(self, schema: StateSchema) -> Optional["FootprintMemo"]:
+        """This thread's row memo over ``schema`` (``None``: full path)."""
+        try:
+            return self._memos[schema]
+        except KeyError:
+            names = self.footprint(schema)
+            # a footprint covering the whole schema projects each pair onto
+            # itself: the memo would only duplicate the transition table
+            if names is None or len(names) == len(schema.fields):
+                memo = None
+            else:
+                memo = FootprintMemo(self, schema, names)
+            self._memos[schema] = memo
+            return memo
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "Thread({}, {} rules)".format(self.name, len(self.rules))
+
+
+class FootprintMemo:
+    """One thread's rule outcomes, keyed by the pair's footprint projection.
+
+    The footprint fields are grouped into runs of adjacent digits, so the
+    projection of a code is one ``code // stride % span`` per run.  A row
+    is a tuple of :data:`RowEntry` in rule and branch order, identity
+    outcomes left out; it holds code *deltas*, which are the same for
+    every pair with the same projection.
+    """
+
+    __slots__ = ("thread", "schema", "names", "runs", "span", "rows")
+
+    def __init__(self, thread: Thread, schema: StateSchema, names: FrozenSet[str]):
+        self.thread = thread
+        self.schema = schema
+        self.names = names
+        runs: List[List[int]] = []
+        for stride, size in sorted(
+            (schema.stride(name), schema.field(name).size) for name in names
+        ):
+            if runs and runs[-1][0] * runs[-1][1] == stride:
+                runs[-1][1] *= size
+            else:
+                runs.append([stride, size])
+        self.runs = tuple((stride, span) for stride, span in runs)
+        span = 1
+        for _, size in self.runs:
+            span *= size
+        self.span = span
+        self.rows: Dict[int, Tuple[RowEntry, ...]] = {}
+
+    def project(self, code: int) -> int:
+        """``code``'s footprint digits as one mixed-radix integer."""
+        key = 0
+        for stride, span in self.runs:
+            key = key * span + code // stride % span
+        return key
+
+    def _outside(self, code: int) -> int:
+        """``code`` with its footprint digits zeroed."""
+        for stride, span in self.runs:
+            code -= code // stride % span * stride
+        return code
+
+    def compute(self, key: int, a: State, b: State) -> Tuple[RowEntry, ...]:
+        """Run every rule on the views, check the writes, store the row."""
+        code_a, code_b = a.code, b.code
+        out_a, out_b = self._outside(code_a), self._outside(code_b)
+        row: List[RowEntry] = []
+        for pos, rule in enumerate(self.thread.rules):
+            for new_a, new_b, branch_p in rule.outcomes(a, b):
+                if self._outside(new_a) != out_a or self._outside(new_b) != out_b:
+                    raise FootprintError(self._leak_message(a, b, new_a, new_b))
+                if new_a != code_a or new_b != code_b:
+                    row.append((pos, new_a - code_a, new_b - code_b, branch_p))
+        entry = self.rows[key] = tuple(row)
+        return entry
+
+    def _leak_message(self, a: State, b: State, new_a: int, new_b: int) -> str:
+        schema = self.schema
+        leaked = sorted(
+            name
+            for old, new in ((a.code, new_a), (b.code, new_b))
+            for name in schema.field_names
+            if name not in self.names
+            and schema.value_of(old, name) != schema.value_of(new, name)
+        )
+        return (
+            "thread {!r} wrote {} outside its footprint {}; declare them in "
+            "the thread's writes=".format(
+                self.thread.name, leaked, sorted(self.names)
+            )
+        )
 
 
 class Protocol:
@@ -69,6 +214,12 @@ class Protocol:
         self.schema = schema
         self.threads = tuple(threads)
         self._draw_probabilities: Optional[List[Tuple[Rule, float]]] = None
+        self._plan: Optional[List[Tuple[Optional[FootprintMemo], Thread, List[float]]]] = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["_plan"] = None
+        return state
 
     # -- structure -----------------------------------------------------------
     @property
@@ -93,6 +244,20 @@ class Protocol:
                 return thread
         raise KeyError("no thread {!r} in protocol {!r}".format(name, self.name))
 
+    def _row_plan(self) -> List[Tuple[Optional[FootprintMemo], Thread, List[float]]]:
+        """Per thread: its memo (``None``: full path) and its rules' draw
+        probabilities."""
+        if self._plan is None:
+            draws = [p for _, p in self.rule_draw_probabilities()]
+            plan = []
+            start = 0
+            for thread in self.threads:
+                stop = start + len(thread.rules)
+                plan.append((thread.memo(self.schema), thread, draws[start:stop]))
+                start = stop
+            self._plan = plan
+        return self._plan
+
     # -- semantics -------------------------------------------------------------
     def transition(self, code_a: int, code_b: int) -> Tuple[List[Outcome], float]:
         """Aggregate outcome distribution for an ordered interacting pair.
@@ -103,15 +268,42 @@ class Protocol:
         probability.  The remaining ``1 - p_change`` is the null event
         (non-matching rule drawn, identity update, or a rule's explicit null
         branch).
+
+        Each code is decoded at most once, into read-only views shared by
+        every rule; a thread with a known footprint answers from its memo
+        (see :class:`Thread`).  Outcomes are merged in rule order either
+        way, so the floats do not depend on which path a thread took.
         """
+        return self._transition(code_a, code_b, memo=True)
+
+    def _transition(
+        self, code_a: int, code_b: int, memo: bool
+    ) -> Tuple[List[Outcome], float]:
+        code_a, code_b = int(code_a), int(code_b)
         merged: Dict[Tuple[int, int], float] = {}
-        for rule, draw_p in self.rule_draw_probabilities():
-            for new_a, new_b, branch_p in rule.outcomes(self.schema, code_a, code_b):
-                if new_a == code_a and new_b == code_b:
-                    continue
-                key = (new_a, new_b)
-                merged[key] = merged.get(key, 0.0) + draw_p * branch_p
-        outcomes = [(a, b, p) for (a, b), p in merged.items()]
+        a: Optional[State] = None
+        b: Optional[State] = None
+        for thread_memo, thread, draws in self._row_plan():
+            if memo and thread_memo is not None:
+                key = thread_memo.project(code_a) * thread_memo.span + thread_memo.project(code_b)
+                row = thread_memo.rows.get(key)
+                if row is None:
+                    if a is None:
+                        a, b = self.schema.view(code_a), self.schema.view(code_b)
+                    row = thread_memo.compute(key, a, b)
+                for pos, delta_a, delta_b, branch_p in row:
+                    out = (code_a + delta_a, code_b + delta_b)
+                    merged[out] = merged.get(out, 0.0) + draws[pos] * branch_p
+                continue
+            if a is None:
+                a, b = self.schema.view(code_a), self.schema.view(code_b)
+            for rule, draw_p in zip(thread.rules, draws):
+                for new_a, new_b, branch_p in rule.outcomes(a, b):
+                    if new_a == code_a and new_b == code_b:
+                        continue
+                    out = (new_a, new_b)
+                    merged[out] = merged.get(out, 0.0) + draw_p * branch_p
+        outcomes = [(a_, b_, p) for (a_, b_), p in merged.items()]
         p_change = sum(p for _, _, p in outcomes)
         return outcomes, p_change
 
@@ -162,6 +354,36 @@ class Protocol:
         return "Protocol({}, {} threads, {} rules)".format(
             self.name, len(self.threads), len(self.rules)
         )
+
+
+def check_footprints(protocol: Protocol, pairs: Iterable[Tuple[int, int]]) -> int:
+    """Compare memoized rows with the full path on ``pairs``.
+
+    Every thread runs every rule on every pair once with its memo and once
+    without; any difference raises :class:`FootprintError` naming the
+    pair, which is what an under-declared ``reads`` produces once two
+    pairs share a projection but differ in the undeclared field.  Returns
+    the number of pairs checked.
+    """
+    checked = 0
+    for code_a, code_b in pairs:
+        fast = protocol._transition(code_a, code_b, memo=True)
+        full = protocol._transition(code_a, code_b, memo=False)
+        if fast != full:
+            memoized = [
+                thread.name
+                for thread_memo, thread, _ in protocol._row_plan()
+                if thread_memo is not None
+            ]
+            raise FootprintError(
+                "protocol {!r}: memoized row of pair ({}, {}) differs from the "
+                "full path ({} vs {}); a thread among {} reads a field its "
+                "footprint does not declare".format(
+                    protocol.name, code_a, code_b, fast, full, memoized
+                )
+            )
+        checked += 1
+    return checked
 
 
 def single_thread(name: str, schema: StateSchema, rules: Sequence[Rule]) -> Protocol:

@@ -18,10 +18,10 @@ of ``(probability, update)`` alternatives.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .formula import ANY, Formula, coerce_formula
-from .state import State, StateSchema
+from .formula import ANY, Formula, read_set
+from .state import State
 
 UpdateLike = Union[None, Mapping[str, object], Formula]
 Effect = Callable[[State, State], None]
@@ -137,23 +137,49 @@ class Rule:
     def matches(self, a: State, b: State) -> bool:
         return self._ga(a) and self._gb(b)
 
-    def outcomes(self, schema: StateSchema, code_a: int, code_b: int) -> List[Outcome]:
+    def outcomes(self, a: State, b: State) -> List[Outcome]:
         """All (code_a', code_b', probability) alternatives of activating
-        this rule on the given pair, or ``[]`` when the guards do not match.
+        this rule on the pair of state views ``a``, ``b``, or ``[]`` when
+        the guards do not match.
 
         Probabilities are conditional on this rule having been drawn; they
-        sum to at most 1 (deficit = explicit null branch)."""
-        a = schema.unpack(code_a)
-        b = schema.unpack(code_b)
+        sum to at most 1 (deficit = explicit null branch).  The views are
+        only read: literal updates are applied to the codes, effects to
+        copies."""
         if not self.matches(a, b):
             return []
+        schema = a.schema
         results: List[Outcome] = []
         for branch in self.branches:
-            new_a = a.copy()
-            new_b = b.copy()
-            branch.apply(new_a, new_b)
-            results.append((new_a.code, new_b.code, branch.probability))
+            if branch.effect is None:
+                new_a = schema.with_values(a.code, branch.update_a)
+                new_b = schema.with_values(b.code, branch.update_b)
+            else:
+                copy_a = a.copy()
+                copy_b = b.copy()
+                branch.apply(copy_a, copy_b)
+                new_a, new_b = copy_a.code, copy_b.code
+            results.append((new_a, new_b, branch.probability))
         return results
+
+    def footprint(self) -> Optional[FrozenSet[str]]:
+        """The fields this rule reads or writes, as its structure shows them:
+        the guards' formula variables plus the update keys.  ``None`` when a
+        callable guard or an effect hides what it touches."""
+        names: set = set()
+        for guard in (self.guard_a, self.guard_b):
+            if guard is None or guard is True:
+                continue
+            seen = read_set(guard) if isinstance(guard, Formula) else None
+            if seen is None:
+                return None
+            names |= seen
+        for branch in self.branches:
+            if branch.effect is not None:
+                return None
+            names.update(branch.update_a)
+            names.update(branch.update_b)
+        return frozenset(names)
 
     # -- transformations used by the compiler --------------------------------
     def guarded(
@@ -236,7 +262,8 @@ def _conjoin(base: Guard, extra: Guard) -> Guard:
 class DynamicRule(Rule):
     """A rule whose outcome distribution depends on the matched states.
 
-    ``outcome_fn(a, b)`` receives the two (read-only) state views and
+    ``outcome_fn(a, b)`` receives the two read-only state views (setting
+    a field on one raises :class:`TypeError`) and
     returns a list of ``(assignments_a, assignments_b, probability)``
     triples (probabilities summing to at most 1; the deficit is a null
     branch).  Used for rules that are natural as *functions* of the pair —
@@ -262,27 +289,28 @@ class DynamicRule(Rule):
         super().__init__(guard_a, guard_b, weight=weight, name=name)
         self.outcome_fn = outcome_fn
 
-    def outcomes(self, schema: StateSchema, code_a: int, code_b: int) -> List[Outcome]:
-        a = schema.unpack(code_a)
-        b = schema.unpack(code_b)
+    def outcomes(self, a: State, b: State) -> List[Outcome]:
         if not self.matches(a, b):
             return []
+        schema = a.schema
         results: List[Outcome] = []
         total = 0.0
         for assign_a, assign_b, prob in self.outcome_fn(a, b):
             if prob <= 0:
                 raise ValueError("dynamic outcome probability must be positive")
             total += prob
-            new_a = a.copy()
-            new_b = b.copy()
-            new_a.update(assign_a or {})
-            new_b.update(assign_b or {})
-            results.append((new_a.code, new_b.code, prob))
+            new_a = schema.with_values(a.code, assign_a or {})
+            new_b = schema.with_values(b.code, assign_b or {})
+            results.append((new_a, new_b, prob))
         if total > 1.0 + 1e-9:
             raise ValueError(
                 "dynamic outcome probabilities sum to {} > 1".format(total)
             )
         return results
+
+    def footprint(self) -> None:
+        """Unknown: the outcome function may read any field."""
+        return None
 
     def guarded(self, extra_a: Guard = None, extra_b: Guard = None, name_suffix: str = "") -> "DynamicRule":
         clone = DynamicRule(

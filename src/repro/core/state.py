@@ -82,8 +82,12 @@ class StateSchema:
 
     def __init__(self, fields: Iterable[Field] = ()):  # noqa: D401
         self.fields: List[Field] = []
-        self._field_index: Dict[str, int] = {}
-        self._radices: List[int] = []
+        # name -> (field, stride): the field's digit of a code is
+        # ``code // stride % field.size``; strides never change once set,
+        # because a new field only ever becomes the most significant digit
+        self._slots: Dict[str, Tuple[Field, int]] = {}
+        self._layout: List[Tuple[str, int, Tuple[object, ...]]] = []
+        self._num_states = 1
         self._frozen = False
         for field in fields:
             self.add_field(field)
@@ -92,11 +96,12 @@ class StateSchema:
     def add_field(self, field: Field) -> Field:
         if self._frozen:
             raise RuntimeError("schema is frozen; cannot add fields")
-        if field.name in self._field_index:
+        if field.name in self._slots:
             raise ValueError("duplicate field name {!r}".format(field.name))
-        self._field_index[field.name] = len(self.fields)
         self.fields.append(field)
-        self._radices.append(field.size)
+        self._slots[field.name] = (field, self._num_states)
+        self._layout.append((field.name, field.size, field.values))
+        self._num_states *= field.size
         return field
 
     def flag(self, name: str) -> Field:
@@ -117,10 +122,7 @@ class StateSchema:
     # -- introspection -----------------------------------------------------
     @property
     def num_states(self) -> int:
-        total = 1
-        for radix in self._radices:
-            total *= radix
-        return total
+        return self._num_states
 
     @property
     def field_names(self) -> Tuple[str, ...]:
@@ -128,14 +130,18 @@ class StateSchema:
 
     def field(self, name: str) -> Field:
         try:
-            return self.fields[self._field_index[name]]
+            return self._slots[name][0]
         except KeyError:
             raise KeyError(
                 "no field {!r}; schema fields: {}".format(name, self.field_names)
             ) from None
 
     def has_field(self, name: str) -> bool:
-        return name in self._field_index
+        return name in self._slots
+
+    def stride(self, name: str) -> int:
+        """Place value of ``name``'s digit in a state code."""
+        return self._slots[name][1]
 
     # -- packing -----------------------------------------------------------
     def pack(self, assignment: Mapping[str, object]) -> int:
@@ -145,11 +151,13 @@ class StateSchema:
         flags, the first enum value otherwise).
         """
         code = 0
-        for field in reversed(self.fields):
-            code *= field.size
-            value = assignment.get(field.name, field.values[0])
-            code += field.index_of(value)
-        unknown = set(assignment) - set(self._field_index)
+        unknown = []
+        for name, value in assignment.items():
+            slot = self._slots.get(name)
+            if slot is None:
+                unknown.append(name)
+                continue
+            code += slot[0].index_of(value) * slot[1]
         if unknown:
             raise ValueError(
                 "assignment mentions unknown fields: {}".format(sorted(unknown))
@@ -157,32 +165,36 @@ class StateSchema:
         return code
 
     def unpack(self, code: int) -> "State":
+        """A mutable :class:`State` holding ``code``'s assignment."""
         return State(self, code)
+
+    def view(self, code: int) -> "State":
+        """A read-only :class:`State` view of ``code`` (what rules see)."""
+        return _View(self, code)
 
     def decode(self, code: int) -> Dict[str, object]:
         """Return the full ``field -> value`` mapping for a state code."""
         out: Dict[str, object] = {}
-        for field in self.fields:
-            code, idx = divmod(code, field.size)
-            out[field.name] = field.values[idx]
+        for name, size, values in self._layout:
+            code, idx = divmod(code, size)
+            out[name] = values[idx]
         return out
 
     def value_of(self, code: int, name: str) -> object:
         """Extract one field's value from a state code."""
-        idx = self._field_index[name]
-        for i in range(idx):
-            code //= self._radices[i]
-        field = self.fields[idx]
-        return field.values[code % field.size]
+        field, stride = self._slots[name]
+        return field.values[code // stride % field.size]
 
     def with_values(self, code: int, assignment: Mapping[str, object]) -> int:
         """Return a new code equal to ``code`` with the given fields replaced."""
-        values = self.decode(code)
+        code = int(code)
         for name, value in assignment.items():
-            if name not in self._field_index:
+            slot = self._slots.get(name)
+            if slot is None:
                 raise ValueError("unknown field {!r}".format(name))
-            values[name] = value
-        return self.pack(values)
+            field, stride = slot
+            code += (field.index_of(value) - code // stride % field.size) * stride
+        return code
 
     def all_codes(self) -> Iterable[int]:
         return range(self.num_states)
@@ -194,18 +206,24 @@ class StateSchema:
 
 
 class State:
-    """A mutable view over a single agent's state.
+    """A view over a single agent's state.
 
     Supports mapping access (``state['L']``), attribute access
-    (``state.L``) and assignment through either.  Rules' effect callables
-    receive ``State`` views and mutate them in place.
+    (``state.L``) and, unless read-only, assignment through either.  The
+    code is kept up to date on every assignment, so ``state.code`` is free.
+    :meth:`StateSchema.view` makes the read-only views that
+    :meth:`~repro.core.protocol.Protocol.transition` shares between all
+    rules of a row; :meth:`copy` gives a mutable copy (what branch updates
+    and effect callables write to).
     """
 
-    __slots__ = ("_schema", "_values")
+    __slots__ = ("_schema", "_values", "_code")
 
     def __init__(self, schema: StateSchema, code: int = 0):
-        object.__setattr__(self, "_schema", schema)
-        object.__setattr__(self, "_values", schema.decode(code))
+        code = int(code)
+        _set_schema(self, schema)
+        _set_values(self, schema.decode(code))
+        _set_code(self, code)
 
     @property
     def schema(self) -> StateSchema:
@@ -213,12 +231,14 @@ class State:
 
     @property
     def code(self) -> int:
-        return self._schema.pack(self._values)
+        return self._code
 
     def copy(self) -> "State":
+        """A mutable copy (also of a read-only view)."""
         clone = State.__new__(State)
-        object.__setattr__(clone, "_schema", self._schema)
-        object.__setattr__(clone, "_values", dict(self._values))
+        _set_schema(clone, self._schema)
+        _set_values(clone, dict(self._values))
+        _set_code(clone, self._code)
         return clone
 
     def as_dict(self) -> Dict[str, object]:
@@ -241,7 +261,9 @@ class State:
 
     def __setitem__(self, name: str, value: object) -> None:
         field = self._schema.field(name)
-        field.index_of(value)  # validate
+        new = field.index_of(value)  # validates
+        old = field.index_of(self._values[name])
+        _set_code(self, self._code + (new - old) * self._schema.stride(name))
         self._values[name] = value
 
     def __contains__(self, name: str) -> bool:
@@ -276,3 +298,21 @@ class State:
             if v is not False and v != 0
         }
         return "State({})".format(on)
+
+
+# the slots' own setters: ``State.__setattr__`` is field assignment
+_set_schema = State._schema.__set__
+_set_values = State._values.__set__
+_set_code = State._code.__set__
+
+
+class _View(State):
+    """A read-only :class:`State`: what :meth:`StateSchema.view` returns."""
+
+    __slots__ = ()
+
+    def __setitem__(self, name: str, value: object) -> None:
+        raise TypeError(
+            "cannot set {!r}: this state view is read-only (rules get "
+            "shared views; write to a copy())".format(name)
+        )

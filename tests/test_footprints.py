@@ -1,0 +1,352 @@
+"""Per-thread footprint memos: memoized rows equal the full path.
+
+``Protocol.transition`` answers each thread with a known footprint from
+a memo keyed on the pair projected onto that footprint (see
+:class:`repro.core.protocol.Thread`).  That is sound only if every
+thread's declared ``reads``/``writes`` cover what its rules touch.  These
+tests explore each shipped protocol from its real initial support with a
+seeded walk, then compare memoized rows with the full path on sampled
+reachable pairs; the positive controls show that an under-declared
+footprint fails loudly instead of silently changing the law.
+"""
+
+import hashlib
+import json
+import pickle
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.clocks import ClockHierarchy, HierarchyParams
+from repro.control import (
+    JuntaParams,
+    KLevelParams,
+    elimination_thread,
+    make_elimination_protocol,
+    make_junta_protocol,
+    make_klevel_protocol,
+)
+from repro.core import DynamicRule, Protocol, Rule, StateSchema, Thread, V
+from repro.core.protocol import FootprintError, check_footprints
+from repro.engine.compiled import compile_table
+from repro.lang import compile_program
+from repro.oscillator import weak_value
+from repro.protocols import (
+    leader_election_exact_program,
+    leader_election_program,
+    majority_exact_program,
+    majority_program,
+    plurality_program,
+)
+from repro.workloads import WORKLOADS
+
+
+def reachable(protocol, seeds, rng, steps):
+    """States met by a seeded walk: each step runs the row of a random
+    pair of known states and adds one of its outcomes."""
+    states = sorted(set(int(c) for c in seeds))
+    seen = set(states)
+    for _ in range(steps):
+        i, j = rng.integers(len(states), size=2)
+        outcomes, _ = protocol.transition(states[i], states[j])
+        if outcomes:
+            new_a, new_b, _ = outcomes[rng.integers(len(outcomes))]
+            for code in (new_a, new_b):
+                if code not in seen:
+                    seen.add(code)
+                    states.append(code)
+    return states
+
+
+def sampled_pairs(states, rng, count):
+    picks = rng.integers(len(states), size=(count, 2))
+    return [(states[i], states[j]) for i, j in picks]
+
+
+def check(protocol, seeds, seed=0, steps=600, pairs=600):
+    rng = np.random.default_rng(seed)
+    states = reachable(protocol, seeds, rng, steps)
+    assert check_footprints(protocol, sampled_pairs(states, rng, pairs)) == pairs
+    return states
+
+
+def memoized_threads(protocol):
+    return [t.name for t in protocol.threads if t.memo(protocol.schema) is not None]
+
+
+# -- the shipped protocols ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_registered_workloads(name):
+    protocol, population, _ = WORKLOADS[name](n=1000)
+    schema = protocol.schema
+    for thread in protocol.threads:
+        names = thread.footprint(schema)
+        assert names is not None
+        # a whole-schema footprint would only duplicate the table's rows
+        assert (thread.memo(schema) is None) == (len(names) == len(schema.fields))
+    check(protocol, population.counts)
+
+
+def _compiled(program, groups):
+    compiled = compile_program(program)
+    return compiled.protocol, compiled.make_population(groups, x_agents=2)
+
+
+PROGRAMS = {
+    "leader_election": lambda: _compiled(leader_election_program(), [({}, 60)]),
+    "leader_election_exact": lambda: _compiled(
+        leader_election_exact_program(), [({}, 60)]
+    ),
+    "majority": lambda: _compiled(
+        majority_program(), [({"A": True}, 30), ({"B": True}, 20), ({}, 10)]
+    ),
+    "majority_exact": lambda: _compiled(
+        majority_exact_program(), [({"A": True}, 30), ({"B": True}, 20), ({}, 10)]
+    ),
+    "plurality": lambda: _compiled(
+        plurality_program(3),
+        [({"C0": True}, 20), ({"C1": True}, 20), ({"C2": True}, 20)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_compiled_programs(name):
+    protocol, population = PROGRAMS[name]()
+    assert memoized_threads(protocol) == [t.name for t in protocol.threads]
+    check(protocol, population.counts, steps=1500, pairs=800)
+
+
+def test_two_level_hierarchy():
+    schema = StateSchema()
+    hierarchy = ClockHierarchy(schema, HierarchyParams(levels=2, module=12, k=4))
+    protocol = Protocol(
+        "hierarchy", schema, hierarchy.threads + [elimination_thread("X")]
+    )
+    assert memoized_threads(protocol) == [t.name for t in protocol.threads]
+    seeds = [
+        schema.pack(hierarchy.initial_assignment(weak_value(i))) for i in range(3)
+    ]
+    seeds.append(schema.pack(dict(hierarchy.initial_assignment(weak_value(0)), X=True)))
+    states = check(protocol, seeds, steps=3000, pairs=1500)
+    assert len(states) > 100  # the walk left the synchronized start
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda schema: make_junta_protocol(schema, JuntaParams(level_cap=6)),
+        lambda schema: make_klevel_protocol(schema, KLevelParams(k=3)),
+        lambda schema: make_elimination_protocol(schema),
+    ],
+    ids=["junta", "klevel", "elimination"],
+)
+def test_control_threads(build):
+    # composed as in the paper: other threads' fields share the schema
+    schema = StateSchema()
+    schema.flags("other", "X")
+    schema.enum("level", 3)
+    protocol = build(schema)
+    assert memoized_threads(protocol) == [t.name for t in protocol.threads]
+    names = schema.field_names
+    rng = np.random.default_rng(1)
+    seeds = [
+        schema.pack({name: schema.field(name).values[rng.integers(schema.field(name).size)] for name in names})
+        for _ in range(12)
+    ]
+    check(protocol, seeds, steps=400, pairs=400)
+
+
+# -- positive controls ------------------------------------------------------------
+
+
+def _xy_schema():
+    schema = StateSchema()
+    schema.flags("X", "Y")
+    schema.enum("Z", 3)
+    return schema
+
+
+def _copy_y_to_x(a, b):
+    """X := Y of the responder (reads Y)."""
+    if a["X"] == b["Y"]:
+        return []
+    return [({"X": b["Y"]}, {}, 1.0)]
+
+
+def test_under_declared_reads_fail_loudly():
+    schema = _xy_schema()
+    thread = Thread("copy", [DynamicRule(None, None, _copy_y_to_x)], writes=("X",))
+    protocol = Protocol("leaky", schema, [thread])
+    codes = list(schema.all_codes())
+    pairs = [(a, b) for a in codes for b in codes]
+    with pytest.raises(FootprintError, match="footprint"):
+        check_footprints(protocol, pairs)
+
+
+def test_declared_reads_pass():
+    schema = _xy_schema()
+    thread = Thread(
+        "copy", [DynamicRule(None, None, _copy_y_to_x)], writes=("X",), reads=("Y",)
+    )
+    protocol = Protocol("sound", schema, [thread])
+    codes = list(schema.all_codes())
+    assert check_footprints(protocol, [(a, b) for a in codes for b in codes]) == 144
+    # only X and Y are in the footprint: Z never splits the memo
+    assert len(thread.memo(schema).rows) == 16
+
+
+def test_under_declared_writes_raise_on_miss():
+    schema = _xy_schema()
+
+    def bump_z(a, b):
+        return [({"X": True, "Z": (a["Z"] + 1) % 3}, {}, 1.0)]
+
+    thread = Thread("bump", [DynamicRule(None, None, bump_z)], writes=("X",))
+    protocol = Protocol("leaky-writes", schema, [thread])
+    with pytest.raises(FootprintError, match=r"\['Z'\]"):
+        protocol.transition(0, 0)
+
+
+def test_undeclared_dynamic_thread_takes_full_path():
+    schema = _xy_schema()
+    opaque = Thread("opaque", [DynamicRule(None, None, _copy_y_to_x)])
+    callable_guard = Thread(
+        "callable", [Rule(lambda s: s["Y"], None, {"X": True})]
+    )
+    static = Thread("static", [Rule(V("Y"), ~V("X"), None, {"X": True})])
+    assert opaque.memo(schema) is None
+    assert callable_guard.memo(schema) is None
+    assert static.memo(schema).names == frozenset({"X", "Y"})
+    protocol = Protocol("mixed", schema, [opaque, callable_guard, static])
+    codes = list(schema.all_codes())
+    check_footprints(protocol, [(a, b) for a in codes for b in codes])
+
+
+# -- read-only views ------------------------------------------------------------------
+
+
+def test_mutating_outcome_fn_raises():
+    schema = _xy_schema()
+
+    def mutate(a, b):
+        a["Z"] = 2  # would leak into every later rule of the row
+        return []
+
+    protocol = Protocol(
+        "mutating",
+        schema,
+        [Thread("m", [DynamicRule(None, None, mutate), Rule(V("X"), None, {"Y": True})])],
+    )
+    with pytest.raises(TypeError, match="read-only"):
+        protocol.transition(schema.pack({"X": True}), 0)
+
+
+def test_mutating_guard_raises():
+    schema = _xy_schema()
+
+    def guard(state):
+        state.Y = True
+        return True
+
+    protocol = Protocol("mutating-guard", schema, [Thread("g", [Rule(guard, None, {"X": True})])])
+    with pytest.raises(TypeError, match="read-only"):
+        protocol.transition(0, 0)
+
+
+# -- sharing and pickling ------------------------------------------------------------------
+
+
+def test_memo_is_shared_across_protocols():
+    schema = _xy_schema()
+    shared = Thread("shared", [Rule(V("Y"), None, {"X": True})])
+    first = Protocol("one", schema, [shared])
+    second = Protocol("two", schema, [shared, Thread("other", [Rule(V("X"), None, {"Y": False})])])
+    first.transition(schema.pack({"Y": True}), 0)
+    memo = shared.memo(schema)
+    assert len(memo.rows) == 1
+    # a pair with the same projection (Z differs) hits the shared memo
+    outcomes, p = second.transition(schema.pack({"Y": True, "Z": 2}), 0)
+    assert len(memo.rows) == 1
+    assert outcomes == [(schema.pack({"X": True, "Y": True, "Z": 2}), 0, 0.5)]
+    assert p == 0.5
+
+
+def test_memo_is_left_out_of_pickles():
+    protocol, population, _ = WORKLOADS["clock"](n=1000)
+    codes = sorted(population.counts)
+    rows = [protocol.transition(a, b) for a in codes for b in codes]
+    assert protocol.thread("P_o[osc]").memo(protocol.schema).rows
+    clone = pickle.loads(pickle.dumps(protocol))
+    assert all(not t._memos for t in clone.threads)
+    assert clone._plan is None
+    assert [clone.transition(a, b) for a in codes for b in codes] == rows
+
+
+def test_concurrent_fills_agree():
+    """Service jobs fill one shared memo from several threads; a race only
+    computes the same row twice, so every answer equals the full path."""
+    walk, population, _ = WORKLOADS["clock"](n=1000)
+    states = reachable(walk, population.counts, np.random.default_rng(3), 300)
+    pairs = sampled_pairs(states, np.random.default_rng(4), 400)
+    protocol, _, _ = WORKLOADS["clock"](n=1000)  # fresh threads, empty memos
+    expected = [protocol._transition(a, b, memo=False) for a, b in pairs]
+    results = {}
+
+    def work(k):
+        results[k] = [protocol.transition(a, b) for a, b in pairs[k:] + pairs[:k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for k in range(6):
+        assert results[k] == expected[k:] + expected[:k]
+
+
+# -- rows are bit-identical to the pre-memo implementation ----------------------------
+
+
+def _digest(payload):
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def test_e14_rows_match_reference():
+    """E14 rows on seeded pairs, digested; the reference digest was taken
+    with the per-rule decoding implementation this memo replaced."""
+    protocol, population = _compiled(leader_election_program(), [({}, 200)])
+    rng = np.random.default_rng(2024)
+    states = reachable(protocol, population.counts, rng, 1500)
+    rows = []
+    for a, b in sampled_pairs(states, rng, 1500):
+        outcomes, p_change = protocol.transition(a, b)
+        rows.append([a, b, [list(o) for o in outcomes], p_change])
+    assert len(states) == E14_STATES
+    assert _digest(rows) == E14_ROWS_SHA256
+
+
+def test_closed_clock_table_matches_reference():
+    protocol, population, _ = WORKLOADS["clock"](n=1000)
+    table = compile_table(protocol, sorted(population.counts), cache=None)
+    h = hashlib.sha256()
+    for name in ("codes", "off", "out_a", "out_b", "out_p", "p_row"):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(getattr(table, name)).tobytes())
+    assert len(table.codes) == 168
+    assert h.hexdigest() == CLOCK_TABLE_SHA256
+
+
+E14_STATES = 100
+E14_ROWS_SHA256 = "cb96c5d6f340330d5aed7ac4c30bcb10302d890546e15b8592013bd8d931cf91"
+CLOCK_TABLE_SHA256 = "8a69ae1da5f997f96a7fef3b8f34e3836d953e74881f6234a7aa1438007c15a0"

@@ -71,7 +71,7 @@ class TestRuleParsing:
         schema = StateSchema()
         schema.flags("A", "B")
         ca, cb = schema.pack({"A": True}), schema.pack({"B": True})
-        [(na, nb, p)] = rule.outcomes(schema, ca, cb)
+        [(na, nb, p)] = rule.outcomes(schema.view(ca), schema.view(cb))
         assert na == 0 and nb == 0 and p == 1.0
 
     def test_dot_guard(self):
@@ -80,7 +80,7 @@ class TestRuleParsing:
 
         schema = StateSchema()
         schema.flag("X")
-        assert rule.outcomes(schema, schema.pack({"X": True}), 0)
+        assert rule.outcomes(schema.view(schema.pack({"X": True})), schema.view(0))
 
     def test_conjunction_update(self):
         rule = parse_rule("> (I) + (I) -> (~I & S) + (~I & ~S)")
@@ -89,7 +89,7 @@ class TestRuleParsing:
         schema = StateSchema()
         schema.flags("I", "S")
         code = schema.pack({"I": True})
-        [(na, nb, _)] = rule.outcomes(schema, code, code)
+        [(na, nb, _)] = rule.outcomes(schema.view(code), schema.view(code))
         assert schema.value_of(na, "S") is True
         assert schema.value_of(nb, "S") is False
 

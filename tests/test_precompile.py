@@ -60,7 +60,7 @@ class TestAssignLowering:
         fire = [leaf for _, leaf in pre.leaves() if leaf.label.startswith("assign")][0]
         armed_with_m = schema.pack({"L": False, "M": True, trigger: True})
         for rule in fire.rules:
-            outs = rule.outcomes(schema, armed_with_m, 0)
+            outs = rule.outcomes(schema.view(armed_with_m), schema.view(0))
             if outs:
                 new_code = outs[0][0]
                 assert schema.value_of(new_code, "L") is True
@@ -84,9 +84,9 @@ class TestBranchLowering:
         arm = [leaf for _, leaf in pre.leaves() if leaf.label.startswith("arm")][0]
         # without the Z flag the guarded arm rule must not fire
         plain = schema.pack({})
-        assert all(not r.outcomes(schema, plain, plain) for r in arm.rules)
+        assert all(not r.outcomes(schema.view(plain), schema.view(plain)) for r in arm.rules)
         flagged = schema.pack({z_flag: True})
-        assert any(r.outcomes(schema, flagged, flagged) for r in arm.rules)
+        assert any(r.outcomes(schema.view(flagged), schema.view(flagged)) for r in arm.rules)
 
     def test_else_rules_guarded_negatively(self):
         pre = precompile(
@@ -105,8 +105,8 @@ class TestBranchLowering:
         # exactly one side fires for each valuation of Z
         z_on = schema.pack({z_flag: True})
         z_off = schema.pack({})
-        on_fires = sum(bool(r.outcomes(schema, z_on, z_on)) for r in leaf.rules)
-        off_fires = sum(bool(r.outcomes(schema, z_off, z_off)) for r in leaf.rules)
+        on_fires = sum(bool(r.outcomes(schema.view(z_on), schema.view(z_on))) for r in leaf.rules)
+        off_fires = sum(bool(r.outcomes(schema.view(z_off), schema.view(z_off))) for r in leaf.rules)
         assert on_fires >= 1 and off_fires >= 1
 
     def test_unbalanced_branches_padded(self):

@@ -49,6 +49,46 @@ def test_with_values_matches_repack(data, extra):
     assert new_code == schema.pack(expected)
 
 
+@st.composite
+def schema_code_and_update(draw):
+    """A random schema (flags, integer and labelled enums, one-value
+    fields), a random code and a random partial assignment."""
+    schema = StateSchema()
+    for i, kind in enumerate(draw(st.lists(st.sampled_from("fil1"), min_size=1, max_size=7))):
+        name = "v{}".format(i)
+        if kind == "f":
+            schema.flag(name)
+        elif kind == "i":
+            schema.enum(name, draw(st.integers(2, 9)))
+        elif kind == "l":
+            size = draw(st.integers(2, 5))
+            schema.enum(name, size, values=["{}-{}".format(name, j) for j in range(size)])
+        else:
+            schema.enum(name, 1)
+    code = draw(st.integers(0, schema.num_states - 1))
+    update = {}
+    for field in schema.fields:
+        if draw(st.booleans()):
+            update[field.name] = draw(st.sampled_from(list(field.values)))
+    return schema, code, update
+
+
+@given(schema_code_and_update())
+@settings(max_examples=200, deadline=None)
+def test_stride_arithmetic_matches_decode_and_pack(data):
+    schema, code, update = data
+    decoded = schema.decode(code)
+    for name in schema.field_names:
+        assert schema.value_of(code, name) == decoded[name]
+    assert schema.pack(decoded) == code
+    expected = schema.pack(dict(decoded, **update))
+    assert schema.with_values(code, update) == expected
+    state = schema.unpack(code)
+    state.update(update)
+    assert state.code == expected
+    assert schema.view(code).code == code
+
+
 # -- formulas -----------------------------------------------------------------------
 @st.composite
 def formulas(draw, variables=("a", "b", "c"), depth=3):

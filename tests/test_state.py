@@ -142,3 +142,35 @@ class TestStateView:
     def test_code_roundtrip(self, schema):
         for code in (0, 7, schema.num_states - 1):
             assert schema.unpack(code).code == code
+
+    def test_code_tracks_assignments(self, schema):
+        state = schema.unpack(0)
+        state.species = "A3"
+        state["phase"] = 4
+        assert state.code == schema.pack({"species": "A3", "phase": 4})
+
+
+class TestReadOnlyView:
+    def test_view_reads(self, schema):
+        code = schema.pack({"L": True, "phase": 3})
+        view = schema.view(code)
+        assert view.code == code
+        assert view.L is True and view["phase"] == 3
+
+    @pytest.mark.parametrize("write", [
+        lambda v: v.__setitem__("phase", 1),
+        lambda v: setattr(v, "L", True),
+        lambda v: v.update({"species": "A2"}),
+    ], ids=["item", "attribute", "update"])
+    def test_view_rejects_writes(self, schema, write):
+        view = schema.view(0)
+        with pytest.raises(TypeError, match="read-only"):
+            write(view)
+        assert view.code == 0 and view.phase == 0
+
+    def test_copy_of_view_is_mutable(self, schema):
+        view = schema.view(0)
+        clone = view.copy()
+        clone.phase = 2
+        assert clone.code == schema.pack({"phase": 2})
+        assert view.phase == 0
