@@ -62,6 +62,7 @@ printed and, on CI, appended to the GitHub step summary.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -578,11 +579,41 @@ DENSE_SEEDS = 3
 DENSE_KS_N = 2000
 DENSE_KS_ALPHA = 0.001
 
-#: Knobs that turn the dense fast path off, leaving the classic
+#: Settings that turn the dense fast path off, leaving the classic
 #: whole-grid bghkpu sampler of PR 8 as the race's reference contender.
+#: Recorded under the names of the retired engine knobs they replace, so
+#: the committed BENCH_dense.json still compares.
 DENSE_CLASSIC_OPTS = {
     "dense_top_k": 0, "alias_patch_frac": 0.0, "batch_autotune": False,
 }
+
+
+@contextlib.contextmanager
+def _bghkpu_constants(opts):
+    """Apply a ``DENSE_CLASSIC_OPTS``-style dict to the bghkpu constants.
+
+    ``dense_top_k`` / ``alias_patch_frac`` set ``DENSE_TOP_K`` /
+    ``ALIAS_PATCH_FRAC`` for the block.  The batch autotuner is always
+    on; ``batch_autotune: False`` pins its multiplier at x1, which keeps
+    the static ``COLLISION_FRAC`` sizing (overdraw repair stays on).
+    """
+    from repro.engine.bghkpu import BGHKPUEngine
+
+    consts = {}
+    if "dense_top_k" in opts:
+        consts["DENSE_TOP_K"] = opts["dense_top_k"]
+    if "alias_patch_frac" in opts:
+        consts["ALIAS_PATCH_FRAC"] = opts["alias_patch_frac"]
+    if opts.get("batch_autotune") is False:
+        consts["_AUTOTUNE_SCALE_MIN"] = consts["_AUTOTUNE_SCALE_MAX"] = 1.0
+    saved = {name: getattr(BGHKPUEngine, name) for name in consts}
+    try:
+        for name, value in consts.items():
+            setattr(BGHKPUEngine, name, value)
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(BGHKPUEngine, name, value)
 
 
 def _time_dense_contender(opts, n, rounds, seeds, seed):
@@ -593,10 +624,8 @@ def _time_dense_contender(opts, n, rounds, seeds, seed):
     a single-seed ratio is noise; summing walls over several seeds races
     the contenders on the same set of trajectories.
     """
-    from repro.engine.config import EngineConfig
     from repro.simulate import make_engine
 
-    cfg = EngineConfig(engine="bghkpu", **opts)
     totals = {
         "wall_seconds": 0.0, "interactions": 0, "events": 0, "batches": 0,
         "fallbacks": 0, "collision_events": 0, "alias_rebuilds": 0,
@@ -606,13 +635,14 @@ def _time_dense_contender(opts, n, rounds, seeds, seed):
     }
     for k in range(seeds):
         protocol, population = _clock_workload(n)
-        eng = make_engine(
-            protocol, population,
-            engine=cfg, rng=np.random.default_rng(seed + 7 + k),
-        )
-        start = time.perf_counter()
-        eng.run(rounds=rounds)
-        totals["wall_seconds"] += time.perf_counter() - start
+        with _bghkpu_constants(opts):
+            eng = make_engine(
+                protocol, population,
+                engine="bghkpu", rng=np.random.default_rng(seed + 7 + k),
+            )
+            start = time.perf_counter()
+            eng.run(rounds=rounds)
+            totals["wall_seconds"] += time.perf_counter() - start
         for key in totals:
             if key != "wall_seconds":
                 totals[key] += int(getattr(eng, key)) if isinstance(
@@ -628,30 +658,28 @@ def _dense_ks_oscillator(seeds, seed):
     """Pooled E3 observer series, batch vs the *forced* hybrid sampler.
 
     The oscillator grid (<= 100 cells) never crosses the default
-    ``dense_top_k`` = 512 engagement threshold, so this leg forces
-    ``dense_top_k`` = 16 to put the top-K split + searchsorted tail on
+    ``DENSE_TOP_K`` = 512 engagement threshold, so this leg forces
+    ``DENSE_TOP_K`` = 16 to put the top-K split + searchsorted tail on
     the E3 shape too.
     """
     from repro.engine import Trace
-    from repro.engine.config import EngineConfig
     from repro.oscillator import make_oscillator_protocol, species
     from repro.simulate import make_engine
 
     protocol = make_oscillator_protocol()
     formulas = {"A1": species(0), "A2": species(1), "A3": species(2)}
-    dense_cfg = EngineConfig(
-        engine="bghkpu", dense_top_k=16, alias_patch_frac=0.5
-    )
+    forced = {"dense_top_k": 16, "alias_patch_frac": 0.5}
     pooled = {"batch": [], "dense": []}
-    for key, engine in (("batch", "batch"), ("dense", dense_cfg)):
+    for key, engine in (("batch", "batch"), ("dense", "bghkpu")):
         for k in range(seeds):
             population = _oscillator_population(protocol.schema, 600)
             trace = Trace(formulas)
-            eng = make_engine(
-                protocol, population,
-                engine=engine, rng=np.random.default_rng(seed + 450 + k),
-            )
-            eng.run(rounds=30.0, observer=trace)
+            with _bghkpu_constants(forced):
+                eng = make_engine(
+                    protocol, population,
+                    engine=engine, rng=np.random.default_rng(seed + 450 + k),
+                )
+                eng.run(rounds=30.0, observer=trace)
             for name in formulas:
                 pooled[key].append(trace.series(name))
     return np.concatenate(pooled["batch"]), np.concatenate(pooled["dense"])
@@ -682,16 +710,16 @@ def _dense_ks_clock(seeds, seed):
 def dense_scale(n=DENSE_N, seed=0, quick=False):
     """Dense-support fast path vs the classic bghkpu sampler on E4.
 
-    Races the hybrid epoch sampler (``dense_top_k``/``alias_patch_frac``
-    /``batch_autotune`` at their defaults) against the classic whole-grid
-    bghkpu configuration (all three off) on the composed oscillator +
+    Races the hybrid epoch sampler (``DENSE_TOP_K``/``ALIAS_PATCH_FRAC``
+    and the batch autotuner at their defaults) against the classic
+    whole-grid bghkpu configuration (all three off) on the composed oscillator +
     phase-clock workload C_o — the many-state shape the fast path
     targets — summing walls over {seeds} seeds at n = 10^6 and 200
     parallel rounds.  Distributional equivalence is gated twice against
     the ``batch`` engine: pooled KS over the E3 oscillator observer grid
     with the hybrid *forced* on (the E3 grid is below the default
     engagement threshold) and pooled KS over the E4 phase-clock observer
-    grid at default knobs, both at alpha = {alpha}.  The acceptance bar
+    grid at default constants, both at alpha = {alpha}.  The acceptance bar
     is >= 3x summed wall (>= 2x under ``--quick``, which downscales to
     n = 10^5).  Results go to ``BENCH_dense.json``.
     """
@@ -907,7 +935,8 @@ def chaos(seed=0, processes=2):
     import tempfile
 
     from repro import EngineConfig, FaultPlan, resume_sweep, run_replicas
-    from repro.engine import BatchCountEngine, clear_memo, compile_table
+    from repro.engine import BatchCountEngine, clear_memo
+    from repro.engine.compiled import acquire_table
     from repro.faults import ALWAYS, corrupt_cache_entry
     from repro.workloads import build_workload
 
@@ -968,15 +997,15 @@ def chaos(seed=0, processes=2):
         os.makedirs(cache_dir)
         codes = list(workload.population.counts.keys())
         clear_memo()  # the sweeps above memoized this table in-process
-        compile_table(workload.protocol, codes, cache=cache_dir)
+        acquire_table(workload.protocol, codes, cache=cache_dir)
         assert corrupt_cache_entry(cache_dir), "no cache entry was written"
         clear_memo()
-        table = compile_table(workload.protocol, codes, cache=cache_dir)
-        if table.cache_status == "corrupt" and table.cache_corrupt == 1:
+        _, source = acquire_table(workload.protocol, codes, cache=cache_dir)
+        if source.cache == "corrupt" and source.corrupt == 1:
             print("  corrupt cache entry: dropped and recompiled")
         else:
             print("  FAIL: corrupt cache not reported (status={})".format(
-                table.cache_status
+                source.cache
             ))
             ok = False
 

@@ -15,11 +15,12 @@ Quick start::
         rule(V("I"), ~V("I"), None, {"I": True}, name="infect"),
     ])
     pop = Population.from_groups(schema, [({"I": True}, 1), ({"I": False}, 999)])
-    config = EngineConfig(engine="batch", accuracy=0.01)
+    config = EngineConfig(engine="batch", guards=True)
     simulate(epidemic, pop, config, stop=lambda p: p.all_satisfy(V("I")))
 
-Engine construction knobs travel in a typed :class:`EngineConfig`
-(engine name plus batching knobs) — the one way to configure an engine;
+Engine construction settings travel in a typed :class:`EngineConfig`
+(engine name, forced batch size, table cache, health guards) — the one
+way to configure an engine;
 the same config flows through :func:`make_engine`, :func:`run_replicas`,
 the run manifests, the service and the CLI.  The public surface is the
 explicit ``__all__`` below; :func:`engine_names` lists the registry

@@ -54,42 +54,10 @@ def _config_from_args(args, auto: str = None):
                 file=sys.stderr,
             )
             raise SystemExit(2)
-    collision_frac = getattr(args, "collision_frac", None)
-    alias_rebuild_tol = getattr(args, "alias_rebuild_tol", None)
-    dense_top_k = getattr(args, "dense_top_k", None)
-    alias_patch_frac = getattr(args, "alias_patch_frac", None)
-    batch_autotune = getattr(args, "batch_autotune", None)
-    if batch_autotune is not None:
-        batch_autotune = batch_autotune == "on"
-    for flag, value in (
-        ("--collision-frac", collision_frac),
-        ("--alias-rebuild-tol", alias_rebuild_tol),
-        ("--dense-top-k", dense_top_k),
-        ("--alias-patch-frac", alias_patch_frac),
-        ("--batch-autotune", batch_autotune),
-    ):
-        if value is not None:
-            if engine == "auto":
-                engine = "bghkpu"
-            elif engine != "bghkpu":
-                print(
-                    "error: {} only applies to the bghkpu engine "
-                    "(got --engine {})".format(flag, engine),
-                    file=sys.stderr,
-                )
-                raise SystemExit(2)
     if engine == "auto" and auto is not None:
         engine = auto
     # guards stay engine-default here; sweeps flip them on (cmd_sweep)
-    return EngineConfig(
-        engine=engine,
-        ensemble_chunk=chunk,
-        collision_frac=collision_frac,
-        alias_rebuild_tol=alias_rebuild_tol,
-        dense_top_k=dense_top_k,
-        alias_patch_frac=alias_patch_frac,
-        batch_autotune=batch_autotune,
-    )
+    return EngineConfig(engine=engine, ensemble_chunk=chunk)
 
 
 def cmd_leader_election(args) -> int:
@@ -349,7 +317,6 @@ def cmd_serve(args) -> int:
         capacity=args.queue_size,
         retry_after=args.retry_after,
         quota=ceiling,
-        sandbox=not args.no_sandbox,
         recover=not args.no_recover,
         drain_grace=args.drain_grace,
         retries=args.job_retries,
@@ -378,35 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
         "ensemble engine (implies --engine ensemble; the engine's "
         "default chunk is 16 when --engine ensemble is given without "
         "this flag)",
-    )
-    common.add_argument(
-        "--collision-frac", type=float, default=None, metavar="F",
-        help="colliding-pick budget per batch on the bghkpu engine "
-        "(implies --engine bghkpu; engine default 0.2 — smaller is more "
-        "faithful and slower)",
-    )
-    common.add_argument(
-        "--alias-rebuild-tol", type=float, default=None, metavar="TOL",
-        help="relative count drift above which the bghkpu engine "
-        "re-freezes its alias epoch (implies --engine bghkpu; engine "
-        "default 0.05)",
-    )
-    common.add_argument(
-        "--dense-top-k", type=int, default=None, metavar="K",
-        help="heavy-cell count of the bghkpu dense-support hybrid "
-        "sampler (implies --engine bghkpu; engine default 512, 0 "
-        "disables the hybrid split)",
-    )
-    common.add_argument(
-        "--alias-patch-frac", type=float, default=None, metavar="F",
-        help="touched-fraction ceiling for the bghkpu epoch-sum patch "
-        "on drift refreshes (implies --engine bghkpu; engine default "
-        "0.25, 0 disables patching)",
-    )
-    common.add_argument(
-        "--batch-autotune", choices=["on", "off"], default=None,
-        help="feedback controller on the bghkpu batch cap plus overdraw "
-        "repair (implies --engine bghkpu; engine default on)",
     )
     common.add_argument(
         "--no-guards", action="store_true",
@@ -567,11 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-manifest-mb", type=int, default=None,
         help="ceiling on per-job quota.manifest_bytes, in MiB (checked "
         "after every checkpoint group)",
-    )
-    p.add_argument(
-        "--no-sandbox", action="store_true",
-        help="run jobs in-process instead of sandbox subprocesses "
-        "(cpu/memory/wall quotas unenforceable; shared fate)",
     )
     p.add_argument(
         "--no-recover", action="store_true",

@@ -182,8 +182,8 @@ class ActivePairSampler:
     draws.  All randomness flows through the engine's generator.
 
     ``top_k``/``patch_frac`` default to 0 (hybrid split and patching
-    off), matching the classic whole-grid sampler; the engine wires its
-    ``dense_top_k``/``alias_patch_frac`` knobs through.
+    off), matching the classic whole-grid sampler; the engine passes its
+    ``DENSE_TOP_K``/``ALIAS_PATCH_FRAC`` constants.
     """
 
     __slots__ = (

@@ -11,14 +11,14 @@ select the engine by it:
 
 1. the active ordered-pair weights are *frozen* into an epoch by
    :class:`~repro.engine.alias.ActivePairSampler` and only re-frozen when
-   accumulated count drift exceeds ``alias_rebuild_tol`` (a partial
+   accumulated count drift exceeds ``ALIAS_REBUILD_TOL`` (a partial
    refresh recomputing the touched rows/columns) or the active set
    itself changes (a full rebuild);
 2. each batch advances ``B`` scheduler interactions whose effective-event
    count is ``F ~ Binomial(B, p̄)``; ``B`` is sized **collision-aware**
    from the birthday bound — the expected number of event picks that
    would collide on the same agent, ``γ F²`` with
-   ``γ = Σ_s μ_s² / (2 c_s)``, is kept below ``collision_frac · F`` —
+   ``γ = Σ_s μ_s² / (2 c_s)``, is kept below ``COLLISION_FRAC · F`` —
    and by the per-state feasibility cap ``F ≤ ½ min_s c_s / μ_s``;
 3. the ``K ≈ γ F²`` colliding tail is resolved against *fresh* counts:
    the ``F − K`` main events are split over the frozen cells (O(1) alias
@@ -26,22 +26,21 @@ select the engine by it:
    otherwise) and applied, the sampler is re-frozen from the updated
    counts, and the last ``K`` events are drawn from that refreshed
    distribution (recorded in ``collision_events``);
-4. when the expected events per batch fall below ``min_batch_events``
+4. when the expected events per batch fall below ``MIN_BATCH_EVENTS``
    the engine degrades to *exact* single-event stepping on the same lean
    machinery — the gap to the next effective event is geometric in the
    frozen ``p̄`` and the event is drawn from the (refreshed-within-
    tolerance) cell distribution, so endgame convergence times are not
    quantized to batch boundaries;
 5. **dense supports** (oscillator-sized active sets, E3/E4) get the
-   adaptive hybrid path: the sampler draws the ``dense_top_k`` heaviest
+   adaptive hybrid path: the sampler draws the ``DENSE_TOP_K`` heaviest
    cells through one grouped ``K + 1``-bin kernel with only the light
    tail going through the alias table, small-drift refreshes are served
-   by the O(touched·a) sum patch (``alias_patch_frac``), and — with
-   ``batch_autotune`` on — a feedback controller scales the batch cap
-   from observed batch outcomes: clean batches grow it past the
-   feasibility half-cap (never past the ``collision_frac/γ`` birthday
-   bound), infeasible draws and repair bursts shrink it.  Autotuned
-   batches may overdraw a scarce state;
+   by the O(touched·a) sum patch (``ALIAS_PATCH_FRAC``), and a feedback
+   controller scales the batch cap from observed batch outcomes: clean
+   batches grow it past the feasibility half-cap (never past the
+   ``COLLISION_FRAC/γ`` birthday bound), infeasible draws and repair
+   bursts shrink it.  Autotuned batches may overdraw a scarce state;
    instead of rejecting the whole draw, the overdrawing cells are
    clamped to the feasible region and the clamped-away events join the
    colliding tail redrawn against fresh counts (``repair_events``).
@@ -72,7 +71,12 @@ from ..core.population import Population
 from ..core.protocol import Protocol
 from .alias import ActivePairSampler
 from .api import Observer, StopCondition, require_budget
-from .jump import MAX_BATCH, BatchCountEngine, split_outcomes_grouped
+from .jump import (
+    MAX_BATCH,
+    MIN_BATCH_EVENTS,
+    BatchCountEngine,
+    split_outcomes_grouped,
+)
 from .silence import silent_weight
 from .table import TransitionTable
 
@@ -80,48 +84,46 @@ from .table import TransitionTable
 class BGHKPUEngine(BatchCountEngine):
     """Alias-table batch engine with collision-aware batch sizing.
 
-    Accepts every :class:`~repro.engine.jump.BatchCountEngine` knob plus:
+    Takes the :class:`~repro.engine.jump.BatchCountEngine` arguments.  Its
+    sizing is fixed by the class constants below, not by arguments.
 
-    collision_frac:
-        Colliding-pick budget per batch: ``B`` is capped so the expected
-        number of event picks colliding on the same agent stays below
-        this fraction of the batch's effective events (the colliding
-        tail is then re-drawn against fresh counts).  Smaller is more
-        faithful and slower.
-    alias_rebuild_tol:
-        Relative per-state count drift above which the frozen epoch is
-        re-frozen (partial refresh of the touched rows/columns).  ``0``
-        re-freezes every batch.
-    dense_top_k:
-        Heavy-cell count of the hybrid dense-support sampler: the K
-        heaviest frozen cells are drawn through one grouped
-        ``K + 1``-bin kernel and only the light tail goes through the
-        alias table.  Engages when the active grid has more than ``2K``
-        nonzero cells; ``0`` disables the hybrid split.
-    alias_patch_frac:
-        Touched-fraction ceiling below which a drift refresh delta-
-        updates the epoch sums in O(touched·a) instead of rescanning
-        O(a²) (patch-vs-scan further arbitrated by measured cost).
-        ``0`` disables patching.
-    batch_autotune:
-        Feedback controller on the batch cap: clean batches grow it
-        ×1.2 past the feasibility half-cap (up to a ×64 ceiling, and
-        never past the ``collision_frac/γ`` birthday bound — the
-        fidelity wall), infeasible draws and repair bursts shrink it
-        ×0.5 (floor ×0.25).  Also enables overdraw *repair* — clamping
-        a scarce-state overdraw to the feasible region and pushing the
-        clamped events into the fresh-count tail — in place of
-        wholesale batch rejection.  Off reproduces the static
-        ``collision_frac`` sizing exactly.
+    The batch cap is always autotuned: clean batches grow it ×1.2 past
+    the feasibility half-cap (up to a ×64 ceiling, and never past the
+    ``COLLISION_FRAC/γ`` birthday bound — the fidelity wall), infeasible
+    draws and repair bursts shrink it ×0.5 (floor ×0.25).  A scarce-state
+    overdraw is *repaired* — clamped to the feasible region, the clamped
+    events pushed into the fresh-count tail — instead of rejecting the
+    whole batch.
     """
 
     name = "bghkpu"
+
+    #: Colliding-pick budget per batch: ``B`` is capped so the expected
+    #: number of event picks colliding on the same agent stays below this
+    #: fraction of the batch's effective events (the colliding tail is
+    #: then re-drawn against fresh counts).
+    COLLISION_FRAC = 0.2
+
+    #: Relative per-state count drift above which the frozen epoch is
+    #: re-frozen (partial refresh of the touched rows/columns).
+    ALIAS_REBUILD_TOL = 0.05
+
+    #: Heavy-cell count of the hybrid dense-support sampler: the K
+    #: heaviest frozen cells are drawn through one grouped ``K + 1``-bin
+    #: kernel and only the light tail goes through the alias table.
+    #: Engages when the active grid has more than ``2K`` nonzero cells.
+    DENSE_TOP_K = 512
+
+    #: Touched-fraction ceiling below which a drift refresh delta-updates
+    #: the epoch sums in O(touched·a) instead of rescanning O(a²)
+    #: (patch-vs-scan further arbitrated by measured cost).
+    ALIAS_PATCH_FRAC = 0.25
 
     #: Autotune multiplier range.  The ceiling matters when the static
     #: sizing is pinned by the feasibility cap (scarce states with O(1)
     #: agents keep ``½ min_s c_s/μ_s`` small while the collision bound
     #: scales with n): repair lifts the feasibility constraint, so the
-    #: multiplier may climb until the ``collision_frac/γ`` bound takes
+    #: multiplier may climb until the ``COLLISION_FRAC/γ`` bound takes
     #: over.  The collision bound itself is never relaxed — batches
     #: longer than the birthday sizing visibly damp oscillatory
     #: dynamics (trajectory variance collapses well before mean
@@ -137,34 +139,13 @@ class BGHKPUEngine(BatchCountEngine):
         rng: Optional[np.random.Generator] = None,
         table: Optional[TransitionTable] = None,
         batch: Optional[int] = None,
-        accuracy: float = 0.05,
-        min_batch_events: float = 8.0,
         cache: object = "auto",
         guards: object = None,
-        collision_frac: float = 0.2,
-        alias_rebuild_tol: float = 0.05,
-        dense_top_k: int = 512,
-        alias_patch_frac: float = 0.25,
-        batch_autotune: bool = True,
     ):
-        if not 0.0 < collision_frac <= 1.0:
-            raise ValueError("collision_frac must be in (0, 1]")
-        if not 0.0 <= alias_rebuild_tol <= 1.0:
-            raise ValueError("alias_rebuild_tol must be in [0, 1]")
-        if int(dense_top_k) < 0:
-            raise ValueError("dense_top_k must be >= 0")
-        if not 0.0 <= alias_patch_frac <= 1.0:
-            raise ValueError("alias_patch_frac must be in [0, 1]")
         super().__init__(
             protocol, population, rng=rng, table=table, batch=batch,
-            accuracy=accuracy, min_batch_events=min_batch_events,
             cache=cache, guards=guards,
         )
-        self.collision_frac = float(collision_frac)
-        self.alias_rebuild_tol = float(alias_rebuild_tol)
-        self.dense_top_k = int(dense_top_k)
-        self.alias_patch_frac = float(alias_patch_frac)
-        self.batch_autotune = bool(batch_autotune)
         #: Tail events re-drawn against fresh counts (collision resolution).
         self.collision_events = 0
         #: Overdrawn events clamped out of a batch and pushed to the tail.
@@ -477,9 +458,9 @@ class BGHKPUEngine(BatchCountEngine):
         if sampler is None:
             sampler = self._sampler = ActivePairSampler(
                 self.table.p_change_matrix,
-                self.alias_rebuild_tol,
-                top_k=self.dense_top_k,
-                patch_frac=self.alias_patch_frac,
+                self.ALIAS_REBUILD_TOL,
+                top_k=self.DENSE_TOP_K,
+                patch_frac=self.ALIAS_PATCH_FRAC,
             )
             self._need_rebuild = True
         if self._need_rebuild or sampler.act is None or sampler.stale(self._full_c):
@@ -489,7 +470,7 @@ class BGHKPUEngine(BatchCountEngine):
         if self.batch is None and sampler.total > 0.0:
             f_cap = 0.5 * sampler.cap_events
             if sampler.gamma > 0.0:
-                f_cap = min(f_cap, self.collision_frac / sampler.gamma)
+                f_cap = min(f_cap, self.COLLISION_FRAC / sampler.gamma)
             if f_cap < 2.0:
                 # tiny active set end to end: the parent's exact path is
                 # both faster and exact in this regime.
@@ -575,8 +556,8 @@ class BGHKPUEngine(BatchCountEngine):
                     code_oa = int(ct.codes[oa])
                     code_ob = int(ct.codes[ob])
                     same = gi == gj
-                    cf = self.collision_frac
-                    min_ev = self.min_batch_events
+                    cf = self.COLLISION_FRAC
+                    min_ev = MIN_BATCH_EVENTS
                     stop_now = False
                     while True:
                         ci = float(full_c[gi])
@@ -691,12 +672,8 @@ class BGHKPUEngine(BatchCountEngine):
             gamma = sampler.gamma
             f_cap = 0.5 * sampler.cap_events
             if gamma > 0.0:
-                f_cap = min(f_cap, self.collision_frac / gamma)
-            autotuned = (
-                self.batch_autotune
-                and self.batch is None
-                and f_cap >= self.min_batch_events
-            )
+                f_cap = min(f_cap, self.COLLISION_FRAC / gamma)
+            autotuned = self.batch is None and f_cap >= MIN_BATCH_EVENTS
             if autotuned:
                 # feedback-scaled cap: observed batch outcomes move the
                 # multiplier past the feasibility half-cap (repair keeps
@@ -704,14 +681,14 @@ class BGHKPUEngine(BatchCountEngine):
                 # collision bound — that is the fidelity wall.
                 scaled = f_cap * self._tune_scale
                 if gamma > 0.0:
-                    coll_bound = self.collision_frac / gamma
+                    coll_bound = self.COLLISION_FRAC / gamma
                     if scaled > coll_bound:
                         scaled = coll_bound
-                if scaled < self.min_batch_events:
-                    scaled = self.min_batch_events
+                if scaled < MIN_BATCH_EVENTS:
+                    scaled = MIN_BATCH_EVENTS
                 f_cap = scaled
 
-            if self.batch is None and f_cap < self.min_batch_events:
+            if self.batch is None and f_cap < MIN_BATCH_EVENTS:
                 # sparse regime: one exact-gap event on the lean machinery
                 # (geometric gap in the frozen p̄, so endgame convergence
                 # times are not quantized to batch boundaries)

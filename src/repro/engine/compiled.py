@@ -201,7 +201,6 @@ def acquire_table(
             if cache_dir is not None:
                 table.save(cache_dir)
         _MEMO[fingerprint] = table
-        table.cache_status, table.cache_corrupt = source.cache, source.corrupt
         return table, source
 
 
@@ -211,9 +210,5 @@ def compile_table(
     limit: Optional[int] = None,
     cache: object = "auto",
 ) -> TransitionTable:
-    """The closed table of :func:`acquire_table`, without its provenance.
-
-    The table's ``cache_status`` / ``cache_corrupt`` describe the latest
-    acquisition of that (possibly shared) table.
-    """
+    """The closed table of :func:`acquire_table`, without its provenance."""
     return acquire_table(protocol, initial_codes, limit=limit, cache=cache)[0]

@@ -19,27 +19,42 @@ only explicitly set fields are projected onto engines, serialized, or
 shown.  Unknown knobs (``table=``, ``rows=``, ...) live in ``extra`` and
 are passed through to the engine constructor unconditionally, so typos
 still fail loudly with a ``TypeError``.
+
+Batching fidelity is not configurable: the batch engines' drift, collision
+and epoch budgets are engine constants
+(:data:`~repro.engine.jump.ACCURACY`,
+:attr:`~repro.engine.bghkpu.BGHKPUEngine.COLLISION_FRAC`, ...).
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, fields, replace as _dc_replace
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 #: Construction knobs with a typed field (everything else goes to extra).
-_TYPED_OPTS = (
-    "batch",
-    "accuracy",
-    "min_batch_events",
-    "cache",
-    "guards",
-    "collision_frac",
-    "alias_rebuild_tol",
-    "dense_top_k",
-    "alias_patch_frac",
-    "batch_autotune",
-)
+_TYPED_OPTS = ("batch", "cache", "guards")
+
+
+def _retired_knobs() -> Dict[str, Tuple[Any, Tuple[str, ...]]]:
+    """Retired fidelity knob -> (the constant it became, engines that read it).
+
+    ``auto`` counts as a reader of the shared batching knobs because it
+    may resolve to ``batch``.
+    """
+    from .bghkpu import BGHKPUEngine
+    from .jump import ACCURACY, MIN_BATCH_EVENTS
+
+    batching = ("auto", "batch", "bghkpu", "ensemble")
+    return {
+        "accuracy": (ACCURACY, batching),
+        "min_batch_events": (MIN_BATCH_EVENTS, batching),
+        "collision_frac": (BGHKPUEngine.COLLISION_FRAC, ("bghkpu",)),
+        "alias_rebuild_tol": (BGHKPUEngine.ALIAS_REBUILD_TOL, ("bghkpu",)),
+        "dense_top_k": (BGHKPUEngine.DENSE_TOP_K, ("bghkpu",)),
+        "alias_patch_frac": (BGHKPUEngine.ALIAS_PATCH_FRAC, ("bghkpu",)),
+        "batch_autotune": (True, ("bghkpu",)),
+    }
 
 
 @dataclass(frozen=True)
@@ -47,9 +62,12 @@ class EngineConfig:
     """Engine name + construction knobs, as one typed value.
 
     ``engine`` is a registry name (``"auto"`` resolves per workload, see
-    :func:`repro.simulate.resolve_engine`); ``ensemble_chunk`` is the
-    replica runner's rows-per-worker setting (a supervision knob, never
-    passed to engine constructors).
+    :func:`repro.simulate.resolve_engine`); ``batch`` forces a batch size
+    on the batching engines (``1`` = exact stepping); ``cache`` is the
+    closed-table cache policy; ``guards`` arms the health guards;
+    ``ensemble_chunk`` is the replica runner's rows-per-worker setting (a
+    supervision knob, never passed to engine constructors); ``extra``
+    carries any other constructor argument.
 
     The transition table is not a knob.  There is one table type with two
     ways to fill it: the count-batch engines compile the reachable closure
@@ -63,15 +81,8 @@ class EngineConfig:
 
     engine: str = "auto"
     batch: Optional[int] = None
-    accuracy: Optional[float] = None
-    min_batch_events: Optional[float] = None
     cache: Any = "auto"
     guards: Optional[Any] = None
-    collision_frac: Optional[float] = None
-    alias_rebuild_tol: Optional[float] = None
-    dense_top_k: Optional[int] = None
-    alias_patch_frac: Optional[float] = None
-    batch_autotune: Optional[bool] = None
     ensemble_chunk: Optional[int] = None
     extra: Mapping[str, Any] = field(default_factory=dict)
 
@@ -138,6 +149,14 @@ class EngineConfig:
         or a limit the closure fits under selected.  ``compiled: false``
         selected the retired legacy dense-support batch path, whose sample
         paths no engine reproduces, so it raises ``ValueError``.
+
+        The seven retired fidelity knobs (``accuracy``,
+        ``min_batch_events``, ``collision_frac``, ``alias_rebuild_tol``,
+        ``dense_top_k``, ``alias_patch_frac``, ``batch_autotune``) are
+        engine constants now.  A stored knob is dropped when its value
+        equals that constant, or when the recorded engine never read it
+        (``collision_frac`` on a ``batch`` run); any other value selected
+        sample paths no engine reproduces, so it raises ``ValueError``.
         """
         payload = dict(data or {})
         payload.pop("backend", None)
@@ -147,6 +166,17 @@ class EngineConfig:
                 "path, which was removed; its runs cannot be replayed"
             )
         payload.pop("compile_limit", None)
+        engine = payload.get("engine", "auto")
+        for key, (constant, readers) in _retired_knobs().items():
+            value = payload.pop(key, None)
+            if value is None or value == constant or engine not in readers:
+                continue
+            raise ValueError(
+                "{}={!r} is a retired engine setting, now fixed at {!r}; "
+                "runs recorded with it cannot be replayed".format(
+                    key, value, constant
+                )
+            )
         extra = dict(payload.pop("extra", None) or {})
         known = {f.name for f in fields(cls)} - {"extra"}
         kwargs = {k: payload.pop(k) for k in list(payload) if k in known}

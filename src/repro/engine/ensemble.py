@@ -13,8 +13,9 @@ advances *all* live rows with stacked kernels —
 
 1. the ``(L, a, a)`` effective-weight tensor over the union active set of
    the live rows (a = active states across the whole ensemble);
-2. row-wise per-state batch caps (the same ``accuracy`` drift bound as the
-   jump engine, applied per row);
+2. row-wise per-state batch caps (the same
+   :data:`~repro.engine.jump.ACCURACY` drift bound as the jump engine,
+   applied per row);
 3. one array binomial for the per-row effective-event counts and one
    ``Generator.multinomial`` with 2-D pvals splitting each row's events
    over its weight cells;
@@ -57,7 +58,13 @@ from ..core.population import Population
 from ..core.protocol import Protocol
 from .api import Engine, EngineStats, Observer, StopCondition, _StopRecorder, require_budget
 from .compiled import TableSource, acquire_table
-from .jump import MAX_BATCH, pair_weights, split_outcomes_grouped
+from .jump import (
+    ACCURACY,
+    MAX_BATCH,
+    MIN_BATCH_EVENTS,
+    pair_weights,
+    split_outcomes_grouped,
+)
 from .sequential import CountEngine
 from .silence import silent_weight
 from .table import TransitionTable
@@ -121,7 +128,7 @@ class EnsembleEngine(Engine):
         nothing else).  Default: children spawned from ``rng``.  The
         replica runner passes one generator per replica seed so ``batch=1``
         rows replay the corresponding solo ``CountEngine`` bit-identically.
-    batch / accuracy / min_batch_events:
+    batch:
         As for :class:`~repro.engine.jump.BatchCountEngine`, applied per
         row (``batch=1`` forces the exact path for every row).
     table / cache:
@@ -144,8 +151,6 @@ class EnsembleEngine(Engine):
         rows: int = 1,
         row_rngs: Optional[Sequence[np.random.Generator]] = None,
         batch: Optional[int] = None,
-        accuracy: float = 0.05,
-        min_batch_events: float = 8.0,
         cache: object = "auto",
         guards: object = None,
     ):
@@ -153,8 +158,6 @@ class EnsembleEngine(Engine):
             raise ValueError("rows must be a positive integer")
         if batch is not None and batch < 1:
             raise ValueError("batch must be a positive integer or None")
-        if not 0.0 < accuracy <= 1.0:
-            raise ValueError("accuracy must be in (0, 1]")
         self._init_common(protocol, population, rng, guards=guards)
         self._population = population
 
@@ -168,8 +171,6 @@ class EnsembleEngine(Engine):
 
         self.rows = int(rows)
         self.batch = batch
-        self.accuracy = float(accuracy)
-        self.min_batch_events = float(min_batch_events)
         self._n = int(population.n)
 
         if row_rngs is not None:
@@ -486,14 +487,14 @@ class EnsembleEngine(Engine):
                 # an unconsumed state puts no bound on the batch; dividing
                 # by a floored ``consume`` instead overflows at n >= 1e8
                 per_state = np.divide(
-                    self.accuracy * ca * pairs_total, consume,
+                    ACCURACY * ca * pairs_total, consume,
                     out=np.full(consume.shape, np.inf),
                     where=consume > 0.0,
                 )
                 cap = per_state.min(axis=1)
                 cap = np.where(np.isfinite(cap), cap, 0.0)
                 expected = cap * p_change
-                batchable = alive & (expected >= self.min_batch_events)
+                batchable = alive & (expected >= MIN_BATCH_EVENTS)
                 exact_rows = alive & ~batchable
                 B[batchable] = np.minimum(cap[batchable], MAX_BATCH).astype(
                     np.int64

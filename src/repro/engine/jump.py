@@ -29,17 +29,17 @@ the active states.  Cell weights, the binomial/multinomial split and the
 count deltas are pure vectorized numpy over the active set: O(active²)
 per batch, independent of the table size.  The batch size is capped **per
 state**: the expected number of events consuming state ``s`` stays below
-``accuracy · c_s`` for every ``s``, so a few scarce control states (e.g.
+``ACCURACY · c_s`` for every ``s``, so a few scarce control states (e.g.
 the paper's ``#X ≈ 3`` source agents) do not throttle the whole batch.
 
 Batches freeze the pair-selection probabilities at the batch's
 *initial* counts, whereas the exact sequential process updates them after
-every event; ``accuracy`` bounds the resulting within-batch drift (the
-per-state relative consumption, hence a per-batch total-variation
-distance of ``O(accuracy · E[F])`` against the exact process).
+every event; :data:`ACCURACY` bounds the resulting within-batch drift
+(the per-state relative consumption, hence a per-batch total-variation
+distance of ``O(ACCURACY · E[F])`` against the exact process).
 
 Whenever batching is pointless (expected events per batch below
-``min_batch_events``) or unsafe (a sampled batch would drive a count
+:data:`MIN_BATCH_EVENTS`) or unsafe (a sampled batch would drive a count
 negative), the engine falls back to **exact** per-event stepping, reusing
 :class:`~repro.engine.sequential.CountEngine`'s geometric null-skipping.
 With ``batch=1`` the engine *only* uses that path and is therefore exactly
@@ -66,6 +66,17 @@ from .table import LazyTable, TransitionTable
 
 #: Largest batch ever attempted (keeps binomial/multinomial draws in int64).
 MAX_BATCH = 2 ** 62
+
+#: Within-batch drift budget: the expected events *consuming each state*
+#: ``s`` are kept below ``ACCURACY · c_s``.  ``0.05`` keeps convergence
+#: statistics of the paper's workloads indistinguishable from exact runs
+#: at n = 10⁶ while still jumping millions of interactions per batch.
+ACCURACY = 0.05
+
+#: Below this expected number of effective events per batch the exact path
+#: is used instead (null skipping already makes sparse-event regimes
+#: cheap, so batching there would only cost fidelity).
+MIN_BATCH_EVENTS = 8.0
 
 
 def pair_weights(counts: np.ndarray, p_sub: np.ndarray) -> np.ndarray:
@@ -156,19 +167,11 @@ class BatchCountEngine(CountEngine):
         the closure exceeds the compile limit; or pass a pre-built table
         (closed tables must cover the population's support).
     batch:
-        ``None`` (default) sizes batches adaptively from ``accuracy``;
-        an integer forces that batch size.  ``batch=1`` disables batching
-        entirely — the engine then runs the exact null-skipping process.
-    accuracy:
-        Within-batch drift budget: the expected events *consuming each
-        state* ``s`` are kept below ``accuracy · c_s``.  Smaller is more
-        faithful and slower; ``0.05`` keeps convergence statistics of the
-        paper's workloads indistinguishable from exact runs at n = 10⁶
-        while still jumping millions of interactions per batch.
-    min_batch_events:
-        Below this expected number of effective events per batch the exact
-        path is used instead (null skipping already makes sparse-event
-        regimes cheap, so batching there only costs accuracy).
+        ``None`` (default) sizes batches adaptively from
+        :data:`ACCURACY`, stepping exactly below :data:`MIN_BATCH_EVENTS`
+        expected events; an integer forces that batch size.  ``batch=1``
+        disables batching entirely — the engine then runs the exact
+        null-skipping process.
     cache:
         Closed-table cache policy (see
         :func:`repro.engine.compiled.acquire_table`): ``"auto"``, a
@@ -185,15 +188,11 @@ class BatchCountEngine(CountEngine):
         rng: Optional[np.random.Generator] = None,
         table: Optional[TransitionTable] = None,
         batch: Optional[int] = None,
-        accuracy: float = 0.05,
-        min_batch_events: float = 8.0,
         cache: object = "auto",
         guards: object = None,
     ):
         if batch is not None and batch < 1:
             raise ValueError("batch must be a positive integer or None")
-        if not 0.0 < accuracy <= 1.0:
-            raise ValueError("accuracy must be in (0, 1]")
 
         #: how this engine obtained its closed table (``None`` when it was
         #: handed one or runs on an open table)
@@ -208,8 +207,6 @@ class BatchCountEngine(CountEngine):
         super().__init__(protocol, population, rng=rng, table=table, guards=guards)
 
         self.batch = batch
-        self.accuracy = float(accuracy)
-        self.min_batch_events = float(min_batch_events)
         self.batches = 0  # multinomial jumps taken
         self.fallbacks = 0  # batches rejected for count feasibility
         self.kernel_seconds = 0.0  # wall time inside the batch kernels
@@ -276,7 +273,7 @@ class BatchCountEngine(CountEngine):
         ``s`` is ``B · weight_s / pairs_total`` (``weight_s`` = total
         weight of cells with ``s`` as initiator or responder; the diagonal
         cell counts twice, matching its two consumed agents).  The cap is
-        the largest B with ``B · weight_s / pairs_total ≤ accuracy · c_s``
+        the largest B with ``B · weight_s / pairs_total ≤ ACCURACY · c_s``
         for all consumable ``s``.
         """
         consume = w.sum(axis=1) + w.sum(axis=0)
@@ -284,7 +281,7 @@ class BatchCountEngine(CountEngine):
         live = consume > 0.0
         if not live.any():
             return 0.0
-        caps = self.accuracy * ca[live] * pairs_total / consume[live]
+        caps = ACCURACY * ca[live] * pairs_total / consume[live]
         return float(caps.min())
 
     def _sample_active_deltas(
@@ -437,9 +434,9 @@ class BatchCountEngine(CountEngine):
             else:
                 cap = self._per_state_batch_cap(act, weights, pairs_total)
                 expected_events = cap * p_change
-                if expected_events < self.min_batch_events:
+                if expected_events < MIN_BATCH_EVENTS:
                     # sparse-event regime: exact null skipping is cheap
-                    # *and* exact — batching would only cost accuracy.
+                    # *and* exact — batching would only cost fidelity.
                     self.kernel_seconds += time.perf_counter() - kernel_start
                     if not exact_event():
                         break

@@ -211,11 +211,6 @@ class TransitionTable:
         self.fingerprint = fingerprint
         #: wall seconds spent building this table's closure (0 when loaded)
         self.compile_seconds = compile_seconds
-        #: provenance of the latest :func:`compile_table` acquisition
-        #: ("miss", "hit", "memo", "off", "corrupt"); engines record their
-        #: own per-acquisition :class:`~repro.engine.compiled.TableSource`
-        self.cache_status = "off"
-        self.cache_corrupt = 0
         #: rows computed by ``protocol.transition`` / scalar cache hits
         self.misses = 0
         self.hits = 0

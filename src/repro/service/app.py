@@ -11,6 +11,8 @@ POST   ``/runs``                        submit a sweep → 202 + run id, 429
                                         returns the original run, 200)
 GET    ``/runs``                        statuses of every stored run
 GET    ``/runs/{id}``                   one run's status + its stored request
+                                        (``null`` plus a ``request_error``
+                                        when this release cannot read it)
 GET    ``/runs/{id}/events``            live progress/replica/grid event stream
                                         (``?from=N`` resumes mid-stream — also
                                         across server restarts; for finished
@@ -73,7 +75,6 @@ class ServiceApp:
         capacity: int = 8,
         retry_after: float = 1.0,
         quota: Optional[QuotaSpec] = None,
-        sandbox: bool = True,
         recover: bool = True,
         drain_grace: float = 10.0,
         retries: int = 1,
@@ -86,7 +87,7 @@ class ServiceApp:
         self._submit_lock = threading.Lock()
         self.jobs = JobQueue(
             self.store, workers=workers, capacity=capacity,
-            retry_after=retry_after, sandbox=sandbox, retries=retries,
+            retry_after=retry_after, retries=retries,
         )
         self.recovered = self._recover() if recover else []
         self.router = Router()
@@ -104,7 +105,10 @@ class ServiceApp:
         """Re-enqueue every stored run whose journal still owes work.
 
         Stored quotas are clamped to *this* server's ceilings (limits may
-        have been lowered since the run was accepted).  Returns the
+        have been lowered since the run was accepted).  A stored request
+        this release cannot read (say, one naming a retired engine
+        setting) settles its run as ``failed`` with the reason, journaled
+        so later boots skip it, and the boot goes on.  Returns the
         recovered run ids, in original submission order.
         """
         recovered = []
@@ -113,6 +117,11 @@ class ServiceApp:
                 request = self.store.request(run_id)
             except ServiceError:
                 continue  # request.json never landed; nothing to resume
+            except ValueError as exc:
+                error = "unreadable request: {}".format(exc)
+                self.store.append_journal(run_id, "failed", error=error)
+                self.store.set_status(run_id, "failed", error=error)
+                continue
             effective = request.quota.limited_by(self.quota_ceiling, clamp=True)
             if self.jobs.enqueue_recovered(run_id, quota=effective) is not None:
                 recovered.append(run_id)
@@ -191,7 +200,11 @@ class ServiceApp:
         run_id = request.params["run_id"]
         status = self.store.status(run_id)
         payload = dict(status)
-        payload["request"] = self.store.request(run_id).as_dict()
+        try:
+            payload["request"] = self.store.request(run_id).as_dict()
+        except ValueError as exc:  # stored in a form this release cannot read
+            payload["request"] = None
+            payload["request_error"] = str(exc)
         payload["manifest"] = self.store.manifest_exists(run_id)
         return JsonResponse(payload)
 
@@ -423,7 +436,6 @@ def serve(
     capacity: int = 8,
     retry_after: float = 1.0,
     quota: Optional[QuotaSpec] = None,
-    sandbox: bool = True,
     recover: bool = True,
     drain_grace: float = 10.0,
     retries: int = 1,
@@ -431,6 +443,6 @@ def serve(
     """Build a :class:`ServiceApp` and serve it (CLI entry point)."""
     ServiceApp(
         store_root, workers=workers, capacity=capacity,
-        retry_after=retry_after, quota=quota, sandbox=sandbox,
-        recover=recover, drain_grace=drain_grace, retries=retries,
+        retry_after=retry_after, quota=quota, recover=recover,
+        drain_grace=drain_grace, retries=retries,
     ).serve(host=host, port=port)

@@ -6,8 +6,8 @@ submission queue; when the queue is full, :meth:`JobQueue.submit` raises
 answers with ``429`` + ``Retry-After`` — callers see backpressure, not
 latency.
 
-Each accepted submission becomes a :class:`Job`.  By default the job
-executes in a supervised **sandbox subprocess**
+Each accepted submission becomes a :class:`Job`.  The job executes in a
+supervised **sandbox subprocess**
 (:mod:`repro.service.sandbox`): the child applies the job's quota via
 ``resource.setrlimit``, runs the sweep through
 :func:`repro.engine.replicas.run_replicas` in *checkpoint groups* (the
@@ -18,8 +18,6 @@ A quota breach surfaces as ``status="killed"`` naming the violated
 limit; an unexpected child death is retried (the respawn resumes from
 the manifest checkpoint, bit-identically) and, if retries are exhausted,
 recorded as ``failed`` — the server itself never goes down with a job.
-``sandbox=False`` keeps the legacy in-process execution (used by tests
-that gate ``run_replicas`` and by embedders who accept shared fate).
 
 Every state transition is **journaled write-ahead** (``journal.jsonl``,
 fsynced) before the status is published: accepted → started →
@@ -192,13 +190,13 @@ class Job:
         self.store.append_event(self.run_id, event)
 
     # -- execution -------------------------------------------------------
-    def execute(self, use_sandbox: bool = True, retries: int = 1) -> None:
+    def execute(self, retries: int = 1) -> None:
         if self._cancel.is_set():
             self._set_state("cancelled", done=0)
             return
         self._set_state("running", started=time.time())
         try:
-            outcome = self._attempts(use_sandbox, retries)
+            outcome = self._attempts(retries)
         except Exception as exc:  # noqa: BLE001 - job boundary
             outcome = {
                 "status": "failed",
@@ -207,10 +205,10 @@ class Job:
             }
         self._settle(outcome)
 
-    def _attempts(self, use_sandbox: bool, retries: int) -> Dict[str, Any]:
+    def _attempts(self, retries: int) -> Dict[str, Any]:
         attempt = 0
         while True:
-            outcome = self._run_once(use_sandbox)
+            outcome = self._run_once()
             crashed = (
                 outcome["status"] == "interrupted"
                 and outcome.get("reason") == "worker-crash"
@@ -229,7 +227,7 @@ class Job:
                 continue  # the respawn resumes from the manifest checkpoint
             return outcome
 
-    def _run_once(self, use_sandbox: bool) -> Dict[str, Any]:
+    def _run_once(self) -> Dict[str, Any]:
         def emit(event: Dict[str, Any]) -> None:
             self._emit(event)
             if event.get("kind") == "checkpoint":
@@ -239,18 +237,9 @@ class Job:
                 )
                 self.on_checkpoint(event)
 
-        if use_sandbox:
-            return sandbox.run_sandboxed(
-                self.store, self.run_id, self.quota,
-                emit=emit, attach=self._attach_child,
-            )
-        # in-process fallback: shared fate with the server, cpu/memory/wall
-        # quotas unenforceable (the manifest cap still applies)
-        return sandbox.execute_groups(
-            self.request, self.run_id, self.store,
-            emit=emit,
-            should_stop=lambda: self._cancel.is_set() or self._drain.is_set(),
-            quota=self.quota,
+        return sandbox.run_sandboxed(
+            self.store, self.run_id, self.quota,
+            emit=emit, attach=self._attach_child,
         )
 
     def _settle(self, outcome: Dict[str, Any]) -> None:
@@ -298,7 +287,6 @@ class JobQueue:
         workers: int = 2,
         capacity: int = 8,
         retry_after: float = 1.0,
-        sandbox: bool = True,
         retries: int = 1,
     ):
         if workers < 1:
@@ -309,7 +297,6 @@ class JobQueue:
         self.workers = workers
         self.capacity = capacity
         self.retry_after = retry_after
-        self.sandbox = sandbox
         self.retries = retries
         self.last_checkpoint: Optional[float] = None
         self._draining = False
@@ -419,7 +406,7 @@ class JobQueue:
                     # the next boot re-enqueues it
                     continue
                 job._ready.wait()
-                job.execute(use_sandbox=self.sandbox, retries=self.retries)
+                job.execute(retries=self.retries)
             finally:
                 self._queue.task_done()
 

@@ -8,8 +8,7 @@ never take the server down with it.  The child:
 * applies the job's :class:`~repro.service.schema.QuotaSpec` via
   ``resource.setrlimit`` (``RLIMIT_CPU`` for ``cpu_seconds``,
   ``RLIMIT_AS`` for ``memory_bytes``) before touching the workload;
-* runs the same checkpoint-group loop the in-process mode uses
-  (:func:`execute_groups`), appending each group to the run manifest and
+* runs the checkpoint-group loop (:func:`execute_groups`), appending each group to the run manifest and
   emitting progress/replica/grid/checkpoint events as JSON lines on
   stdout;
 * drains at the next group boundary when it receives ``SIGTERM``
@@ -79,7 +78,7 @@ def execute_groups(
     quota: Optional[QuotaSpec] = None,
     faults: Optional[ServiceFaultPlan] = None,
 ) -> Dict[str, Any]:
-    """The checkpoint-group loop shared by sandbox children and inline mode.
+    """The checkpoint-group loop a sandbox child runs.
 
     The groups are the runner's own blocks
     (:func:`~repro.engine.replicas.replica_blocks`): one replica each, or

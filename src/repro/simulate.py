@@ -141,7 +141,7 @@ def make_engine(
     The canonical call passes a config — either as ``config=`` or
     directly in the ``engine`` slot::
 
-        make_engine(protocol, pop, EngineConfig(engine="batch", accuracy=0.01))
+        make_engine(protocol, pop, EngineConfig(engine="batch", guards=True))
 
     A plain registry name in ``engine`` stays first-class.
     """

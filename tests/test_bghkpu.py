@@ -16,7 +16,7 @@ from scipy.stats import ks_2samp
 
 from repro.analysis import aggregate_convergence
 from repro.core import Population, Rule, StateSchema, V, single_thread
-from repro.engine import BGHKPUEngine, BatchCountEngine, Trace, compiled
+from repro.engine import BGHKPUEngine, CountEngine, Trace, compiled
 from repro.engine.config import EngineConfig
 from repro.engine.health import HealthMonitor, SimulationHealthError
 from repro.simulate import engine_names, make_engine, resolve_engine
@@ -52,62 +52,39 @@ class TestRegistry:
         assert resolve_engine("bghkpu") is BGHKPUEngine
 
     def test_config_round_trip(self):
-        cfg = EngineConfig(
-            engine="bghkpu", collision_frac=0.15, alias_rebuild_tol=0.02
-        )
+        cfg = EngineConfig(engine="bghkpu", batch=64, guards=True)
         assert EngineConfig.from_dict(cfg.as_dict()) == cfg
 
     def test_kwargs_projection(self):
-        cfg = EngineConfig(
-            engine="bghkpu", collision_frac=0.15, alias_rebuild_tol=0.02
-        )
-        assert cfg.engine_kwargs(BGHKPUEngine) == {
-            "collision_frac": 0.15, "alias_rebuild_tol": 0.02,
+        cfg = EngineConfig(engine="bghkpu", batch=64)
+        assert cfg.engine_kwargs(BGHKPUEngine) == {"batch": 64}
+        # engines without batching never see the batch size
+        assert cfg.engine_kwargs(CountEngine) == {}
+
+    def test_stored_knobs_follow_the_constants(self, monkeypatch):
+        """A stored knob upgrades only while it equals the live constant."""
+        monkeypatch.setattr(BGHKPUEngine, "COLLISION_FRAC", 0.15)
+        monkeypatch.setattr(BGHKPUEngine, "ALIAS_REBUILD_TOL", 0.02)
+        monkeypatch.setattr(BGHKPUEngine, "DENSE_TOP_K", 128)
+        monkeypatch.setattr(BGHKPUEngine, "ALIAS_PATCH_FRAC", 0.1)
+        stored = {
+            "engine": "bghkpu", "collision_frac": 0.15,
+            "alias_rebuild_tol": 0.02, "dense_top_k": 128,
+            "alias_patch_frac": 0.1, "batch_autotune": True,
         }
-        # foreign engines never see the bghkpu-only knobs
-        assert cfg.engine_kwargs(BatchCountEngine) == {}
+        assert EngineConfig.from_dict(stored) == EngineConfig(engine="bghkpu")
+        with pytest.raises(ValueError, match="batch_autotune=False"):
+            EngineConfig.from_dict(dict(stored, batch_autotune=False))
+        with pytest.raises(ValueError, match="collision_frac=0.2"):
+            EngineConfig.from_dict(dict(stored, collision_frac=0.2))
 
-    def test_knob_validation(self):
-        protocol, schema = leader_fight()
-        pop = leader_population(schema, 100)
-        with pytest.raises(ValueError, match="collision_frac"):
-            BGHKPUEngine(protocol, pop, collision_frac=0.0)
-        with pytest.raises(ValueError, match="collision_frac"):
-            BGHKPUEngine(protocol, pop, collision_frac=1.5)
-        with pytest.raises(ValueError, match="alias_rebuild_tol"):
-            BGHKPUEngine(protocol, pop, alias_rebuild_tol=-0.1)
-        with pytest.raises(ValueError, match="alias_rebuild_tol"):
-            BGHKPUEngine(protocol, pop, alias_rebuild_tol=1.01)
-
-    def test_dense_knob_validation(self):
-        protocol, schema = leader_fight()
-        pop = leader_population(schema, 100)
-        with pytest.raises(ValueError, match="dense_top_k"):
-            BGHKPUEngine(protocol, pop, dense_top_k=-1)
-        with pytest.raises(ValueError, match="alias_patch_frac"):
-            BGHKPUEngine(protocol, pop, alias_patch_frac=-0.5)
-        with pytest.raises(ValueError, match="alias_patch_frac"):
-            BGHKPUEngine(protocol, pop, alias_patch_frac=1.5)
-
-    def test_config_round_trip_dense_knobs(self):
-        cfg = EngineConfig(
-            engine="bghkpu", dense_top_k=128, alias_patch_frac=0.1,
-            batch_autotune=False,
-        )
-        assert EngineConfig.from_dict(cfg.as_dict()) == cfg
-
-    def test_kwargs_projection_dense_knobs(self):
-        cfg = EngineConfig(
-            engine="bghkpu", dense_top_k=128, alias_patch_frac=0.1,
-            batch_autotune=False,
-        )
-        assert cfg.engine_kwargs(BGHKPUEngine) == {
-            "dense_top_k": 128,
-            "alias_patch_frac": 0.1,
-            "batch_autotune": False,
-        }
-        # foreign engines never see the bghkpu-only knobs
-        assert cfg.engine_kwargs(BatchCountEngine) == {}
+    def test_constants_drive_the_sampler(self, monkeypatch):
+        monkeypatch.setattr(BGHKPUEngine, "COLLISION_FRAC", 0.15)
+        monkeypatch.setattr(BGHKPUEngine, "ALIAS_REBUILD_TOL", 0.02)
+        eng, pop = run_leader("bghkpu", 50_000, seed=9)
+        assert eng._sampler.tol == 0.02
+        assert pop.count(V("L")) == 1
+        assert eng.events == 49_999
 
 
 class TestExactness:
@@ -138,12 +115,11 @@ class TestExactness:
         assert a.interactions == b.interactions
         assert a.events == b.events == 499
 
-    def test_batch_one_bit_identity_with_dense_knobs(self):
-        """batch=1 stays on the exact path with every dense knob set."""
-        a, _ = run_leader(
-            "bghkpu", 500, seed=7, batch=1,
-            dense_top_k=512, alias_patch_frac=0.25, batch_autotune=True,
-        )
+    def test_batch_one_bit_identity_with_dense_knobs(self, monkeypatch):
+        """batch=1 stays on the exact path with every dense constant set."""
+        monkeypatch.setattr(BGHKPUEngine, "DENSE_TOP_K", 512)
+        monkeypatch.setattr(BGHKPUEngine, "ALIAS_PATCH_FRAC", 0.25)
+        a, _ = run_leader("bghkpu", 500, seed=7, batch=1)
         b, _ = run_leader("batch", 500, seed=7, batch=1)
         assert a.interactions == b.interactions
         assert a.events == b.events == 499
@@ -292,16 +268,16 @@ class TestKSEquivalence:
         bghkpu = np.concatenate(pooled["bghkpu"])
         assert ks_2samp(batch, bghkpu).pvalue > KS_ALPHA
 
-    def test_oscillator_observer_series_hybrid_forced(self):
+    def test_oscillator_observer_series_hybrid_forced(self, monkeypatch):
         """E3 with the hybrid split forced on (the grid is too small to
-        engage it at the default ``dense_top_k``): same pooled KS gate."""
+        engage it at the default ``DENSE_TOP_K``): same pooled KS gate."""
         from repro.oscillator import make_oscillator_protocol, species, weak_value
 
         protocol = make_oscillator_protocol()
         n, third = 600, (600 - 3) // 3
-        dense_cfg = EngineConfig(
-            engine="bghkpu", dense_top_k=16, alias_patch_frac=0.5
-        )
+        # the batch engine never reads the bghkpu constants
+        monkeypatch.setattr(BGHKPUEngine, "DENSE_TOP_K", 16)
+        monkeypatch.setattr(BGHKPUEngine, "ALIAS_PATCH_FRAC", 0.5)
 
         def trace_of(engine, seed):
             pop = Population.from_groups(
@@ -324,7 +300,7 @@ class TestKSEquivalence:
 
         pooled = {"batch": [], "dense": []}
         hybrid_engaged = False
-        for key, engine in (("batch", "batch"), ("dense", dense_cfg)):
+        for key, engine in (("batch", "batch"), ("dense", "bghkpu")):
             for seed in range(10):
                 trace, eng = trace_of(engine, 700 + seed)
                 if key == "dense" and eng._sampler is not None:
@@ -337,7 +313,7 @@ class TestKSEquivalence:
         assert ks_2samp(batch, dense).pvalue > KS_ALPHA
 
     def test_phase_clock_observer_series_dense_defaults(self):
-        """E4 composed oscillator + clock vs ``batch``, knobs at defaults.
+        """E4 composed oscillator + clock vs ``batch``, constants at defaults.
 
         The 168-state composed protocol is the dense-support shape the
         hybrid sampler targets; the pooled KS over the species observer

@@ -4,8 +4,8 @@ The simulation service turns the on-disk table cache into a shared
 cross-request resource, so this suite stresses exactly the scenarios that
 setup creates: several processes compiling/saving the same fingerprint
 into one directory at once (atomic publish, no torn reads), corrupt or
-truncated entries falling back to a recompile with
-``cache_status="corrupt"``, and concurrent same-protocol requests in one
+truncated entries falling back to a recompile reported as a ``"corrupt"``
+:class:`~repro.engine.compiled.TableSource`, and concurrent same-protocol requests in one
 process compiling only once behind the per-fingerprint lock.
 """
 
@@ -19,6 +19,7 @@ import pytest
 
 from repro.engine import compiled
 from repro.engine.compiled import (
+    acquire_table,
     clear_memo,
     compile_table,
     protocol_fingerprint,
@@ -30,7 +31,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 STRESS_SCRIPT = """
 import sys
-from repro.engine.compiled import clear_memo, compile_table
+from repro.engine.compiled import acquire_table, clear_memo
 from repro.workloads import build_workload
 
 cache_dir, rounds = sys.argv[1], int(sys.argv[2])
@@ -38,10 +39,10 @@ wl = build_workload("epidemic", n=40)
 statuses = []
 for _ in range(rounds):
     clear_memo()  # force the disk path every round
-    table = compile_table(
+    table, source = acquire_table(
         wl.protocol, wl.population.counts.keys(), cache=cache_dir
     )
-    statuses.append(table.cache_status)
+    statuses.append(source.cache)
     table.save(cache_dir)  # hammer the writer while the peer reads
 print(",".join(statuses))
 """
@@ -107,10 +108,10 @@ class TestCorruptEntries:
     def test_truncated_entry_recompiles_as_corrupt(self, tmp_path):
         cache_dir = str(tmp_path)
         protocol, population = epidemic()
-        first = compile_table(
+        first, source = acquire_table(
             protocol, population.counts.keys(), cache=cache_dir
         )
-        assert first.cache_status == "miss"
+        assert source.cache == "miss"
         path = os.path.join(cache_dir, first.fingerprint + ".npz")
         with open(path, "rb") as fh:
             head = fh.read(16)
@@ -118,17 +119,17 @@ class TestCorruptEntries:
             fh.write(head)  # torn write: zip header survives, payload gone
 
         clear_memo()
-        table = compile_table(
+        _, source = acquire_table(
             protocol, population.counts.keys(), cache=cache_dir
         )
-        assert table.cache_status == "corrupt"
-        assert table.cache_corrupt == 1
+        assert source.cache == "corrupt"
+        assert source.corrupt == 1
         # the poisoned entry was replaced by a healthy one
         clear_memo()
-        again = compile_table(
+        _, source = acquire_table(
             protocol, population.counts.keys(), cache=cache_dir
         )
-        assert again.cache_status == "hit"
+        assert source.cache == "hit"
 
     def test_valid_zip_with_broken_arrays_is_corrupt(self, tmp_path):
         # a torn write can leave a *readable* npz whose arrays lie; the
@@ -158,10 +159,10 @@ class TestCorruptEntries:
 
         poison()
         clear_memo()
-        table = compile_table(
+        _, source = acquire_table(
             protocol, population.counts.keys(), cache=cache_dir
         )
-        assert table.cache_status == "corrupt"
+        assert source.cache == "corrupt"
 
     def test_validate_rejects_nonmonotone_offsets(self):
         protocol, population = epidemic()

@@ -27,7 +27,7 @@ from repro.engine import (
     run_replicas,
 )
 from repro.engine import compiled
-from repro.engine.compiled import _MEMO
+from repro.engine.compiled import _MEMO, acquire_table
 from repro.oscillator import make_oscillator_protocol, strong_value, weak_value
 
 
@@ -183,19 +183,19 @@ class TestFingerprintCache:
         fp = protocol_fingerprint(protocol, codes)
         _MEMO.pop(fp, None)
 
-        first = compile_table(protocol, codes, cache=str(tmp_path))
-        assert first.cache_status == "miss"
+        first, source = acquire_table(protocol, codes, cache=str(tmp_path))
+        assert source.cache == "miss"
         assert (tmp_path / (fp + ".npz")).exists()
 
         _MEMO.pop(fp, None)
-        second = compile_table(protocol, codes, cache=str(tmp_path))
-        assert second.cache_status == "hit"
+        second, source = acquire_table(protocol, codes, cache=str(tmp_path))
+        assert source.cache == "hit"
         assert np.array_equal(second.codes, first.codes)
         assert np.array_equal(second.out_p, first.out_p)
         assert np.array_equal(second.p_change_matrix, first.p_change_matrix)
 
-        third = compile_table(protocol, codes, cache=str(tmp_path))
-        assert third.cache_status == "memo"
+        third, source = acquire_table(protocol, codes, cache=str(tmp_path))
+        assert source.cache == "memo"
         assert third is second
 
     def test_mutated_protocol_misses_the_cache(self, tmp_path):
@@ -227,10 +227,10 @@ class TestFingerprintCache:
             protocol = leader_fight(weight=weight)
             pop = Population.uniform(protocol.schema, 50, {"L": True})
             _MEMO.pop(protocol_fingerprint(protocol, pop.counts.keys()), None)
-            table = compile_table(
+            _, source = acquire_table(
                 protocol, pop.counts.keys(), cache=str(tmp_path)
             )
-            assert table.cache_status == "miss"
+            assert source.cache == "miss"
         assert len(list(tmp_path.glob("*.npz"))) == 2
 
     def test_initial_support_changes_fingerprint(self):
@@ -253,14 +253,14 @@ class TestFingerprintCache:
         path = tmp_path / (fp + ".npz")
         path.write_bytes(b"not an npz file")
         _MEMO.pop(fp, None)
-        table = compile_table(protocol, codes, cache=str(tmp_path))
-        assert table.cache_status == "corrupt"  # corrupt file dropped, rebuilt
-        assert table.cache_corrupt == 1
+        table, source = acquire_table(protocol, codes, cache=str(tmp_path))
+        assert source.cache == "corrupt"  # corrupt file dropped, rebuilt
+        assert source.corrupt == 1
         assert table.num_states == 2
         # the rebuilt table was re-saved, so a fresh load is a clean hit
         _MEMO.pop(fp, None)
-        again = compile_table(protocol, codes, cache=str(tmp_path))
-        assert again.cache_status == "hit"
+        _, source = acquire_table(protocol, codes, cache=str(tmp_path))
+        assert source.cache == "hit"
 
 
     def test_impossible_probabilities_recompile(self, tmp_path):
@@ -294,8 +294,8 @@ class TestFingerprintCache:
             assert not path.exists()  # the lying entry was unlinked
             poison(**case)
             _MEMO.pop(fp, None)
-            table = compile_table(protocol, codes, cache=str(tmp_path))
-            assert table.cache_status == "corrupt"
+            table, source = acquire_table(protocol, codes, cache=str(tmp_path))
+            assert source.cache == "corrupt"
             assert np.array_equal(table.p_change_matrix, p)
             assert np.array_equal(table.out_p, good.out_p)
 

@@ -5,7 +5,8 @@ One frozen config carries engine name + construction knobs through
 and service journals, and back out through ``replay_replica`` /
 ``resume_sweep`` / service recovery.  Records written by older releases
 (``engine``/``engine_opts`` headers, configs naming a ``backend``) still
-replay bit-identically.
+replay bit-identically, and so do configs naming a retired fidelity
+knob at the value its engine constant now fixes.
 """
 
 import http.client
@@ -143,10 +144,10 @@ class TestMakeEngine:
         workload = epidemic()
         eng = make_engine(
             workload.protocol, workload.population.copy(),
-            EngineConfig(engine="batch", accuracy=0.01), seed=0,
+            EngineConfig(engine="batch", batch=4), seed=0,
         )
         assert isinstance(eng, BatchCountEngine)
-        assert eng.accuracy == 0.01
+        assert eng.batch == 4
         eng = make_engine(
             workload.protocol, workload.population.copy(),
             EngineConfig(engine="ensemble"), seed=0,
@@ -274,15 +275,20 @@ def _v3_compile_limit_header(header):
     header["config"]["compile_limit"] = 64
 
 
+def _v3_accuracy_header(header):
+    """A config naming the retired ``accuracy`` knob at its constant."""
+    header["config"]["accuracy"] = 0.05
+
+
 class TestOldRecords:
     CFG = EngineConfig(engine="batch", guards=True)
 
     @pytest.mark.parametrize(
         "edit",
         [_v2_header, _v3_backend_header, _v3_compiled_header,
-         _v3_compile_limit_header],
+         _v3_compile_limit_header, _v3_accuracy_header],
         ids=["v2-engine-opts", "v3-config-backend", "v3-compiled-true",
-             "v3-compile-limit"],
+             "v3-compile-limit", "v3-accuracy-default"],
     )
     def test_old_header_replays_bit_identically(self, tmp_path, edit):
         _, path, rs = sweep(tmp_path, self.CFG)
@@ -307,9 +313,7 @@ class TestOldRecords:
             replay_replica(load_manifest(path), 0)
 
     def test_compiled_false_is_a_400(self, tmp_path):
-        handle = ServiceApp(
-            str(tmp_path / "runs"), workers=1, sandbox=False
-        ).start_background()
+        handle = ServiceApp(str(tmp_path / "runs"), workers=1).start_background()
         conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
         try:
             conn.request(
@@ -347,7 +351,7 @@ class TestOldRecords:
             json.dump(stored, fh)
         store.append_journal(run_id, "started")  # killed before any work
 
-        app = ServiceApp(root, workers=1, sandbox=False)
+        app = ServiceApp(root, workers=1)
         assert app.recovered == [run_id]
         handle = app.start_background()
         try:
@@ -369,6 +373,69 @@ class TestOldRecords:
             assert loaded.rounds == record.rounds
             assert loaded.interactions == record.interactions
             assert loaded.converged == record.converged
+
+
+class TestRetiredKnobs:
+    """The seven fidelity knobs are engine constants now."""
+
+    CFG = EngineConfig(engine="bghkpu", guards=True)
+
+    def test_header_at_the_constant_replays_bit_identically(self, tmp_path):
+        _, path, rs = sweep(tmp_path, self.CFG)
+        _rewrite_header(path, lambda h: h["config"].update(collision_frac=0.2))
+        manifest = load_manifest(path)
+        assert _header_config(manifest.header) == self.CFG
+        for record in rs.records:
+            fresh = replay_replica(manifest, record.index)
+            assert fresh.rounds == record.rounds
+            assert fresh.interactions == record.interactions
+            assert fresh.converged == record.converged
+
+    def test_header_off_the_constant_raises(self, tmp_path):
+        _, path, _ = sweep(tmp_path, self.CFG)
+        _rewrite_header(
+            path, lambda h: h["config"].update(collision_frac=0.15)
+        )
+        with pytest.raises(ValueError, match="collision_frac=0.15"):
+            replay_replica(load_manifest(path), 0)
+
+    def test_knob_the_engine_never_read_is_dropped(self):
+        for stored in (
+            {"engine": "batch", "collision_frac": 0.15},
+            {"engine": "count", "accuracy": 0.01},
+            {"engine": "auto", "batch_autotune": False},
+        ):
+            cfg = EngineConfig.from_dict(stored)
+            assert cfg == EngineConfig(engine=stored["engine"])
+
+    def test_shared_knobs_are_read_by_every_batching_engine(self):
+        for engine in ("auto", "batch", "bghkpu", "ensemble"):
+            with pytest.raises(ValueError, match="min_batch_events=4.0"):
+                EngineConfig.from_dict(
+                    {"engine": engine, "min_batch_events": 4.0}
+                )
+
+    def test_retired_knob_is_a_400(self, tmp_path):
+        handle = ServiceApp(str(tmp_path / "runs"), workers=1).start_background()
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+        try:
+            conn.request(
+                "POST", "/runs",
+                json.dumps({
+                    "workload": "epidemic", "params": {"n": 120},
+                    "replicas": 2, "seed": 9,
+                    "config": {"engine": "batch", "accuracy": 0.01},
+                }),
+                {"Content-Type": "application/json"},
+            )
+            resp = conn.getresponse()
+            status, payload = resp.status, json.loads(resp.read())
+        finally:
+            conn.close()
+            handle.stop()
+        assert status == 400
+        assert payload["error"].startswith("bad config: ")
+        assert "accuracy=0.01" in payload["error"]
 
 
 # -- CLI surface ---------------------------------------------------------------

@@ -60,7 +60,7 @@ def oscillator_population(schema, n):
 
 class TestEnsembleCore:
     def test_single_row_runs_like_an_engine(self):
-        # n large enough that the accuracy cap admits stacked batches
+        # n large enough that the ACCURACY cap admits stacked batches
         protocol, population, stop = epidemic(n=2000)
         eng = EnsembleEngine(
             protocol, population, rng=np.random.default_rng(0)
@@ -140,8 +140,6 @@ class TestEnsembleCore:
             EnsembleEngine(protocol, population, rows=0)
         with pytest.raises(ValueError):
             EnsembleEngine(protocol, population, batch=0)
-        with pytest.raises(ValueError):
-            EnsembleEngine(protocol, population, accuracy=0.0)
         eng = EnsembleEngine(
             protocol, population, rng=np.random.default_rng(4), rows=2
         )

@@ -69,11 +69,10 @@ def wait_state(port, run_id, states, timeout=60.0):
 
 
 @pytest.fixture
-def server(tmp_path):
-    # in-process execution keeps this suite fast; the sandboxed path is
+def server(tmp_path, inline_jobs):
+    # in-process jobs keep this suite fast; the sandboxed path is
     # exercised end to end by tests/test_service_survival.py
-    app = ServiceApp(str(tmp_path / "runs"), workers=2, capacity=8,
-                     sandbox=False)
+    app = ServiceApp(str(tmp_path / "runs"), workers=2, capacity=8)
     handle = app.start_background()
     yield handle
     handle.stop()
@@ -321,8 +320,8 @@ class TestObserverStreaming:
 # -- backpressure and cancellation -------------------------------------------
 
 @pytest.fixture
-def gated_run_replicas(monkeypatch):
-    """Make worker jobs block inside their first run_replicas call."""
+def gated_run_replicas(monkeypatch, inline_jobs):
+    """Make (in-process) worker jobs block inside their first run_replicas."""
     gate = threading.Event()
     entered = threading.Event()
     original = sandbox_module.run_replicas
@@ -344,7 +343,6 @@ class TestBackpressure:
         gate, entered = gated_run_replicas
         app = ServiceApp(
             str(tmp_path / "runs"), workers=1, capacity=1, retry_after=2.5,
-            sandbox=False,
         )
         handle = app.start_background()
         try:
@@ -372,7 +370,9 @@ class TestBackpressure:
 
 
 class TestCancellation:
-    def test_cancel_leaves_resumable_manifest(self, tmp_path, monkeypatch):
+    def test_cancel_leaves_resumable_manifest(
+        self, tmp_path, monkeypatch, inline_jobs
+    ):
         # let the first index group through, block before the second, and
         # cancel while blocked: the job must stop at the group boundary
         # with a well-formed manifest that resume_sweep can finish
@@ -390,8 +390,7 @@ class TestCancellation:
             return rs
 
         monkeypatch.setattr(sandbox_module, "run_replicas", gated)
-        app = ServiceApp(str(tmp_path / "runs"), workers=1, capacity=4,
-                         sandbox=False)
+        app = ServiceApp(str(tmp_path / "runs"), workers=1, capacity=4)
         handle = app.start_background()
         try:
             port = handle.port
@@ -438,8 +437,7 @@ class TestCancellation:
         # it as ``cancelled`` without ever spawning work: no worker run,
         # no manifest, done == 0
         gate, entered = gated_run_replicas
-        app = ServiceApp(str(tmp_path / "runs"), workers=1, capacity=4,
-                         sandbox=False)
+        app = ServiceApp(str(tmp_path / "runs"), workers=1, capacity=4)
         handle = app.start_background()
         try:
             port = handle.port

@@ -173,7 +173,7 @@ class TestQuotaKills:
     def test_quota_above_server_ceiling_is_400(self, tmp_path):
         app = ServiceApp(
             str(tmp_path / "runs"), workers=1,
-            quota=QuotaSpec(memory_bytes=1 << 30), sandbox=False,
+            quota=QuotaSpec(memory_bytes=1 << 30),
         )
         handle = app.start_background()
         try:
@@ -279,6 +279,55 @@ class TestTornState:
         store.append_journal(owing, "started")
         store.append_journal(owing, "checkpoint", group=0, done=1)
         assert store.scan_recoverable() == [owing]
+
+
+# -- a stored request this release cannot read --------------------------------
+
+def _store_unreadable(store, config_update):
+    """An interrupted run whose stored request names a retired setting."""
+    run_id = store.create(SubmitRequest.from_payload(SUBMIT))
+    path = os.path.join(store.run_dir(run_id), "request.json")
+    with open(path) as fh:
+        stored = json.load(fh)
+    stored["config"].update(config_update)
+    with open(path, "w") as fh:
+        json.dump(stored, fh)
+    store.append_journal(run_id, "started")
+    return run_id
+
+
+class TestUnreadableRequest:
+    def test_boot_settles_it_as_failed_and_keeps_going(self, tmp_path):
+        root = str(tmp_path / "runs")
+        store = RunStore(root)
+        legacy = _store_unreadable(store, {"compiled": False})
+        retired = _store_unreadable(
+            store, {"engine": "bghkpu", "collision_frac": 0.15}
+        )
+        healthy = store.create(SubmitRequest.from_payload(SUBMIT))
+        store.append_journal(healthy, "started")
+
+        app = ServiceApp(root, workers=1)
+        assert app.recovered == [healthy]
+        for run_id, fragment in (
+            (legacy, "legacy dense-support"), (retired, "collision_frac=0.15"),
+        ):
+            status = app.store.status(run_id)
+            assert status["state"] == "failed"
+            assert fragment in status["error"]
+            assert app.store.read_journal(run_id)[-1]["op"] == "failed"
+        handle = app.start_background()
+        try:
+            client = ServiceClient(port=handle.port, retries=0)
+            status = client.status(legacy)  # a 200, not a 500
+            assert status["state"] == "failed"
+            assert status["request"] is None
+            assert "legacy dense-support" in status["request_error"]
+            assert client.wait(healthy, timeout=120)["state"] == "done"
+        finally:
+            handle.stop()
+        # the terminal journal op keeps later boots from retrying them
+        assert RunStore(root).scan_recoverable() == []
 
 
 # -- the real thing: kill -KILL the server, restart, auto-resume --------------
@@ -451,7 +500,7 @@ class TestGracefulDrain:
 
 class TestIdempotency:
     def test_same_key_returns_same_run(self, tmp_path):
-        app = ServiceApp(str(tmp_path / "runs"), workers=1, sandbox=False)
+        app = ServiceApp(str(tmp_path / "runs"), workers=1)
         handle = app.start_background()
         try:
             client = ServiceClient(port=handle.port)

@@ -122,10 +122,10 @@ class TestSimulate:
     def test_engine_opts(self, epidemic):
         pop = epidemic_population(epidemic.schema, 200)
         eng = simulate(
-            epidemic, pop, EngineConfig(engine="batch", accuracy=0.5),
+            epidemic, pop, EngineConfig(engine="batch", batch=4),
             seed=3, rounds=2,
         )
-        assert eng.accuracy == 0.5
+        assert eng.batch == 4
 
     def test_rng_passthrough(self, epidemic):
         pop = epidemic_population(epidemic.schema, 200)
