@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..core.population import Population
 from ..core.protocol import Protocol
@@ -107,8 +106,10 @@ class MeanFieldSystem:
 
         ``dense_output=True`` attaches a continuous interpolant
         (``solution.sol``) so callers can evaluate the trajectory at
-        arbitrary parallel times after the fact.
+        arbitrary parallel times after the fact.  scipy is imported here,
+        not at module top, so ``import repro`` stays free of it.
         """
+        from scipy.integrate import solve_ivp
 
         def rhs(_t: float, x: np.ndarray) -> np.ndarray:
             return self.derivative(x)

@@ -324,6 +324,11 @@ class Manifest:
             return 0
         return max(r.index for r in self.records) + 1
 
+    @property
+    def config(self) -> EngineConfig:
+        """The sweep's engine config; ``ValueError`` if unreadable here."""
+        return _header_config(self.header)
+
     def missing_indices(self) -> List[int]:
         """Replica indices without a successful (``ok``) record."""
         done = {r.index for r in self.records if r.status == "ok"}
@@ -534,7 +539,7 @@ def replay_replica(
     )
     if check_fingerprint:
         verify_fingerprint(manifest, protocol, population)
-    cfg = _header_config(manifest.header)
+    cfg = manifest.config
     run_kwargs = _replayable(manifest.header.get("run_kwargs"))
     if observer is not None:
         if cfg.engine == "ensemble":
@@ -601,7 +606,7 @@ def resume_sweep(
     missing = manifest.missing_indices()
     if not missing:
         return manifest.replica_set()
-    cfg = _header_config(manifest.header)
+    cfg = manifest.config
     supervisor = manifest.header.get("supervisor") or {}
     if timeout is None:
         timeout = supervisor.get("timeout")

@@ -31,22 +31,32 @@ or embed one::
     app.serve(host="127.0.0.1", port=8765)
 """
 
-from .app import ServiceApp, serve
-from .client import ServiceClient, ServiceClientError
-from .jobs import Job, JobQueue, QueueFull
-from .schema import QuotaSpec, ServiceError, SubmitRequest
-from .store import RunStore
+from importlib import import_module
 
-__all__ = [
-    "Job",
-    "JobQueue",
-    "QueueFull",
-    "QuotaSpec",
-    "RunStore",
-    "ServiceApp",
-    "ServiceClient",
-    "ServiceClientError",
-    "ServiceError",
-    "SubmitRequest",
-    "serve",
-]
+#: Public name -> the submodule defining it.  They load on first use, so
+#: ``python -m repro.service.sandbox`` (the sandbox child) imports only
+#: what it runs, and runs its own module once.
+_EXPORTS = {
+    "Job": "jobs",
+    "JobQueue": "jobs",
+    "QueueFull": "jobs",
+    "QuotaSpec": "schema",
+    "RunStore": "store",
+    "ServiceApp": "app",
+    "ServiceClient": "client",
+    "ServiceClientError": "client",
+    "ServiceError": "schema",
+    "SubmitRequest": "schema",
+    "serve": "app",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            "module {!r} has no attribute {!r}".format(__name__, name)
+        )
+    return getattr(import_module("." + module, __name__), name)

@@ -19,7 +19,9 @@ GET    ``/runs/{id}/events``            live progress/replica/grid event stream
                                         runs replays the event log)
 GET    ``/runs/{id}/manifest``          the raw run manifest (JSONL)
 GET    ``/runs/{id}/replay/{k}``        re-run replica ``k`` from its recorded
-                                        seed and report bit-identity
+                                        seed and report bit-identity (409
+                                        when this release cannot read the
+                                        run's request or manifest config)
 POST   ``/runs/{id}/cancel``            stop after the current index group,
                                         leaving a resumable manifest
 GET    ``/healthz``                     live readiness: queue depth, active
@@ -273,7 +275,14 @@ class ServiceApp:
         path = self.store.manifest_path(run_id)
         if not self.store.manifest_exists(run_id):
             raise ServiceError(409, "run {} has no manifest yet".format(run_id))
-        manifest = load_manifest(path)
+        try:
+            manifest = load_manifest(path)
+            manifest.config  # parsed here for its ValueError only
+            stored = self.store.request(run_id)
+        except ValueError as exc:  # stored in a form this release cannot read
+            raise ServiceError(
+                409, "run {} cannot be replayed: {}".format(run_id, exc)
+            )
         try:
             record = manifest.record(index)
         except KeyError:
@@ -283,7 +292,6 @@ class ServiceApp:
                     run_id, index
                 ),
             )
-        stored = self.store.request(run_id)
         # a run recorded with an observer replays bit-identically only
         # with an observer armed (it shapes the batch boundaries)
         observer = (lambda t, p: None) if stored.observe else None

@@ -18,6 +18,9 @@ A quota breach surfaces as ``status="killed"`` naming the violated
 limit; an unexpected child death is retried (the respawn resumes from
 the manifest checkpoint, bit-identically) and, if retries are exhausted,
 recorded as ``failed`` — the server itself never goes down with a job.
+Each worker thread pre-starts the child its next job will run in (the
+sandbox's warm spare) and kills it when the worker exits on drain or
+shutdown.
 
 Every state transition is **journaled write-ahead** (``journal.jsonl``,
 fsynced) before the status is published: accepted → started →
@@ -395,20 +398,24 @@ class JobQueue:
 
     # -- workers ---------------------------------------------------------
     def _worker(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                self._queue.task_done()
-                return
-            try:
-                if self._draining:
-                    # leave the job queued on disk (journal: accepted);
-                    # the next boot re-enqueues it
-                    continue
-                job._ready.wait()
-                job.execute(retries=self.retries)
-            finally:
-                self._queue.task_done()
+        try:
+            while True:
+                job = self._queue.get()
+                if job is None:
+                    self._queue.task_done()
+                    return
+                try:
+                    if self._draining:
+                        # leave the job queued on disk (journal: accepted);
+                        # the next boot re-enqueues it
+                        continue
+                    job._ready.wait()
+                    job.execute(retries=self.retries)
+                finally:
+                    self._queue.task_done()
+        finally:
+            # the spare this thread pre-started for its next job
+            sandbox.discard_spare()
 
     # -- drain / shutdown -------------------------------------------------
     def drain(self, grace: float = 10.0) -> None:

@@ -17,6 +17,18 @@ never take the server down with it.  The child:
   (Linux) so a ``kill -KILL`` of the server can never leave an orphan
   appending to a manifest the restarted server is about to resume.
 
+Each worker thread keeps one **warm spare** child: started ahead of
+time, it has finished importing and blocks reading its job spec from
+stdin, so handing it a job is one write.  A job takes its worker's spare
+and the worker starts the replacement at once, overlapping the next
+job's interpreter start-up with this job's run.  The worker thread that
+uses a spare is the one that spawned it (``PR_SET_PDEATHSIG`` fires on
+the exit of the creating *thread*), and a spare is used only when the
+environment and working directory it started with equal what a fresh
+spawn would get now; otherwise, or when it has died, it is discarded
+and a fresh child takes the job.  A spare whose stdin closes before any
+spec arrives exits 0 without a word.
+
 The parent half (:func:`run_sandboxed`) relays the child's events into
 the job's stream, enforces the wall-clock quota with a kill timer, and
 classifies the child's death: a structured ``exit`` event when the child
@@ -41,7 +53,7 @@ import sys
 import threading
 import traceback
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..engine.replicas import replica_blocks, run_replicas
 from ..faults import CRASH_EXIT_CODE, ServiceFaultPlan
@@ -226,7 +238,12 @@ def _apply_rlimits(quota: QuotaSpec) -> None:
 
 
 def _child_main() -> int:
-    spec = json.load(sys.stdin)
+    import numpy.random  # noqa: F401 - every job uses it: load it before the spec
+
+    text = sys.stdin.read()
+    if not text.strip():
+        return 0  # an idle spare whose server let it go: nothing to run
+    spec = json.loads(text)
     store = RunStore(spec["store_root"])
     run_id = spec["run_id"]
     quota = QuotaSpec(**(spec.get("quota") or {}))
@@ -295,27 +312,111 @@ def _child_env() -> Dict[str, str]:
     return env
 
 
-def spawn_child(store: RunStore, run_id: str, quota: QuotaSpec) -> subprocess.Popen:
-    """Start (but do not wait for) a sandbox child for this run."""
-    proc = subprocess.Popen(
+#: What a child was started with: its environment and working directory.
+_Context = Tuple[Dict[str, str], Optional[str]]
+
+#: Each worker thread's warm spare: ``(child, context)`` or unset.
+_spares = threading.local()
+
+
+def _context() -> _Context:
+    """What a child started now would get."""
+    try:
+        cwd: Optional[str] = os.getcwd()
+    except OSError:  # the working directory was removed: inherit it as is
+        cwd = None
+    return _child_env(), cwd
+
+
+def _start_child(context: _Context) -> subprocess.Popen:
+    """Start a child; it imports repro, then blocks reading its spec."""
+    env, cwd = context
+    return subprocess.Popen(
         [sys.executable, "-m", "repro.service.sandbox"],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env=_child_env(),
+        env=env,
+        cwd=cwd,
         preexec_fn=_pdeathsig if os.name == "posix" else None,
     )
-    spec = {
+
+
+def _send_spec(proc: subprocess.Popen, spec: str) -> bool:
+    """Write the job spec and close stdin; ``False`` if the pipe is dead."""
+    try:
+        proc.stdin.write(spec)
+        proc.stdin.close()
+    except (BrokenPipeError, OSError):
+        return False
+    return True
+
+
+def _discard(proc: subprocess.Popen) -> None:
+    """Kill a child that will run no job, reap it and close its pipes."""
+    try:
+        proc.kill()
+    except OSError:
+        pass
+    proc.wait()
+    for pipe in (proc.stdin, proc.stdout, proc.stderr):
+        try:
+            pipe.close()
+        except OSError:
+            pass  # a spec stuck in a dead pipe's buffer
+
+
+def _take_spare(context: _Context) -> Optional[subprocess.Popen]:
+    """This thread's spare if it is alive and started with ``context``."""
+    spare = getattr(_spares, "child", None)
+    _spares.child = None
+    if spare is None:
+        return None
+    proc, started = spare
+    if started == context and proc.poll() is None:
+        return proc
+    _discard(proc)
+    return None
+
+
+def _prestart_spare() -> None:
+    """Start this thread's next child now, so its imports overlap this job."""
+    context = _context()
+    try:
+        _spares.child = (_start_child(context), context)
+    except OSError:
+        pass  # no spare this time: the next job starts its own child
+
+
+def discard_spare() -> None:
+    """Kill the calling worker thread's idle spare, if it has one."""
+    spare = getattr(_spares, "child", None)
+    _spares.child = None
+    if spare is not None:
+        _discard(spare[0])
+
+
+def spawn_child(store: RunStore, run_id: str, quota: QuotaSpec) -> subprocess.Popen:
+    """Hand this run to a sandbox child (but do not wait for it).
+
+    The child is the calling thread's spare when that one is usable,
+    else a fresh one.
+    """
+    spec = json.dumps({
         "store_root": store.root,
         "run_id": run_id,
         "quota": quota.as_dict(),
-    }
-    try:
-        proc.stdin.write(json.dumps(spec))
-        proc.stdin.close()
-    except (BrokenPipeError, OSError):
-        pass  # child died on startup; the classifier will see the exit code
+    })
+    context = _context()
+    proc = _take_spare(context)
+    if proc is not None and not _send_spec(proc, spec):
+        _discard(proc)  # died between the liveness check and the write
+        proc = None
+    if proc is None:
+        proc = _start_child(context)
+        # a child that died on startup leaves its exit code to the classifier
+        _send_spec(proc, spec)
     return proc
 
 
@@ -331,6 +432,8 @@ def run_sandboxed(
     ``emit`` receives the child's replica/progress/grid/checkpoint events
     as they stream in; ``attach`` is handed the live process (and then
     ``None``) so the owning job can route cancel/drain signals to it.
+    Once the child is handed its job and timed, the calling thread starts
+    its next spare.
     """
     proc = spawn_child(store, run_id, quota)
     attach(proc)
@@ -358,6 +461,7 @@ def run_sandboxed(
         timer = threading.Timer(quota.wall_seconds, on_wall)
         timer.daemon = True
         timer.start()
+    _prestart_spare()
 
     exit_event: Optional[Dict[str, Any]] = None
     try:

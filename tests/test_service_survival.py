@@ -34,7 +34,10 @@ import repro
 from repro import EngineConfig, build_workload, load_manifest, run_replicas
 from repro.faults import SERVICE_FAULT_ENV, ServiceFaultPlan, tear_final_line
 from repro.obs import resume_sweep
-from repro.service import QuotaSpec, ServiceApp, ServiceClient, SubmitRequest
+from repro.service import (
+    Job, JobQueue, QuotaSpec, ServiceApp, ServiceClient, SubmitRequest,
+    sandbox,
+)
 from repro.service.client import ServiceClientError
 from repro.service.store import RunStore
 
@@ -233,6 +236,155 @@ class TestWorkerCrashRetry:
             handle.stop()
 
 
+# -- warm spares: each worker pre-starts its next job's child ------------------
+
+#: The warm-spare checks read process states from Linux's /proc.
+_PROC = os.path.isdir("/proc/self")
+
+
+def _proc_stat(pid):
+    """``(state, ppid)`` of a process, or ``None`` once it is gone."""
+    try:
+        with open("/proc/{}/stat".format(pid)) as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _sandbox_pids(parent):
+    """Live ``repro.service.sandbox`` children of process ``parent``."""
+    pids = set()
+    for name in os.listdir("/proc"):
+        stat = _proc_stat(name) if name.isdigit() else None
+        if stat is None or stat[0] == "Z" or stat[1] != parent:
+            continue
+        try:
+            with open("/proc/{}/cmdline".format(name), "rb") as fh:
+                cmdline = fh.read()
+        except OSError:
+            continue
+        if b"repro.service.sandbox" in cmdline:
+            pids.add(int(name))
+    return pids
+
+
+def _wait_gone(pids, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return not any(_alive(pid) for pid in pids)
+
+
+def _run_to_end(queue, timeout=120.0):
+    job = queue.submit(SubmitRequest.from_payload(SUBMIT))
+    deadline = time.monotonic() + timeout
+    while not job.terminal and time.monotonic() < deadline:
+        job.wait_events(len(job.events_since(0)), timeout=1.0)
+    assert job.state == "done"
+    return job
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """Pids of the sandbox children jobs were handed to, in order."""
+    pids = []
+    attach = Job._attach_child
+
+    def spy(self, proc):
+        if proc is not None:
+            pids.append(proc.pid)
+        attach(self, proc)
+
+    monkeypatch.setattr(Job, "_attach_child", spy)
+    return pids
+
+
+@pytest.mark.skipif(not _PROC, reason="reads /proc")
+class TestWarmSpare:
+    @pytest.fixture
+    def spares(self):
+        """Sandbox children of this process started during the test."""
+        before = _sandbox_pids(os.getpid())
+        return lambda: _sandbox_pids(os.getpid()) - before
+
+    @pytest.fixture
+    def queue(self, tmp_path):
+        queue = JobQueue(RunStore(str(tmp_path / "runs")), workers=1)
+        yield queue
+        queue.shutdown()
+
+    def test_second_job_runs_in_a_child_started_before_it(
+        self, queue, spares, handed
+    ):
+        _run_to_end(queue)
+        started = spares()
+        assert len(started) == 1 and handed[0] not in started
+        _run_to_end(queue)
+        assert handed[1] in started
+
+    def test_changed_environment_discards_the_spare(
+        self, queue, spares, handed, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path / "cache-a"))
+        _run_to_end(queue)
+        (spare,) = spares()
+        fresh = tmp_path / "cache-b"
+        monkeypatch.setenv("REPRO_TABLE_CACHE", str(fresh))
+        _run_to_end(queue)
+        assert handed[1] != spare and not _alive(spare)
+        # the job's child compiled its table into the new cache
+        assert os.listdir(fresh)
+
+    def test_spare_killed_while_idle_is_not_a_retry(
+        self, queue, spares, handed
+    ):
+        _run_to_end(queue)
+        (spare,) = spares()
+        os.kill(spare, signal.SIGKILL)
+        assert _wait_gone([spare])
+        job = _run_to_end(queue)
+        assert handed[1] != spare
+        ops = [e["op"] for e in queue.store.read_journal(job.run_id)]
+        assert "retry" not in ops
+
+    def test_removed_working_directory_still_runs_jobs(
+        self, queue, handed, tmp_path, monkeypatch
+    ):
+        # a relative PYTHONPATH entry cannot start any interpreter there
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        monkeypatch.chdir(gone)
+        gone.rmdir()
+        _run_to_end(queue)
+        _run_to_end(queue)
+        assert len(handed) == 2
+
+    @pytest.mark.parametrize("stop", ["drain", "shutdown"])
+    def test_no_child_outlives_the_queue(self, queue, spares, stop):
+        _run_to_end(queue)
+        started = spares()
+        assert started
+        getattr(queue, stop)()
+        # killed and reaped by its worker, not just left to its death signal
+        assert all(_proc_stat(pid) is None for pid in started)
+
+
+def test_idle_child_exits_quietly_when_stdin_closes():
+    out = subprocess.run(
+        [sys.executable, "-m", "repro.service.sandbox"],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True,
+        env=sandbox._child_env(), timeout=120,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+
+
 # -- torn on-disk state -------------------------------------------------------
 
 class TestTornState:
@@ -329,6 +481,47 @@ class TestUnreadableRequest:
         # the terminal journal op keeps later boots from retrying them
         assert RunStore(root).scan_recoverable() == []
 
+    def test_replay_answers_409_not_500(self, tmp_path):
+        root = str(tmp_path / "runs")
+        store = RunStore(root)
+        runs = {}
+        for part in ("request", "manifest"):
+            run_id = store.create(SubmitRequest.from_payload(SUBMIT))
+            sandbox.execute_groups(
+                store.request(run_id), run_id, store,
+                emit=lambda event: None, should_stop=lambda: False,
+            )
+            store.append_journal(run_id, "done")
+            runs[part] = run_id
+        path = os.path.join(store.run_dir(runs["request"]), "request.json")
+        with open(path) as fh:
+            stored = json.load(fh)
+        stored["config"]["compiled"] = False
+        with open(path, "w") as fh:
+            json.dump(stored, fh)
+        path = store.manifest_path(runs["manifest"])
+        with open(path) as fh:
+            lines = fh.readlines()
+        header = json.loads(lines[0])
+        header["config"]["accuracy"] = 0.01
+        lines[0] = json.dumps(header) + "\n"
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+
+        handle = ServiceApp(root, workers=1).start_background()
+        try:
+            client = ServiceClient(port=handle.port, retries=0)
+            for part, fragment in (
+                ("request", "legacy dense-support"),
+                ("manifest", "accuracy=0.01"),
+            ):
+                with pytest.raises(ServiceClientError) as err:
+                    client.replay(runs[part], 0)
+                assert err.value.status == 409, part
+                assert fragment in err.value.payload["error"], part
+        finally:
+            handle.stop()
+
 
 # -- the real thing: kill -KILL the server, restart, auto-resume --------------
 
@@ -397,10 +590,14 @@ class TestKillRestart:
             accepted = client.submit(dict(SWEEP, label="victim"))
             run_id = accepted["run_id"]
             assert _wait_journal_op(store, run_id, "checkpoint")
+            # the job's child and the spare pre-started for the next job
+            children = _sandbox_pids(proc.pid) if _PROC else set()
             os.kill(proc.pid, signal.SIGKILL)  # no goodbyes
             proc.wait(timeout=30)
         finally:
             proc.kill()
+        if _PROC:  # PR_SET_PDEATHSIG takes both along
+            assert len(children) == 2 and _wait_gone(children)
 
         # mid-sweep wreckage: some records landed, the run is not settled
         partial = load_manifest(os.path.join(store, run_id, "manifest.jsonl"))
@@ -433,9 +630,12 @@ class TestKillRestart:
                 SWEEP["replicas"]
             ops = [e["op"] for e in offline.read_journal(run_id)]
             assert "recovered" in ops and ops[-1] == "done"
+            spares = _sandbox_pids(proc2.pid) if _PROC else set()
         finally:
             proc2.kill()
             proc2.wait(timeout=30)
+        if _PROC:  # the idle spare does not outlive its server either
+            assert len(spares) == 1 and _wait_gone(spares)
 
 
 @pytest.mark.skipif(os.name != "posix", reason="signals are POSIX-only")
