@@ -119,6 +119,12 @@ class Not(Formula):
     def describe(self) -> str:
         return "~" + self.operand.describe()
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Not) and other.operand == self.operand
+
+    def __hash__(self) -> int:
+        return hash((Not, self.operand))
+
     def as_assignments(self) -> Dict[str, object]:
         inner = self.operand
         if isinstance(inner, Var) and inner.value in (True, False):
@@ -148,6 +154,12 @@ class And(Formula):
 
     def describe(self) -> str:
         return "(" + " & ".join(op.describe() for op in self.operands) + ")"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, And) and other.operands == self.operands
+
+    def __hash__(self) -> int:
+        return hash((And, self.operands))
 
     def as_assignments(self) -> Dict[str, object]:
         merged: Dict[str, object] = {}
@@ -184,6 +196,12 @@ class Or(Formula):
     def describe(self) -> str:
         return "(" + " | ".join(op.describe() for op in self.operands) + ")"
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Or) and other.operands == self.operands
+
+    def __hash__(self) -> int:
+        return hash((Or, self.operands))
+
 
 class _Constant(Formula):
     __slots__ = ("value",)
@@ -200,6 +218,12 @@ class _Constant(Formula):
     def describe(self) -> str:
         return "true" if self.value else "false"
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Constant) and other.value == self.value
+
+    def __hash__(self) -> int:
+        return hash((_Constant, self.value))
+
     def as_assignments(self) -> Dict[str, object]:
         if self.value:
             return {}
@@ -212,6 +236,8 @@ class Predicate(Formula):
     Useful for guards that are awkward as boolean structure (e.g. arithmetic
     on enum fields).  ``variables`` must be declared explicitly so that
     composition machinery can reason about which fields a thread touches.
+    A predicate compares by identity and is never memoized: population
+    queries call it on every support state each time.
     """
 
     __slots__ = ("func", "_variables", "label")
@@ -283,6 +309,25 @@ def read_set(formula: Formula) -> Optional[FrozenSet[str]]:
         return frozenset(formula.variables())
     except NotImplementedError:
         return None
+
+
+def structural(formula: Formula) -> bool:
+    """Whether ``formula`` is built only of ``Var``/``Not``/``And``/``Or``
+    and the constants.
+
+    Such a formula is a pure function of the state's fields and compares
+    and hashes by structure, so its truth per state code can be memoized
+    (:meth:`repro.core.state.StateSchema.truth`).  A :class:`Predicate`
+    anywhere inside, or any other formula type, makes it ``False``.
+    """
+    kind = type(formula)
+    if kind is Var or kind is _Constant:
+        return True
+    if kind is Not:
+        return structural(formula.operand)
+    if kind is And or kind is Or:
+        return all(structural(op) for op in formula.operands)
+    return False
 
 
 def V(name: str, value: object = True) -> Var:

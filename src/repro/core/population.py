@@ -4,7 +4,10 @@ A configuration of a population protocol is a multiset over the state
 space.  :class:`Population` stores it as a sparse ``code -> count`` mapping
 (the number of *distinct occupied* states stays tiny even when the packed
 state space is astronomically large, which is exactly the regime of the
-paper's compiled protocols).
+paper's compiled protocols).  Formula queries (:meth:`Population.count`
+and friends) read the schema's per-code truth memo
+(:meth:`StateSchema.truth`), so a support state is decoded once per
+formula, not once per query.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .formula import Formula, coerce_formula
+from .formula import Formula
 from .state import StateSchema
 
 
@@ -88,10 +91,10 @@ class Population:
 
     def count(self, formula: Formula) -> int:
         """Number of agents satisfying a formula (the paper's ``#X``)."""
-        formula = coerce_formula(formula)
+        truth = self.schema.truth(formula)
         total = 0
         for code, count in self.counts.items():
-            if formula.evaluate(self.schema.unpack(code)):
+            if truth[code]:
                 total += count
         return total
 
@@ -100,25 +103,17 @@ class Population:
         return self.count(formula) / n if n else 0.0
 
     def exists(self, formula: Formula) -> bool:
-        formula = coerce_formula(formula)
-        return any(
-            formula.evaluate(self.schema.unpack(code))
-            for code, count in self.counts.items()
-            if count
-        )
+        truth = self.schema.truth(formula)
+        return any(truth[code] for code, count in self.counts.items() if count)
 
     def all_satisfy(self, formula: Formula) -> bool:
-        formula = coerce_formula(formula)
-        return all(
-            formula.evaluate(self.schema.unpack(code))
-            for code, count in self.counts.items()
-            if count
-        )
+        truth = self.schema.truth(formula)
+        return all(truth[code] for code, count in self.counts.items() if count)
 
     def codes_matching(self, formula: Formula) -> Iterable[int]:
-        formula = coerce_formula(formula)
+        truth = self.schema.truth(formula)
         for code in list(self.counts):
-            if formula.evaluate(self.schema.unpack(code)):
+            if truth[code]:
                 yield code
 
     # -- bulk rewrites (used by idealized runtimes) ------------------------------
@@ -144,9 +139,9 @@ class Population:
 
     def assign_all(self, variable: str, condition: Formula) -> None:
         """Intended outcome of ``variable := condition`` for all agents."""
-        condition = coerce_formula(condition)
+        truth = self.schema.truth(condition)
         for code in list(self.counts):
-            value = condition.evaluate(self.schema.unpack(code))
+            value = truth[code]
             new_code = self.schema.with_values(code, {variable: value})
             self.move(code, new_code, self.counts.get(code, 0))
 

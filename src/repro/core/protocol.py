@@ -403,8 +403,9 @@ def count_matching(
     schema: StateSchema, counts: Dict[int, int], formula: Formula
 ) -> int:
     """Number of agents whose state satisfies ``formula``."""
+    truth = schema.truth(formula)
     total = 0
     for code, count in counts.items():
-        if count and formula.evaluate(schema.unpack(code)):
+        if count and truth[code]:
             total += count
     return total

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from .formula import Formula, FormulaLike, coerce_formula, structural
+
 
 class Field:
     """A single state variable: a name plus a finite domain.
@@ -89,8 +91,19 @@ class StateSchema:
         self._layout: List[Tuple[str, int, Tuple[object, ...]]] = []
         self._num_states = 1
         self._frozen = False
+        # formula -> its truth per code (see truth()); not pickled
+        self._truth: Dict[Formula, _Truth] = {}
         for field in fields:
             self.add_field(field)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_truth"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._truth = {}
 
     # -- construction ------------------------------------------------------
     def add_field(self, field: Field) -> Field:
@@ -199,10 +212,55 @@ class StateSchema:
     def all_codes(self) -> Iterable[int]:
         return range(self.num_states)
 
+    # -- formula truth -----------------------------------------------------
+    def truth(self, formula: FormulaLike) -> "_Truth":
+        """``truth(f)[code]``: whether state ``code`` satisfies ``f``.
+
+        A :func:`~repro.core.formula.structural` formula's answers are
+        memoized per code, one memo per structurally equal formula, so a
+        formula rebuilt on every call still hits the same entry.  The memo
+        stays valid when fields are added later: a field's stride never
+        changes, so an existing code keeps its digits, and no answer was
+        stored where evaluation read a field the schema lacked (it raised).
+        Any other formula (one holding a
+        :class:`~repro.core.formula.Predicate`) is evaluated on every read.
+        Threads sharing a schema may fill the memo at once: every writer
+        stores the same answer, so no lock is needed.
+        """
+        if not isinstance(formula, Formula):
+            formula = coerce_formula(formula)
+        memo = self._truth.get(formula)
+        if memo is None:
+            memo = _Truth(self, formula, structural(formula))
+            if memo.keep:
+                self._truth[formula] = memo
+        return memo
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "StateSchema({} fields, {} states)".format(
             len(self.fields), self.num_states
         )
+
+
+class _Truth(dict):
+    """``code -> bool`` for one formula, evaluated on a code's first read.
+
+    With ``keep`` off the answer is not stored, so every read evaluates.
+    """
+
+    __slots__ = ("schema", "formula", "keep")
+
+    def __init__(self, schema: StateSchema, formula: Formula, keep: bool):
+        super().__init__()
+        self.schema = schema
+        self.formula = formula
+        self.keep = keep
+
+    def __missing__(self, code: int) -> bool:
+        value = bool(self.formula.evaluate(self.schema.unpack(code)))
+        if self.keep:
+            self[code] = value
+        return value
 
 
 class State:

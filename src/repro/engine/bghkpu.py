@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -551,10 +551,19 @@ class BGHKPUEngine(BatchCountEngine):
                 ):
                     oa = int(ct.out_a[s])
                     ob = int(ct.out_b[s])
-                    code_gi = int(ct.codes[gi])
-                    code_gj = int(ct.codes[gj])
-                    code_oa = int(ct.codes[oa])
-                    code_ob = int(ct.codes[ob])
+                    # one firing's net change per state, L + L -> L + F
+                    # being L -1, F +1; the first firing that creates a
+                    # support state ends the epoch, so whether it does is
+                    # fixed until then
+                    net: Dict[int, int] = {}
+                    for k, d in ((gi, -1), (gj, -1), (oa, 1), (ob, 1)):
+                        net[k] = net.get(k, 0) + d
+                    moves = [
+                        (k, int(ct.codes[k]), d) for k, d in net.items() if d
+                    ]
+                    creates = (
+                        full_c[oa] == 0.0 and oa != gi and oa != gj
+                    ) or (full_c[ob] == 0.0 and ob != gi and ob != gj)
                     same = gi == gj
                     cf = self.COLLISION_FRAC
                     min_ev = MIN_BATCH_EVENTS
@@ -624,29 +633,20 @@ class BGHKPUEngine(BatchCountEngine):
                                     fired, int(gamma * fired * fired + 0.5)
                                 )
                         if fired:
-                            creation = (
-                                full_c[oa] == 0.0 and oa != gi and oa != gj
-                            ) or (
-                                full_c[ob] == 0.0 and ob != gi and ob != gj
-                            )
-                            full_c[gi] -= fired
-                            full_c[gj] -= fired
-                            full_c[oa] += fired
-                            full_c[ob] += fired
-                            pop.remove(code_gi, fired)
-                            pop.remove(code_gj, fired)
-                            pop.add(code_oa, fired)
-                            pop.add(code_ob, fired)
+                            for k, code, d in moves:
+                                full_c[k] += d * fired
+                                if d > 0:
+                                    pop.add(code, d * fired)
+                                else:
+                                    pop.remove(code, -d * fired)
                             self._support_stale = True
                             self.events += fired
                             events_done += fired
-                        else:
-                            creation = False
                         emit_up_to(self.interactions)
                         if stop is not None and stop(pop):
                             stop_now = True
                             break
-                        if creation:
+                        if fired and creates:
                             self._need_rebuild = True
                             break
                     self.kernel_seconds += time.perf_counter() - kernel_start

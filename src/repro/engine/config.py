@@ -28,12 +28,23 @@ and epoch budgets are engine constants
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field, fields, replace as _dc_replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
 #: Construction knobs with a typed field (everything else goes to extra).
 _TYPED_OPTS = ("batch", "cache", "guards")
+
+
+@functools.lru_cache(maxsize=None)
+def _accepted_params(engine_cls: type) -> Optional[FrozenSet[str]]:
+    """``engine_cls``'s constructor parameter names, once per class
+    (``None`` when it takes ``**kwargs``, i.e. accepts any knob)."""
+    params = inspect.signature(engine_cls.__init__).parameters
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+        return None
+    return frozenset(params)
 
 
 def _retired_knobs() -> Dict[str, Tuple[Any, Tuple[str, ...]]]:
@@ -112,13 +123,10 @@ class EngineConfig:
         intent, engines take what applies); ``extra`` passes through
         unconditionally.
         """
-        params = inspect.signature(engine_cls.__init__).parameters
-        var_kw = any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-        )
+        accepted = _accepted_params(engine_cls)
         out: Dict[str, Any] = {}
         for name, value in self._set_opts().items():
-            if name in params or var_kw:
+            if accepted is None or name in accepted:
                 out[name] = value
         out.update(self.extra)
         return out

@@ -303,6 +303,7 @@ class JobQueue:
         self.retries = retries
         self.last_checkpoint: Optional[float] = None
         self._draining = False
+        sandbox.note_working_directory()
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue(maxsize=capacity)
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()

@@ -298,17 +298,44 @@ def _pdeathsig() -> None:  # pragma: no cover - runs in the forked child
         pass  # non-Linux: the stdin-EOF of a dead parent is the fallback
 
 
+#: The last working directory seen to exist (``None`` before any): what
+#: relative PYTHONPATH entries resolve against once it is removed.
+_last_cwd: Optional[str] = None
+
+
+def note_working_directory() -> Optional[str]:
+    """The working directory, remembered; ``None`` when it was removed.
+
+    The server calls it at start, while its directory still exists.
+    """
+    global _last_cwd
+    try:
+        _last_cwd = os.getcwd()
+    except OSError:
+        return None
+    return _last_cwd
+
+
 def _child_env() -> Dict[str, str]:
-    """The child's environment, with this repro importable on PYTHONPATH."""
+    """The child's environment, with this repro importable on PYTHONPATH.
+
+    Relative PYTHONPATH entries are made absolute against the working
+    directory, or the last one seen once it is removed: an interpreter
+    started in a removed directory cannot resolve them and dies.
+    """
     env = dict(os.environ)
     package_root = os.path.dirname(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     )
+    entries = [package_root]
     existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        package_root if not existing
-        else package_root + os.pathsep + existing
-    )
+    if existing:
+        note_working_directory()
+        for entry in existing.split(os.pathsep):
+            if _last_cwd is not None and not os.path.isabs(entry):
+                entry = os.path.normpath(os.path.join(_last_cwd, entry))
+            entries.append(entry)
+    env["PYTHONPATH"] = os.pathsep.join(entries)
     return env
 
 
@@ -321,10 +348,8 @@ _spares = threading.local()
 
 def _context() -> _Context:
     """What a child started now would get."""
-    try:
-        cwd: Optional[str] = os.getcwd()
-    except OSError:  # the working directory was removed: inherit it as is
-        cwd = None
+    # None: the working directory was removed, so the child inherits it
+    cwd = note_working_directory()
     return _child_env(), cwd
 
 

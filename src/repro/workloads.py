@@ -26,15 +26,20 @@ from typing import Any, Callable, Dict, Tuple
 from .core import Population, Rule, StateSchema, V, single_thread
 from .core.protocol import Protocol
 
+#: The stop predicates' formulas, built once: each query then finds its
+#: per-code answers in the schema's truth memo without rebuilding a key.
+_INFECTED = V("I")
+_LEADER = V("L")
+
 
 def all_infected(population: Population) -> bool:
     """Stop predicate of the ``epidemic`` workload: everyone has the bit."""
-    return population.all_satisfy(V("I"))
+    return population.all_satisfy(_INFECTED)
 
 
 def unique_leader(population: Population) -> bool:
     """Stop predicate of the ``leader`` workload: exactly one L left."""
-    return population.count(V("L")) == 1
+    return population.count(_LEADER) == 1
 
 
 def clock_quarter_turn(population: Population) -> bool:
@@ -51,26 +56,22 @@ def clock_quarter_turn(population: Population) -> bool:
     return frac >= 0.6 and phase >= 3
 
 
-def _flag_mask(codes, schema, name: str):
+def _flag_mask(codes, schema, formula):
     import numpy as np
 
-    from .core.formula import coerce_formula
-
-    formula = coerce_formula(V(name))
-    return np.array(
-        [formula.evaluate(schema.unpack(int(c))) for c in codes], dtype=bool
-    )
+    truth = schema.truth(formula)
+    return np.array([truth[int(c)] for c in codes], dtype=bool)
 
 
 def _vectorize_all_infected(codes, schema):
     """Ensemble fast path: no agent left without the bit, per row."""
-    healthy = ~_flag_mask(codes, schema, "I")
+    healthy = ~_flag_mask(codes, schema, _INFECTED)
     return lambda counts: counts[:, healthy].sum(axis=1) == 0
 
 
 def _vectorize_unique_leader(codes, schema):
     """Ensemble fast path: exactly one leader left, per row."""
-    leaders = _flag_mask(codes, schema, "L")
+    leaders = _flag_mask(codes, schema, _LEADER)
     return lambda counts: counts[:, leaders].sum(axis=1) == 1
 
 

@@ -101,6 +101,25 @@ class TestExactness:
         assert pop.n == 20_000
         assert pop.count(V("L")) == 1
 
+    def test_one_pair_loop_hands_over_when_a_firing_creates_a_state(self):
+        """A + A -> A + B starts as one live pair, and the B it creates
+        reacts with A (B + A -> B + B).  The one-pair endgame loop must
+        hand over to a fresh epoch at that firing, or no A ever meets a
+        B and the A's die out like leaders (~n/t after t rounds)."""
+        schema = StateSchema()
+        schema.flag("B")
+        protocol = single_thread("spawn-spread", schema, [
+            Rule(~V("B"), ~V("B"), None, {"B": True}),
+            Rule(V("B"), ~V("B"), None, {"B": True}),
+        ])
+        pop = Population.uniform(schema, 100_000, {"B": False})
+        eng = make_engine(
+            protocol, pop, engine="bghkpu", rng=np.random.default_rng(4)
+        )
+        eng.run(rounds=200, stop=lambda p: p.count(~V("B")) == 0)
+        assert pop.count(~V("B")) == 0
+        assert eng.rounds < 60
+
     def test_deterministic_in_seed(self):
         a, _ = run_leader("bghkpu", 30_000, seed=123)
         b, _ = run_leader("bghkpu", 30_000, seed=123)

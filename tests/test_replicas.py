@@ -548,3 +548,23 @@ class TestGoldenRecords:
     @pytest.mark.parametrize("kind", ["leader", "ensemble"])
     def test_records(self, kind, faulted, processes):
         assert _golden_sweep(kind, faulted, processes) == GOLDEN[kind, faulted]
+
+    def test_leader_endgame_at_1e8(self):
+        # n = 1e8 runs the degenerate-epoch loop's batch branch for most
+        # of the fight, which n = 2000 above barely reaches
+        workload = build_workload("leader", n=10**8)
+        rs = run_replicas(
+            workload.protocol, workload.population, replicas=4,
+            config=EngineConfig(engine="bghkpu"), seed=11, processes=1,
+            stop=workload.stop,
+        )
+        assert [
+            (r.interactions, r.rounds, r.stats["events"],
+             r.stats["batches"], r.stats["stop_evals"])
+            for r in rs
+        ] == [
+            (16583649810706463, 165836498.10706463, 99999999, 132, 209),
+            (9573836758068361, 95738367.5806836, 99999999, 134, 203),
+            (22077643135913225, 220776431.35913226, 99999999, 134, 210),
+            (8779058282299301, 87790582.82299301, 99999999, 133, 210),
+        ]

@@ -366,6 +366,23 @@ class TestWarmSpare:
         _run_to_end(queue)
         assert len(handed) == 2
 
+    def test_relative_pythonpath_from_a_removed_working_directory(
+        self, handed, tmp_path, monkeypatch
+    ):
+        # the server starts in a directory a relative entry refers to ...
+        monkeypatch.setenv("PYTHONPATH", "src")
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        monkeypatch.chdir(gone)
+        queue = JobQueue(RunStore(str(tmp_path / "runs")), workers=1)
+        try:
+            # ... which is removed before its first job spawns a child
+            gone.rmdir()
+            _run_to_end(queue)
+        finally:
+            queue.shutdown()
+        assert len(handed) == 1
+
     @pytest.mark.parametrize("stop", ["drain", "shutdown"])
     def test_no_child_outlives_the_queue(self, queue, spares, stop):
         _run_to_end(queue)
