@@ -10,7 +10,9 @@ checks that discipline when asked.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from .formula import Formula
 from .rules import Outcome, Rule
@@ -19,6 +21,19 @@ from .state import State, StateSchema
 #: One memoized rule outcome: (rule position in its thread, code delta of
 #: the initiator, code delta of the responder, branch probability).
 RowEntry = Tuple[int, int, int, float]
+
+
+class _Views(dict):
+    """``code -> read-only view`` for one batch of rows, decoded on first use."""
+
+    __slots__ = ("schema",)
+
+    def __init__(self, schema: StateSchema):
+        self.schema = schema
+
+    def __missing__(self, code: int) -> State:
+        state = self[code] = self.schema.view(code)
+        return state
 
 
 class FootprintError(ValueError):
@@ -267,45 +282,57 @@ class Protocol:
         differ from ``(code_a, code_b)``, and ``p_change`` is their total
         probability.  The remaining ``1 - p_change`` is the null event
         (non-matching rule drawn, identity update, or a rule's explicit null
-        branch).
-
-        Each code is decoded at most once, into read-only views shared by
-        every rule; a thread with a known footprint answers from its memo
-        (see :class:`Thread`).  Outcomes are merged in rule order either
-        way, so the floats do not depend on which path a thread took.
+        branch).  This is the one-pair case of :meth:`transitions`.
         """
         return self._transition(code_a, code_b, memo=True)
+
+    def transitions(
+        self, pairs: Iterable[Tuple[int, int]]
+    ) -> Iterator[Tuple[List[Outcome], float]]:
+        """:meth:`transition` of every ``(code_a, code_b)`` in ``pairs``,
+        streamed in order.
+
+        Each distinct code of the batch is decoded at most once, into a
+        read-only view shared by every rule of every row that needs it; a
+        thread with a known footprint answers from its memo (see
+        :class:`Thread`).  Outcomes are merged in rule order either way, so
+        the floats do not depend on which path a thread took or on which
+        batch a pair came in.
+        """
+        return self._transitions(pairs, memo=True)
 
     def _transition(
         self, code_a: int, code_b: int, memo: bool
     ) -> Tuple[List[Outcome], float]:
-        code_a, code_b = int(code_a), int(code_b)
-        merged: Dict[Tuple[int, int], float] = {}
-        a: Optional[State] = None
-        b: Optional[State] = None
-        for thread_memo, thread, draws in self._row_plan():
-            if memo and thread_memo is not None:
-                key = thread_memo.project(code_a) * thread_memo.span + thread_memo.project(code_b)
-                row = thread_memo.rows.get(key)
-                if row is None:
-                    if a is None:
-                        a, b = self.schema.view(code_a), self.schema.view(code_b)
-                    row = thread_memo.compute(key, a, b)
-                for pos, delta_a, delta_b, branch_p in row:
-                    out = (code_a + delta_a, code_b + delta_b)
-                    merged[out] = merged.get(out, 0.0) + draws[pos] * branch_p
-                continue
-            if a is None:
-                a, b = self.schema.view(code_a), self.schema.view(code_b)
-            for rule, draw_p in zip(thread.rules, draws):
-                for new_a, new_b, branch_p in rule.outcomes(a, b):
-                    if new_a == code_a and new_b == code_b:
-                        continue
-                    out = (new_a, new_b)
-                    merged[out] = merged.get(out, 0.0) + draw_p * branch_p
-        outcomes = [(a_, b_, p) for (a_, b_), p in merged.items()]
-        p_change = sum(p for _, _, p in outcomes)
-        return outcomes, p_change
+        return next(self._transitions(((code_a, code_b),), memo))
+
+    def _transitions(
+        self, pairs: Iterable[Tuple[int, int]], memo: bool
+    ) -> Iterator[Tuple[List[Outcome], float]]:
+        plan = self._row_plan()
+        views = _Views(self.schema)  # each code decoded once per batch
+        for code_a, code_b in pairs:
+            code_a, code_b = int(code_a), int(code_b)
+            merged: Dict[Tuple[int, int], float] = {}
+            for thread_memo, thread, draws in plan:
+                if memo and thread_memo is not None:
+                    key = thread_memo.project(code_a) * thread_memo.span + thread_memo.project(code_b)
+                    row = thread_memo.rows.get(key)
+                    if row is None:
+                        row = thread_memo.compute(key, views[code_a], views[code_b])
+                    for pos, delta_a, delta_b, branch_p in row:
+                        out = (code_a + delta_a, code_b + delta_b)
+                        merged[out] = merged.get(out, 0.0) + draws[pos] * branch_p
+                    continue
+                a, b = views[code_a], views[code_b]
+                for rule, draw_p in zip(thread.rules, draws):
+                    for new_a, new_b, branch_p in rule.outcomes(a, b):
+                        if new_a == code_a and new_b == code_b:
+                            continue
+                        out = (new_a, new_b)
+                        merged[out] = merged.get(out, 0.0) + draw_p * branch_p
+            outcomes = [(a_, b_, p) for (a_, b_), p in merged.items()]
+            yield outcomes, sum(p for _, _, p in outcomes)
 
     # -- composition ------------------------------------------------------------
     def composed_with(self, *others: "Protocol", name: Optional[str] = None) -> "Protocol":
@@ -365,10 +392,13 @@ def check_footprints(protocol: Protocol, pairs: Iterable[Tuple[int, int]]) -> in
     pairs share a projection but differ in the undeclared field.  Returns
     the number of pairs checked.
     """
+    pairs = list(pairs)
     checked = 0
-    for code_a, code_b in pairs:
-        fast = protocol._transition(code_a, code_b, memo=True)
-        full = protocol._transition(code_a, code_b, memo=False)
+    for (code_a, code_b), fast, full in zip(
+        pairs,
+        protocol._transitions(pairs, memo=True),
+        protocol._transitions(pairs, memo=False),
+    ):
         if fast != full:
             memoized = [
                 thread.name

@@ -123,10 +123,9 @@ def protocol_fingerprint(protocol: Protocol, initial_codes: Iterable[int]) -> st
     # transition probe: aggregated outcomes over the initial support catch
     # behavioural changes (e.g. in DynamicRule outcome functions) that the
     # rule descriptions alone cannot see
-    for a in initial:
-        for b in initial:
-            outcomes, p_change = protocol.transition(a, b)
-            feed(a, b, sorted(outcomes), p_change)
+    pairs = [(a, b) for a in initial for b in initial]
+    for (a, b), (outcomes, p_change) in zip(pairs, protocol.transitions(pairs)):
+        feed(a, b, sorted(outcomes), p_change)
     return h.hexdigest()
 
 
@@ -143,6 +142,15 @@ class TableSource(NamedTuple):
     cache: str
     seconds: float
     corrupt: int = 0
+
+    def as_stats(self) -> Dict[str, object]:
+        """This acquisition under its ``EngineStats`` names."""
+        stats: Dict[str, object] = {
+            "table_cache": self.cache, "table_compile_seconds": self.seconds,
+        }
+        if self.corrupt:
+            stats["cache_corrupt"] = self.corrupt
+        return stats
 
 
 def acquire_table(

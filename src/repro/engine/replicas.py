@@ -255,8 +255,16 @@ class ReplicaSet:
     them via :attr:`failures` and the tally in :meth:`summary`.
     """
 
-    def __init__(self, records: Sequence[ReplicaRecord]):
+    def __init__(
+        self,
+        records: Sequence[ReplicaRecord],
+        table_prewarm: Optional[Dict[str, Any]] = None,
+    ):
         self.records = list(records)
+        #: how the runner's parent process obtained the closed table it
+        #: compiled before fan-out (:meth:`TableSource.as_stats`), or
+        #: ``None`` when it prewarmed none
+        self.table_prewarm = table_prewarm
 
     def __len__(self) -> int:
         return len(self.records)
@@ -562,35 +570,40 @@ def _prewarm_table(
     protocol: Protocol,
     population: Population,
     config: EngineConfig,
-) -> bool:
+) -> Optional[Dict[str, Any]]:
     """Compile the transition table once in the parent before fan-out.
 
     Spawned workers re-import everything, so without this every worker
     pays the reachable-closure compile on its first replica (they race to
     write the same disk cache entry).  Compiling here populates the
     in-process memo (serial runs) and the on-disk cache (spawned workers
-    hit it immediately).  Returns ``True`` when a table was prewarmed —
-    the runner then relabels the workers' ``table_cache`` provenance as
-    ``"prewarmed"``.  No-op for engines that never compile, for runs that
-    pass an explicit table or disable the cache, and for closures that
-    fail to compile (the workers will surface the real error themselves).
+    hit it immediately).  Returns how the table was obtained
+    (:meth:`~repro.engine.compiled.TableSource.as_stats`: cache status and
+    compile seconds) when a table was prewarmed — the runner then puts it
+    in the manifest header and relabels the workers' ``table_cache``
+    provenance as ``"prewarmed"`` — else ``None``: for engines that never
+    compile, for runs that pass an explicit table or disable the cache,
+    and for closures that fail to compile (the workers will surface the
+    real error themselves).
     """
     if config.extra.get("table") is not None or config.cache in (None, False):
-        return False  # nothing to share: each replica compiles its own
+        return None  # nothing to share: each replica compiles its own
     engine = config.engine
     if engine == "auto":
         from ..simulate import default_engine_name
 
         engine = default_engine_name(protocol, population)
     if engine not in ("batch", "bghkpu", "ensemble"):
-        return False
-    from .compiled import compile_table
+        return None
+    from .compiled import acquire_table
 
     try:
-        compile_table(protocol, population.counts.keys(), cache=config.cache)
+        _, source = acquire_table(
+            protocol, population.counts.keys(), cache=config.cache
+        )
     except (RuntimeError, ValueError):
-        return False
-    return True
+        return None
+    return source.as_stats()
 
 
 def _task_replica(payload):
@@ -1079,6 +1092,7 @@ def run_replicas(
         for members in replica_blocks(cfg, replicas, run_indices)
     ]
 
+    prewarm = _prewarm_table(protocol, population, cfg)
     writer = None
     if manifest is not None:
         from ..obs import ManifestWriter
@@ -1098,10 +1112,10 @@ def run_replicas(
                 "max_retries": max_retries,
                 "backoff": backoff,
             },
+            table_prewarm=prewarm,
             meta=manifest_meta,
         )
 
-    prewarmed = _prewarm_table(protocol, population, cfg)
     records_by_index: Dict[int, ReplicaRecord] = {}
     requested = set(run_indices)
 
@@ -1113,7 +1127,7 @@ def run_replicas(
         if record.index not in requested:
             return
         if (
-            prewarmed
+            prewarm is not None
             and record.status == "ok"
             and record.stats is not None
             and record.stats.get("table_cache") in ("hit", "memo")
@@ -1152,7 +1166,7 @@ def run_replicas(
         if writer is not None:
             writer.close()
     records = [records_by_index[k] for k in sorted(records_by_index)]
-    return ReplicaSet(records)
+    return ReplicaSet(records, table_prewarm=prewarm)
 
 
 def map_replicas(

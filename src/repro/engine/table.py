@@ -40,11 +40,12 @@ engines read :meth:`~TransitionTable.rows` and
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 import time
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from array import array
+from math import isqrt
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -113,10 +114,13 @@ class _Lookup:
 
     A snapshot of the dict answers most keys in numpy: a direct-address
     array when the keys are dense, else a sorted array and
-    ``searchsorted``.  Keys missing from the snapshot go one by one
-    through ``resolve``, which may add them to the dict; the snapshot is
-    rebuilt once those misses have cost about as much as a rebuild, so
-    lookups stay cheap for a small settled dict and a large growing one.
+    ``searchsorted``.  Keys missing from the snapshot go to ``resolve`` as
+    one sorted list of distinct keys; it returns their values in that
+    order and may add them to the dict.  A missing key may already be in
+    the dict (the snapshot is older), so ``resolve`` must look before it
+    adds.  The snapshot is rebuilt once the misses have cost about as
+    much as a rebuild, so lookups stay cheap for a small settled dict and
+    a large growing one.
     """
 
     __slots__ = ("direct", "keys", "values", "size", "misses")
@@ -154,9 +158,7 @@ class _Lookup:
         if miss.any():
             uniq, inverse = np.unique(keys[miss], return_inverse=True)
             self.misses += len(uniq)
-            found[miss] = np.array(
-                [resolve(key) for key in uniq.tolist()], dtype=np.int64
-            )[inverse]
+            found[miss] = np.asarray(resolve(uniq.tolist()), dtype=np.int64)[inverse]
         return found
 
 
@@ -164,8 +166,18 @@ def _pair_key(i, j):
     """Szudzik pairing: one key per index pair, all below ``(max(i, j) + 1)²``.
 
     Small tables thus get small, dense pair keys (see :class:`_Lookup`).
+    Takes two ints or two int64 arrays.
     """
-    return np.where(i < j, j * j + i, i * i + i + j)
+    if isinstance(i, np.ndarray):
+        return np.where(i < j, j * j + i, i * i + i + j)
+    return j * j + i if i < j else i * i + i + j
+
+
+def _pair_of(key: int) -> Tuple[int, int]:
+    """The index pair of a :func:`_pair_key` key."""
+    s = isqrt(key)
+    r = key - s * s
+    return (r, s) if r < s else (s, r - s)
 
 
 class TransitionTable:
@@ -261,66 +273,119 @@ class TransitionTable:
                 for name in ("codes", "p_row", "off", "out_a", "out_b", "out_p")
             }
         for name, vals in values.items():
-            setattr(self, name, self._columns[name].extend(vals))
+            if len(vals):
+                setattr(self, name, self._columns[name].extend(vals))
 
     def state_index(self, code: int) -> int:
         """Dense index of a state code, indexing it first on an open table."""
         idx = self.index.get(code)
-        if idx is None:
-            if self.closed:
-                raise ValueError(
-                    "state {} is outside the compiled reachable space "
-                    "(compile from the population's initial support)".format(
-                        code
-                    )
-                )
-            idx = self.index[code] = len(self.codes)
-            self._extend(codes=[code])
-        return idx
+        return self._index_codes((code,))[0] if idx is None else idx
 
     def indices(self, codes: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`state_index` over an int64 code array."""
-        return self._state_lookup(self.index, codes, self.state_index)
+        return self._state_lookup(self.index, codes, self._index_codes)
 
-    def _fill(self, key: int) -> int:
-        """Compute and append the row of a missing pair key."""
-        s = math.isqrt(key)  # invert _pair_key
-        i, j = (key - s * s, s) if key - s * s < s else (s, key - s * s - s)
-        changing, _ = self.protocol.transition(int(self.codes[i]), int(self.codes[j]))
-        out_a = [self.state_index(a) for a, _, _ in changing]
-        out_b = [self.state_index(b) for _, b, _ in changing]
-        out_p = [p for _, _, p in changing]
-        p_row = 0.0
-        for p in out_p:
-            p_row += p  # the sequential sum PairOutcomes' cumsum ends on
-        row = self._pair_row[key] = len(self.p_row)
-        self.misses += 1
-        self._extend(
-            p_row=[p_row],
-            off=[len(self.out_p) + len(out_p)],
-            out_a=out_a,
-            out_b=out_b,
-            out_p=out_p,
-        )
-        return row
+    def _index_codes(self, codes: Iterable[int]) -> array:
+        """Dense indices of ``codes``; unseen codes are indexed in order of
+        first appearance, and ``codes`` grows once."""
+        index = self.index
+        found = array("q")
+        fresh: List[int] = []
+        for code in codes:
+            idx = index.get(code)
+            if idx is None:
+                if self.closed:
+                    raise ValueError(
+                        "state {} is outside the compiled reachable space "
+                        "(compile from the population's initial support)".format(
+                            code
+                        )
+                    )
+                idx = index[code] = len(self.codes) + len(fresh)
+                fresh.append(code)
+            found.append(idx)
+        if fresh:
+            self._extend(codes=fresh)
+        return found
 
-    def _key_row(self, key: int) -> int:
-        row = self._pair_row.get(key)
-        return self._fill(key) if row is None else row
+    def _pair_rows(self, keys: Sequence[int]) -> List[int]:
+        """Row ids of distinct pair keys, computing the missing rows as one
+        batch.
+
+        A key that already has a row keeps it (a lookup snapshot may be
+        older than ``_pair_row``).  The missing rows are computed by one
+        streamed :meth:`Protocol.transitions` pass in key order into typed
+        buffers, and each column grows once per batch, so a batch costs
+        O(missing rows + their outcomes), never O(table).  New states are
+        indexed row by row, a row's ``out_a`` codes before its ``out_b``
+        codes, and ``p_row`` is each row's sequential sum (what
+        :class:`PairOutcomes`' cumsum ends on).  A batch whose transitions
+        raise leaves the table unchanged.
+        """
+        pair_row = self._pair_row
+        todo = [key for key in keys if key not in pair_row]
+        if todo:
+            code = self.codes.item
+            pairs = ((code(i), code(j)) for i, j in map(_pair_of, todo))
+            index = self.index
+            first = len(self.codes)
+            fresh: List[int] = []  # codes new in this batch, in index order
+            out_a, out_b, off = array("q"), array("q"), array("q")
+            out_p, p_row = array("d"), array("d")
+            nnz = len(self.out_p)
+            try:
+                for changing, _ in self.protocol.transitions(pairs):
+                    total = 0.0
+                    for a, _, p in changing:
+                        idx = index.get(a)
+                        if idx is None:
+                            idx = index[a] = first + len(fresh)
+                            fresh.append(a)
+                        out_a.append(idx)
+                        out_p.append(p)
+                        total += p
+                    for _, b, _ in changing:
+                        idx = index.get(b)
+                        if idx is None:
+                            idx = index[b] = first + len(fresh)
+                            fresh.append(b)
+                        out_b.append(idx)
+                    nnz += len(changing)
+                    off.append(nnz)
+                    p_row.append(total)
+            except BaseException:
+                for new in fresh:
+                    del index[new]
+                raise
+            base = len(self.p_row)
+            self._extend(
+                codes=fresh,
+                p_row=p_row,
+                off=off,
+                out_a=out_a,
+                out_b=out_b,
+                out_p=out_p,
+            )
+            for row, key in enumerate(todo, base):
+                pair_row[key] = row
+            self.misses += len(todo)
+        return [pair_row[key] for key in keys]
 
     # -- rows ------------------------------------------------------------------
     def _row(self, i: int, j: int) -> int:
         """Scalar :meth:`rows`."""
         if self.closed:
             return i * len(self.codes) + j
-        return self._key_row(int(_pair_key(i, j)))
+        key = _pair_key(i, j)
+        row = self._pair_row.get(key)
+        return self._pair_rows((key,))[0] if row is None else row
 
     def rows(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
         """Row ids of the index pairs ``(ia, ib)``, computing missing rows."""
         if self.closed:
             return ia * len(self.codes) + ib
         keys = _pair_key(np.asarray(ia, dtype=np.int64), ib)
-        return self._row_lookup(self._pair_row, keys, self._key_row)
+        return self._row_lookup(self._pair_row, keys, self._pair_rows)
 
     def p_change_block(self, act: np.ndarray) -> np.ndarray:
         """The ``(a, a)`` change probabilities among the indices ``act``."""
@@ -600,7 +665,7 @@ def reachable_codes(
         total = int(width.sum())
         entries = np.repeat(begin - np.cumsum(width) + width, width) + np.arange(total)
         reached = table.codes[np.concatenate([table.out_a[entries], table.out_b[entries]])]
-        new = set(np.unique(reached).tolist()) - seen
+        new = set(reached.tolist()) - seen
         if len(seen) + len(new) > limit:
             raise RuntimeError(
                 "reachable state space exceeds limit={} states".format(limit)

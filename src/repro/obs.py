@@ -185,6 +185,7 @@ class ManifestWriter:
         processes: Optional[int] = None,
         replicas: Optional[int] = None,
         supervisor: Optional[Dict[str, Any]] = None,
+        table_prewarm: Optional[Dict[str, Any]] = None,
         meta: Optional[Dict[str, Any]] = None,
     ):
         config = EngineConfig.coerce(engine, config=config)
@@ -206,6 +207,7 @@ class ManifestWriter:
                 "processes": processes,
                 "supervisor": _jsonable(supervisor or {}),
                 "protocol": _protocol_summary(protocol, population),
+                "table_prewarm": _jsonable(table_prewarm),
             }
             for key, value in (meta or {}).items():
                 header[key] = _jsonable(value)
@@ -614,7 +616,7 @@ def resume_sweep(
         max_retries = supervisor.get("max_retries", 2)
     if backoff is None:
         backoff = supervisor.get("backoff", 0.1)
-    run_replicas(
+    resumed = run_replicas(
         protocol,
         population,
         replicas=replicas,
@@ -631,4 +633,6 @@ def resume_sweep(
         indices=missing,
         **_replayable(manifest.header.get("run_kwargs")),
     )
-    return load_manifest(path).replica_set()
+    complete = load_manifest(path).replica_set()
+    complete.table_prewarm = resumed.table_prewarm
+    return complete

@@ -28,6 +28,7 @@ from repro.engine import (
 )
 from repro.engine import compiled
 from repro.engine.compiled import _MEMO, acquire_table
+from repro.obs import load_manifest
 from repro.oscillator import make_oscillator_protocol, strong_value, weak_value
 
 
@@ -369,6 +370,35 @@ class TestEngineStats:
         # the runner's prewarm built the table; no replica did
         assert seconds == [0.0] * replicas
         assert {r.stats["table_cache"] for r in rs.records} == {"prewarmed"}
+
+    def test_prewarm_shows_in_the_sweep_and_its_header(self, oscillator, tmp_path):
+        """The records say "prewarmed"; the sweep and its manifest header
+        say how the parent's prewarm got the table and what it cost."""
+        pop = oscillator_population(oscillator.schema, 300)
+        fingerprint = protocol_fingerprint(oscillator, pop.counts.keys())
+        config = EngineConfig(engine="batch", cache=str(tmp_path / "tables"))
+        seen = []
+        for k in range(2):
+            _MEMO.pop(fingerprint, None)  # the second sweep reads the disk
+            path = str(tmp_path / "run{}.jsonl".format(k))
+            rs = run_replicas(
+                oscillator, pop, replicas=2, seed=1, processes=1,
+                rounds=0.2, config=config, manifest=path,
+            )
+            assert {r.stats["table_cache"] for r in rs.records} == {"prewarmed"}
+            assert load_manifest(path).header["table_prewarm"] == rs.table_prewarm
+            seen.append(rs.table_prewarm)
+        cold, warm = seen
+        assert cold["table_cache"] == "miss"
+        assert cold["table_compile_seconds"] > 0
+        assert warm == {"table_cache": "hit", "table_compile_seconds": 0.0}
+        path = str(tmp_path / "off.jsonl")
+        rs = run_replicas(
+            oscillator, pop, replicas=1, seed=1, processes=1, rounds=0.2,
+            config=EngineConfig(engine="batch", cache=None), manifest=path,
+        )
+        assert rs.table_prewarm is None
+        assert load_manifest(path).header["table_prewarm"] is None
 
     def test_compile_seconds_are_per_acquisition(self, oscillator, tmp_path):
         pop = oscillator_population(oscillator.schema, 300)

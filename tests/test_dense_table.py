@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import Rule, StateSchema, V, single_thread
+from repro.core import DynamicRule, Rule, StateSchema, V, single_thread
 from repro.core.rules import Branch  # noqa: F401 (used in fixtures)
 from repro.engine import compile_table
-from repro.engine.table import LazyTable
+from repro.engine.table import LazyTable, _pair_key
 
 
 @pytest.fixture
@@ -87,3 +87,66 @@ class TestOutcomeSampling:
         table.apply(agents, np.arange(0, 64, 2), np.arange(1, 64, 2), rng)
         assert set(np.unique(agents[np.arange(0, 64, 2)])) <= set(range(8))
         assert (agents[np.arange(0, 64, 2)] > 0).all()
+
+
+class TestBatchFill:
+    """Open tables compute each batch of missing rows in one pass."""
+
+    def test_stale_snapshot_does_not_duplicate_rows(self, coin_protocol):
+        table = LazyTable(coin_protocol)
+        idx = table.indices(np.arange(4, dtype=np.int64))
+        # the scalar path fills rows 0..7 without touching the row
+        # lookup, whose snapshot is still the empty one: every pair below
+        # misses it, also the eight that already have rows
+        for row, (a, b) in enumerate((a, b) for a in range(2) for b in range(4)):
+            table.p_change(a, b)
+            assert table.num_pairs == row + 1
+        ia, ib = np.repeat(idx, 4), np.tile(idx, 4)
+        rows = table.rows(ia, ib)
+        assert table.num_pairs == 16
+        assert table.misses == 16
+        assert rows[:8].tolist() == list(range(8))
+        assert sorted(rows.tolist()) == list(range(16))
+        np.testing.assert_array_equal(table.rows(ia, ib), rows)
+        assert table.misses == 16
+
+    def test_one_batch_equals_one_row_at_a_time(self, coin_protocol):
+        """Rows, state indices and probabilities do not depend on how the
+        missing rows were batched."""
+        batched = LazyTable(coin_protocol)
+        single = LazyTable(coin_protocol)
+        for table in (batched, single):
+            table.indices(np.array([0, 2], dtype=np.int64))
+        ia = np.array([0, 1, 1, 0], dtype=np.int64)
+        ib = np.array([0, 1, 0, 1], dtype=np.int64)
+        batched.rows(ia, ib)
+        for k in np.argsort(_pair_key(ia, ib)):  # the batch's row order
+            single.rows(ia[k : k + 1], ib[k : k + 1])
+        for name in ("codes", "off", "out_a", "out_b", "out_p", "p_row"):
+            np.testing.assert_array_equal(
+                getattr(batched, name), getattr(single, name)
+            )
+
+    def test_a_failing_batch_leaves_the_table_unchanged(self):
+        schema = StateSchema()
+        schema.enum("x", 4)
+
+        def outcome(a, b):
+            if b["x"] == 3:
+                raise RuntimeError("bad pair")
+            return [({"x": a["x"] + 1}, {}, 1.0)]
+
+        rule = DynamicRule(~V("x", 3), None, outcome)
+        table = LazyTable(single_thread("fails", schema, [rule]))
+        idx = table.indices(np.array([0, 3], dtype=np.int64))
+        # the batch's first row, (0, 0), reaches the new state 1 before
+        # the second, (0, 3), raises
+        with pytest.raises(RuntimeError, match="bad pair"):
+            table.rows(idx[[0, 0]], idx[[0, 1]])
+        assert table.codes.tolist() == [0, 3]
+        assert table.index == {0: 0, 3: 1}
+        assert (table.num_pairs, table.misses, len(table.out_p)) == (0, 0, 0)
+        assert table.off.tolist() == [0]
+        table.rows(idx[:1], idx[:1])
+        assert table.codes.tolist() == [0, 3, 1]
+        assert table.num_pairs == table.misses == 1

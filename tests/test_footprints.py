@@ -30,7 +30,9 @@ from repro.control import (
 )
 from repro.core import DynamicRule, Protocol, Rule, StateSchema, Thread, V
 from repro.core.protocol import FootprintError, check_footprints
+from repro.engine import BatchCountEngine, MatchingEngine
 from repro.engine.compiled import compile_table
+from repro.engine.table import LazyTable
 from repro.lang import compile_program
 from repro.oscillator import weak_value
 from repro.protocols import (
@@ -336,17 +338,51 @@ def test_e14_rows_match_reference():
     assert _digest(rows) == E14_ROWS_SHA256
 
 
-def test_closed_clock_table_matches_reference():
-    protocol, population, _ = WORKLOADS["clock"](n=1000)
-    table = compile_table(protocol, sorted(population.counts), cache=None)
+def _table_digest(table):
     h = hashlib.sha256()
     for name in ("codes", "off", "out_a", "out_b", "out_p", "p_row"):
         h.update(name.encode())
         h.update(np.ascontiguousarray(getattr(table, name)).tobytes())
+    return h.hexdigest()
+
+
+def test_closed_clock_table_matches_reference():
+    protocol, population, _ = WORKLOADS["clock"](n=1000)
+    table = compile_table(protocol, sorted(population.counts), cache=None)
     assert len(table.codes) == 168
-    assert h.hexdigest() == CLOCK_TABLE_SHA256
+    assert _table_digest(table) == CLOCK_TABLE_SHA256
+
+
+# An open table's index and row order follow the order in which an engine
+# met states and pairs, so these pin the whole layout of open tables; the
+# references were taken with the one-row-at-a-time fill that the batched
+# fill replaced.
+
+
+def test_open_e14_table_matches_reference():
+    """Compiled E14 (Thm 2.4) at n = 200 after 125 seeded matching rounds."""
+    protocol, population = _compiled(leader_election_program(), [({}, 200)])
+    table = LazyTable(protocol)
+    MatchingEngine(
+        protocol, population, rng=np.random.default_rng(7), table=table
+    ).run(rounds=125)
+    assert (table.num_states, table.num_pairs, table.misses) == (61, 954, 954)
+    assert _table_digest(table) == OPEN_E14_TABLE_SHA256
+
+
+def test_open_clock_table_matches_reference():
+    """The E4 clock on BatchCountEngine over an open table, 60 rounds."""
+    protocol, population, _ = WORKLOADS["clock"](n=2000)
+    table = LazyTable(protocol)
+    BatchCountEngine(
+        protocol, population, rng=np.random.default_rng(7), table=table
+    ).run(rounds=60)
+    assert (table.num_states, table.num_pairs, table.misses) == (73, 2500, 2500)
+    assert _table_digest(table) == OPEN_CLOCK_TABLE_SHA256
 
 
 E14_STATES = 100
 E14_ROWS_SHA256 = "cb96c5d6f340330d5aed7ac4c30bcb10302d890546e15b8592013bd8d931cf91"
 CLOCK_TABLE_SHA256 = "8a69ae1da5f997f96a7fef3b8f34e3836d953e74881f6234a7aa1438007c15a0"
+OPEN_E14_TABLE_SHA256 = "acd417c5766cfef990d01f6c6d8874927bb54deac384ccc609cc50b1392e9cd1"
+OPEN_CLOCK_TABLE_SHA256 = "4692b0a8faeca6dc26be450797b435c31b6c913dfbb5eee5a865c70285110714"

@@ -241,6 +241,28 @@ class TestCli:
         assert "engine batch" in out.err  # --stats prints per-engine tallies
         assert len(load_manifest(path)) == 3
 
+    def test_sweep_stats_show_the_prewarm(self, tmp_path, capsys, monkeypatch):
+        from repro.engine.compiled import _MEMO, protocol_fingerprint
+
+        workload = build_workload("epidemic", n=100)
+        fingerprint = protocol_fingerprint(
+            workload.protocol, workload.population.counts.keys()
+        )
+        _MEMO.pop(fingerprint, None)
+        monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path / "tables"))
+        args = ["sweep", "epidemic", "--n", "100", "--replicas", "2",
+                "--processes", "1", "--engine", "batch", "--stats"]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert "table_cache            2x prewarmed" in err
+        assert "table prewarm:\n  table_cache            miss\n" in err
+        assert "  table_compile_seconds  0\n" not in err.split("table prewarm:")[1]
+        _MEMO.pop(fingerprint)  # the second sweep reads the disk entry
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert "table prewarm:\n  table_cache            hit\n" \
+            "  table_compile_seconds  0\n" in err
+
     def test_replay_matches(self, tmp_path, capsys):
         path = str(tmp_path / "cli.jsonl")
         assert main([
