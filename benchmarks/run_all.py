@@ -27,7 +27,7 @@ E3 oscillator sweep (``BENCH_ensemble.json``); the acceptance bar is
 >= 5x wall clock with a passing pooled KS test (p > 0.001) over the
 final species counts — faster only counts at equal statistical accuracy.
 
-The *bghkpu* run races the collision-aware alias-table batch engine
+The *bghkpu* run races the collision-aware frozen-epoch batch engine
 (BGHKPU, arXiv:2005.03584) against the multinomial jump engine on the
 leader fight at the paper's n = 10^8 scale and writes
 ``BENCH_bghkpu.json``; the acceptance bar is >= 5x wall clock with
@@ -37,9 +37,9 @@ the race downscales to n = 10^6 (bar >= 2x) so quick runs stay seconds.
 
 The *dense* run races the bghkpu engine against itself on the composed
 oscillator + phase-clock workload C_o: dense-support fast path (hybrid
-top-K epoch sampler + incremental alias patching + batch autotune, the
-defaults) vs the classic whole-grid sampler (all three knobs off),
-walls summed over 3 seeds so trajectory luck averages out.  Pooled KS
+top-K epoch sampler + batch autotune, the defaults) vs the classic
+whole-grid multinomial sampler (both overridden off), walls summed over
+3 seeds so trajectory luck averages out.  Pooled KS
 tests against the ``batch`` engine on the E3 (hybrid forced on) and E4
 (default knobs) observer grids gate statistical equivalence; results go
 to ``BENCH_dense.json`` and the acceptance bar is >= 3x (>= 2x under
@@ -491,9 +491,9 @@ def _bghkpu_ks_oscillator(seeds, seed):
 
 
 def bghkpu_scale(n=BGHKPU_N, seed=0, quick=False):
-    """Alias-table batch engine vs the jump engine at the paper's scale.
+    """Frozen-epoch batch engine vs the jump engine at the paper's scale.
 
-    Races ``bghkpu`` (collision-aware alias batches, BGHKPU) against
+    Races ``bghkpu`` (collision-aware frozen-epoch batches, BGHKPU) against
     ``batch`` on the leader fight at n = 10^8 (best of {reps} walls each)
     and gates distributional equivalence twice: pooled KS over E1-style
     leader-fight convergence times at n = {ksn}, and pooled KS over the
@@ -579,33 +579,21 @@ DENSE_SEEDS = 3
 DENSE_KS_N = 2000
 DENSE_KS_ALPHA = 0.001
 
-#: Settings that turn the dense fast path off, leaving the classic
-#: whole-grid bghkpu sampler of PR 8 as the race's reference contender.
-#: Recorded under the names of the retired engine knobs they replace, so
-#: the committed BENCH_dense.json still compares.
+#: ``BGHKPUEngine`` constant overrides that turn the dense fast path off,
+#: leaving the whole-grid multinomial sampler as the race's reference
+#: contender: no top-K split, and the batch autotuner's multiplier pinned
+#: at x1, which keeps the static ``COLLISION_FRAC`` sizing (overdraw
+#: repair stays on).
 DENSE_CLASSIC_OPTS = {
-    "dense_top_k": 0, "alias_patch_frac": 0.0, "batch_autotune": False,
+    "DENSE_TOP_K": 0, "_AUTOTUNE_SCALE_MIN": 1.0, "_AUTOTUNE_SCALE_MAX": 1.0,
 }
 
 
 @contextlib.contextmanager
-def _bghkpu_constants(opts):
-    """Apply a ``DENSE_CLASSIC_OPTS``-style dict to the bghkpu constants.
-
-    ``dense_top_k`` / ``alias_patch_frac`` set ``DENSE_TOP_K`` /
-    ``ALIAS_PATCH_FRAC`` for the block.  The batch autotuner is always
-    on; ``batch_autotune: False`` pins its multiplier at x1, which keeps
-    the static ``COLLISION_FRAC`` sizing (overdraw repair stays on).
-    """
+def _bghkpu_constants(consts):
+    """Override ``BGHKPUEngine`` constants, by name, for the block."""
     from repro.engine.bghkpu import BGHKPUEngine
 
-    consts = {}
-    if "dense_top_k" in opts:
-        consts["DENSE_TOP_K"] = opts["dense_top_k"]
-    if "alias_patch_frac" in opts:
-        consts["ALIAS_PATCH_FRAC"] = opts["alias_patch_frac"]
-    if opts.get("batch_autotune") is False:
-        consts["_AUTOTUNE_SCALE_MIN"] = consts["_AUTOTUNE_SCALE_MAX"] = 1.0
     saved = {name: getattr(BGHKPUEngine, name) for name in consts}
     try:
         for name, value in consts.items():
@@ -629,7 +617,7 @@ def _time_dense_contender(opts, n, rounds, seeds, seed):
     totals = {
         "wall_seconds": 0.0, "interactions": 0, "events": 0, "batches": 0,
         "fallbacks": 0, "collision_events": 0, "alias_rebuilds": 0,
-        "alias_patches": 0, "alias_build_seconds": 0.0,
+        "alias_build_seconds": 0.0,
         "alias_refresh_seconds": 0.0, "cell_draw_seconds": 0.0,
         "outcome_split_seconds": 0.0,
     }
@@ -668,7 +656,7 @@ def _dense_ks_oscillator(seeds, seed):
 
     protocol = make_oscillator_protocol()
     formulas = {"A1": species(0), "A2": species(1), "A3": species(2)}
-    forced = {"dense_top_k": 16, "alias_patch_frac": 0.5}
+    forced = {"DENSE_TOP_K": 16}
     pooled = {"batch": [], "dense": []}
     for key, engine in (("batch", "batch"), ("dense", "bghkpu")):
         for k in range(seeds):
@@ -710,10 +698,10 @@ def _dense_ks_clock(seeds, seed):
 def dense_scale(n=DENSE_N, seed=0, quick=False):
     """Dense-support fast path vs the classic bghkpu sampler on E4.
 
-    Races the hybrid epoch sampler (``DENSE_TOP_K``/``ALIAS_PATCH_FRAC``
-    and the batch autotuner at their defaults) against the classic
-    whole-grid bghkpu configuration (all three off) on the composed oscillator +
-    phase-clock workload C_o — the many-state shape the fast path
+    Races the hybrid epoch sampler (``DENSE_TOP_K`` and the batch
+    autotuner at their defaults) against the classic whole-grid
+    multinomial configuration (``DENSE_CLASSIC_OPTS``) on the composed
+    oscillator + phase-clock workload C_o — the many-state shape the fast path
     targets — summing walls over {seeds} seeds at n = 10^6 and 200
     parallel rounds.  Distributional equivalence is gated twice against
     the ``batch`` engine: pooled KS over the E3 oscillator observer grid
@@ -759,8 +747,8 @@ def dense_scale(n=DENSE_N, seed=0, quick=False):
         "experiment": "dense_support_fast_path",
         "description": (
             "composed oscillator + phase-clock C_o: bghkpu with the "
-            "hybrid top-K epoch sampler, sum patching and batch autotune "
-            "at defaults vs the classic whole-grid bghkpu sampler, walls "
+            "hybrid top-K epoch sampler and batch autotune at defaults vs "
+            "the classic whole-grid multinomial sampler, walls "
             "summed over {} seeds; pooled KS vs the batch engine on the "
             "E3 (hybrid forced) and E4 (default knobs) observer grids "
             "gates statistical equivalence".format(DENSE_SEEDS)

@@ -1,6 +1,6 @@
 """Exact and approximate simulation engines for population protocols."""
 
-from .alias import ActivePairSampler, AliasTable, alias_pick
+from .alias import ActivePairSampler
 from .api import Engine, EngineStats
 from .batch import ArrayEngine
 from .bghkpu import BGHKPUEngine
@@ -36,7 +36,6 @@ from .table import LazyTable, PairOutcomes, TransitionTable, reachable_codes
 
 __all__ = [
     "ActivePairSampler",
-    "AliasTable",
     "ArrayEngine",
     "BGHKPUEngine",
     "BatchCountEngine",
@@ -58,7 +57,6 @@ __all__ = [
     "Trace",
     "TransitionTable",
     "VectorizedStop",
-    "alias_pick",
     "available_cpus",
     "clear_memo",
     "compile_table",

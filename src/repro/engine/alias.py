@@ -1,59 +1,48 @@
-"""Vose alias tables over the active ordered-pair weights (BGHKPU).
+"""Epoch-frozen sampler over the active ordered-pair weights (BGHKPU).
 
 The batched simulation of Berenbrink, Hammer, Kaaser, Meyer, Penschuck &
 Tran ("Simulating Population Protocols in Sub-Constant Time per
 Interaction", PAPERS.md) samples the state pair of each effective
 interaction from a *frozen* distribution over the active ordered-pair
-cells, so that drawing an event costs O(1) instead of O(active²).  This
-module provides the two pieces the :class:`~repro.engine.bghkpu.BGHKPUEngine`
-needs for that:
+cells, so that a batch's draw does not rescan the counts.  The module
+name is historical: the epochs were once served by Vose alias tables.
 
-:class:`AliasTable`
-    A Walker/Vose alias table built *vectorized* over a weight vector:
-    O(k) construction in a handful of numpy rounds, O(1) per sample, one
-    host uniform per draw (the deterministic-draw-count contract that
-    keeps replica seed streams engine-independent of batch geometry).
+:class:`ActivePairSampler` is the epoch manager the
+:class:`~repro.engine.bghkpu.BGHKPUEngine` runs on.  It freezes the
+active ordered-pair weight matrix ``c_i (c_j - δ_ij) p_change(i, j)``
+(built from the closed :class:`~repro.engine.table.TransitionTable`
+``p_change`` matrix by :func:`~repro.engine.jump.pair_weights`) at the
+top of an epoch and serves cell draws from it.  Three draw shapes cover
+the density spectrum:
 
-:class:`ActivePairSampler`
-    The epoch manager: it freezes the active ordered-pair weight matrix
-    ``c_i (c_j - δ_ij) p_change(i, j)`` (built from the
-    closed :class:`~repro.engine.table.TransitionTable` ``p_change`` matrix by
-    :func:`~repro.engine.jump.pair_weights`) at the top of an epoch and
-    serves cell draws from it.  Three draw shapes cover the density
-    spectrum:
+- a *lone* active cell needs no RNG at all (the endgame shape);
+- dense supports with ``top_k > 0`` use the **hybrid split**: the K
+  heaviest cells (selected once per epoch) are drawn through one grouped
+  multinomial over ``K + 1`` bins — K heavy cells plus the pooled light
+  tail — and the few tail events are placed by binary search on the
+  running sum of the *fresh* tail weights.  The split is
+  distributionally exact for any fixed cell partition (multinomial
+  aggregation: marginalize the heavy bins, then split the pooled tail
+  with its conditional probabilities; the partition choice only affects
+  cost, never the law), and because the tail CDF is recomputed from the
+  current weight matrix at each refresh, the hybrid draw matches the
+  whole-grid draw's distribution exactly at all times.  Beyond the cheap
+  ``K + 1``-bin draw, the payoff is downstream: a batch resolves into at
+  most ``K + tail_events`` distinct cells instead of every active cell,
+  which shrinks the outcome-split work by the same factor;
+- otherwise one multinomial over the whole grid.
 
-    - a *lone* active cell needs no RNG at all (the endgame shape);
-    - dense supports with ``top_k > 0`` use the **hybrid split**: the K
-      heaviest cells (selected once per epoch) are drawn through one
-      grouped multinomial over ``K + 1`` bins — K heavy cells plus the
-      pooled light tail — and the few tail events are placed by binary
-      search on the running sum of the *fresh* tail weights.  The split
-      is distributionally exact for any fixed cell partition
-      (multinomial aggregation: marginalize the heavy bins, then split
-      the pooled tail with its conditional probabilities; the partition
-      choice only affects cost, never the law), and because the tail
-      CDF is recomputed from the current weight matrix at each refresh,
-      the hybrid draw matches the whole-grid draw's distribution
-      exactly at all times.  Beyond the cheap ``K + 1``-bin draw, the
-      payoff is downstream: a batch resolves into at most
-      ``K + tail_events`` distinct cells instead of every active cell,
-      which shrinks the outcome-split work by the same factor;
-    - otherwise the classic whole-grid alias/multinomial crossover.
-
-    The **active set is sticky**: a rebuild unions the current support
-    with every state the epoch lineage has ever covered, so states that
-    oscillate between zero and nonzero counts (the boundary of a
-    spreading phase clock) keep their row/column and stop forcing full
-    rebuilds — a zero-count state carries exactly zero weight, so the
-    union changes nothing distributionally.  Epoch invalidation is
-    drift-based: some tracked state's count moving past ``tol``
-    relative to its frozen value triggers a *partial refresh* of the
-    touched rows/columns, and when the touched fraction is below
-    ``patch_frac`` the refresh is a **patch**: row/column sums,
-    ``total``, μ and γ are delta-updated from the touched slices in
-    O(touched · a) instead of the full O(a²) rescan, with patch-vs-scan
-    arbitrated by their measured costs.  Only a state *outside* the
-    tracked union (or a drained lone cell) forces a rebuild.
+The **active set is sticky**: a rebuild unions the current support with
+every state the epoch lineage has ever covered, so states that oscillate
+between zero and nonzero counts (the boundary of a spreading phase
+clock) keep their row/column and stop forcing full rebuilds — a
+zero-count state carries exactly zero weight, so the union changes
+nothing distributionally.  Epoch invalidation is drift-based: some
+tracked state's count moving past ``tol`` relative to its frozen value
+triggers a *refresh* — one fused :func:`~repro.engine.jump.pair_weights`
+recompute over the cached ``p_change`` sub-matrix, no gather and no
+active-set scan.  Only a state *outside* the tracked union (or a drained
+lone cell) forces a rebuild.
 
 The sampler also precomputes the two collision-control quantities of the
 BGHKPU batch sizing (see :mod:`repro.engine.bghkpu`): the per-event
@@ -75,122 +64,24 @@ import numpy as np
 from .jump import pair_weights
 
 
-def alias_pick(
-    rng: np.random.Generator,
-    prob: np.ndarray,
-    alias: np.ndarray,
-    size: int,
-) -> np.ndarray:
-    """``size`` O(1) alias-method draws from ``(prob, alias)``.
-
-    One uniform per draw decides both the column ``i = ⌊u·k⌋`` and — via
-    its fractional part — whether to keep ``i`` or take ``alias[i]``.
-    """
-    k = len(prob)
-    u = rng.random(size) * k
-    idx = u.astype(np.int64)
-    np.minimum(idx, k - 1, out=idx)
-    frac = u - idx
-    return np.where(frac < prob[idx], idx, alias[idx])
-
-
-class AliasTable:
-    """Walker/Vose alias table for O(1) sampling from fixed weights.
-
-    Construction is vectorized: instead of the classic two-stack scalar
-    loop, each round pairs every currently-small column with a distinct
-    large column at once (``prob``/``alias`` assignment and the residual
-    subtraction are single array operations), then re-classifies the
-    larges.  Every round retires all current small columns, so the number
-    of rounds is bounded by the longest donation chain — O(log k) for
-    typical weight vectors, O(k) array rounds in the degenerate
-    strictly-decreasing chain (still fine: tables are rebuilt per epoch,
-    not per draw).
-
-    Raises ``ValueError`` on empty, non-1-D, negative, non-finite or
-    all-zero weights — a zero total weight means "no active pair", which
-    callers must treat as a silent configuration, never as a sampler.
-    """
-
-    __slots__ = ("k", "prob", "alias", "total")
-
-    def __init__(self, weights) -> None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError(
-                "alias table needs a non-empty 1-D weight vector, got "
-                "shape {}".format(w.shape)
-            )
-        if not np.isfinite(w).all():
-            raise ValueError("alias table weights contain NaN/Inf entries")
-        if (w < 0.0).any():
-            raise ValueError("alias table weights must be non-negative")
-        total = float(w.sum())
-        if total <= 0.0:
-            raise ValueError(
-                "alias table weights sum to zero — no pair can be sampled "
-                "(a silent configuration must be handled by the caller)"
-            )
-        k = int(w.size)
-        self.k = k
-        self.total = total
-        # scaled probabilities: mean 1.0 across columns
-        p = w * (k / total)
-        prob = np.ones(k, dtype=np.float64)
-        alias = np.arange(k, dtype=np.int64)
-        small = np.nonzero(p < 1.0)[0]
-        large = np.nonzero(p >= 1.0)[0]
-        while small.size and large.size:
-            m = min(small.size, large.size)
-            s, donors = small[:m], large[:m]
-            prob[s] = p[s]
-            alias[s] = donors
-            p[donors] -= 1.0 - p[s]
-            still_large = p[donors] >= 1.0
-            small = np.concatenate((small[m:], donors[~still_large]))
-            large = np.concatenate((large[m:], donors[still_large]))
-        # leftovers are numerically-one columns: keep prob=1, alias=self
-        self.prob = prob
-        self.alias = alias
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` column indices drawn i.i.d. from the weight vector."""
-        return alias_pick(rng, self.prob, self.alias, size)
-
-    def pvals(self) -> np.ndarray:
-        """The sampling distribution the table encodes (Vose invariant).
-
-        Reconstructed from ``prob``/``alias``: column ``i`` is drawn with
-        probability ``(prob_i + Σ_{j: alias_j = i} (1 - prob_j)) / k``.
-        Matches the normalized input weights up to float rounding — the
-        goodness-of-fit suite uses this as a deterministic build check.
-        """
-        out = self.prob.copy()
-        np.add.at(out, self.alias, 1.0 - self.prob)
-        return out / self.k
-
-
 class ActivePairSampler:
     """Epoch-frozen sampler over the active ordered-pair cells.
 
     One instance lives for the whole engine run; :meth:`rebuild` starts a
     new epoch from the current full count vector (unioning the active
     set with the lineage's past support, see the module docstring),
-    :meth:`refresh` re-freezes a drifted epoch in place — a patch of the
-    derived sums when the touched fraction is small, a touched-row/column
-    scan otherwise — and :meth:`sample_cells` serves one batch's cell
-    draws.  All randomness flows through the engine's generator.
+    :meth:`refresh` re-freezes a drifted epoch over the same active set,
+    and :meth:`sample_cells` serves one batch's cell draws.  All
+    randomness flows through the engine's generator.
 
-    ``top_k``/``patch_frac`` default to 0 (hybrid split and patching
-    off), matching the classic whole-grid sampler; the engine passes its
-    ``DENSE_TOP_K``/``ALIAS_PATCH_FRAC`` constants.
+    ``top_k`` defaults to 0 (hybrid split off), the whole-grid sampler;
+    the engine passes its ``DENSE_TOP_K`` constant.
     """
 
     __slots__ = (
         "matrix",
         "tol",
         "top_k",
-        "patch_frac",
         "act",
         "ca",
         "psub",
@@ -209,12 +100,10 @@ class ActivePairSampler:
         "heavy_mass",
         "rebuilds",
         "refreshes",
-        "patches",
         "scratch_allocs",
         "build_seconds",
         "refresh_seconds",
         "draw_seconds",
-        "_alias",
         "_pvals",
         "_heavy_mask",
         "_tail_cum",
@@ -227,8 +116,6 @@ class ActivePairSampler:
         "_buf_mask",
         "_buf_topk",
         "_buf_cum",
-        "_patch_cost",
-        "_scan_cost",
     )
 
     def __init__(
@@ -236,18 +123,14 @@ class ActivePairSampler:
         p_change_matrix: np.ndarray,
         tol: float,
         top_k: int = 0,
-        patch_frac: float = 0.0,
     ):
         if not 0.0 <= tol <= 1.0:
             raise ValueError("alias_rebuild_tol must be in [0, 1]")
         if top_k < 0:
             raise ValueError("top_k must be >= 0")
-        if not 0.0 <= patch_frac <= 1.0:
-            raise ValueError("patch_frac must be in [0, 1]")
         self.matrix = p_change_matrix
         self.tol = float(tol)
         self.top_k = int(top_k)
-        self.patch_frac = float(patch_frac)
         self.act: Optional[np.ndarray] = None
         self.ca: Optional[np.ndarray] = None
         self.psub: Optional[np.ndarray] = None
@@ -265,13 +148,11 @@ class ActivePairSampler:
         self.heavy_w: Optional[np.ndarray] = None
         self.heavy_mass = 0.0
         self.rebuilds = 0  # full epoch rebuilds (support left the union)
-        self.refreshes = 0  # partial refreshes (drift within the set)
-        self.patches = 0  # refreshes served by the O(touched·a) patch
+        self.refreshes = 0  # drift refreshes within the set
         self.scratch_allocs = 0  # buffer (re)allocations (regrowth probe)
         self.build_seconds = 0.0
         self.refresh_seconds = 0.0
         self.draw_seconds = 0.0
-        self._alias: Optional[AliasTable] = None
         self._pvals: Optional[np.ndarray] = None
         self._heavy_mask: Optional[np.ndarray] = None
         self._tail_cum: Optional[np.ndarray] = None
@@ -284,8 +165,6 @@ class ActivePairSampler:
         self._buf_mask: Optional[np.ndarray] = None
         self._buf_topk: Optional[np.ndarray] = None
         self._buf_cum: Optional[np.ndarray] = None
-        self._patch_cost = 0.0  # EMA seconds; 0 = not yet measured
-        self._scan_cost = 0.0
 
     # -- cached cell distribution -------------------------------------------
     @property
@@ -337,121 +216,21 @@ class ActivePairSampler:
         self.build_seconds += time.perf_counter() - start
 
     def refresh(self, full_c: np.ndarray) -> None:
-        """Re-freeze a drifted epoch: same active set, touched rows/cols.
+        """Re-freeze a drifted epoch over the same active set.
 
-        Only the rows and columns of states whose count moved since the
-        epoch froze are recomputed (against the cached ``p_change``
-        sub-matrix — no gather, no active-set scan); cells between two
-        unmoved states keep their frozen weight bit-identically.  When
-        the touched fraction is below ``patch_frac`` *and* patching has
-        measured cheaper than the full derived-quantity rescan, the
-        epoch sums are delta-updated in place (see :meth:`_patch`).
+        The weights are recomputed in one fused :func:`pair_weights`
+        pass over the cached ``p_change`` sub-matrix (no gather, no
+        active-set scan); an epoch whose tracked counts have not moved is
+        left as it is.
         """
         start = time.perf_counter()
-        ca_new = full_c[self.act]
-        touched = np.nonzero(ca_new != self.ca)[0]
-        if touched.size:
-            a = self.ca.shape[0]
-            patchable = (
-                self.patch_frac > 0.0
-                and self.row_sums is not None
-                and self.total > 0.0
-                and touched.size <= self.patch_frac * a
-                and (self._scan_cost == 0.0
-                     or self._patch_cost <= self._scan_cost)
-            )
-            if patchable:
-                self._patch(touched, ca_new)
-                self.patches += 1
-                elapsed = time.perf_counter() - start
-                self._patch_cost = (
-                    elapsed if self._patch_cost == 0.0
-                    else 0.5 * (self._patch_cost + elapsed)
-                )
-            else:
-                ca, psub = self.ca, self.psub
-                ca[touched] = ca_new[touched]
-                if touched.size * 4 >= a:
-                    # wide drift: recomputing the whole weight matrix is
-                    # one fused kernel, cheaper than four fancy-indexed
-                    # row/column updates
-                    self.w = pair_weights(ca, psub)
-                else:
-                    w = self.w
-                    w[touched, :] = (
-                        ca[touched, None] * ca[None, :] * psub[touched, :]
-                    )
-                    w[:, touched] = (
-                        ca[:, None] * ca[touched][None, :] * psub[:, touched]
-                    )
-                    w[touched, touched] = (
-                        ca[touched]
-                        * (ca[touched] - 1.0)
-                        * psub[touched, touched]
-                    )
-                    np.maximum(w, 0.0, out=w)
-                self._finalize()
-                elapsed = time.perf_counter() - start
-                self._scan_cost = (
-                    elapsed if self._scan_cost == 0.0
-                    else 0.5 * (self._scan_cost + elapsed)
-                )
+        ca = full_c[self.act]
+        if (ca != self.ca).any():
+            self.ca = ca
+            self.w = pair_weights(ca, self.psub)
+            self._finalize()
         self.refreshes += 1
         self.refresh_seconds += time.perf_counter() - start
-
-    def _patch(self, touched: np.ndarray, ca_new: np.ndarray) -> None:
-        """Delta-update the epoch for a small touched set, O(touched · a).
-
-        Recomputes only the touched rows/columns of ``w`` and folds their
-        deltas into the cached row/column sums (touched entries are
-        recomputed exactly, untouched entries accumulate the column/row
-        deltas), then rederives ``total``/μ/γ/caps in O(a).
-        """
-        ca, w, psub = self.ca, self.w, self.psub
-        t = touched.size
-        rows_old = w[touched, :].copy()
-        cols_old = w[:, touched].copy()
-        ca[touched] = ca_new[touched]
-        ct = ca[touched]
-        rows_new = ct[:, None] * ca[None, :] * psub[touched, :]
-        cols_new = ca[:, None] * ct[None, :] * psub[:, touched]
-        diag = ct * (ct - 1.0) * psub[touched, touched]
-        np.maximum(rows_new, 0.0, out=rows_new)
-        np.maximum(cols_new, 0.0, out=cols_new)
-        np.maximum(diag, 0.0, out=diag)
-        span = np.arange(t)
-        rows_new[span, touched] = diag
-        cols_new[touched, span] = diag
-        w[touched, :] = rows_new
-        w[:, touched] = cols_new
-        row_sums, col_sums = self.row_sums, self.col_sums
-        # untouched rows change only through the touched columns (and
-        # vice versa); touched entries are then recomputed exactly, so
-        # float drift never accumulates on the rows that matter
-        row_sums += (cols_new - cols_old).sum(axis=1)
-        row_sums[touched] = rows_new.sum(axis=1)
-        col_sums += (rows_new - rows_old).sum(axis=0)
-        col_sums[touched] = cols_new.sum(axis=0)
-        np.maximum(row_sums, 0.0, out=row_sums)
-        np.maximum(col_sums, 0.0, out=col_sums)
-        total = float(row_sums.sum())
-        self.total = total
-        self._alias = None
-        self._pvals = None
-        self._tail_cum = None
-        if total <= 0.0:
-            self._go_silent()
-            return
-        consume = np.add(row_sums, col_sums, out=self._buf_consume)
-        self.consume = consume
-        mu = np.divide(consume, total, out=self._buf_mu)
-        self.mu = mu
-        self._collision_caps()
-        self.active_cells = int(np.count_nonzero(w))
-        self.cells_nz = (
-            np.flatnonzero(w.ravel()) if self.active_cells == 1 else None
-        )
-        self._refresh_heavy()
 
     def _finalize(self) -> None:
         """Derive the cached per-epoch quantities from the weight matrix."""
@@ -469,7 +248,6 @@ class ActivePairSampler:
         self.col_sums = col
         total = float(row.sum())
         self.total = total
-        self._alias = None  # lazily rebuilt on the next alias-path draw
         self._pvals = None
         self._tail_cum = None
         if total <= 0.0:
@@ -630,12 +408,10 @@ class ActivePairSampler:
         Returns ``(cells, counts)``: the flattened ``a·a`` cell indices
         that fired and how many events each got (a cell may appear more
         than once only in degenerate float corners; downstream scatters
-        accumulate).  Dense supports with a frozen heavy partition take
-        the hybrid split; otherwise batches with fewer events than cells
-        go through O(1)-per-event alias lookups (built lazily once per
-        epoch) and denser batches use one multinomial over the identical
-        cached cell distribution — same law, and the per-batch cost is
-        ``O(min(fired, cells))`` either way.
+        accumulate).  A lone active cell takes every event without a
+        draw; dense supports with a frozen heavy partition take the
+        hybrid split; every other batch is one multinomial over the
+        whole cached cell distribution.
         """
         start = time.perf_counter()
         try:
@@ -644,13 +420,6 @@ class ActivePairSampler:
                 return self.cells_nz, np.array([fired], dtype=np.int64)
             if self.heavy_cells is not None:
                 return self._sample_hybrid(rng, fired)
-            ncells = self.w.size
-            if fired * 4 < ncells:
-                table = self._alias
-                if table is None:
-                    table = self._alias = AliasTable(self.w.ravel())
-                draws = alias_pick(rng, table.prob, table.alias, fired)
-                return np.unique(draws, return_counts=True)
             cell_counts = rng.multinomial(fired, self.pvals)
             cells = np.nonzero(cell_counts)[0]
             return cells, cell_counts[cells]

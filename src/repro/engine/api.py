@@ -111,7 +111,6 @@ class EngineStats:
         "alias_rebuilds",
         "alias_build_seconds",
         "alias_refresh_seconds",
-        "alias_patches",
         "cell_draw_seconds",
         "outcome_split_seconds",
         "collision_events",
@@ -129,6 +128,10 @@ class EngineStats:
     )
     __slots__ = _ORDER
 
+    #: Fields kept here, never read off the engine: the engine name, the
+    #: run tally and the stop evaluations :meth:`Engine.run` adds up.
+    _OWN = ("engine", "runs", "run_seconds", "stop_evals")
+
     def __init__(self, engine_name: str):
         self.engine = engine_name
         self.runs = 0
@@ -142,25 +145,15 @@ class EngineStats:
         """Refresh the counters from an engine after one ``run()`` call."""
         self.runs += 1
         self.run_seconds += wall_seconds
+        # every other field the engine exposes under the same name is
+        # copied as it stands; the rest are derived below
+        for name in self._ORDER:
+            if name not in self._OWN:
+                value = getattr(engine, name, None)
+                if value is not None:
+                    setattr(self, name, value)
         self.interactions = int(engine.interactions)
         self.rounds = float(engine.rounds)
-        for attr in (
-            "events",
-            "batches",
-            "fallbacks",
-            "kernel_seconds",
-            "alias_rebuilds",
-            "alias_build_seconds",
-            "alias_refresh_seconds",
-            "alias_patches",
-            "cell_draw_seconds",
-            "outcome_split_seconds",
-            "collision_events",
-            "repair_events",
-        ):
-            value = getattr(engine, attr, None)
-            if value is not None:
-                setattr(self, attr, value)
         sizes = getattr(engine, "active_pair_stats", None)
         if sizes:
             count, total, peak, states = sizes

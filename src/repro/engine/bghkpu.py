@@ -1,4 +1,4 @@
-"""BGHKPU engine: alias-table batches, sub-constant work per interaction.
+"""BGHKPU engine: frozen-epoch batches, sub-constant work per interaction.
 
 :class:`BGHKPUEngine` implements the batched simulation of Berenbrink,
 Hammer, Kaaser, Meyer, Penschuck & Tran ("Simulating Population Protocols
@@ -11,8 +11,8 @@ select the engine by it:
 
 1. the active ordered-pair weights are *frozen* into an epoch by
    :class:`~repro.engine.alias.ActivePairSampler` and only re-frozen when
-   accumulated count drift exceeds ``ALIAS_REBUILD_TOL`` (a partial
-   refresh recomputing the touched rows/columns) or the active set
+   accumulated count drift exceeds ``ALIAS_REBUILD_TOL`` (a refresh
+   recomputing the weights over the same active set) or the active set
    itself changes (a full rebuild);
 2. each batch advances ``B`` scheduler interactions whose effective-event
    count is ``F ~ Binomial(B, p̄)``; ``B`` is sized **collision-aware**
@@ -21,9 +21,9 @@ select the engine by it:
    ``γ = Σ_s μ_s² / (2 c_s)``, is kept below ``COLLISION_FRAC · F`` —
    and by the per-state feasibility cap ``F ≤ ½ min_s c_s / μ_s``;
 3. the ``K ≈ γ F²`` colliding tail is resolved against *fresh* counts:
-   the ``F − K`` main events are split over the frozen cells (O(1) alias
-   lookups when the batch is sparser than the cell grid, one multinomial
-   otherwise) and applied, the sampler is re-frozen from the updated
+   the ``F − K`` main events are split over the frozen cells (one
+   multinomial over the grid, or the hybrid split of item 5) and
+   applied, the sampler is re-frozen from the updated
    counts, and the last ``K`` events are drawn from that refreshed
    distribution (recorded in ``collision_events``);
 4. when the expected events per batch fall below ``MIN_BATCH_EVENTS``
@@ -31,12 +31,14 @@ select the engine by it:
    machinery — the gap to the next effective event is geometric in the
    frozen ``p̄`` and the event is drawn from the (refreshed-within-
    tolerance) cell distribution, so endgame convergence times are not
-   quantized to batch boundaries;
+   quantized to batch boundaries.  A *degenerate* epoch — one live
+   ordered pair with a deterministic outcome, the endgame of most
+   workloads and the leader fight end to end — is stepped on exact
+   scalar weights without the epoch machinery;
 5. **dense supports** (oscillator-sized active sets, E3/E4) get the
    adaptive hybrid path: the sampler draws the ``DENSE_TOP_K`` heaviest
    cells through one grouped ``K + 1``-bin kernel with only the light
-   tail going through the alias table, small-drift refreshes are served
-   by the O(touched·a) sum patch (``ALIAS_PATCH_FRAC``), and a feedback
+   tail placed by binary search on its running sum, and a feedback
    controller scales the batch cap from observed batch outcomes: clean
    batches grow it past the feasibility half-cap (never past the
    ``COLLISION_FRAC/γ`` birthday bound), infeasible draws and repair
@@ -82,7 +84,7 @@ from .table import TransitionTable
 
 
 class BGHKPUEngine(BatchCountEngine):
-    """Alias-table batch engine with collision-aware batch sizing.
+    """Frozen-epoch batch engine with collision-aware batch sizing.
 
     Takes the :class:`~repro.engine.jump.BatchCountEngine` arguments.  Its
     sizing is fixed by the class constants below, not by arguments.
@@ -105,19 +107,14 @@ class BGHKPUEngine(BatchCountEngine):
     COLLISION_FRAC = 0.2
 
     #: Relative per-state count drift above which the frozen epoch is
-    #: re-frozen (partial refresh of the touched rows/columns).
+    #: re-frozen (a weight refresh over the same active set).
     ALIAS_REBUILD_TOL = 0.05
 
     #: Heavy-cell count of the hybrid dense-support sampler: the K
     #: heaviest frozen cells are drawn through one grouped ``K + 1``-bin
-    #: kernel and only the light tail goes through the alias table.
-    #: Engages when the active grid has more than ``2K`` nonzero cells.
+    #: kernel and only the light tail is placed by binary search.
+    #: Engages when the active grid has more than ``2K`` cells.
     DENSE_TOP_K = 512
-
-    #: Touched-fraction ceiling below which a drift refresh delta-updates
-    #: the epoch sums in O(touched·a) instead of rescanning O(a²)
-    #: (patch-vs-scan further arbitrated by measured cost).
-    ALIAS_PATCH_FRAC = 0.25
 
     #: Autotune multiplier range.  The ceiling matters when the static
     #: sizing is pinned by the feasibility cap (scarce states with O(1)
@@ -174,15 +171,9 @@ class BGHKPUEngine(BatchCountEngine):
 
     @property
     def alias_refresh_seconds(self) -> float:
-        """Wall time spent in drift refreshes (touched-slice scan + patch)."""
+        """Wall time spent in drift refreshes (weight recomputes)."""
         s = self._sampler
         return s.refresh_seconds if s is not None else 0.0
-
-    @property
-    def alias_patches(self) -> int:
-        """Drift refreshes served by the O(touched·a) sum patch."""
-        s = self._sampler
-        return s.patches if s is not None else 0
 
     @property
     def cell_draw_seconds(self) -> float:
@@ -250,43 +241,10 @@ class BGHKPUEngine(BatchCountEngine):
     def _cells_to_delta(self, cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Per-state delta of ``counts[k]`` events in flattened cell ``cells[k]``."""
         start = time.perf_counter()
-        try:
-            return self._cells_to_delta_inner(cells, counts)
-        finally:
-            self.outcome_split_seconds += time.perf_counter() - start
-
-    def _cells_to_delta_inner(
-        self, cells: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
         ct = self.table
         act = self._sampler.act
         a = len(act)
         counts = counts.astype(np.int64, copy=False)
-        if cells.shape[0] == 1:
-            # lone fired cell (the endgame shape of most workloads):
-            # scalar bookkeeping, and a deterministic outcome (width 1)
-            # needs no RNG at all.
-            c = int(cells[0])
-            m = int(counts[0])
-            gi = int(act[c // a])
-            gj = int(act[c % a])
-            delta = np.zeros(ct.num_states, dtype=np.int64)
-            delta[gi] -= m
-            delta[gj] -= m
-            s = int(ct.off[gi * ct.num_states + gj])
-            e = int(ct.off[gi * ct.num_states + gj + 1])
-            if e == s + 1:
-                if ct.out_p[s] > 0.0:
-                    delta[int(ct.out_a[s])] += m
-                    delta[int(ct.out_b[s])] += m
-            elif e > s:
-                pv = ct.out_p[s:e]
-                tot = pv.sum()
-                if tot > 0.0:
-                    draws = self.rng.multinomial(m, pv / tot)
-                    np.add.at(delta, ct.out_a[s:e], draws)
-                    np.add.at(delta, ct.out_b[s:e], draws)
-            return delta
         gi = act[cells // a]
         gj = act[cells % a]
         # bincount beats np.add.at by an order of magnitude for these
@@ -295,12 +253,13 @@ class BGHKPUEngine(BatchCountEngine):
         cons += np.bincount(gj, weights=counts, minlength=ct.num_states)
         delta = -cons.astype(np.int64)
         pair_flat = gi * ct.num_states + gj
-        start = ct.off[pair_flat]
-        width = ct.off[pair_flat + 1] - start
+        begin = ct.off[pair_flat]
+        width = ct.off[pair_flat + 1] - begin
         split_outcomes_grouped(
-            self.rng, delta, counts, start, width,
+            self.rng, delta, counts, begin, width,
             ct.out_p, ct.out_a, ct.out_b,
         )
+        self.outcome_split_seconds += time.perf_counter() - start
         return delta
 
     def _repair_draw(self, cells: np.ndarray, counts: np.ndarray) -> tuple:
@@ -386,53 +345,6 @@ class BGHKPUEngine(BatchCountEngine):
             )
         return delta, events - excess, excess
 
-    def _lone_event(self) -> Optional[int]:
-        """Apply one event in scalars when a single cell is active.
-
-        The endgame of most workloads collapses to one live ordered pair
-        with a deterministic outcome; stepping it needs no arrays and no
-        RNG beyond the geometric gap already drawn.  Returns the events
-        applied (``1``) or ``None`` to fall through to the general path
-        (multiple cells, stochastic outcome, or counts that no longer
-        support the frozen cell).
-        """
-        sampler = self._sampler
-        cells_nz = sampler.cells_nz
-        if cells_nz is None:
-            return None
-        ct = self.table
-        act = sampler.act
-        a = len(act)
-        cell = int(cells_nz[0])
-        gi = int(act[cell // a])
-        gj = int(act[cell % a])
-        full_c = self._full_c
-        need = 2 if gi == gj else 1
-        if full_c[gi] < need or full_c[gj] < 1:
-            return None
-        flat = gi * ct.num_states + gj
-        s = int(ct.off[flat])
-        if int(ct.off[flat + 1]) != s + 1 or ct.out_p[s] <= 0.0:
-            return None
-        oa = int(ct.out_a[s])
-        ob = int(ct.out_b[s])
-        if (full_c[oa] == 0.0 and oa not in (gi, gj)) or (
-            full_c[ob] == 0.0 and ob not in (gi, gj)
-        ):
-            self._need_rebuild = True
-        full_c[gi] -= 1
-        full_c[gj] -= 1
-        full_c[oa] += 1
-        full_c[ob] += 1
-        codes = ct.codes
-        pop = self._population
-        pop.remove(int(codes[gi]), 1)
-        pop.remove(int(codes[gj]), 1)
-        pop.add(int(codes[oa]), 1)
-        pop.add(int(codes[ob]), 1)
-        self._support_stale = True
-        return 1
-
     # -- main loop -------------------------------------------------------------
     def _run(
         self,
@@ -460,7 +372,6 @@ class BGHKPUEngine(BatchCountEngine):
                 self.table.p_change_matrix,
                 self.ALIAS_REBUILD_TOL,
                 top_k=self.DENSE_TOP_K,
-                patch_frac=self.ALIAS_PATCH_FRAC,
             )
             self._need_rebuild = True
         if self._need_rebuild or sampler.act is None or sampler.stale(self._full_c):
@@ -700,11 +611,9 @@ class BGHKPUEngine(BatchCountEngine):
                     break
                 emit_up_to(event_at - 1)
                 self.interactions = event_at
-                applied = self._lone_event()
-                if applied is None:
-                    delta, applied, _ = self._feasible_delta(1)
-                    if delta is not None:
-                        self._apply_delta_lean(delta)
+                delta, applied, _ = self._feasible_delta(1)
+                if delta is not None:
+                    self._apply_delta_lean(delta)
                 self.events += applied
                 events_done += applied
                 self.kernel_seconds += time.perf_counter() - kernel_start

@@ -51,7 +51,9 @@ def _retired_knobs() -> Dict[str, Tuple[Any, Tuple[str, ...]]]:
     """Retired fidelity knob -> (the constant it became, engines that read it).
 
     ``auto`` counts as a reader of the shared batching knobs because it
-    may resolve to ``batch``.
+    may resolve to ``batch``.  ``alias_patch_frac`` maps to ``0.0``: the
+    sum patch it bounded is gone, so only runs recorded with patching off
+    replay.
     """
     from .bghkpu import BGHKPUEngine
     from .jump import ACCURACY, MIN_BATCH_EVENTS
@@ -63,7 +65,7 @@ def _retired_knobs() -> Dict[str, Tuple[Any, Tuple[str, ...]]]:
         "collision_frac": (BGHKPUEngine.COLLISION_FRAC, ("bghkpu",)),
         "alias_rebuild_tol": (BGHKPUEngine.ALIAS_REBUILD_TOL, ("bghkpu",)),
         "dense_top_k": (BGHKPUEngine.DENSE_TOP_K, ("bghkpu",)),
-        "alias_patch_frac": (BGHKPUEngine.ALIAS_PATCH_FRAC, ("bghkpu",)),
+        "alias_patch_frac": (0.0, ("bghkpu",)),
         "batch_autotune": (True, ("bghkpu",)),
     }
 
@@ -161,10 +163,12 @@ class EngineConfig:
         The seven retired fidelity knobs (``accuracy``,
         ``min_batch_events``, ``collision_frac``, ``alias_rebuild_tol``,
         ``dense_top_k``, ``alias_patch_frac``, ``batch_autotune``) are
-        engine constants now.  A stored knob is dropped when its value
-        equals that constant, or when the recorded engine never read it
-        (``collision_frac`` on a ``batch`` run); any other value selected
-        sample paths no engine reproduces, so it raises ``ValueError``.
+        fixed now: each is an engine constant, except ``alias_patch_frac``,
+        which is ``0.0`` (no sum patching, the only refresh left).  A
+        stored knob is dropped when its value equals that fixed value, or
+        when the recorded engine never read it (``collision_frac`` on a
+        ``batch`` run); any other value selected sample paths no engine
+        reproduces, so it raises ``ValueError``.
         """
         payload = dict(data or {})
         payload.pop("backend", None)

@@ -72,10 +72,9 @@ class CountEngine(Engine):
         self._c = np.array(
             [self._population.counts[code] for code in self._codes], dtype=np.float64
         )
-        self._q = np.zeros((size, size), dtype=np.float64)
-        for i, a in enumerate(self._codes):
-            for j, b in enumerate(self._codes):
-                self._q[i, j] = self.table.p_change(a, b)
+        self._q = self.table.p_changes(
+            [a for a in self._codes for _ in range(size)], self._codes * size
+        ).reshape(size, size)
         self._v = self._q @ self._c
 
     def _ensure_state(self, code: int) -> int:
@@ -86,12 +85,20 @@ class CountEngine(Engine):
         self._codes.append(code)
         self._index[code] = idx
         size = idx + 1
+        # the new row and column interleaved, (code, c_0), (c_0, code),
+        # ..., (code, code): an open table indexes states and fills rows
+        # in this order, which its (digest-pinned) layout depends on
+        codes_a, codes_b = [], []
+        for other in self._codes[:idx]:
+            codes_a += (code, other)
+            codes_b += (other, code)
+        codes_a.append(code)
+        codes_b.append(code)
+        p = self.table.p_changes(codes_a, codes_b)
         new_q = np.zeros((size, size), dtype=np.float64)
         new_q[:idx, :idx] = self._q
-        for j, other in enumerate(self._codes):
-            new_q[idx, j] = self.table.p_change(code, other)
-            if j != idx:
-                new_q[j, idx] = self.table.p_change(other, code)
+        new_q[idx, :] = p[0::2]
+        new_q[:idx, idx] = p[1::2]
         self._q = new_q
         self._c = np.append(self._c, 0.0)
         self._v = self._q @ self._c

@@ -45,7 +45,7 @@ import tempfile
 import time
 from array import array
 from math import isqrt
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -310,66 +310,77 @@ class TransitionTable:
 
     def _pair_rows(self, keys: Sequence[int]) -> List[int]:
         """Row ids of distinct pair keys, computing the missing rows as one
-        batch.
+        batch (see :meth:`_append_rows`).
 
         A key that already has a row keeps it (a lookup snapshot may be
-        older than ``_pair_row``).  The missing rows are computed by one
-        streamed :meth:`Protocol.transitions` pass in key order into typed
-        buffers, and each column grows once per batch, so a batch costs
-        O(missing rows + their outcomes), never O(table).  New states are
-        indexed row by row, a row's ``out_a`` codes before its ``out_b``
-        codes, and ``p_row`` is each row's sequential sum (what
-        :class:`PairOutcomes`' cumsum ends on).  A batch whose transitions
-        raise leaves the table unchanged.
+        older than ``_pair_row``).
         """
         pair_row = self._pair_row
         todo = [key for key in keys if key not in pair_row]
         if todo:
             code = self.codes.item
-            pairs = ((code(i), code(j)) for i, j in map(_pair_of, todo))
-            index = self.index
-            first = len(self.codes)
-            fresh: List[int] = []  # codes new in this batch, in index order
-            out_a, out_b, off = array("q"), array("q"), array("q")
-            out_p, p_row = array("d"), array("d")
-            nnz = len(self.out_p)
-            try:
-                for changing, _ in self.protocol.transitions(pairs):
-                    total = 0.0
-                    for a, _, p in changing:
-                        idx = index.get(a)
-                        if idx is None:
-                            idx = index[a] = first + len(fresh)
-                            fresh.append(a)
-                        out_a.append(idx)
-                        out_p.append(p)
-                        total += p
-                    for _, b, _ in changing:
-                        idx = index.get(b)
-                        if idx is None:
-                            idx = index[b] = first + len(fresh)
-                            fresh.append(b)
-                        out_b.append(idx)
-                    nnz += len(changing)
-                    off.append(nnz)
-                    p_row.append(total)
-            except BaseException:
-                for new in fresh:
-                    del index[new]
-                raise
             base = len(self.p_row)
-            self._extend(
-                codes=fresh,
-                p_row=p_row,
-                off=off,
-                out_a=out_a,
-                out_b=out_b,
-                out_p=out_p,
+            self._append_rows(
+                ((code(i), code(j)) for i, j in map(_pair_of, todo)), []
             )
             for row, key in enumerate(todo, base):
                 pair_row[key] = row
-            self.misses += len(todo)
         return [pair_row[key] for key in keys]
+
+    def _append_rows(
+        self, pairs: Iterable[Tuple[int, int]], fresh: List[int]
+    ) -> None:
+        """Compute the rows of the code pairs ``pairs`` and append them.
+
+        The rows are computed by one streamed :meth:`Protocol.transitions`
+        pass in pair order into typed buffers, and each column grows once
+        per batch, so a batch costs O(its rows + their outcomes), never
+        O(table).  New states are indexed row by row, a row's ``out_a``
+        codes before its ``out_b`` codes, and ``p_row`` is each row's
+        sequential sum (what :class:`PairOutcomes`' cumsum ends on).
+        ``fresh`` lists the codes the batch has indexed so far, in index
+        order; ``pairs`` is consumed lazily and may index more states
+        into it between rows.  A batch whose transitions raise leaves the
+        table unchanged.
+        """
+        index = self.index
+        first = len(self.codes)
+        out_a, out_b, off = array("q"), array("q"), array("q")
+        out_p, p_row = array("d"), array("d")
+        nnz = len(self.out_p)
+        try:
+            for changing, _ in self.protocol.transitions(pairs):
+                total = 0.0
+                for a, _, p in changing:
+                    idx = index.get(a)
+                    if idx is None:
+                        idx = index[a] = first + len(fresh)
+                        fresh.append(a)
+                    out_a.append(idx)
+                    out_p.append(p)
+                    total += p
+                for _, b, _ in changing:
+                    idx = index.get(b)
+                    if idx is None:
+                        idx = index[b] = first + len(fresh)
+                        fresh.append(b)
+                    out_b.append(idx)
+                nnz += len(changing)
+                off.append(nnz)
+                p_row.append(total)
+        except BaseException:
+            for new in fresh:
+                del index[new]
+            raise
+        self._extend(
+            codes=fresh,
+            p_row=p_row,
+            off=off,
+            out_a=out_a,
+            out_b=out_b,
+            out_p=out_p,
+        )
+        self.misses += len(off)
 
     # -- rows ------------------------------------------------------------------
     def _row(self, i: int, j: int) -> int:
@@ -428,6 +439,59 @@ class TransitionTable:
             return self.outcomes(code_a, code_b).p_change
         row = self._row(self.state_index(code_a), self.state_index(code_b))
         return float(self.p_row[row])
+
+    def p_changes(
+        self, codes_a: Sequence[int], codes_b: Sequence[int]
+    ) -> np.ndarray:
+        """:meth:`p_change` of every code pair ``(codes_a[k], codes_b[k])``.
+
+        A closed table answers with one gather from
+        :attr:`p_change_matrix`.  An open table indexes states and fills
+        missing rows in one streamed pass, in the order one
+        :meth:`p_change` call per pair would: the pair's initiator, its
+        responder, then its row's outcome states.  The table grows as it
+        would under those calls, whatever batches they come in.
+        """
+        index = self.index
+        if self.closed:
+            q = len(self.codes)
+            try:
+                flat = [index[a] * q + index[b] for a, b in zip(codes_a, codes_b)]
+            except KeyError:
+                # a code outside the closure: the protocol answers
+                return np.array(
+                    [self.p_change(a, b) for a, b in zip(codes_a, codes_b)],
+                    dtype=np.float64,
+                )
+            return self.p_row[np.array(flat, dtype=np.int64)]
+        pair_row = self._pair_row
+        first = len(self.codes)
+        base = len(self.p_row)
+        fresh: List[int] = []
+        new: Dict[int, int] = {}  # pair key -> row, for rows of this pass
+        rows = array("q")
+
+        def intern(code: int) -> int:
+            idx = index.get(code)
+            if idx is None:
+                idx = index[code] = first + len(fresh)
+                fresh.append(code)
+            return idx
+
+        def missing() -> Iterator[Tuple[int, int]]:
+            for a, b in zip(codes_a, codes_b):
+                key = _pair_key(intern(a), intern(b))
+                row = pair_row.get(key)
+                if row is None:
+                    row = new.get(key)
+                    if row is None:
+                        row = new[key] = base + len(new)
+                        yield a, b
+                rows.append(row)
+
+        self._append_rows(missing(), fresh)
+        pair_row.update(new)
+        return self.p_row[np.array(rows, dtype=np.int64)]
 
     # -- vectorized agent-array application --------------------------------------
     def apply(

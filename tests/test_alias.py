@@ -1,115 +1,22 @@
-"""Alias-table sampler correctness: Vose invariant, GOF, degenerate input.
+"""Epoch sampler correctness: weights, refreshes, GOF, degenerate input.
 
-The BGHKPU engine's pair sampling rides entirely on :class:`AliasTable`
-(O(1) draws from frozen weights) and :class:`ActivePairSampler` (the
-epoch manager over the active ordered-pair cells).  These tests pin the
-build invariant, the sampling distribution (chi-square goodness of fit
-against the exact cell probabilities, and against direct multinomial
-draws over the same weights), and the degenerate inputs that must fail
-loudly instead of sampling garbage.
+The BGHKPU engine's pair sampling rides entirely on
+:class:`ActivePairSampler`, the epoch manager over the active
+ordered-pair cells.  These tests pin the frozen weights and their
+refreshes (bit-identical to a fresh rebuild), the sampling distribution
+of each draw shape (chi-square goodness of fit against the exact cell
+probabilities), and the degenerate inputs that must go silent instead of
+sampling garbage.
 """
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from repro.engine import ActivePairSampler, AliasTable, alias_pick
+from repro.engine import ActivePairSampler
 from repro.engine.jump import pair_weights
 
-SKEWED = np.array([5.0, 1.0, 0.1, 10.0, 3.0, 0.5, 2.0, 8.0])
 GOF_ALPHA = 0.001
-
-
-class TestAliasTableBuild:
-    def test_vose_invariant_matches_weights(self):
-        table = AliasTable(SKEWED)
-        expected = SKEWED / SKEWED.sum()
-        np.testing.assert_allclose(table.pvals(), expected, atol=1e-12)
-
-    def test_vose_invariant_on_extreme_skew(self):
-        w = np.array([1e-9, 1.0, 1e9, 1e-3, 42.0])
-        table = AliasTable(w)
-        np.testing.assert_allclose(table.pvals(), w / w.sum(), rtol=1e-9)
-
-    def test_total_and_k_recorded(self):
-        table = AliasTable(SKEWED)
-        assert table.k == len(SKEWED)
-        assert table.total == pytest.approx(float(SKEWED.sum()))
-
-    def test_single_column(self):
-        table = AliasTable([3.5])
-        rng = np.random.default_rng(0)
-        assert (table.sample(rng, 100) == 0).all()
-
-    def test_zero_weight_never_sampled(self):
-        w = np.array([1.0, 0.0, 2.0, 0.0, 4.0])
-        table = AliasTable(w)
-        draws = table.sample(np.random.default_rng(7), 20_000)
-        assert not np.isin(draws, [1, 3]).any()
-
-
-class TestAliasTableGOF:
-    def test_chisquare_vs_exact_distribution(self):
-        table = AliasTable(SKEWED)
-        rng = np.random.default_rng(42)
-        draws = table.sample(rng, 40_000)
-        observed = np.bincount(draws, minlength=len(SKEWED))
-        expected = 40_000 * SKEWED / SKEWED.sum()
-        assert chisquare(observed, expected).pvalue > GOF_ALPHA
-
-    def test_chisquare_vs_direct_multinomial(self):
-        """Alias draws and one multinomial over the same weights agree.
-
-        The sampler switches between the two representations per batch
-        (alias path for sparse batches, multinomial for dense ones), so
-        their histograms must be draws from the same law.
-        """
-        pvals = SKEWED / SKEWED.sum()
-        table = AliasTable(SKEWED)
-        m = 40_000
-        alias_hist = np.bincount(
-            table.sample(np.random.default_rng(1), m), minlength=len(SKEWED)
-        )
-        multi_hist = np.random.default_rng(2).multinomial(m, pvals)
-        # two-sample chi-square on the pooled expectation
-        pooled = (alias_hist + multi_hist) / 2.0
-        stat_a = chisquare(alias_hist, pooled).pvalue
-        stat_m = chisquare(multi_hist, pooled).pvalue
-        assert stat_a > GOF_ALPHA and stat_m > GOF_ALPHA
-
-    def test_alias_pick_function_matches_table(self):
-        table = AliasTable(SKEWED)
-        rng_a = np.random.default_rng(9)
-        rng_b = np.random.default_rng(9)
-        direct = alias_pick(rng_a, table.prob, table.alias, 500)
-        via_table = table.sample(rng_b, 500)
-        np.testing.assert_array_equal(direct, via_table)
-
-
-class TestAliasTableDegenerate:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="non-empty 1-D"):
-            AliasTable([])
-
-    def test_two_dimensional_rejected(self):
-        with pytest.raises(ValueError, match="non-empty 1-D"):
-            AliasTable(np.ones((2, 2)))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            AliasTable([1.0, -0.5])
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="NaN/Inf"):
-            AliasTable([1.0, np.nan])
-
-    def test_inf_rejected(self):
-        with pytest.raises(ValueError, match="NaN/Inf"):
-            AliasTable([np.inf, 1.0])
-
-    def test_zero_sum_rejected_with_clear_message(self):
-        with pytest.raises(ValueError, match="sum to zero"):
-            AliasTable([0.0, 0.0, 0.0])
 
 
 class TestActivePairSampler:
@@ -174,15 +81,22 @@ class TestActivePairSampler:
         assert s.refreshes == 1
 
     def test_refresh_matches_full_rebuild(self):
-        s = self.make()
-        s.rebuild(np.array([10.0, 5.0, 0.0]))
-        drifted = np.array([6.0, 9.0, 0.0])
-        s.refresh(drifted)
-        fresh = self.make()
-        fresh.rebuild(drifted)
-        np.testing.assert_allclose(s.w, fresh.w)
-        assert s.total == pytest.approx(fresh.total)
-        assert s.gamma == pytest.approx(fresh.gamma)
+        """A refresh is bit-identical to a fresh rebuild, for narrow drift
+        (one of 12 states moved, under a quarter) and wide drift (all)."""
+        matrix = _dense_matrix()
+        for moved in (1, 12):
+            s = ActivePairSampler(matrix, 0.05)
+            full_c = _dense_counts()
+            s.rebuild(full_c)
+            drifted = full_c.copy()
+            drifted[:moved] += 7.0
+            s.refresh(drifted)
+            fresh = ActivePairSampler(matrix, 0.05)
+            fresh.rebuild(drifted)
+            np.testing.assert_array_equal(s.act, fresh.act)
+            np.testing.assert_array_equal(s.w, fresh.w)
+            assert s.total == fresh.total
+            assert s.gamma == fresh.gamma
 
     def test_zero_sum_weights_go_silent_not_crash(self):
         s = self.make()
@@ -200,8 +114,6 @@ class TestActivePairSampler:
     def test_knob_validation(self):
         with pytest.raises(ValueError, match="top_k"):
             ActivePairSampler(self.MATRIX, 0.05, top_k=-1)
-        with pytest.raises(ValueError, match="patch_frac"):
-            ActivePairSampler(self.MATRIX, 0.05, patch_frac=1.5)
 
     def test_sticky_union_active_set(self):
         """Rebuilds union the support with the lineage's past states.
@@ -252,14 +164,33 @@ def _dense_counts(q=12, seed=1, scale=1000.0):
     return np.floor(rng.uniform(10.0, scale, size=q))
 
 
+class TestWholeGridSampler:
+    def test_sparse_batch_chisquare_vs_exact_distribution(self):
+        """Batches far sparser than a non-hybrid grid fit the cell law.
+
+        144 cells and 20 events per batch: most cells get no event in a
+        batch, and such batches take the same whole-grid multinomial as
+        dense ones.
+        """
+        s = ActivePairSampler(_dense_matrix(), 0.05)
+        s.rebuild(_dense_counts())
+        assert s.heavy_cells is None and s.cells_nz is None
+        assert 20 * 4 < s.w.size
+        rng = np.random.default_rng(13)
+        totals = np.zeros(s.w.size)
+        for _ in range(3000):
+            cells, counts = s.sample_cells(rng, 20)
+            np.add.at(totals, cells, counts)
+        assert (
+            _lumped_chisquare(totals, 3000 * 20 * s.pvals).pvalue > GOF_ALPHA
+        )
+
+
 class TestHybridSampler:
     """The top-K heavy-cell split against the whole-grid distribution."""
 
-    def make(self, top_k, tol=0.05, patch_frac=0.0):
-        return ActivePairSampler(
-            _dense_matrix(), tol,
-            top_k=top_k, patch_frac=patch_frac,
-        )
+    def make(self, top_k, tol=0.05):
+        return ActivePairSampler(_dense_matrix(), tol, top_k=top_k)
 
     def test_heavy_partition_selected(self):
         s = self.make(top_k=8)
@@ -330,21 +261,18 @@ class TestHybridSampler:
 
 
 class TestPartialRefreshExactness:
-    """refresh()/patch must be indistinguishable from a fresh rebuild."""
+    """refresh() must be indistinguishable from a fresh rebuild."""
 
-    def drifted_pairs(self, tol=0.05, patch_frac=1.0, top_k=8):
-        """(incrementally refreshed, freshly rebuilt) sampler pair."""
+    def drifted_pairs(self, tol=0.05, top_k=8):
+        """(repeatedly refreshed, freshly rebuilt) sampler pair."""
         matrix = _dense_matrix()
-        s = ActivePairSampler(
-            matrix, tol,
-            top_k=top_k, patch_frac=patch_frac,
-        )
+        s = ActivePairSampler(matrix, tol, top_k=top_k)
         full_c = _dense_counts()
         s.rebuild(full_c)
         rng = np.random.default_rng(42)
-        # adversarial drift: interleave tiny single-state nudges (patch
-        # path), wide multi-state kicks (scan path), drains to zero and
-        # rebuild-tolerance boundary hits (count moved by exactly tol)
+        # adversarial drift: interleave tiny single-state nudges, wide
+        # multi-state kicks, drains to zero and rebuild-tolerance
+        # boundary hits (count moved by exactly tol)
         for step in range(60):
             which = step % 4
             if which == 0:
@@ -360,10 +288,7 @@ class TestPartialRefreshExactness:
                 idx = rng.integers(len(full_c))
                 full_c[idx] = 0.0 if full_c[idx] < 50.0 else full_c[idx]
             s.refresh(full_c)
-        fresh = ActivePairSampler(
-            matrix, tol,
-            top_k=top_k, patch_frac=patch_frac,
-        )
+        fresh = ActivePairSampler(matrix, tol, top_k=top_k)
         fresh.act = s.act  # same (sticky) active set, fresh derivation
         fresh.psub = matrix[np.ix_(s.act, s.act)]
         fresh.ca = full_c[s.act].copy()
@@ -374,21 +299,17 @@ class TestPartialRefreshExactness:
 
     def test_epoch_quantities_match_fresh_rebuild(self):
         s, fresh = self.drifted_pairs()
-        assert s.patches > 0  # the patch path actually ran
-        np.testing.assert_allclose(s.w, fresh.w, rtol=1e-12, atol=1e-9)
-        assert s.total == pytest.approx(fresh.total, rel=1e-9)
-        np.testing.assert_allclose(
-            s.row_sums, fresh.row_sums, rtol=1e-9, atol=1e-6
-        )
-        np.testing.assert_allclose(
-            s.col_sums, fresh.col_sums, rtol=1e-9, atol=1e-6
-        )
-        np.testing.assert_allclose(s.mu, fresh.mu, rtol=1e-8, atol=1e-12)
-        assert s.gamma == pytest.approx(fresh.gamma, rel=1e-8)
-        assert s.cap_events == pytest.approx(fresh.cap_events, rel=1e-8)
+        assert s.refreshes == 60
+        np.testing.assert_array_equal(s.w, fresh.w)
+        assert s.total == fresh.total
+        np.testing.assert_array_equal(s.row_sums, fresh.row_sums)
+        np.testing.assert_array_equal(s.col_sums, fresh.col_sums)
+        np.testing.assert_array_equal(s.mu, fresh.mu)
+        assert s.gamma == fresh.gamma
+        assert s.cap_events == fresh.cap_events
 
     def test_chisquare_vs_fresh_rebuild(self):
-        """Draws from the patched epoch fit the fresh-rebuild law."""
+        """Draws from the refreshed epoch fit the fresh-rebuild law."""
         s, fresh = self.drifted_pairs()
         rng = np.random.default_rng(7)
         totals = np.zeros(s.w.size)
@@ -400,11 +321,6 @@ class TestPartialRefreshExactness:
             > GOF_ALPHA
         )
 
-    def test_patch_vs_scan_arbitration_counts(self):
-        s, _ = self.drifted_pairs(patch_frac=1.0)
-        assert s.refreshes == 60
-        assert 0 < s.patches <= s.refreshes
-
 
 class TestScratchReuse:
     def test_no_buffer_regrowth_in_steady_state(self):
@@ -414,10 +330,7 @@ class TestScratchReuse:
         of refreshes, rebuilds and draws at the same active-set size
         must leave ``scratch_allocs`` flat.
         """
-        s = ActivePairSampler(
-            _dense_matrix(), 0.0,
-            top_k=8, patch_frac=0.5,
-        )
+        s = ActivePairSampler(_dense_matrix(), 0.0, top_k=8)
         full_c = _dense_counts()
         rng = np.random.default_rng(3)
         s.rebuild(full_c)

@@ -1,6 +1,6 @@
 """BGHKPU engine: registry wiring, exactness, fidelity, stats, fallbacks.
 
-The alias-table batch engine must be a drop-in member of the engine
+The frozen-epoch batch engine must be a drop-in member of the engine
 registry (config round-trip, CLI name, replica runner), agree with the
 ``batch`` engine distributionally (pooled KS on the leader-fight
 convergence times and on the oscillator observer grid, the repo's
@@ -66,17 +66,18 @@ class TestRegistry:
         monkeypatch.setattr(BGHKPUEngine, "COLLISION_FRAC", 0.15)
         monkeypatch.setattr(BGHKPUEngine, "ALIAS_REBUILD_TOL", 0.02)
         monkeypatch.setattr(BGHKPUEngine, "DENSE_TOP_K", 128)
-        monkeypatch.setattr(BGHKPUEngine, "ALIAS_PATCH_FRAC", 0.1)
         stored = {
             "engine": "bghkpu", "collision_frac": 0.15,
             "alias_rebuild_tol": 0.02, "dense_top_k": 128,
-            "alias_patch_frac": 0.1, "batch_autotune": True,
+            "alias_patch_frac": 0.0, "batch_autotune": True,
         }
         assert EngineConfig.from_dict(stored) == EngineConfig(engine="bghkpu")
         with pytest.raises(ValueError, match="batch_autotune=False"):
             EngineConfig.from_dict(dict(stored, batch_autotune=False))
         with pytest.raises(ValueError, match="collision_frac=0.2"):
             EngineConfig.from_dict(dict(stored, collision_frac=0.2))
+        with pytest.raises(ValueError, match="alias_patch_frac=0.1"):
+            EngineConfig.from_dict(dict(stored, alias_patch_frac=0.1))
 
     def test_constants_drive_the_sampler(self, monkeypatch):
         monkeypatch.setattr(BGHKPUEngine, "COLLISION_FRAC", 0.15)
@@ -137,7 +138,6 @@ class TestExactness:
     def test_batch_one_bit_identity_with_dense_knobs(self, monkeypatch):
         """batch=1 stays on the exact path with every dense constant set."""
         monkeypatch.setattr(BGHKPUEngine, "DENSE_TOP_K", 512)
-        monkeypatch.setattr(BGHKPUEngine, "ALIAS_PATCH_FRAC", 0.25)
         a, _ = run_leader("bghkpu", 500, seed=7, batch=1)
         b, _ = run_leader("batch", 500, seed=7, batch=1)
         assert a.interactions == b.interactions
@@ -296,7 +296,6 @@ class TestKSEquivalence:
         n, third = 600, (600 - 3) // 3
         # the batch engine never reads the bghkpu constants
         monkeypatch.setattr(BGHKPUEngine, "DENSE_TOP_K", 16)
-        monkeypatch.setattr(BGHKPUEngine, "ALIAS_PATCH_FRAC", 0.5)
 
         def trace_of(engine, seed):
             pop = Population.from_groups(

@@ -18,6 +18,7 @@ from repro.engine import (
     BatchCountEngine,
     CountEngine,
     EngineConfig,
+    EngineStats,
     LazyTable,
     MatchingEngine,
     TransitionTable,
@@ -30,6 +31,7 @@ from repro.engine import compiled
 from repro.engine.compiled import _MEMO, acquire_table
 from repro.obs import load_manifest
 from repro.oscillator import make_oscillator_protocol, strong_value, weak_value
+from repro.simulate import make_engine
 
 
 @pytest.fixture
@@ -353,6 +355,34 @@ class TestEngineStats:
             assert stats["kernel_seconds"] > 0
         text = eng.stats.format()
         assert "table_kind" in text and "compiled" in text
+
+    @pytest.mark.parametrize(
+        "engine", ["count", "batch", "bghkpu", "ensemble", "array", "matching"]
+    )
+    def test_every_exposed_counter_reaches_as_dict(self, oscillator, engine):
+        """record_run reads the engine counters off ``_ORDER`` itself: any
+        ``_ORDER`` field an engine exposes under that name is reported."""
+        pop = oscillator_population(oscillator.schema, 3000)
+        eng = make_engine(
+            oscillator, pop, engine=engine, rng=np.random.default_rng(4)
+        )
+        eng.run(rounds=5)
+        stats = eng.stats.as_dict()
+        exposed = {
+            name: getattr(eng, name)
+            for name in EngineStats._ORDER
+            if name not in EngineStats._OWN
+            and getattr(eng, name, None) is not None
+        }
+        assert {"interactions", "rounds"} <= set(exposed)
+        if engine == "bghkpu":
+            assert {
+                "alias_rebuilds", "alias_build_seconds",
+                "alias_refresh_seconds", "cell_draw_seconds",
+                "outcome_split_seconds", "collision_events", "repair_events",
+            } <= set(exposed)
+        for name, value in exposed.items():
+            assert stats[name] == value, name
 
     def test_compile_seconds_count_once_per_sweep(self, oscillator, tmp_path):
         """Replicas reusing a shared table report no compile time."""

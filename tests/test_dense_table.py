@@ -127,6 +127,28 @@ class TestBatchFill:
                 getattr(batched, name), getattr(single, name)
             )
 
+    def test_p_changes_equal_one_scalar_call_per_pair(self, coin_protocol):
+        """The batched read gives the values and grows the table exactly
+        as one :meth:`p_change` call per pair, in pair order: initiator,
+        responder, then the row's outcome states."""
+        pairs = [(2, 0), (0, 2), (0, 0), (2, 0), (3, 1), (0, 3), (1, 1)]
+        batched = LazyTable(coin_protocol)
+        single = LazyTable(coin_protocol)
+        batched.p_change(1, 1)  # rows that already exist are read, not filled
+        single.p_change(1, 1)
+        got = batched.p_changes([a for a, _ in pairs], [b for _, b in pairs])
+        want = [single.p_change(a, b) for a, b in pairs]
+        assert got.tolist() == want
+        for name in ("codes", "off", "out_a", "out_b", "out_p", "p_row"):
+            np.testing.assert_array_equal(
+                getattr(batched, name), getattr(single, name)
+            )
+        assert batched.index == single.index
+        assert batched.misses == single.misses == 6
+        closed = compile_table(coin_protocol, [0, 1, 2, 3], cache=None)
+        got = closed.p_changes([a for a, _ in pairs], [b for _, b in pairs])
+        assert got.tolist() == [closed.p_change(a, b) for a, b in pairs]
+
     def test_a_failing_batch_leaves_the_table_unchanged(self):
         schema = StateSchema()
         schema.enum("x", 4)

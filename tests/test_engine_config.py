@@ -399,6 +399,14 @@ class TestRetiredKnobs:
         with pytest.raises(ValueError, match="collision_frac=0.15"):
             replay_replica(load_manifest(path), 0)
 
+    def test_stored_alias_patch_frac_must_be_zero(self):
+        """The sum patch is gone: ``0.0`` (patching off) is the only
+        stored value whose runs still replay."""
+        stored = {"engine": "bghkpu", "alias_patch_frac": 0.0}
+        assert EngineConfig.from_dict(stored) == EngineConfig(engine="bghkpu")
+        with pytest.raises(ValueError, match="alias_patch_frac=0.25"):
+            EngineConfig.from_dict(dict(stored, alias_patch_frac=0.25))
+
     def test_knob_the_engine_never_read_is_dropped(self):
         for stored in (
             {"engine": "batch", "collision_frac": 0.15},
