@@ -27,106 +27,52 @@ explicit ``__all__`` below; :func:`engine_names` lists the registry
 names.
 """
 
-from .core import (
-    ANY,
-    Formula,
-    Population,
-    Protocol,
-    Rule,
-    State,
-    StateSchema,
-    Thread,
-    V,
-    coin_rule,
-    compose,
-    rule,
-    single_thread,
-)
-from .engine import (
-    ArrayEngine,
-    BGHKPUEngine,
-    BatchCountEngine,
-    CountEngine,
-    Engine,
-    EngineConfig,
-    EngineStats,
-    EnsembleEngine,
-    HealthMonitor,
-    LazyTable,
-    MatchingEngine,
-    MeanFieldSystem,
-    ReplicaSet,
-    SimulationHealthError,
-    Trace,
-    TransitionTable,
-    compile_table,
-    map_replicas,
-    run_replicas,
-    run_single_replica,
-    supervise,
-)
-from .faults import FaultPlan
-from .obs import (
-    Manifest,
-    ManifestWriter,
-    load_manifest,
-    replay_replica,
-    resume_sweep,
-    verify_fingerprint,
-    write_manifest,
-)
-from .simulate import engine_names, make_engine, simulate
-from .workloads import Workload, build_workload
+import sys
+from types import ModuleType
+
+from ._lazy import exports_of, lazy_exports
+
+#: Public name -> the submodule defining it.  Each loads on first use, so
+#: ``import repro`` loads no numpy, and the service process, which only
+#: routes requests, boots without it.
+_EXPORTS = exports_of({
+    "core": (
+        "ANY", "Formula", "Population", "Protocol", "Rule", "State",
+        "StateSchema", "Thread", "V", "coin_rule", "compose", "rule",
+        "single_thread",
+    ),
+    "engine": (
+        "ArrayEngine", "BGHKPUEngine", "BatchCountEngine", "CountEngine",
+        "Engine", "EngineConfig", "EngineStats", "EnsembleEngine",
+        "HealthMonitor", "LazyTable", "MatchingEngine", "MeanFieldSystem",
+        "ReplicaSet", "SimulationHealthError", "Trace", "TransitionTable",
+        "compile_table", "map_replicas", "run_replicas",
+        "run_single_replica", "supervise",
+    ),
+    "faults": ("FaultPlan",),
+    "obs": (
+        "Manifest", "ManifestWriter", "load_manifest", "replay_replica",
+        "resume_sweep", "verify_fingerprint", "write_manifest",
+    ),
+    "simulate": ("engine_names", "make_engine", "simulate"),
+    "workloads": ("Workload", "build_workload"),
+})
 
 __version__ = "1.3.0"
 
 
-__all__ = [
-    "ANY",
-    "ArrayEngine",
-    "BGHKPUEngine",
-    "BatchCountEngine",
-    "CountEngine",
-    "Engine",
-    "EngineConfig",
-    "EngineStats",
-    "EnsembleEngine",
-    "FaultPlan",
-    "Formula",
-    "HealthMonitor",
-    "LazyTable",
-    "Manifest",
-    "ManifestWriter",
-    "MatchingEngine",
-    "MeanFieldSystem",
-    "Population",
-    "Protocol",
-    "ReplicaSet",
-    "Rule",
-    "SimulationHealthError",
-    "State",
-    "StateSchema",
-    "Thread",
-    "Trace",
-    "TransitionTable",
-    "V",
-    "Workload",
-    "build_workload",
-    "coin_rule",
-    "compile_table",
-    "compose",
-    "engine_names",
-    "load_manifest",
-    "make_engine",
-    "map_replicas",
-    "replay_replica",
-    "resume_sweep",
-    "rule",
-    "run_replicas",
-    "run_single_replica",
-    "simulate",
-    "single_thread",
-    "supervise",
-    "verify_fingerprint",
-    "write_manifest",
-]
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+
+class _Package(ModuleType):
+    """Keeps ``repro.simulate`` the function once its submodule loads."""
+
+    def __setattr__(self, name: str, value) -> None:
+        # the import system binds each loaded submodule on its package
+        if not (isinstance(value, ModuleType) and name in _EXPORTS):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -26,10 +26,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
 
+def _rng(args):
+    """The command's ``numpy.random.Generator`` (numpy loads on call: the
+    ``serve`` command never needs it)."""
+    import numpy as np
 
-def _rng(args) -> np.random.Generator:
     return np.random.default_rng(args.seed)
 
 
@@ -93,6 +95,8 @@ def cmd_majority(args) -> int:
 
 
 def cmd_plurality(args) -> int:
+    import numpy as np
+
     from .protocols import run_plurality
 
     counts = [int(c) for c in args.counts.split(",")]
@@ -132,6 +136,8 @@ def cmd_predicate(args) -> int:
 
 
 def cmd_oscillator(args) -> int:
+    import numpy as np
+
     from .core import Population
     from .engine import Trace
     from .oscillator import (
@@ -337,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Run the protocols of 'Population Protocols Are Fast'.",
     )
-    from .simulate import ENGINE_CHOICES
+    from .engine.config import ENGINE_CHOICES
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="RNG seed")

@@ -1,38 +1,24 @@
-"""Core population-protocol substrate: states, formulas, rules, protocols."""
+"""Core population-protocol substrate: states, formulas, rules, protocols.
 
-from .formula import ANY, FALSE, TRUE, And, Formula, Not, Or, Predicate, V, Var, all_of, any_of, coerce_formula
-from .population import Population
-from .protocol import Protocol, Thread, compose, count_matching, single_thread
-from .rules import Branch, DynamicRule, Outcome, Rule, coin_rule, rule
-from .state import Field, State, StateSchema
+The public names load their submodule on first use (only
+:class:`Population` needs numpy).
+"""
 
-__all__ = [
-    "ANY",
-    "FALSE",
-    "TRUE",
-    "And",
-    "Branch",
-    "DynamicRule",
-    "Field",
-    "Formula",
-    "Not",
-    "Or",
-    "Outcome",
-    "Population",
-    "Predicate",
-    "Protocol",
-    "Rule",
-    "State",
-    "StateSchema",
-    "Thread",
-    "V",
-    "Var",
-    "all_of",
-    "any_of",
-    "coerce_formula",
-    "coin_rule",
-    "compose",
-    "count_matching",
-    "rule",
-    "single_thread",
-]
+from .._lazy import exports_of, lazy_exports
+
+_EXPORTS = exports_of({
+    "formula": (
+        "ANY", "FALSE", "TRUE", "And", "Formula", "Not", "Or", "Predicate",
+        "V", "Var", "all_of", "any_of", "coerce_formula",
+    ),
+    "population": ("Population",),
+    "protocol": (
+        "Protocol", "Thread", "compose", "count_matching", "single_thread",
+    ),
+    "rules": ("Branch", "DynamicRule", "Outcome", "Rule", "coin_rule", "rule"),
+    "state": ("Field", "State", "StateSchema"),
+})
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

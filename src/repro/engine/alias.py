@@ -198,13 +198,16 @@ class ActivePairSampler:
         boundary states stop forcing rebuilds.
         """
         start = time.perf_counter()
-        act = np.nonzero(full_c > 0.0)[0]
+        support = full_c > 0.0
+        act = np.flatnonzero(support)
         prev = self.act
         if prev is not None:
             if prev.shape[0] == act.shape[0] and np.array_equal(prev, act):
                 act = prev  # identical support: keep the cached gather
             else:
-                act = np.union1d(prev, act)
+                # the sorted union, by mask: np.union1d would load numpy.ma
+                support[prev] = True
+                act = np.flatnonzero(support)
         if act is not self.act or self.psub is None:
             self.psub = self.matrix[np.ix_(act, act)]
             self.act = act

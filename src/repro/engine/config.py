@@ -33,6 +33,12 @@ import inspect
 from dataclasses import dataclass, field, fields, replace as _dc_replace
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
+#: Valid values of the shared ``--engine`` flag: the registry names of
+#: :data:`repro.simulate.ENGINES` plus ``auto``.
+ENGINE_CHOICES = (
+    "auto", "batch", "bghkpu", "count", "array", "matching", "ensemble",
+)
+
 #: Construction knobs with a typed field (everything else goes to extra).
 _TYPED_OPTS = ("batch", "cache", "guards")
 

@@ -126,9 +126,9 @@ def split_outcomes_grouped(
     non-positive width or zero outcome mass (corrupt offsets) are skipped —
     their events vanish, which the conservation guard then reports.
     """
-    for w in np.unique(width):
-        if w <= 0:
-            continue
+    # the distinct positive widths, ascending (a plain np.unique would
+    # load numpy.ma)
+    for w in np.flatnonzero(np.bincount(np.maximum(width, 0))[1:]) + 1:
         sel = np.nonzero(width == w)[0]
         pos = start[sel][:, None] + np.arange(int(w))
         pv = out_p[pos]
@@ -138,7 +138,11 @@ def split_outcomes_grouped(
             sel, pos, pv, tot = sel[good], pos[good], pv[good], tot[good]
             if not len(sel):
                 continue
-        draws = rng.multinomial(counts[sel], pv / tot)
+        if w == 1:
+            # a one-outcome row draws no variate: skip the call, same stream
+            draws = counts[sel][:, None]
+        else:
+            draws = rng.multinomial(counts[sel], pv / tot)
         if rows is None:
             # bincount scatter: far cheaper than np.add.at for the 1-D
             # path (float64 weights are exact for counts < 2^53)

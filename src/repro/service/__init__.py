@@ -31,10 +31,10 @@ or embed one::
     app.serve(host="127.0.0.1", port=8765)
 """
 
-from importlib import import_module
+from .._lazy import lazy_exports
 
 #: Public name -> the submodule defining it.  They load on first use, so
-#: ``python -m repro.service.sandbox`` (the sandbox child) imports only
+#: ``python -m repro.service.sandbox`` (the sandbox zygote) imports only
 #: what it runs, and runs its own module once.
 _EXPORTS = {
     "Job": "jobs",
@@ -52,11 +52,4 @@ _EXPORTS = {
 
 __all__ = sorted(_EXPORTS)
 
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(
-            "module {!r} has no attribute {!r}".format(__name__, name)
-        )
-    return getattr(import_module("." + module, __name__), name)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

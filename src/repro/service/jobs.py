@@ -18,9 +18,9 @@ A quota breach surfaces as ``status="killed"`` naming the violated
 limit; an unexpected child death is retried (the respawn resumes from
 the manifest checkpoint, bit-identically) and, if retries are exhausted,
 recorded as ``failed`` — the server itself never goes down with a job.
-Each worker thread pre-starts the child its next job will run in (the
-sandbox's warm spare) and kills it when the worker exits on drain or
-shutdown.
+The children are forked from the queue's one sandbox zygote
+(:class:`repro.service.sandbox.Zygote`), which the first job starts and
+drain or shutdown stops and reaps.
 
 Every state transition is **journaled write-ahead** (``journal.jsonl``,
 fsynced) before the status is published: accepted → started →
@@ -41,7 +41,6 @@ streaming readers can follow a live job without polling.
 from __future__ import annotations
 
 import queue
-import subprocess
 import threading
 import time
 import traceback
@@ -97,7 +96,7 @@ class Job:
         self._cancel = threading.Event()
         self._drain = threading.Event()
         self._cond = threading.Condition()
-        self._child: Optional[subprocess.Popen] = None
+        self._child: Optional[sandbox.ForkedChild] = None
         self._child_lock = threading.Lock()
         self.on_checkpoint = lambda event: None  # set by the owning queue
         self._events: List[Dict[str, Any]] = []
@@ -158,7 +157,7 @@ class Job:
             except OSError:
                 pass
 
-    def _attach_child(self, proc: Optional[subprocess.Popen]) -> None:
+    def _attach_child(self, proc: Optional[sandbox.ForkedChild]) -> None:
         with self._child_lock:
             self._child = proc
             if proc is not None and (self._cancel.is_set() or self._drain.is_set()):
@@ -193,13 +192,13 @@ class Job:
         self.store.append_event(self.run_id, event)
 
     # -- execution -------------------------------------------------------
-    def execute(self, retries: int = 1) -> None:
+    def execute(self, zygote: sandbox.Zygote, retries: int = 1) -> None:
         if self._cancel.is_set():
             self._set_state("cancelled", done=0)
             return
         self._set_state("running", started=time.time())
         try:
-            outcome = self._attempts(retries)
+            outcome = self._attempts(zygote, retries)
         except Exception as exc:  # noqa: BLE001 - job boundary
             outcome = {
                 "status": "failed",
@@ -208,10 +207,10 @@ class Job:
             }
         self._settle(outcome)
 
-    def _attempts(self, retries: int) -> Dict[str, Any]:
+    def _attempts(self, zygote: sandbox.Zygote, retries: int) -> Dict[str, Any]:
         attempt = 0
         while True:
-            outcome = self._run_once()
+            outcome = self._run_once(zygote)
             crashed = (
                 outcome["status"] == "interrupted"
                 and outcome.get("reason") == "worker-crash"
@@ -230,7 +229,7 @@ class Job:
                 continue  # the respawn resumes from the manifest checkpoint
             return outcome
 
-    def _run_once(self) -> Dict[str, Any]:
+    def _run_once(self, zygote: sandbox.Zygote) -> Dict[str, Any]:
         def emit(event: Dict[str, Any]) -> None:
             self._emit(event)
             if event.get("kind") == "checkpoint":
@@ -242,7 +241,7 @@ class Job:
 
         return sandbox.run_sandboxed(
             self.store, self.run_id, self.quota,
-            emit=emit, attach=self._attach_child,
+            emit=emit, attach=self._attach_child, zygote=zygote,
         )
 
     def _settle(self, outcome: Dict[str, Any]) -> None:
@@ -304,6 +303,7 @@ class JobQueue:
         self.last_checkpoint: Optional[float] = None
         self._draining = False
         sandbox.note_working_directory()
+        self._zygote = sandbox.Zygote()
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue(maxsize=capacity)
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
@@ -399,24 +399,20 @@ class JobQueue:
 
     # -- workers ---------------------------------------------------------
     def _worker(self) -> None:
-        try:
-            while True:
-                job = self._queue.get()
-                if job is None:
-                    self._queue.task_done()
-                    return
-                try:
-                    if self._draining:
-                        # leave the job queued on disk (journal: accepted);
-                        # the next boot re-enqueues it
-                        continue
-                    job._ready.wait()
-                    job.execute(retries=self.retries)
-                finally:
-                    self._queue.task_done()
-        finally:
-            # the spare this thread pre-started for its next job
-            sandbox.discard_spare()
+        while True:
+            job = self._queue.get()
+            if job is None:
+                self._queue.task_done()
+                return
+            try:
+                if self._draining:
+                    # leave the job queued on disk (journal: accepted);
+                    # the next boot re-enqueues it
+                    continue
+                job._ready.wait()
+                job.execute(self._zygote, retries=self.retries)
+            finally:
+                self._queue.task_done()
 
     # -- drain / shutdown -------------------------------------------------
     def drain(self, grace: float = 10.0) -> None:
@@ -427,7 +423,8 @@ class JobQueue:
         and stop at the next group boundary as ``interrupted``.  Any job
         still running past the ``grace`` deadline has its child
         hard-killed — the manifest checkpoint is fsynced per record, so
-        even that remains resumable.
+        even that remains resumable.  Last, the sandbox zygote is stopped
+        and reaped.
         """
         self._draining = True
         with self._lock:
@@ -448,6 +445,7 @@ class JobQueue:
                 job.kill()
         for t in self._threads:
             t.join(timeout=5.0)
+        self._zygote.stop()
 
     def shutdown(self, timeout: float = 10.0) -> None:
         """Cancel live jobs and stop the workers (used by tests/serve)."""
@@ -462,3 +460,4 @@ class JobQueue:
                 break
         for t in self._threads:
             t.join(timeout=timeout)
+        self._zygote.stop()

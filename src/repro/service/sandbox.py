@@ -1,33 +1,42 @@
-"""Per-job isolation sandboxes: supervised subprocesses with rlimit quotas.
+"""Per-job isolation sandboxes: forked children with rlimit quotas.
 
-Every accepted job executes in its own child interpreter (``python -m
-repro.service.sandbox``) so that a runaway submission — an n=1e10 sweep,
-a protocol whose compiled table blows memory, a wedged worker — can
-never take the server down with it.  The child:
+Every accepted job executes in its own child process so that a runaway
+submission — an n=1e10 sweep, a protocol whose compiled table blows
+memory, a wedged worker — can never take the server down with it.  The
+children are forked from one **zygote** per job queue: ``python -m
+repro.service.sandbox``, started lazily by the queue's first job, has
+imported everything a job needs before its first job and then only
+forks.  A job's fork request travels over a Unix socketpair (the
+zygote's stdin) carrying the child's stdout, stderr and exit-status pipe
+ends (``socket.send_fds``); the zygote answers with the child's pid,
+reaps it, and writes its Popen-style return code to the status pipe.
+The child:
 
+* dies with its zygote (``PR_SET_PDEATHSIG=SIGKILL``, Linux; the
+  zygote is single-threaded, so the signal is tied to the process that
+  reaps the child), and the zygote kills its children and exits when its
+  control socket closes — a ``kill -KILL`` of the server can never leave
+  an orphan appending to a manifest the restarted server is about to
+  resume;
 * applies the job's :class:`~repro.service.schema.QuotaSpec` via
-  ``resource.setrlimit`` (``RLIMIT_CPU`` for ``cpu_seconds``,
-  ``RLIMIT_AS`` for ``memory_bytes``) before touching the workload;
-* runs the checkpoint-group loop (:func:`execute_groups`), appending each group to the run manifest and
-  emitting progress/replica/grid/checkpoint events as JSON lines on
-  stdout;
+  ``resource.setrlimit`` (``RLIMIT_CPU`` for ``cpu_seconds``, counted
+  from zero since a forked child starts with no CPU time, ``RLIMIT_AS``
+  for ``memory_bytes``) before touching the workload;
+* runs the checkpoint-group loop (:func:`execute_groups`), appending each
+  group to the run manifest and emitting progress/replica/grid/checkpoint
+  events as JSON lines on stdout;
 * drains at the next group boundary when it receives ``SIGTERM``
   (cancellation and graceful server drain both ride this), and
-* dies with the server: the parent sets ``PR_SET_PDEATHSIG=SIGKILL``
-  (Linux) so a ``kill -KILL`` of the server can never leave an orphan
-  appending to a manifest the restarted server is about to resume.
+* leaves by ``os._exit`` once its ``exit`` line is flushed: no
+  interpreter teardown sits on the job path.
 
-Each worker thread keeps one **warm spare** child: started ahead of
-time, it has finished importing and blocks reading its job spec from
-stdin, so handing it a job is one write.  A job takes its worker's spare
-and the worker starts the replacement at once, overlapping the next
-job's interpreter start-up with this job's run.  The worker thread that
-uses a spare is the one that spawned it (``PR_SET_PDEATHSIG`` fires on
-the exit of the creating *thread*), and a spare is used only when the
-environment and working directory it started with equal what a fresh
-spawn would get now; otherwise, or when it has died, it is discarded
-and a fresh child takes the job.  A spare whose stdin closes before any
-spec arrives exits 0 without a word.
+A zygote is reused only while the environment and working directory a
+process started now would get (:func:`_child_env`, the working directory
+or ``None`` once removed) equal those it started with; otherwise it is
+retired — it forks no more and exits once its running children have —
+and a fresh one is started.  A zygote found dead, or whose fork request
+fails, is replaced the same way; that is not a retry of the job.  The
+queue's drain and shutdown stop the zygote and reap it.
 
 The parent half (:func:`run_sandboxed`) relays the child's events into
 the job's stream, enforces the wall-clock quota with a kill timer, and
@@ -36,7 +45,10 @@ got to say goodbye, otherwise the exit status — quota breaches become
 ``status="killed"`` naming the violated limit (never a 500), anything
 else is ``interrupted`` and eligible for retry/recovery.  Partial
 manifests are always resumable: records are fsynced per replica and a
-line torn mid-write is dropped by the manifest reader.
+line torn mid-write is dropped by the manifest reader.  Each outcome
+carries ``sandbox: {"fork": "warm"|"cold", "handoff_s": ...}``: ``cold``
+when the job started the zygote, and the seconds from its fork request
+to the child's pid.
 
 Exit codes: quota breaches use dedicated codes so the classification
 works even when the child could not emit its exit event (e.g. the
@@ -47,18 +59,22 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
+import time
 import traceback
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from ..engine.replicas import replica_blocks, run_replicas
-from ..faults import CRASH_EXIT_CODE, ServiceFaultPlan
 from .schema import QuotaSpec, SubmitRequest
 from .store import RunStore
+
+if TYPE_CHECKING:
+    from ..faults import ServiceFaultPlan
 
 #: Child exit codes for quota breaches the child itself detects.
 EXIT_CPU = 85
@@ -79,6 +95,14 @@ CPU_HARD_GRACE = 5
 
 #: Linux prctl op installing a parent-death signal in the child.
 _PR_SET_PDEATHSIG = 1
+
+
+def run_replicas(*args: Any, **kwargs: Any):
+    """:func:`repro.engine.replicas.run_replicas`, imported on call (the
+    server never runs it) and patchable here by tests."""
+    from ..engine.replicas import run_replicas as run
+
+    return run(*args, **kwargs)
 
 
 def execute_groups(
@@ -111,6 +135,8 @@ def execute_groups(
     ...}`` with progress counters (``done`` counts distinct recorded
     replica indices, including ones recorded before a resume).
     """
+    from ..engine.replicas import replica_blocks
+
     workload = request.build_workload()
     manifest = store.manifest_path(run_id)
     meta = {
@@ -206,7 +232,7 @@ def execute_groups(
 
 
 # ---------------------------------------------------------------------------
-# The child half: ``python -m repro.service.sandbox``
+# The child half: ``python -m repro.service.sandbox`` and its forks
 # ---------------------------------------------------------------------------
 
 def _emit_line(event: Dict[str, Any]) -> None:
@@ -237,13 +263,10 @@ def _apply_rlimits(quota: QuotaSpec) -> None:
         )
 
 
-def _child_main() -> int:
-    import numpy.random  # noqa: F401 - every job uses it: load it before the spec
+def _run_job(spec: Dict[str, Any]) -> int:
+    """Run one job spec in this (forked) child; returns its exit code."""
+    from ..faults import ServiceFaultPlan
 
-    text = sys.stdin.read()
-    if not text.strip():
-        return 0  # an idle spare whose server let it go: nothing to run
-    spec = json.loads(text)
     store = RunStore(spec["store_root"])
     run_id = spec["run_id"]
     quota = QuotaSpec(**(spec.get("quota") or {}))
@@ -283,20 +306,141 @@ def _child_main() -> int:
     return EXIT_MANIFEST if outcome.get("limit") == "manifest_bytes" else 0
 
 
-# ---------------------------------------------------------------------------
-# The parent half: spawn, relay, enforce wall clock, classify the death
-# ---------------------------------------------------------------------------
-
-def _pdeathsig() -> None:  # pragma: no cover - runs in the forked child
-    """Ask Linux to SIGKILL this child the instant its parent dies."""
+def _pdeathsig() -> None:
+    """Ask Linux to SIGKILL this process the instant its parent dies."""
     try:
         import ctypes
 
-        libc = ctypes.CDLL(None, use_errno=True)
-        libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     except Exception:
-        pass  # non-Linux: the stdin-EOF of a dead parent is the fallback
+        pass  # non-Linux: the zygote kills its children when it can
 
+
+def _forked_child(
+    spec: bytes, stdout: int, stderr: int, zygote: int,
+    control: socket.socket, inherited: List[int],
+) -> None:
+    """A job's life in the forked child; never returns to the zygote loop."""
+    code = 1
+    try:
+        _pdeathsig()
+        if os.getppid() != zygote:
+            os._exit(code)  # the zygote died before the death signal was set
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+        control.close()
+        for fd in inherited:
+            os.close(fd)
+        os.dup2(stdout, 1)
+        os.dup2(stderr, 2)
+        os.close(stdout)
+        os.close(stderr)
+        code = _run_job(json.loads(spec))
+    except BaseException:  # noqa: BLE001 - the child must reach os._exit
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _reap(status: Dict[int, int]) -> None:
+    """Reap every exited child; write its return code to its status pipe."""
+    while status:
+        try:
+            pid, wait_status = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        if pid == 0:
+            return
+        fd = status.pop(pid, None)
+        if fd is not None:
+            try:
+                os.write(fd, b"%d" % os.waitstatus_to_exitcode(wait_status))
+            except OSError:
+                pass  # nobody is waiting for this job any more
+            os.close(fd)
+
+
+def _zygote_main() -> int:
+    """Import what every job needs, then fork one child per request.
+
+    Stdin is the control socket.  A request is the job spec with three
+    fds (the child's stdout, stderr and exit-status pipe ends); the reply
+    is the child's pid.  A request without fds retires the zygote: it
+    exits once its children have.  When the socket closes the zygote
+    kills its children, reaps them and exits 0 without a word.
+    """
+    import ctypes  # noqa: F401 - each child sets its death signal with it
+
+    import numpy.random  # noqa: F401 - every job uses it
+
+    import repro
+
+    for name in repro.__all__:  # the package's modules, as an eager import
+        getattr(repro, name)
+
+    control = socket.socket(fileno=os.dup(0))
+    null = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(null, 0)
+    os.close(null)
+    wake_r, wake_w = os.pipe()
+    os.set_blocking(wake_w, False)
+    signal.set_wakeup_fd(wake_w)
+    signal.signal(signal.SIGCHLD, lambda _s, _f: None)
+    zygote = os.getpid()
+    status: Dict[int, int] = {}  # live child pid -> its exit-status pipe
+    retiring = False
+    while status or not retiring:
+        ready = select.select([control, wake_r], [], [])[0]
+        if wake_r in ready:
+            os.read(wake_r, 4096)
+            _reap(status)
+        if control not in ready:
+            continue
+        try:
+            spec, fds, _flags, _addr = socket.recv_fds(control, 1 << 16, 3)
+        except OSError:
+            spec, fds = b"", []
+        if not spec:  # the server is gone: take the children along
+            for pid in status:
+                os.kill(pid, signal.SIGKILL)
+            for pid in status:
+                os.waitpid(pid, 0)
+            return 0
+        if len(fds) != 3:
+            retiring = True
+            for fd in fds:
+                os.close(fd)
+            continue
+        stdout, stderr, exit_status = fds
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            for fd in fds:
+                os.close(fd)
+            control.send("fork failed: {}".format(exc).encode())
+            continue
+        if pid == 0:
+            _forked_child(
+                spec, stdout, stderr, zygote, control,
+                [wake_r, wake_w, exit_status, *status.values()],
+            )
+        os.close(stdout)
+        os.close(stderr)
+        status[pid] = exit_status
+        control.send(b"%d" % pid)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# The parent half: fork, relay, enforce wall clock, classify the death
+# ---------------------------------------------------------------------------
 
 #: The last working directory seen to exist (``None`` before any): what
 #: relative PYTHONPATH entries resolve against once it is removed.
@@ -317,7 +461,7 @@ def note_working_directory() -> Optional[str]:
 
 
 def _child_env() -> Dict[str, str]:
-    """The child's environment, with this repro importable on PYTHONPATH.
+    """The zygote's environment, with this repro importable on PYTHONPATH.
 
     Relative PYTHONPATH entries are made absolute against the working
     directory, or the last one seen once it is removed: an interpreter
@@ -339,110 +483,176 @@ def _child_env() -> Dict[str, str]:
     return env
 
 
-#: What a child was started with: its environment and working directory.
+#: What a zygote was started with: its environment and working directory.
 _Context = Tuple[Dict[str, str], Optional[str]]
-
-#: Each worker thread's warm spare: ``(child, context)`` or unset.
-_spares = threading.local()
 
 
 def _context() -> _Context:
-    """What a child started now would get."""
-    # None: the working directory was removed, so the child inherits it
+    """What a zygote started now would get."""
+    # None: the working directory was removed, so the zygote inherits it
     cwd = note_working_directory()
     return _child_env(), cwd
 
 
-def _start_child(context: _Context) -> subprocess.Popen:
-    """Start a child; it imports repro, then blocks reading its spec."""
-    env, cwd = context
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.service.sandbox"],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
-        cwd=cwd,
-        preexec_fn=_pdeathsig if os.name == "posix" else None,
-    )
+class ForkedChild:
+    """A job's forked sandbox child, with the Popen surface the job uses.
 
-
-def _send_spec(proc: subprocess.Popen, spec: str) -> bool:
-    """Write the job spec and close stdin; ``False`` if the pipe is dead."""
-    try:
-        proc.stdin.write(spec)
-        proc.stdin.close()
-    except (BrokenPipeError, OSError):
-        return False
-    return True
-
-
-def _discard(proc: subprocess.Popen) -> None:
-    """Kill a child that will run no job, reap it and close its pipes."""
-    try:
-        proc.kill()
-    except OSError:
-        pass
-    proc.wait()
-    for pipe in (proc.stdin, proc.stdout, proc.stderr):
-        try:
-            pipe.close()
-        except OSError:
-            pass  # a spec stuck in a dead pipe's buffer
-
-
-def _take_spare(context: _Context) -> Optional[subprocess.Popen]:
-    """This thread's spare if it is alive and started with ``context``."""
-    spare = getattr(_spares, "child", None)
-    _spares.child = None
-    if spare is None:
-        return None
-    proc, started = spare
-    if started == context and proc.poll() is None:
-        return proc
-    _discard(proc)
-    return None
-
-
-def _prestart_spare() -> None:
-    """Start this thread's next child now, so its imports overlap this job."""
-    context = _context()
-    try:
-        _spares.child = (_start_child(context), context)
-    except OSError:
-        pass  # no spare this time: the next job starts its own child
-
-
-def discard_spare() -> None:
-    """Kill the calling worker thread's idle spare, if it has one."""
-    spare = getattr(_spares, "child", None)
-    _spares.child = None
-    if spare is not None:
-        _discard(spare[0])
-
-
-def spawn_child(store: RunStore, run_id: str, quota: QuotaSpec) -> subprocess.Popen:
-    """Hand this run to a sandbox child (but do not wait for it).
-
-    The child is the calling thread's spare when that one is usable,
-    else a fresh one.
+    ``stdout``/``stderr`` read the child's pipes; the return code (a
+    negative signal number when killed, as ``Popen`` reports it) arrives
+    on the exit-status pipe once the zygote has reaped the child.
     """
-    spec = json.dumps({
-        "store_root": store.root,
-        "run_id": run_id,
-        "quota": quota.as_dict(),
-    })
-    context = _context()
-    proc = _take_spare(context)
-    if proc is not None and not _send_spec(proc, spec):
-        _discard(proc)  # died between the liveness check and the write
-        proc = None
-    if proc is None:
-        proc = _start_child(context)
-        # a child that died on startup leaves its exit code to the classifier
-        _send_spec(proc, spec)
-    return proc
+
+    def __init__(self, pid: int, stdout: int, stderr: int, status: int):
+        self.pid = pid
+        self.stdout = open(stdout, encoding="utf-8", errors="replace")
+        self.stderr = open(stderr, encoding="utf-8", errors="replace")
+        self._status = open(status, "rb")
+        self.returncode: Optional[int] = None
+
+    def wait(self) -> int:
+        if self.returncode is None:
+            with self._status:
+                text = self._status.read()
+            # nothing written: the zygote died first, and its death
+            # signal took the child along
+            self.returncode = int(text) if text else -signal.SIGKILL
+        return self.returncode
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None and select.select(
+            [self._status], [], [], 0
+        )[0]:
+            return self.wait()
+        return self.returncode
+
+    def send_signal(self, signum: int) -> None:
+        if self.returncode is None:
+            os.kill(self.pid, signum)
+
+    def terminate(self) -> None:
+        self.send_signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
+class Zygote:
+    """A job queue's sandbox zygote: started lazily, forks each job's child.
+
+    See the module docstring for the lifecycle.  :meth:`stop` (drain,
+    shutdown) kills and reaps it, and every retired one, for good.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._proc: Optional[subprocess.Popen] = None
+        self._control: Optional[socket.socket] = None
+        self._context: Optional[_Context] = None
+        self._retired: List[Tuple[subprocess.Popen, socket.socket]] = []
+        self._stopped = False
+
+    def fork(self, spec: str) -> Tuple[ForkedChild, Dict[str, Any]]:
+        """Fork a child for this job spec; returns it and its ``sandbox``
+        record (``fork``: warm or cold, ``handoff_s``)."""
+        begun = time.perf_counter()
+        context = _context()
+        with self._lock:
+            if self._stopped:
+                raise RuntimeError("the sandbox zygote was stopped")
+            self._retired = [z for z in self._retired if not _reaped(*z)]
+            cold = False
+            if self._proc is not None and (
+                self._context != context or self._proc.poll() is not None
+            ):
+                self._retire()
+            for attempt in (0, 1):
+                if self._proc is None:
+                    self._start(context)
+                    cold = True
+                try:
+                    child = self._request(spec)
+                    break
+                except OSError:
+                    # a zygote that died since the check: one fresh start
+                    self._retire()
+                    if attempt:
+                        raise
+        return child, {
+            "fork": "cold" if cold else "warm",
+            "handoff_s": time.perf_counter() - begun,
+        }
+
+    def stop(self) -> None:
+        """Stop the zygote and every retired one: each kills its children;
+        all are reaped."""
+        with self._lock:
+            self._stopped = True
+            if self._proc is not None:
+                self._retire()
+            for proc, control in self._retired:
+                control.close()  # EOF: kill the children, reap them, exit
+            for proc, _ in self._retired:
+                try:
+                    proc.wait(timeout=10.0)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait()
+            self._retired = []
+
+    def _start(self, context: _Context) -> None:
+        env, cwd = context
+        ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        try:
+            self._proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.service.sandbox"],
+                stdin=theirs, stdout=subprocess.DEVNULL, env=env, cwd=cwd,
+            )
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        self._control = ours
+        self._context = context
+
+    def _retire(self) -> None:
+        """No more forks here: the zygote exits once its children have."""
+        try:
+            self._control.send(b"retire")
+        except OSError:
+            pass  # already gone
+        self._retired.append((self._proc, self._control))
+        self._proc = self._control = self._context = None
+
+    def _request(self, spec: str) -> ForkedChild:
+        pipes = [os.pipe() for _ in range(3)]  # stdout, stderr, exit status
+        ours = [r for r, _ in pipes]
+        try:
+            try:
+                socket.send_fds(
+                    self._control, [spec.encode()], [w for _, w in pipes]
+                )
+            finally:
+                for _, w in pipes:
+                    os.close(w)
+            reply = self._control.recv(256)
+            if not reply.isdigit():
+                raise ConnectionError("sandbox zygote: {}".format(
+                    reply.decode(errors="replace") or "exited"
+                ))
+        except BaseException:
+            for r in ours:
+                os.close(r)
+            raise
+        return ForkedChild(int(reply), *ours)
+
+
+def _reaped(proc: subprocess.Popen, control: socket.socket) -> bool:
+    """Whether a retired zygote has exited (then reaped, socket closed)."""
+    if proc.poll() is None:
+        return False
+    control.close()
+    return True
 
 
 def run_sandboxed(
@@ -450,19 +660,34 @@ def run_sandboxed(
     run_id: str,
     quota: QuotaSpec,
     emit: Callable[[Dict[str, Any]], None],
-    attach: Callable[[Optional[subprocess.Popen]], None] = lambda proc: None,
+    attach: Callable[[Optional[ForkedChild]], None],
+    zygote: Zygote,
 ) -> Dict[str, Any]:
-    """Run one job attempt in a sandbox child and classify its outcome.
+    """Run one job attempt in a child forked by ``zygote``; classify it.
 
     ``emit`` receives the child's replica/progress/grid/checkpoint events
-    as they stream in; ``attach`` is handed the live process (and then
+    as they stream in; ``attach`` is handed the live child (and then
     ``None``) so the owning job can route cancel/drain signals to it.
-    Once the child is handed its job and timed, the calling thread starts
-    its next spare.
+    The outcome carries the fork's ``sandbox`` record.
     """
-    proc = spawn_child(store, run_id, quota)
+    spec = json.dumps({
+        "store_root": store.root,
+        "run_id": run_id,
+        "quota": quota.as_dict(),
+    })
+    proc, forked = zygote.fork(spec)
     attach(proc)
+    outcome = _supervise(proc, quota, emit, attach)
+    outcome["sandbox"] = forked
+    return outcome
 
+
+def _supervise(
+    proc: ForkedChild,
+    quota: QuotaSpec,
+    emit: Callable[[Dict[str, Any]], None],
+    attach: Callable[[Optional[ForkedChild]], None],
+) -> Dict[str, Any]:
     stderr_tail: deque = deque(maxlen=20)
 
     def drain_stderr() -> None:
@@ -486,7 +711,6 @@ def run_sandboxed(
         timer = threading.Timer(quota.wall_seconds, on_wall)
         timer.daemon = True
         timer.start()
-    _prestart_spare()
 
     exit_event: Optional[Dict[str, Any]] = None
     try:
@@ -517,6 +741,8 @@ def run_sandboxed(
             "status": "killed", "limit": "wall_seconds",
             "quota": quota.wall_seconds,
         }
+    from ..faults import CRASH_EXIT_CODE
+
     limit = KILL_EXIT_LIMITS.get(returncode)
     if limit is None and returncode == -signal.SIGXCPU:
         limit = "cpu_seconds"
@@ -535,4 +761,4 @@ def run_sandboxed(
 
 
 if __name__ == "__main__":
-    sys.exit(_child_main())
+    sys.exit(_zygote_main())

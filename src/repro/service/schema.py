@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from ..engine.config import EngineConfig
-from ..engine.replicas import block_size
 from ..workloads import WORKLOADS, Workload, build_workload
 
 #: Hard ceiling on replicas per submission; sweeps beyond this belong in
@@ -210,6 +209,8 @@ class SubmitRequest:
                     ", ".join(sorted(config.extra))
                 ),
             )
+        from ..engine.replicas import block_size  # numpy: not at server boot
+
         try:
             block_size(config)
         except ValueError as exc:

@@ -54,7 +54,7 @@ from .core.protocol import Protocol
 from .engine.api import Engine
 from .engine.batch import ArrayEngine
 from .engine.bghkpu import BGHKPUEngine
-from .engine.config import EngineConfig
+from .engine.config import ENGINE_CHOICES, EngineConfig
 from .engine.ensemble import EnsembleEngine
 from .engine.jump import BatchCountEngine
 from .engine.matching import MatchingEngine
@@ -69,11 +69,6 @@ ENGINES: Dict[str, Type[Engine]] = {
     "matching": MatchingEngine,
     "ensemble": EnsembleEngine,
 }
-
-#: Valid values of the shared ``--engine`` flag.
-ENGINE_CHOICES = (
-    "auto", "batch", "bghkpu", "count", "array", "matching", "ensemble",
-)
 
 
 def engine_names() -> tuple:

@@ -21,10 +21,13 @@ hybrid epoch sampler end to end).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
 
-from .core import Population, Rule, StateSchema, V, single_thread
+from .core import Rule, StateSchema, V, single_thread
 from .core.protocol import Protocol
+
+if TYPE_CHECKING:  # numpy-backed: each builder imports it when called
+    from .core.population import Population
 
 #: The stop predicates' formulas, built once: each query then finds its
 #: per-code answers in the schema's truth memo without rebuilding a key.
@@ -83,6 +86,8 @@ unique_leader.vectorize = _vectorize_unique_leader
 
 
 def _build_epidemic(n: int = 300, infected: int = 1):
+    from .core.population import Population
+
     schema = StateSchema()
     schema.flag("I")
     protocol = single_thread(
@@ -103,6 +108,8 @@ def _build_leader(n: int = 300, leaders: int = None):
     and the service smoke sweeps exercise without paying for the bulk of
     the fight.
     """
+    from .core.population import Population
+
     schema = StateSchema()
     schema.flag("L")
     protocol = single_thread(
@@ -146,6 +153,7 @@ def _build_clock(n: int = 50_000, n_x: int = 3):
     dense-determinism leg.
     """
     from .clocks import ClockParams, make_clock_protocol
+    from .core.population import Population
     from .oscillator import strong_value, weak_value
 
     params = ClockParams(module=12, k=2)

@@ -19,7 +19,7 @@ class _InlineChild:
     kill = terminate
 
 
-def _run_inline(store, run_id, quota, emit, attach):
+def _run_inline(store, run_id, quota, emit, attach, zygote):
     """:func:`sandbox.run_sandboxed` without the subprocess.
 
     Runs the job's checkpoint groups through the same

@@ -19,6 +19,7 @@ from repro.baselines.approx_majority import (
 from repro.clocks import ClockParams, majority_phase, make_clock_protocol
 from repro.core import Population, Rule, StateSchema, V, single_thread
 from repro.engine import ArrayEngine, BatchCountEngine, CountEngine
+from repro.engine.jump import split_outcomes_grouped
 from repro.oscillator import (
     make_oscillator_protocol,
     species,
@@ -140,6 +141,65 @@ class TestInvariants:
         eng.run(rounds=50)
         assert eng.rounds == pytest.approx(50.0)
         assert eng.events == 0
+
+
+def _split_by_unique(rng, delta, counts, start, width, out_p, out_a, out_b):
+    """The outcome split with one multinomial per width, width 1 included."""
+    for w in np.unique(width):
+        if w <= 0:
+            continue
+        sel = np.nonzero(width == w)[0]
+        pos = start[sel][:, None] + np.arange(int(w))
+        pv = out_p[pos]
+        tot = pv.sum(axis=1, keepdims=True)
+        good = tot[:, 0] > 0.0
+        sel, pos, pv, tot = sel[good], pos[good], pv[good], tot[good]
+        if len(sel):
+            draws = rng.multinomial(counts[sel], pv / tot).ravel()
+            np.add.at(delta, out_a[pos].ravel(), draws)
+            np.add.at(delta, out_b[pos].ravel(), draws)
+
+
+class TestOutcomeSplit:
+    """``split_outcomes_grouped`` on hand-built outcome lists."""
+
+    # rows: width 1 at offsets 0 and 1, width 2 at 2..3, width 3 at 4..6
+    OUT_P = np.array([1.0, 0.5, 0.3, 0.7, 0.2, 0.3, 0.5])
+    OUT_A = np.array([0, 1, 2, 3, 0, 1, 2])
+    OUT_B = np.array([1, 1, 3, 3, 2, 2, 3])
+
+    def test_width_one_group_draws_no_variate(self):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        delta = np.zeros(4, dtype=np.int64)
+        counts = np.array([7, 11], dtype=np.int64)
+        split_outcomes_grouped(
+            rng, delta, counts, np.array([0, 1]), np.array([1, 1]),
+            self.OUT_P, self.OUT_A, self.OUT_B,
+        )
+        assert rng.bit_generator.state == before
+        assert delta.tolist() == [7, 29, 0, 0]
+
+    def test_mixed_widths_consume_the_stream_of_one_call_per_width(self):
+        start = np.array([4, 0, 2, 1, 2, 4, 0])
+        width = np.array([3, 1, 2, 1, 2, 3, 0])
+        counts = np.array([50, 9, 40, 3, 25, 60, 8], dtype=np.int64)
+        got = np.zeros(4, dtype=np.int64)
+        want = np.zeros(4, dtype=np.int64)
+        rng_got = np.random.default_rng(9)
+        rng_want = np.random.default_rng(9)
+        split_outcomes_grouped(
+            rng_got, got, counts, start, width,
+            self.OUT_P, self.OUT_A, self.OUT_B,
+        )
+        _split_by_unique(
+            rng_want, want, counts, start, width,
+            self.OUT_P, self.OUT_A, self.OUT_B,
+        )
+        assert got.tolist() == want.tolist()
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        # the width-0 cell's events vanish; the rest land twice
+        assert got.sum() == 2 * (counts.sum() - 8)
 
 
 #: BatchCountEngine(oscillator, n=5000, seed 777, cache=None),

@@ -22,6 +22,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -236,9 +237,9 @@ class TestWorkerCrashRetry:
             handle.stop()
 
 
-# -- warm spares: each worker pre-starts its next job's child ------------------
+# -- the warm process: one sandbox zygote forks every job's child ------------
 
-#: The warm-spare checks read process states from Linux's /proc.
+#: The zygote checks read process states from Linux's /proc.
 _PROC = os.path.isdir("/proc/self")
 
 
@@ -290,15 +291,30 @@ def _run_to_end(queue, timeout=120.0):
     return job
 
 
+def _fork_kind(job):
+    """The ``sandbox.fork`` of a settled job, from status and event alike."""
+    event = job.events_since(0)[-1]
+    assert event["kind"] == "state" and event["state"] == job.state
+    deadline = time.monotonic() + 10.0
+    status = job.store.status(job.run_id)
+    while status["state"] != job.state and time.monotonic() < deadline:
+        time.sleep(0.01)  # published just after the state flip
+        status = job.store.status(job.run_id)
+    assert status["sandbox"] == event["sandbox"]
+    assert event["sandbox"]["handoff_s"] > 0
+    return event["sandbox"]["fork"]
+
+
 @pytest.fixture
 def handed(monkeypatch):
-    """Pids of the sandbox children jobs were handed to, in order."""
+    """``(pid, parent pid)`` of the sandbox children jobs ran in, in order."""
     pids = []
     attach = Job._attach_child
 
     def spy(self, proc):
         if proc is not None:
-            pids.append(proc.pid)
+            stat = _proc_stat(proc.pid) if _PROC else None
+            pids.append((proc.pid, stat and stat[1]))
         attach(self, proc)
 
     monkeypatch.setattr(Job, "_attach_child", spy)
@@ -307,9 +323,13 @@ def handed(monkeypatch):
 
 @pytest.mark.skipif(not _PROC, reason="reads /proc")
 class TestWarmSpare:
+    """The queue's one warm process is its sandbox zygote (it replaced a
+    pre-started spare child per worker): each job's child is forked from
+    it, so no job waits for an interpreter to start or to tear down."""
+
     @pytest.fixture
-    def spares(self):
-        """Sandbox children of this process started during the test."""
+    def zygotes(self):
+        """Sandbox zygotes of this process started during the test."""
         before = _sandbox_pids(os.getpid())
         return lambda: _sandbox_pids(os.getpid()) - before
 
@@ -319,39 +339,102 @@ class TestWarmSpare:
         yield queue
         queue.shutdown()
 
-    def test_second_job_runs_in_a_child_started_before_it(
-        self, queue, spares, handed
+    def test_consecutive_jobs_fork_from_one_zygote(
+        self, queue, zygotes, handed
     ):
-        _run_to_end(queue)
-        started = spares()
-        assert len(started) == 1 and handed[0] not in started
-        _run_to_end(queue)
-        assert handed[1] in started
+        assert not zygotes()  # started lazily, by the first job
+        first = _run_to_end(queue)
+        (zygote,) = zygotes()
+        second = _run_to_end(queue)
+        assert zygotes() == {zygote}
+        assert [parent for _, parent in handed] == [zygote, zygote]
+        assert handed[0][0] != handed[1][0]
+        assert (_fork_kind(first), _fork_kind(second)) == ("cold", "warm")
 
-    def test_changed_environment_discards_the_spare(
-        self, queue, spares, handed, tmp_path, monkeypatch
+    def test_changed_environment_restarts_the_zygote(
+        self, queue, zygotes, handed, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path / "cache-a"))
         _run_to_end(queue)
-        (spare,) = spares()
+        (old,) = zygotes()
         fresh = tmp_path / "cache-b"
         monkeypatch.setenv("REPRO_TABLE_CACHE", str(fresh))
-        _run_to_end(queue)
-        assert handed[1] != spare and not _alive(spare)
+        job = _run_to_end(queue)
+        assert _wait_gone([old])
+        (new,) = zygotes()
+        assert new != old and handed[1][1] == new
+        assert _fork_kind(job) == "cold"
         # the job's child compiled its table into the new cache
         assert os.listdir(fresh)
 
-    def test_spare_killed_while_idle_is_not_a_retry(
-        self, queue, spares, handed
+    def test_a_retired_zygote_finishes_its_running_job(
+        self, tmp_path, zygotes, handed, monkeypatch
+    ):
+        fault_env(monkeypatch, ServiceFaultPlan(
+            pause_between_groups=0.5, only_label="paced",
+        ))
+        monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path / "cache-a"))
+        queue = JobQueue(RunStore(str(tmp_path / "runs")), workers=2)
+        try:
+            paced = queue.submit(SubmitRequest.from_payload(
+                dict(SUBMIT, label="paced")
+            ))
+            assert _wait_journal_op(queue.store.root, paced.run_id, "checkpoint")
+            (old,) = zygotes()
+            monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path / "cache-b"))
+            _run_to_end(queue)
+            assert handed[1][1] not in (None, old)
+            deadline = time.monotonic() + 120
+            while not paced.terminal and time.monotonic() < deadline:
+                paced.wait_events(len(paced.events_since(0)), timeout=1.0)
+            assert paced.state == "done"
+            ops = [e["op"] for e in queue.store.read_journal(paced.run_id)]
+            assert "retry" not in ops
+            assert _wait_gone([old])  # it left once its last child had
+        finally:
+            queue.shutdown()
+
+    def test_zygote_killed_while_idle_is_not_a_retry(
+        self, queue, zygotes, handed
     ):
         _run_to_end(queue)
-        (spare,) = spares()
-        os.kill(spare, signal.SIGKILL)
-        assert _wait_gone([spare])
+        (old,) = zygotes()
+        os.kill(old, signal.SIGKILL)
+        assert _wait_gone([old])
         job = _run_to_end(queue)
-        assert handed[1] != spare
+        (new,) = zygotes()
+        assert new != old and handed[1][1] == new
+        assert _fork_kind(job) == "cold"
         ops = [e["op"] for e in queue.store.read_journal(job.run_id)]
         assert "retry" not in ops
+
+    def test_child_dies_with_its_zygote_and_the_retry_resumes(
+        self, queue, zygotes, handed, tmp_path, monkeypatch
+    ):
+        fault_env(monkeypatch, ServiceFaultPlan(
+            pause_between_groups=0.5, only_label="paced",
+        ))
+        job = queue.submit(SubmitRequest.from_payload(
+            dict(SUBMIT, label="paced")
+        ))
+        assert _wait_journal_op(queue.store.root, job.run_id, "checkpoint")
+        (zygote,) = zygotes()
+        child, parent = handed[0]
+        assert parent == zygote
+        os.kill(zygote, signal.SIGKILL)
+        # PR_SET_PDEATHSIG takes the child along, so the job needs a retry
+        assert _wait_gone([zygote, child])
+        deadline = time.monotonic() + 120
+        while not job.terminal and time.monotonic() < deadline:
+            job.wait_events(len(job.events_since(0)), timeout=1.0)
+        assert job.state == "done"
+        ops = [e["op"] for e in queue.store.read_journal(job.run_id)]
+        assert "retry" in ops
+        assert handed[1][1] not in (None, zygote)
+        assert_bit_identical(
+            open(queue.store.manifest_path(job.run_id)).read(), SUBMIT,
+            tmp_path,
+        )
 
     def test_removed_working_directory_still_runs_jobs(
         self, queue, handed, tmp_path, monkeypatch
@@ -376,7 +459,7 @@ class TestWarmSpare:
         monkeypatch.chdir(gone)
         queue = JobQueue(RunStore(str(tmp_path / "runs")), workers=1)
         try:
-            # ... which is removed before its first job spawns a child
+            # ... which is removed before its first job starts the zygote
             gone.rmdir()
             _run_to_end(queue)
         finally:
@@ -384,22 +467,37 @@ class TestWarmSpare:
         assert len(handed) == 1
 
     @pytest.mark.parametrize("stop", ["drain", "shutdown"])
-    def test_no_child_outlives_the_queue(self, queue, spares, stop):
+    def test_no_child_outlives_the_queue(
+        self, queue, zygotes, handed, monkeypatch, stop
+    ):
+        fault_env(monkeypatch, ServiceFaultPlan(
+            pause_between_groups=0.5, only_label="paced",
+        ))
         _run_to_end(queue)
-        started = spares()
-        assert started
+        running = queue.submit(SubmitRequest.from_payload(
+            dict(SUBMIT, label="paced")
+        ))
+        assert _wait_journal_op(queue.store.root, running.run_id, "checkpoint")
+        started = zygotes() | {pid for pid, _ in handed}
+        assert len(started) == 3
         getattr(queue, stop)()
-        # killed and reaped by its worker, not just left to its death signal
+        assert running.state == ("interrupted" if stop == "drain" else "cancelled")
+        # killed and reaped, not just left to a death signal
         assert all(_proc_stat(pid) is None for pid in started)
 
 
 def test_idle_child_exits_quietly_when_stdin_closes():
-    out = subprocess.run(
-        [sys.executable, "-m", "repro.service.sandbox"],
-        stdin=subprocess.DEVNULL, capture_output=True, text=True,
-        env=sandbox._child_env(), timeout=120,
-    )
-    assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+    """The zygote reads its control socket on stdin; when the socket
+    closes it exits 0 without a word."""
+    ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+    with ours, theirs:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service.sandbox"],
+            stdin=theirs, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=sandbox._child_env(),
+        )
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out, err) == (0, "", "")
 
 
 # -- torn on-disk state -------------------------------------------------------
@@ -607,14 +705,16 @@ class TestKillRestart:
             accepted = client.submit(dict(SWEEP, label="victim"))
             run_id = accepted["run_id"]
             assert _wait_journal_op(store, run_id, "checkpoint")
-            # the job's child and the spare pre-started for the next job
-            children = _sandbox_pids(proc.pid) if _PROC else set()
+            # the zygote and the job's child it forked
+            zygotes = _sandbox_pids(proc.pid) if _PROC else set()
+            children = {pid for z in zygotes for pid in _sandbox_pids(z)}
             os.kill(proc.pid, signal.SIGKILL)  # no goodbyes
             proc.wait(timeout=30)
         finally:
             proc.kill()
-        if _PROC:  # PR_SET_PDEATHSIG takes both along
-            assert len(children) == 2 and _wait_gone(children)
+        if _PROC:  # the closed control socket takes both along
+            assert len(zygotes) == 1 and len(children) == 1
+            assert _wait_gone(zygotes | children)
 
         # mid-sweep wreckage: some records landed, the run is not settled
         partial = load_manifest(os.path.join(store, run_id, "manifest.jsonl"))
@@ -647,12 +747,12 @@ class TestKillRestart:
                 SWEEP["replicas"]
             ops = [e["op"] for e in offline.read_journal(run_id)]
             assert "recovered" in ops and ops[-1] == "done"
-            spares = _sandbox_pids(proc2.pid) if _PROC else set()
+            zygotes = _sandbox_pids(proc2.pid) if _PROC else set()
         finally:
             proc2.kill()
             proc2.wait(timeout=30)
-        if _PROC:  # the idle spare does not outlive its server either
-            assert len(spares) == 1 and _wait_gone(spares)
+        if _PROC:  # the idle zygote does not outlive its server either
+            assert len(zygotes) == 1 and _wait_gone(zygotes)
 
 
 @pytest.mark.skipif(os.name != "posix", reason="signals are POSIX-only")
