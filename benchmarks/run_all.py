@@ -37,8 +37,8 @@ the race downscales to n = 10^6 (bar >= 2x) so quick runs stay seconds.
 
 The *dense* run races the bghkpu engine against itself on the composed
 oscillator + phase-clock workload C_o: dense-support fast path (hybrid
-top-K epoch sampler + batch autotune, the defaults) vs the classic
-whole-grid multinomial sampler (both overridden off), walls summed over
+top-K entry sampler + batch autotune, the defaults) vs the classic
+whole-grid entry draw (both overridden off), walls summed over
 3 seeds so trajectory luck averages out.  Pooled KS
 tests against the ``batch`` engine on the E3 (hybrid forced on) and E4
 (default knobs) observer grids gate statistical equivalence; results go
@@ -580,12 +580,14 @@ DENSE_KS_N = 2000
 DENSE_KS_ALPHA = 0.001
 
 #: ``BGHKPUEngine`` constant overrides that turn the dense fast path off,
-#: leaving the whole-grid multinomial sampler as the race's reference
-#: contender: no top-K split, and the batch autotuner's multiplier pinned
-#: at x1, which keeps the static ``COLLISION_FRAC`` sizing (overdraw
-#: repair stays on).
+#: leaving the race's reference contender: a heavy bound of every ordered
+#: pair of the 168-state C_o closure, so the whole active grid rides one
+#: grouped entry draw and the light tail never runs, and the batch
+#: autotuner's multiplier pinned at x1, which keeps the static
+#: ``COLLISION_FRAC`` sizing (overdraw repair stays on).
 DENSE_CLASSIC_OPTS = {
-    "DENSE_TOP_K": 0, "_AUTOTUNE_SCALE_MIN": 1.0, "_AUTOTUNE_SCALE_MAX": 1.0,
+    "DENSE_TOP_K": 168 * 168,
+    "_AUTOTUNE_SCALE_MIN": 1.0, "_AUTOTUNE_SCALE_MAX": 1.0,
 }
 
 
@@ -645,10 +647,10 @@ def _time_dense_contender(opts, n, rounds, seeds, seed):
 def _dense_ks_oscillator(seeds, seed):
     """Pooled E3 observer series, batch vs the *forced* hybrid sampler.
 
-    The oscillator grid (<= 100 cells) never crosses the default
-    ``DENSE_TOP_K`` = 512 engagement threshold, so this leg forces
-    ``DENSE_TOP_K`` = 16 to put the top-K split + searchsorted tail on
-    the E3 shape too.
+    At the default ``DENSE_TOP_K`` = 512 every live cell of the
+    oscillator grid (<= 100 cells) is heavy and the light tail never
+    runs, so this leg forces ``DENSE_TOP_K`` = 16 to put the top-K entry
+    draw + searchsorted tail on the E3 shape too.
     """
     from repro.engine import Trace
     from repro.oscillator import make_oscillator_protocol, species
@@ -700,13 +702,13 @@ def dense_scale(n=DENSE_N, seed=0, quick=False):
 
     Races the hybrid epoch sampler (``DENSE_TOP_K`` and the batch
     autotuner at their defaults) against the classic whole-grid
-    multinomial configuration (``DENSE_CLASSIC_OPTS``) on the composed
+    configuration (``DENSE_CLASSIC_OPTS``) on the composed
     oscillator + phase-clock workload C_o — the many-state shape the fast path
     targets — summing walls over {seeds} seeds at n = 10^6 and 200
     parallel rounds.  Distributional equivalence is gated twice against
     the ``batch`` engine: pooled KS over the E3 oscillator observer grid
-    with the hybrid *forced* on (the E3 grid is below the default
-    engagement threshold) and pooled KS over the E4 phase-clock observer
+    with the hybrid *forced* on (at the default bound every E3 cell is
+    heavy) and pooled KS over the E4 phase-clock observer
     grid at default constants, both at alpha = {alpha}.  The acceptance bar
     is >= 3x summed wall (>= 2x under ``--quick``, which downscales to
     n = 10^5).  Results go to ``BENCH_dense.json``.
@@ -747,8 +749,8 @@ def dense_scale(n=DENSE_N, seed=0, quick=False):
         "experiment": "dense_support_fast_path",
         "description": (
             "composed oscillator + phase-clock C_o: bghkpu with the "
-            "hybrid top-K epoch sampler and batch autotune at defaults vs "
-            "the classic whole-grid multinomial sampler, walls "
+            "hybrid top-K entry sampler and batch autotune at defaults vs "
+            "the classic whole-grid entry draw without autotune, walls "
             "summed over {} seeds; pooled KS vs the batch engine on the "
             "E3 (hybrid forced) and E4 (default knobs) observer grids "
             "gates statistical equivalence".format(DENSE_SEEDS)

@@ -1,36 +1,39 @@
-"""Epoch-frozen sampler over the active ordered-pair weights (BGHKPU).
+"""Epoch-frozen sampler over the active (pair, outcome) entries (BGHKPU).
 
 The batched simulation of Berenbrink, Hammer, Kaaser, Meyer, Penschuck &
 Tran ("Simulating Population Protocols in Sub-Constant Time per
-Interaction", PAPERS.md) samples the state pair of each effective
-interaction from a *frozen* distribution over the active ordered-pair
-cells, so that a batch's draw does not rescan the counts.  The module
-name is historical: the epochs were once served by Vose alias tables.
+Interaction", PAPERS.md) samples each effective interaction from a
+*frozen* distribution over the active ordered-pair cells, so that a
+batch's draw does not rescan the counts.  The module name is historical:
+the epochs were once served by Vose alias tables.
 
 :class:`ActivePairSampler` is the epoch manager the
 :class:`~repro.engine.bghkpu.BGHKPUEngine` runs on.  It freezes the
 active ordered-pair weight matrix ``c_i (c_j - δ_ij) p_change(i, j)``
 (built from the closed :class:`~repro.engine.table.TransitionTable`
 ``p_change`` matrix by :func:`~repro.engine.jump.pair_weights`) at the
-top of an epoch and serves cell draws from it.  Three draw shapes cover
-the density spectrum:
+top of an epoch and serves batches as lists of **table entries** — one
+CSR outcome of one ordered pair — so the engine turns a batch into a
+per-state delta with a single scatter.  There is one draw shape:
 
-- a *lone* active cell needs no RNG at all (the endgame shape);
-- dense supports with ``top_k > 0`` use the **hybrid split**: the K
-  heaviest cells (selected once per epoch) are drawn through one grouped
-  multinomial over ``K + 1`` bins — K heavy cells plus the pooled light
-  tail — and the few tail events are placed by binary search on the
-  running sum of the *fresh* tail weights.  The split is
-  distributionally exact for any fixed cell partition (multinomial
-  aggregation: marginalize the heavy bins, then split the pooled tail
-  with its conditional probabilities; the partition choice only affects
-  cost, never the law), and because the tail CDF is recomputed from the
-  current weight matrix at each refresh, the hybrid draw matches the
-  whole-grid draw's distribution exactly at all times.  Beyond the cheap
-  ``K + 1``-bin draw, the payoff is downstream: a batch resolves into at
-  most ``K + tail_events`` distinct cells instead of every active cell,
-  which shrinks the outcome-split work by the same factor;
-- otherwise one multinomial over the whole grid.
+- the ``min(top_k, live cells)`` heaviest cells (selected once per
+  epoch) are expanded into their outcome entries, entry ``e`` of cell
+  ``(i, j)`` weighted ``w_ij · out_p[e] / p_row[ij]``, and one grouped
+  multinomial draws those entries plus one pooled bin for the light
+  tail.  The expansion is lazy — on the first draw after a selection —
+  so epochs that never draw (the engine's scalar one-pair loop) pay
+  nothing for it;
+- each tail event is placed on its cell by binary search on the running
+  sum of the *fresh* tail weights, then takes its outcome from a second
+  uniform within that cell's row.
+
+The split is distributionally exact for any fixed partition (multinomial
+aggregation: marginalize the heavy entries, then split the pooled tail
+with its conditional probabilities — cell first, outcome second; the
+partition only affects cost, never the law), and because the tail CDF is
+recomputed from the current weight matrix at each refresh, weight that
+drifts into a formerly silent cell is sampleable at once.  A lone live
+cell with a single outcome needs no RNG at all (the endgame shape).
 
 The **active set is sticky**: a rebuild unions the current support with
 every state the epoch lineage has ever covered, so states that oscillate
@@ -49,9 +52,8 @@ BGHKPU batch sizing (see :mod:`repro.engine.bghkpu`): the per-event
 consumption probabilities ``μ_s`` of each active state and the birthday
 coefficient ``γ = Σ_s μ_s² / (2 c_s)``, so the engine's collision-aware
 batch cap is O(1) per batch.  Per-epoch scratch (row/column sums, μ,
-pvals, the hybrid bin vector, the tail CDF) lives in preallocated
-buffers keyed by the active-set size — steady-state epochs allocate
-nothing.
+the entry bin vector, the tail CDF) lives in preallocated buffers —
+steady-state epochs allocate nothing.
 """
 
 from __future__ import annotations
@@ -62,23 +64,26 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .jump import pair_weights
+from .table import TransitionTable
 
 
 class ActivePairSampler:
-    """Epoch-frozen sampler over the active ordered-pair cells.
+    """Epoch-frozen sampler over the active ordered-pair cells' entries.
 
     One instance lives for the whole engine run; :meth:`rebuild` starts a
     new epoch from the current full count vector (unioning the active
     set with the lineage's past support, see the module docstring),
     :meth:`refresh` re-freezes a drifted epoch over the same active set,
-    and :meth:`sample_cells` serves one batch's cell draws.  All
-    randomness flows through the engine's generator.
-
-    ``top_k`` defaults to 0 (hybrid split off), the whole-grid sampler;
-    the engine passes its ``DENSE_TOP_K`` constant.
+    and :meth:`sample_entries` serves one batch's draws.  ``table`` is
+    the closed :class:`~repro.engine.table.TransitionTable` whose
+    ``p_change`` matrix and CSR outcome rows the epochs are built from;
+    ``top_k`` bounds the heavy set (the engine passes its
+    ``DENSE_TOP_K`` constant).  All randomness flows through the
+    engine's generator.
     """
 
     __slots__ = (
+        "table",
         "matrix",
         "tol",
         "top_k",
@@ -96,7 +101,6 @@ class ActivePairSampler:
         "row_sums",
         "col_sums",
         "heavy_cells",
-        "heavy_w",
         "heavy_mass",
         "rebuilds",
         "refreshes",
@@ -104,31 +108,27 @@ class ActivePairSampler:
         "build_seconds",
         "refresh_seconds",
         "draw_seconds",
-        "_pvals",
-        "_heavy_mask",
+        "_ent",
+        "_ent_cell",
+        "_ent_frac",
+        "_bins",
         "_tail_cum",
         "_tail_total",
         "_buf_row",
         "_buf_col",
         "_buf_consume",
         "_buf_mu",
-        "_buf_pvals",
-        "_buf_mask",
-        "_buf_topk",
+        "_buf_bins",
         "_buf_cum",
     )
 
-    def __init__(
-        self,
-        p_change_matrix: np.ndarray,
-        tol: float,
-        top_k: int = 0,
-    ):
+    def __init__(self, table: TransitionTable, tol: float, top_k: int):
         if not 0.0 <= tol <= 1.0:
             raise ValueError("alias_rebuild_tol must be in [0, 1]")
-        if top_k < 0:
-            raise ValueError("top_k must be >= 0")
-        self.matrix = p_change_matrix
+        if top_k < 1:
+            raise ValueError("top_k must be >= 1")
+        self.table = table
+        self.matrix = table.p_change_matrix
         self.tol = float(tol)
         self.top_k = int(top_k)
         self.act: Optional[np.ndarray] = None
@@ -145,7 +145,6 @@ class ActivePairSampler:
         self.row_sums: Optional[np.ndarray] = None
         self.col_sums: Optional[np.ndarray] = None
         self.heavy_cells: Optional[np.ndarray] = None
-        self.heavy_w: Optional[np.ndarray] = None
         self.heavy_mass = 0.0
         self.rebuilds = 0  # full epoch rebuilds (support left the union)
         self.refreshes = 0  # drift refreshes within the set
@@ -153,40 +152,21 @@ class ActivePairSampler:
         self.build_seconds = 0.0
         self.refresh_seconds = 0.0
         self.draw_seconds = 0.0
-        self._pvals: Optional[np.ndarray] = None
-        self._heavy_mask: Optional[np.ndarray] = None
+        # heavy entries of the current selection (expanded lazily):
+        # table entry, its flattened cell, and its share out_p / p_row of
+        # the cell weight
+        self._ent: Optional[np.ndarray] = None
+        self._ent_cell: Optional[np.ndarray] = None
+        self._ent_frac: Optional[np.ndarray] = None
+        self._bins: Optional[np.ndarray] = None
         self._tail_cum: Optional[np.ndarray] = None
         self._tail_total = 0.0
         self._buf_row: Optional[np.ndarray] = None
         self._buf_col: Optional[np.ndarray] = None
         self._buf_consume: Optional[np.ndarray] = None
         self._buf_mu: Optional[np.ndarray] = None
-        self._buf_pvals: Optional[np.ndarray] = None
-        self._buf_mask: Optional[np.ndarray] = None
-        self._buf_topk: Optional[np.ndarray] = None
+        self._buf_bins: Optional[np.ndarray] = None
         self._buf_cum: Optional[np.ndarray] = None
-
-    # -- cached cell distribution -------------------------------------------
-    @property
-    def pvals(self) -> Optional[np.ndarray]:
-        """Flattened cell probabilities of the frozen epoch (lazy).
-
-        ``None`` on a silent epoch.  The returned array is a reused
-        scratch buffer, valid until the next rebuild/refresh.
-        """
-        if self.total <= 0.0 or self.w is None:
-            return None
-        pv = self._pvals
-        if pv is None:
-            flat = self.w.ravel()
-            buf = self._buf_pvals
-            if buf is None or buf.shape[0] != flat.shape[0]:
-                buf = self._buf_pvals = np.empty_like(flat)
-                self.scratch_allocs += 1
-            # normalized by the direct flat sum (not the row-sum total),
-            # so multinomial's sum(pvals) <= 1 check holds bit-exactly
-            pv = self._pvals = np.divide(flat, flat.sum(), out=buf)
-        return pv
 
     # -- epoch construction -------------------------------------------------
     def rebuild(self, full_c: np.ndarray) -> None:
@@ -213,7 +193,7 @@ class ActivePairSampler:
             self.act = act
         self.ca = full_c[act].copy()
         self.w = pair_weights(self.ca, self.psub)
-        self._select_heavy()
+        self.heavy_cells = None  # a new epoch picks its own heavy set
         self._finalize()
         self.rebuilds += 1
         self.build_seconds += time.perf_counter() - start
@@ -251,7 +231,7 @@ class ActivePairSampler:
         self.col_sums = col
         total = float(row.sum())
         self.total = total
-        self._pvals = None
+        self._bins = None
         self._tail_cum = None
         if total <= 0.0:
             self._go_silent()
@@ -281,10 +261,8 @@ class ActivePairSampler:
         self.active_cells = 0
         self.cells_nz = None
         self.heavy_cells = None
-        self.heavy_w = None
         self.heavy_mass = 0.0
-        self._heavy_mask = None
-        self._tail_cum = None
+        self._ent = None
         self._tail_total = 0.0
 
     def _collision_caps(self) -> None:
@@ -305,65 +283,79 @@ class ActivePairSampler:
             self.cap_events = 0.0
 
     def _select_heavy(self) -> None:
-        """Freeze the top-K cell partition of the new epoch.
+        """Pick the ``min(top_k, live cells)`` heaviest cells.
 
-        Selection only decides *which* cells ride the grouped heavy draw
-        — the hybrid split is exact for any partition — so it happens
-        once per epoch; :meth:`_refresh_heavy` re-reads the weights on
-        every refresh and re-selects only when drift has moved enough
-        mass into the tail to hurt efficiency.
+        Selection only decides *which* cells ride the grouped entry draw
+        — the split is exact for any partition — so it happens once per
+        epoch and again only when :meth:`_refresh_heavy` sees drift move
+        enough mass into the tail to hurt efficiency.  Their entries are
+        expanded by the next draw.
         """
-        self.heavy_cells = None
-        self.heavy_w = None
-        self.heavy_mass = 0.0
-        self._heavy_mask = None
         flat = self.w.ravel()
         k = self.top_k
-        if k <= 0 or flat.size <= 2 * k:
-            return
-        part = np.argpartition(flat, flat.size - k)[flat.size - k:]
-        hw = flat[part]
-        pos = hw > 0.0
-        if not pos.all():
-            part = part[pos]
-        if not part.size:
-            return
-        self.heavy_cells = part
-        mask = self._buf_mask
-        if mask is None or mask.shape[0] != flat.shape[0]:
-            mask = self._buf_mask = np.zeros(flat.shape[0], dtype=bool)
-            self.scratch_allocs += 1
+        if self.active_cells <= k:
+            part = np.flatnonzero(flat)
         else:
-            mask[:] = False
-        mask[part] = True
-        self._heavy_mask = mask
+            part = np.argpartition(flat, flat.size - k)[flat.size - k:]
+        # heaviest first: the multinomial stops once every event is placed
+        self.heavy_cells = part[np.argsort(-flat[part])]
+        self._ent = self._bins = None
 
     def _refresh_heavy(self) -> None:
-        """Re-read the frozen heavy partition's weights (cheap gather)."""
-        hc = self.heavy_cells
-        if hc is None:
-            if self.top_k > 0 and self.w.size > 2 * self.top_k:
-                # the grid grew past the hybrid threshold mid-lineage
-                self._select_heavy()
-                hc = self.heavy_cells
-                if hc is None:
-                    return
-            else:
-                return
+        """Re-read the heavy cells' mass, re-selecting if they faded."""
         flat = self.w.ravel()
-        hw = flat[hc]
-        mass = float(hw.sum())
-        if mass < 0.75 * self.total:
-            # drift moved real mass into the tail: re-pick the partition
-            # (efficiency only — the split stays exact either way)
+        hc = self.heavy_cells
+        if hc is not None:
+            mass = float(flat[hc].sum())
+        if (
+            hc is None
+            # drift moved real mass into the tail (efficiency only — the
+            # split stays exact either way)
+            or mass < 0.75 * self.total
+            # a lone live cell rides alone, so its draw needs no variate
+            or (self.cells_nz is not None and hc.shape[0] > 1)
+        ):
             self._select_heavy()
-            hc = self.heavy_cells
-            if hc is None:
-                return
-            hw = flat[hc]
-            mass = float(hw.sum())
-        self.heavy_w = hw
+            mass = float(flat[self.heavy_cells].sum())
         self.heavy_mass = mass
+
+    def _expand(self) -> None:
+        """Expand the heavy cells into their CSR outcome entries."""
+        ct = self.table
+        hc = self.heavy_cells
+        act = self.act
+        a = act.shape[0]
+        rows = act[hc // a] * ct.num_states + act[hc % a]
+        begin = ct.off[rows]
+        width = ct.off[rows + 1] - begin
+        pos = np.repeat(np.arange(hc.shape[0]), width)
+        ent = np.arange(pos.shape[0]) + np.repeat(
+            begin - (np.cumsum(width) - width), width
+        )
+        self._ent = ent
+        self._ent_cell = hc[pos]
+        self._ent_frac = ct.out_p[ent] / ct.p_row[rows[pos]]
+
+    def _entry_bins(self) -> np.ndarray:
+        """Normalized draw bins: the heavy entries, then the pooled tail."""
+        bins = self._bins
+        if bins is None:
+            if self._ent is None:
+                self._expand()
+            e = self._ent.shape[0]
+            buf = self._buf_bins
+            if buf is None or buf.shape[0] <= e:
+                buf = self._buf_bins = np.empty(2 * e + 1)
+                self.scratch_allocs += 1
+            bins = buf[: e + 1]
+            np.multiply(
+                self.w.ravel()[self._ent_cell], self._ent_frac, out=bins[:e]
+            )
+            tail_mass = self.total - self.heavy_mass
+            bins[e] = tail_mass if tail_mass > 0.0 else 0.0
+            bins /= bins.sum()
+            self._bins = bins
+        return bins
 
     def _tail_cdf(self) -> Tuple[np.ndarray, float]:
         """Running sum of the non-heavy cell weights (lazy per refresh).
@@ -380,7 +372,8 @@ class ActivePairSampler:
             if buf is None or buf.shape[0] != flat.shape[0]:
                 buf = self._buf_cum = np.empty_like(flat)
                 self.scratch_allocs += 1
-            np.multiply(flat, ~self._heavy_mask, out=buf)
+            np.copyto(buf, flat)
+            buf[self.heavy_cells] = 0.0
             cum = self._tail_cum = np.cumsum(buf, out=buf)
             self._tail_total = float(cum[-1])
         return cum, self._tail_total
@@ -403,73 +396,94 @@ class ActivePairSampler:
         return bool(drift.max(initial=0.0) > self.tol)
 
     # -- sampling -----------------------------------------------------------
-    def sample_cells(
+    def sample_entries(
         self, rng: np.random.Generator, fired: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Cell draws for one batch of ``fired`` effective events.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entry draws for one batch of ``fired`` effective events.
 
-        Returns ``(cells, counts)``: the flattened ``a·a`` cell indices
-        that fired and how many events each got (a cell may appear more
-        than once only in degenerate float corners; downstream scatters
-        accumulate).  A lone active cell takes every event without a
-        draw; dense supports with a frozen heavy partition take the
-        hybrid split; every other batch is one multinomial over the
-        whole cached cell distribution.
+        Returns ``(cells, entries, counts)``: ``counts[k]`` events took
+        table entry ``entries[k]`` (an index into the table's outcome
+        arrays), whose ordered pair is the flattened ``a·a`` cell
+        ``cells[k]``.  Entries are distinct.  The heavy entries and the
+        pooled tail share one grouped multinomial; a lone single-entry
+        cell takes every event without a draw.
         """
         start = time.perf_counter()
         try:
-            if self.cells_nz is not None:
-                # lone active cell: every event lands there, no draw needed
-                return self.cells_nz, np.array([fired], dtype=np.int64)
-            if self.heavy_cells is not None:
-                return self._sample_hybrid(rng, fired)
-            cell_counts = rng.multinomial(fired, self.pvals)
-            cells = np.nonzero(cell_counts)[0]
-            return cells, cell_counts[cells]
+            bins = self._entry_bins()
+            e = bins.shape[0] - 1
+            if e == 1 and bins[1] == 0.0:
+                # one entry and an empty tail: no variate to draw
+                counts = np.array([fired], dtype=np.int64)
+                return self._ent_cell, self._ent, counts
+            draws = rng.multinomial(fired, bins)
+            tail_n = int(draws[e])
+            tail = None
+            if tail_n:
+                cum, tail_total = self._tail_cdf()
+                if tail_total > 0.0:
+                    tail = self._sample_tail(rng, tail_n, cum, tail_total)
+                else:
+                    # float corner: positive pooled tail mass but the
+                    # fresh tail CDF is empty — fold the tail events back
+                    # onto the heavy entries by their conditional law
+                    heavy = bins[:e]
+                    draws[:e] += rng.multinomial(tail_n, heavy / heavy.sum())
+            sel = np.flatnonzero(draws[:e])
+            cells, entries = self._ent_cell[sel], self._ent[sel]
+            counts = draws[sel]
+            if tail is None:
+                return cells, entries, counts
+            tcells, tentries, tcounts = tail
+            return (
+                np.concatenate((cells, tcells)),
+                np.concatenate((entries, tentries)),
+                np.concatenate((counts, tcounts)),
+            )
         finally:
             self.draw_seconds += time.perf_counter() - start
 
-    def _sample_hybrid(
-        self, rng: np.random.Generator, fired: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-K heavy cells via one grouped draw, light tail separately."""
-        hc, hw = self.heavy_cells, self.heavy_w
-        k = hc.shape[0]
-        buf = self._buf_topk
-        if buf is None or buf.shape[0] != k + 1:
-            buf = self._buf_topk = np.empty(k + 1)
-            self.scratch_allocs += 1
-        tail_mass = self.total - self.heavy_mass
-        if tail_mass < 0.0:
-            tail_mass = 0.0
-        buf[:k] = hw
-        buf[k] = tail_mass
-        buf /= buf.sum()
-        draws = rng.multinomial(fired, buf)
-        tail_n = int(draws[k])
-        hsel = draws[:k] > 0
-        cells = hc[hsel]
-        counts = draws[:k][hsel]
-        if tail_n == 0:
-            return cells, counts
-        cum, tail_total = self._tail_cdf()
-        if tail_total <= 0.0:
-            # float corner: positive pooled tail mass but the fresh tail
-            # CDF is empty — fold the tail events back onto the heavy
-            # cells by their conditional law (duplicates accumulate)
-            extra = rng.multinomial(tail_n, hw / hw.sum())
-            esel = extra > 0
-            return (
-                np.concatenate((cells, hc[esel])),
-                np.concatenate((counts, extra[esel])),
-            )
+    def _sample_tail(
+        self,
+        rng: np.random.Generator,
+        tail_n: int,
+        cum: np.ndarray,
+        tail_total: float,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Place ``tail_n`` tail events: cell by CDF, outcome by a uniform."""
         # binary search on the fresh running sum: exact conditional tail
-        # distribution, no table construction, one uniform per event
-        u = rng.random(tail_n) * tail_total
-        idx = np.searchsorted(cum, u, side="right")
-        np.minimum(idx, cum.shape[0] - 1, out=idx)
-        tcells, tcounts = np.unique(idx, return_counts=True)
-        return (
-            np.concatenate((cells, tcells)),
-            np.concatenate((counts, tcounts)),
-        )
+        # law over cells, one uniform per event (a uniform below 1 times
+        # tail_total rounds below it, so the search lands on a
+        # positive-weight cell)
+        u = rng.random(tail_n)
+        u *= tail_total
+        u.sort()  # sorted keys search faster, and sort the cells
+        cell = np.searchsorted(cum, u, side="right")
+        ct = self.table
+        act = self.act
+        a = act.shape[0]
+        rows = act[cell // a] * ct.num_states + act[cell % a]
+        ent = ct.off[rows]
+        # a second uniform picks the outcome within the row: count the
+        # running out_p sums at or below it.  The row's own last sum is
+        # p_row exactly (the same sequential sum) and the sums past it
+        # only grow, so the count stays inside the row.
+        v = rng.random(tail_n)
+        v *= ct.p_row[rows]
+        pos = ent[:, None] + np.arange(int((ct.off[rows + 1] - ent).max()))
+        np.minimum(pos, ct.out_p.shape[0] - 1, out=pos)
+        ent += (v[:, None] >= np.cumsum(ct.out_p[pos], axis=1)).sum(axis=1)
+        # distinct (entry, cell) pairs by sort and count (numpy's
+        # append/diff/unique wrappers cost more than the data here)
+        cells = a * a
+        key = ent * cells + cell
+        key.sort()
+        last = np.empty(tail_n, dtype=bool)
+        last[-1] = True
+        np.not_equal(key[:-1], key[1:], out=last[:-1])
+        ends = last.nonzero()[0]
+        counts = np.empty_like(ends)
+        counts[0] = ends[0] + 1
+        np.subtract(ends[1:], ends[:-1], out=counts[1:])
+        ent, cell = np.divmod(key[ends], cells)
+        return cell, ent, counts

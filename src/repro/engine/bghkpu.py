@@ -21,11 +21,10 @@ select the engine by it:
    ``γ = Σ_s μ_s² / (2 c_s)``, is kept below ``COLLISION_FRAC · F`` —
    and by the per-state feasibility cap ``F ≤ ½ min_s c_s / μ_s``;
 3. the ``K ≈ γ F²`` colliding tail is resolved against *fresh* counts:
-   the ``F − K`` main events are split over the frozen cells (one
-   multinomial over the grid, or the hybrid split of item 5) and
-   applied, the sampler is re-frozen from the updated
-   counts, and the last ``K`` events are drawn from that refreshed
-   distribution (recorded in ``collision_events``);
+   the ``F − K`` main events are drawn over the frozen (pair, outcome)
+   entries (item 5) and applied, the sampler is re-frozen from the
+   updated counts, and the last ``K`` events are drawn from that
+   refreshed distribution (recorded in ``collision_events``);
 4. when the expected events per batch fall below ``MIN_BATCH_EVENTS``
    the engine degrades to *exact* single-event stepping on the same lean
    machinery — the gap to the next effective event is geometric in the
@@ -35,17 +34,21 @@ select the engine by it:
    ordered pair with a deterministic outcome, the endgame of most
    workloads and the leader fight end to end — is stepped on exact
    scalar weights without the epoch machinery;
-5. **dense supports** (oscillator-sized active sets, E3/E4) get the
-   adaptive hybrid path: the sampler draws the ``DENSE_TOP_K`` heaviest
-   cells through one grouped ``K + 1``-bin kernel with only the light
-   tail placed by binary search on its running sum, and a feedback
-   controller scales the batch cap from observed batch outcomes: clean
-   batches grow it past the feasibility half-cap (never past the
-   ``COLLISION_FRAC/γ`` birthday bound), infeasible draws and repair
-   bursts shrink it.  Autotuned batches may overdraw a scarce state;
-   instead of rejecting the whole draw, the overdrawing cells are
-   clamped to the feasible region and the clamped-away events join the
-   colliding tail redrawn against fresh counts (``repair_events``).
+5. every batch is one draw over table entries: the sampler expands the
+   ``min(DENSE_TOP_K, live cells)`` heaviest cells into their (pair,
+   outcome) entries and draws them plus one pooled light-tail bin in a
+   single grouped multinomial — tail events are placed by binary search
+   on the tail's running sum and a second uniform within the row — so
+   applying a batch is one ``bincount`` scatter with no per-width
+   outcome split.  On dense supports (oscillator-sized active sets,
+   E3/E4) a feedback controller scales the batch cap from observed
+   batch outcomes: clean batches grow it past the feasibility half-cap
+   (never past the ``COLLISION_FRAC/γ`` birthday bound), infeasible
+   draws and repair bursts shrink it.  Autotuned batches may overdraw a
+   scarce state; instead of rejecting the whole draw, the overdrawing
+   entries are clamped to the feasible region and the clamped-away
+   events join the colliding tail redrawn against fresh counts
+   (``repair_events``).
 
 Unlike the parent engine, applying a batch never touches the per-support
 ``_c``/``_v`` bookkeeping of :class:`~repro.engine.sequential.CountEngine`
@@ -73,12 +76,7 @@ from ..core.population import Population
 from ..core.protocol import Protocol
 from .alias import ActivePairSampler
 from .api import Observer, StopCondition, require_budget
-from .jump import (
-    MAX_BATCH,
-    MIN_BATCH_EVENTS,
-    BatchCountEngine,
-    split_outcomes_grouped,
-)
+from .jump import MAX_BATCH, MIN_BATCH_EVENTS, BatchCountEngine
 from .silence import silent_weight
 from .table import TransitionTable
 
@@ -110,10 +108,10 @@ class BGHKPUEngine(BatchCountEngine):
     #: re-frozen (a weight refresh over the same active set).
     ALIAS_REBUILD_TOL = 0.05
 
-    #: Heavy-cell count of the hybrid dense-support sampler: the K
-    #: heaviest frozen cells are drawn through one grouped ``K + 1``-bin
-    #: kernel and only the light tail is placed by binary search.
-    #: Engages when the active grid has more than ``2K`` cells.
+    #: Heavy-cell bound of the epoch sampler: the ``min(K, live cells)``
+    #: heaviest frozen cells are expanded into their outcome entries and
+    #: drawn in one grouped multinomial with the pooled light tail; only
+    #: the tail is placed by binary search.
     DENSE_TOP_K = 512
 
     #: Autotune multiplier range.  The ceiling matters when the static
@@ -147,7 +145,7 @@ class BGHKPUEngine(BatchCountEngine):
         self.collision_events = 0
         #: Overdrawn events clamped out of a batch and pushed to the tail.
         self.repair_events = 0
-        #: Wall time in the grouped outcome split (cells → per-state delta).
+        #: Wall time in the entry scatter (drawn entries → per-state delta).
         self.outcome_split_seconds = 0.0
         self._sampler: Optional[ActivePairSampler] = None
         self._support_stale = False  # _c/_v behind the lean count vector
@@ -226,52 +224,59 @@ class BGHKPUEngine(BatchCountEngine):
             if mask is None or not mask[nz[created]].all():
                 self._need_rebuild = True
         full_c[nz] += dn
-        codes = self.table.codes
-        pop = self._population
-        for k in range(len(nz)):
-            d = int(dn[k])
-            code = int(codes[nz[k]])
-            if d > 0:
-                pop.add(code, d)
+        counts = self._population.counts
+        for code, d in zip(self.table.codes[nz].tolist(), dn.tolist()):
+            have = counts.get(code, 0) + d
+            if have > 0:
+                counts[code] = have
+            elif have == 0:
+                del counts[code]
             else:
-                pop.remove(code, -d)
+                raise ValueError(
+                    "cannot remove {} agents from state {} (have {})".format(
+                        -d, code, have - d
+                    )
+                )
         self._support_stale = True
 
     # -- frozen-distribution event sampling -----------------------------------
-    def _cells_to_delta(self, cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Per-state delta of ``counts[k]`` events in flattened cell ``cells[k]``."""
+    def _entries_to_delta(
+        self, cells: np.ndarray, entries: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        """Per-state delta of ``counts[k]`` events taking ``entries[k]``.
+
+        Each event consumes its cell's two states and produces its
+        entry's two outcome states: one ``bincount`` scatter (far cheaper
+        than ``np.add.at``; float64 weights are exact for counts < 2^53).
+        """
         start = time.perf_counter()
         ct = self.table
         act = self._sampler.act
         a = len(act)
-        counts = counts.astype(np.int64, copy=False)
-        gi = act[cells // a]
-        gj = act[cells % a]
-        # bincount beats np.add.at by an order of magnitude for these
-        # scatter shapes; float64 weights are exact for counts < 2^53
-        cons = np.bincount(gi, weights=counts, minlength=ct.num_states)
-        cons += np.bincount(gj, weights=counts, minlength=ct.num_states)
-        delta = -cons.astype(np.int64)
-        pair_flat = gi * ct.num_states + gj
-        begin = ct.off[pair_flat]
-        width = ct.off[pair_flat + 1] - begin
-        split_outcomes_grouped(
-            self.rng, delta, counts, begin, width,
-            ct.out_p, ct.out_a, ct.out_b,
-        )
+        idx = np.concatenate((
+            act[cells // a], act[cells % a],
+            ct.out_a[entries], ct.out_b[entries],
+        ))
+        neg = -counts
+        weights = np.concatenate((neg, neg, counts, counts))
+        delta = np.bincount(
+            idx, weights=weights, minlength=ct.num_states
+        ).astype(np.int64)
         self.outcome_split_seconds += time.perf_counter() - start
         return delta
 
-    def _repair_draw(self, cells: np.ndarray, counts: np.ndarray) -> tuple:
-        """Clamp an overdrawing cell draw onto the feasible region.
+    def _repair_draw(
+        self, cells: np.ndarray, entries: np.ndarray, counts: np.ndarray
+    ) -> tuple:
+        """Clamp an overdrawing entry draw onto the feasible region.
 
         Per-state consumption of the draw is compared against the
-        *current* counts; cells touching an overdrawn state are scaled
-        by that state's feasible fraction (floored), which guarantees
-        every state's clamped consumption fits its count.  Returns
-        ``(cells, counts, excess)`` — the ``excess`` clamped-away events
-        are the caller's to redraw against fresh counts (the same
-        resolution as the colliding tail, recorded in
+        *current* counts; entries whose cell touches an overdrawn state
+        are scaled by that state's feasible fraction (floored), which
+        guarantees every state's clamped consumption fits its count.
+        Returns ``(cells, entries, counts, excess)`` — the ``excess``
+        clamped-away events are the caller's to redraw against fresh
+        counts (the same resolution as the colliding tail, recorded in
         ``repair_events``).
         """
         sampler = self._sampler
@@ -283,14 +288,14 @@ class BGHKPUEngine(BatchCountEngine):
         cap = self._full_c[sampler.act]
         over = consumed > cap
         if not over.any():
-            return cells, counts, 0
+            return cells, entries, counts, 0
         factor = np.ones(a)
         factor[over] = np.maximum(cap[over], 0.0) / consumed[over]
         fcell = np.minimum(factor[gi], factor[gj])
         clamped = np.floor(counts * fcell).astype(np.int64)
         excess = int(counts.sum() - clamped.sum())
         keep = clamped > 0
-        return cells[keep], clamped[keep], excess
+        return cells[keep], entries[keep], clamped[keep], excess
 
     def _try_delta(self, events: int, repair: bool = False) -> tuple:
         """``(delta, excess)`` of ``events`` frozen-distribution events.
@@ -298,13 +303,15 @@ class BGHKPUEngine(BatchCountEngine):
         ``delta`` is ``None`` if the draw is infeasible (overdraws some
         state and repair is off or clamped everything away).
         """
-        cells, counts = self._sampler.sample_cells(self.rng, events)
+        cells, entries, counts = self._sampler.sample_entries(self.rng, events)
         excess = 0
         if repair:
-            cells, counts, excess = self._repair_draw(cells, counts)
+            cells, entries, counts, excess = self._repair_draw(
+                cells, entries, counts
+            )
             if not cells.size:
                 return None, 0
-        delta = self._cells_to_delta(cells, counts)
+        delta = self._entries_to_delta(cells, entries, counts)
         if np.any(self._full_c + delta < 0):
             return None, 0
         return delta, excess
@@ -369,9 +376,7 @@ class BGHKPUEngine(BatchCountEngine):
         sampler = self._sampler
         if sampler is None:
             sampler = self._sampler = ActivePairSampler(
-                self.table.p_change_matrix,
-                self.ALIAS_REBUILD_TOL,
-                top_k=self.DENSE_TOP_K,
+                self.table, self.ALIAS_REBUILD_TOL, self.DENSE_TOP_K
             )
             self._need_rebuild = True
         if self._need_rebuild or sampler.act is None or sampler.stale(self._full_c):

@@ -35,7 +35,9 @@ Progress, per-replica results, and observer grids are appended to an
 in-memory event list (mirrored to ``events.jsonl`` in the store; a
 recovered job preloads the persisted events so stream cursors span
 restarts) and published under a condition variable, so any number of
-streaming readers can follow a live job without polling.
+streaming readers can follow a live job without polling.  A job leaves
+the queue's table once it settles, so a long-lived server holds only
+its queued and running jobs; settled runs are served from the store.
 """
 
 from __future__ import annotations
@@ -411,6 +413,12 @@ class JobQueue:
                     continue
                 job._ready.wait()
                 job.execute(self._zygote, retries=self.retries)
+                if job.state in TERMINAL:
+                    # settled, terminal event persisted: new readers and
+                    # cancel() answer from the store, and streams already
+                    # attached keep their own reference to the job
+                    with self._lock:
+                        self._jobs.pop(job.run_id, None)
             finally:
                 self._queue.task_done()
 

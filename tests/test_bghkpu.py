@@ -165,6 +165,38 @@ class TestExactness:
         assert eng.events == 999
 
 
+class TestApplyDeltaLean:
+    """The lean delta apply writes ``Population.counts`` directly."""
+
+    def engine(self, n=100):
+        protocol, schema = leader_fight()
+        pop = leader_population(schema, n)
+        eng = make_engine(
+            protocol, pop, engine="bghkpu", rng=np.random.default_rng(0)
+        )
+        return eng, pop
+
+    def test_moves_conserve_n_and_drop_drained_states(self):
+        eng, pop = self.engine()
+        leader = eng.table.state_index(next(iter(pop.counts)))
+        follower = 1 - leader  # the closure is {L, F}
+        for moved, left in ((30, 70), (70, 0)):
+            delta = np.zeros(eng.table.num_states, dtype=np.int64)
+            delta[leader], delta[follower] = -moved, moved
+            eng._apply_delta_lean(delta)
+            assert pop.n == 100 and pop.count(V("L")) == left
+        assert int(eng.table.codes[leader]) not in pop.counts
+        assert eng._full_c[leader] == 0.0
+
+    def test_underflow_raises(self):
+        eng, pop = self.engine()
+        leader = eng.table.state_index(next(iter(pop.counts)))
+        delta = np.zeros(eng.table.num_states, dtype=np.int64)
+        delta[leader], delta[1 - leader] = -101, 101
+        with pytest.raises(ValueError, match="cannot remove 101 agents"):
+            eng._apply_delta_lean(delta)
+
+
 class TestObserverGrid:
     def test_grid_matches_batch_engine(self):
         protocol, schema = leader_fight()

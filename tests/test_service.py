@@ -22,6 +22,7 @@ from repro.obs import replay_replica, resume_sweep
 from repro.service import ServiceApp, SubmitRequest
 from repro.service.schema import ServiceError
 from repro.service import sandbox as sandbox_module
+from repro.service.jobs import Job
 from repro.service.store import RunStore
 
 
@@ -364,6 +365,62 @@ class TestBackpressure:
             for accepted in (first, second):
                 final = wait_state(port, accepted["run_id"], {"done"})
                 assert final["done"] == 3
+        finally:
+            gate.set()
+            handle.stop()
+
+
+class TestSettledJobs:
+    def test_settled_jobs_leave_the_queue_and_replay_from_the_store(
+        self, tmp_path, monkeypatch, gated_run_replicas
+    ):
+        """A settled job is dropped from the queue's table; its events,
+        read back from ``events.jsonl`` at any cursor, are exactly what
+        a live stream returned, and cancel answers from the store."""
+        gate, entered = gated_run_replicas
+        attached = []
+        wait_events = Job.wait_events
+
+        def spy(job, start, timeout=10.0):
+            attached.append(job.run_id)
+            return wait_events(job, start, timeout)
+
+        monkeypatch.setattr(Job, "wait_events", spy)
+        app = ServiceApp(str(tmp_path / "runs"), workers=1, capacity=4)
+        handle = app.start_background()
+        try:
+            port = handle.port
+            live = {}
+            for _ in range(3):
+                gate.clear()
+                entered.clear()
+                _, _, accepted = call_json(port, "POST", "/runs", SUBMIT)
+                run_id = accepted["run_id"]
+                assert entered.wait(30.0)  # running, held at the gate
+                reader = threading.Thread(
+                    target=lambda: live.setdefault(
+                        run_id, stream_events(port, run_id)
+                    )
+                )
+                reader.start()
+                deadline = time.monotonic() + 30.0
+                while run_id not in attached and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert run_id in attached  # the stream follows the live job
+                gate.set()
+                reader.join(60.0)
+                assert live[run_id][-1]["state"] == "done"
+            deadline = time.monotonic() + 30.0
+            while app.jobs._jobs and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert app.jobs._jobs == {}
+            for run_id, events in live.items():
+                for k in range(len(events) + 1):
+                    assert stream_events(port, run_id, start=k) == events[k:]
+                status, _, payload = call_json(
+                    port, "POST", "/runs/{}/cancel".format(run_id)
+                )
+                assert status == 200 and payload["state"] == "done"
         finally:
             gate.set()
             handle.stop()
