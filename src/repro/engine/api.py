@@ -51,6 +51,8 @@ cross-engine round counts differ by a factor of about two (see
 from __future__ import annotations
 
 import abc
+import copy
+import math
 import time
 from typing import Callable, Dict, Optional
 
@@ -61,6 +63,9 @@ from ..core.protocol import Protocol
 
 Observer = Callable[[float, Population], None]
 StopCondition = Callable[[Population], bool]
+
+#: Largest batch ever attempted (keeps binomial/multinomial draws in int64).
+MAX_BATCH = 2 ** 62
 
 
 class _StopRecorder:
@@ -291,6 +296,12 @@ class Engine(abc.ABC):
         wrapped in a recorder so :attr:`stop_verdict` afterwards holds the
         engine's own final evaluation — callers must reuse it instead of
         re-evaluating a (possibly stateful) predicate.
+
+        The count engines also take ``max_events``: the run stops at the
+        first step that brings its effective events to at least
+        ``max_events``, and no batch is planned to fire more than the
+        events left in expectation (its interactions are capped at
+        ``left / p̄``), so the last few events step exactly.
         """
         recorder = _StopRecorder(stop) if stop is not None else None
         self.stop_verdict = None
@@ -359,3 +370,110 @@ def require_budget(
         raise ValueError(
             "give a rounds/interactions budget or a stop condition"
         )
+
+
+def _never(population: Population) -> bool:
+    """The stop of a run without one."""
+    return False
+
+
+class Horizon:
+    """One ``run()`` call's budget, observer grid, event cap and stop.
+
+    Built once per run from the ``run()`` arguments and the interaction
+    count ``now`` at its start, so a budget, a grid point and an event cap
+    mean the same on every engine (``docs/ENGINES.md``, "The run
+    contract").  The grid's first point is the first multiple of
+    ``observe_every`` rounds at or after ``now``.
+    """
+
+    __slots__ = (
+        "n", "budget", "target", "max_events", "events", "halted",
+        "observer", "step", "next_observation",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        now: int,
+        rounds: Optional[float] = None,
+        interactions: Optional[int] = None,
+        stop: Optional[StopCondition] = None,
+        max_events: Optional[int] = None,
+        observer: Optional[Observer] = None,
+        observe_every: float = 1.0,
+    ):
+        require_budget(rounds, interactions, stop, max_events)
+        budget: Optional[int] = None
+        if interactions is not None:
+            budget = int(interactions)
+        if rounds is not None:
+            by_rounds = int(math.ceil(rounds * n))
+            budget = by_rounds if budget is None else min(budget, by_rounds)
+        self.n = n
+        self.budget = budget  # interactions, relative to the start
+        self.target: Optional[int] = None if budget is None else now + budget
+        self.max_events = max_events
+        self.events = 0
+        #: ``halted(population)``: the run's ``stop``, or never without one
+        self.halted: StopCondition = stop if stop is not None else _never
+        self.observer = observer
+        self.step = max(int(round(observe_every * n)), 1)
+        self.next_observation: Optional[int] = None
+        if observer is not None:
+            self.next_observation = ((now + self.step - 1) // self.step) * self.step
+
+    def at(self, now: int) -> "Horizon":
+        """The same budget and event cap anchored at ``now``, with its own
+        event tally and no stop or observer (an ensemble row's horizon)."""
+        row = copy.copy(self)
+        row.target = None if self.budget is None else now + self.budget
+        row.events = 0
+        row.halted = _never
+        row.observer = None
+        row.next_observation = None
+        return row
+
+    def open(self, now: int) -> bool:
+        """Whether the run may take another step at interaction ``now``."""
+        if self.target is not None and now >= self.target:
+            return False
+        return self.max_events is None or self.events < self.max_events
+
+    def events_left(self) -> float:
+        """Events the run may still fire (``inf`` without ``max_events``)."""
+        if self.max_events is None:
+            return math.inf
+        return self.max_events - self.events
+
+    def clamp(self, batch: int, now: int, p: Optional[float] = None) -> int:
+        """Cap a batch planned at ``now`` at :data:`MAX_BATCH`, the target,
+        the next grid point and, with ``max_events``, ``left / p``
+        interactions (``p`` the change probability).  May return < 1."""
+        if batch > MAX_BATCH:
+            batch = MAX_BATCH
+        if self.target is not None and batch > self.target - now:
+            batch = self.target - now
+        if self.next_observation is not None:
+            batch = min(batch, self.next_observation - now)
+        if self.max_events is not None:
+            batch = min(batch, int((self.max_events - self.events) / p))
+        return batch
+
+    def fast_forward(self, now: int) -> int:
+        """Where a silent run ends: the target, or ``now`` without one."""
+        return now if self.target is None else self.target
+
+    def due(self, now: int) -> bool:
+        """Whether a grid point at or before ``now`` awaits observation."""
+        return self.next_observation is not None and self.next_observation <= now
+
+    def emit_up_to(self, limit: int, population: Population) -> None:
+        """Observe ``population`` at every grid point up to ``limit``."""
+        nxt = self.next_observation
+        if nxt is None or nxt > limit:
+            return
+        while nxt <= limit:
+            self.observer(nxt / self.n, population)
+            nxt += self.step
+        self.next_observation = nxt

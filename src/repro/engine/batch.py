@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core.population import Population
 from ..core.protocol import Protocol
-from .api import Engine, Observer, StopCondition, require_budget
+from .api import Engine, Horizon, Observer, StopCondition
 from .table import LazyTable, TransitionTable
 
 
@@ -127,34 +127,28 @@ class ArrayEngine(Engine):
         ``stop`` is an early-exit predicate on the population; because
         materializing a :class:`Population` from the agent array costs
         O(n), it is only evaluated every ``stop_every`` parallel rounds.
+        Observations fall on the :class:`~repro.engine.api.Horizon` grid,
+        each showing the configuration at its time, as on the count
+        engines.
         """
-        target: Optional[int] = None
-        if interactions is not None:
-            target = self.interactions + int(interactions)
-        if rounds is not None:
-            by_rounds = self.interactions + int(math.ceil(rounds * self._n))
-            target = by_rounds if target is None else min(target, by_rounds)
-        require_budget(rounds, interactions, stop)
-
-        step = max(int(round(observe_every * self._n)), 1)
-        next_observation = ((self.interactions + step - 1) // step) * step
+        h = Horizon(
+            self._n, self.interactions, rounds, interactions, stop,
+            observer=observer, observe_every=observe_every,
+        )
         stop_step = max(int(round(stop_every * self._n)), 1)
         next_stop_check = self.interactions + stop_step
 
-        while target is None or self.interactions < target:
-            limit = self.batch_pairs
-            if target is not None:
-                limit = min(limit, target - self.interactions)
-            if observer is not None:
-                limit = min(limit, max(next_observation - self.interactions, 1))
+        while h.open(self.interactions):
+            if h.due(self.interactions):
+                h.emit_up_to(self.interactions, self.population)
+            limit = h.clamp(self.batch_pairs, self.interactions)
             if stop is not None:
                 limit = min(limit, max(next_stop_check - self.interactions, 1))
             self._consume_prefix(limit)
-            if observer is not None and self.interactions >= next_observation:
-                observer(self.rounds, self.population)
-                next_observation += step
             if stop is not None and self.interactions >= next_stop_check:
                 next_stop_check = self.interactions + stop_step
-                if stop(self.population):
+                if h.halted(self.population):
                     break
+        if h.due(self.interactions):
+            h.emit_up_to(self.interactions, self.population)
         return self

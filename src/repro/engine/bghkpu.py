@@ -50,13 +50,19 @@ select the engine by it:
    events join the colliding tail redrawn against fresh counts
    (``repair_events``).
 
-Unlike the parent engine, applying a batch never touches the per-support
-``_c``/``_v`` bookkeeping of :class:`~repro.engine.sequential.CountEngine`
-— deltas land directly on the compiled count vector and the population
-dict, and the exact-path state is rebuilt lazily only when the engine
-actually delegates (tiny initial active set, forced ``batch=1``, or an
-open table — a reachable closure too large to compile, or one passed as
-``table=`` — all of which fall back to ``BatchCountEngine`` wholesale).
+The engine runs on :class:`~repro.engine.sequential.CountEngine`'s run
+loop, which owns the budget, the observer grid and ``max_events`` through
+the run's :class:`~repro.engine.api.Horizon`; it contributes one step,
+:meth:`BGHKPUEngine._epoch_step` (items 2–5; the degenerate epoch and the
+lean sparse event stay inside it and take their clamps from the
+horizon).  The step is picked once per run: an open table (a reachable
+closure too large to compile, or one passed as ``table=``), forced
+``batch=1`` or an active set too small to batch at the start of the run
+take ``BatchCountEngine``'s step for the whole run instead.  Unlike that
+step, the epoch step never touches the per-support ``_c``/``_v``
+bookkeeping of ``CountEngine`` — deltas land directly on the compiled
+count vector and the population dict, and the exact-path state is
+rebuilt lazily only when a run takes the parent's step.
 
 Distributional correctness is gated by the same KS-equivalence suites as
 the parent (E1/E3 observer grids, pooled ``ks_2samp`` vs ``batch``);
@@ -66,17 +72,16 @@ leader fight at n = 10⁸ (``BENCH_bghkpu.json``, ≥5x target).
 
 from __future__ import annotations
 
-import math
 import time
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from ..core.population import Population
 from ..core.protocol import Protocol
 from .alias import ActivePairSampler
-from .api import Observer, StopCondition, require_budget
-from .jump import MAX_BATCH, MIN_BATCH_EVENTS, BatchCountEngine
+from .api import Horizon
+from .jump import MIN_BATCH_EVENTS, BatchCountEngine
 from .silence import silent_weight
 from .table import TransitionTable
 
@@ -352,27 +357,18 @@ class BGHKPUEngine(BatchCountEngine):
             )
         return delta, events - excess, excess
 
-    # -- main loop -------------------------------------------------------------
-    def _run(
-        self,
-        rounds: Optional[float] = None,
-        interactions: Optional[int] = None,
-        stop: Optional[StopCondition] = None,
-        observer: Optional[Observer] = None,
-        observe_every: float = 1.0,
-        max_events: Optional[int] = None,
-    ) -> "BGHKPUEngine":
-        """Advance the simulation (same contract as :meth:`CountEngine.run`)."""
+    # -- the run's step ---------------------------------------------------------
+    def _pick_step(self) -> Callable[[Horizon], bool]:
+        """The epoch step, or the parent's step where it fits better.
+
+        An open table (a closure too large to compile, or one passed in)
+        and forced exact stepping (``batch=1``) take the parent's step, as
+        does an active set too small to batch at the start of the run,
+        where the exact path is both faster and exact.
+        """
         self._sync_exact()
         if not self.table.closed or self.batch == 1:
-            # an open table (closure too large to compile, or one passed
-            # in) or forced exact stepping: the parent engine covers both.
-            return super()._run(
-                rounds=rounds, interactions=interactions, stop=stop,
-                observer=observer, observe_every=observe_every,
-                max_events=max_events,
-            )
-
+            return super()._pick_step()
         sampler = self._sampler
         if sampler is None:
             sampler = self._sampler = ActivePairSampler(
@@ -382,338 +378,292 @@ class BGHKPUEngine(BatchCountEngine):
         if self._need_rebuild or sampler.act is None or sampler.stale(self._full_c):
             sampler.rebuild(self._full_c)
             self._need_rebuild = False
-
         if self.batch is None and sampler.total > 0.0:
             f_cap = 0.5 * sampler.cap_events
             if sampler.gamma > 0.0:
                 f_cap = min(f_cap, self.COLLISION_FRAC / sampler.gamma)
             if f_cap < 2.0:
-                # tiny active set end to end: the parent's exact path is
-                # both faster and exact in this regime.
-                return super()._run(
-                    rounds=rounds, interactions=interactions, stop=stop,
-                    observer=observer, observe_every=observe_every,
-                    max_events=max_events,
-                )
+                return super()._pick_step()
+        return self._epoch_step
 
-        n = self.n
-        pairs_total = float(n) * float(n - 1)
-        target: Optional[int] = None
-        if interactions is not None:
-            target = self.interactions + int(interactions)
-        if rounds is not None:
-            by_rounds = self.interactions + int(math.ceil(rounds * n))
-            target = by_rounds if target is None else min(target, by_rounds)
-        require_budget(rounds, interactions, stop, max_events)
+    def _epoch_step(self, h: Horizon) -> bool:
+        """One step on the current epoch; ``False`` ends the run.
 
-        step = max(int(round(observe_every * n)), 1)
-        next_observation: Optional[int] = None
-        if observer is not None:
-            next_observation = ((self.interactions + step - 1) // step) * step
-
-        def emit_up_to(limit: int) -> None:
-            nonlocal next_observation
-            if observer is None or next_observation is None:
-                return
-            while next_observation <= limit:
-                observer(next_observation / n, self._population)
-                next_observation += step
-
+        The epoch is re-frozen first if the active set changed or the
+        counts drifted.  A degenerate epoch runs :meth:`_one_pair_steps`;
+        otherwise the step is one batch, or one lean exact-gap event when
+        the batch would hold fewer than :data:`MIN_BATCH_EVENTS` events.
+        """
+        sampler = self._sampler
         full_c = self._full_c
         pop = self._population
         rng = self.rng
-        events_done = 0
+        h.emit_up_to(self.interactions, pop)
 
-        while True:
-            if target is not None and self.interactions >= target:
-                break
-            if max_events is not None and events_done >= max_events:
-                break
-            if next_observation is not None and next_observation <= self.interactions:
-                emit_up_to(self.interactions)
+        kernel_start = time.perf_counter()
+        if self._need_rebuild:
+            sampler.rebuild(full_c)
+            self._need_rebuild = False
+        elif sampler.stale(full_c):
+            sampler.refresh(full_c)
 
-            kernel_start = time.perf_counter()
-            if self._need_rebuild:
-                sampler.rebuild(full_c)
-                self._need_rebuild = False
-            elif sampler.stale(full_c):
-                sampler.refresh(full_c)
-
-            if (
-                sampler.cells_nz is not None
-                and self.guards is None
-                and self.batch is None
-            ):
-                # Degenerate epoch: one live ordered pair (the endgame of
-                # most workloads, and the leader fight end to end).  When
-                # its outcome is deterministic the epoch machinery is pure
-                # overhead — step it on exact scalar weights instead: no
-                # freezing, no arrays, and strictly *better* fidelity,
-                # since every batch and every sparse gap is sized from the
-                # true current counts.
-                ct = self.table
-                act = sampler.act
-                a = len(act)
-                cell = int(sampler.cells_nz[0])
-                gi = int(act[cell // a])
-                gj = int(act[cell % a])
-                pc = float(sampler.psub[cell // a, cell % a])
-                flat = gi * ct.num_states + gj
-                s = int(ct.off[flat])
-                if (
-                    int(ct.off[flat + 1]) == s + 1
-                    and float(ct.out_p[s]) > 0.0
-                    and pc > 0.0
-                ):
-                    oa = int(ct.out_a[s])
-                    ob = int(ct.out_b[s])
-                    # one firing's net change per state, L + L -> L + F
-                    # being L -1, F +1; the first firing that creates a
-                    # support state ends the epoch, so whether it does is
-                    # fixed until then
-                    net: Dict[int, int] = {}
-                    for k, d in ((gi, -1), (gj, -1), (oa, 1), (ob, 1)):
-                        net[k] = net.get(k, 0) + d
-                    moves = [
-                        (k, int(ct.codes[k]), d) for k, d in net.items() if d
-                    ]
-                    creates = (
-                        full_c[oa] == 0.0 and oa != gi and oa != gj
-                    ) or (full_c[ob] == 0.0 and ob != gi and ob != gj)
-                    same = gi == gj
-                    cf = self.COLLISION_FRAC
-                    min_ev = MIN_BATCH_EVENTS
-                    stop_now = False
-                    while True:
-                        ci = float(full_c[gi])
-                        cj = float(full_c[gj])
-                        wgt = ci * ((cj - 1.0) if same else cj) * pc
-                        if silent_weight(wgt):
-                            self._need_rebuild = True  # cell drained
-                            break
-                        # wgt > 0 means the pair is live no matter how small
-                        # p gets (6e-16 at 3 leaders, n = 1e8); the geometric
-                        # gap below steps such endgames exactly in O(1), so
-                        # no absolute floor on p is needed or wanted.
-                        p = wgt / pairs_total
-                        if target is not None and self.interactions >= target:
-                            break
-                        if max_events is not None and events_done >= max_events:
-                            break
-                        if same:
-                            half_cap = 0.25 * ci  # ½ · c_i/μ_i with μ = 2
-                            gamma = 2.0 / ci
-                        else:
-                            half_cap = 0.5 * min(ci, cj)  # μ_i = μ_j = 1
-                            gamma = 0.5 / ci + 0.5 / cj
-                        f_cap = min(half_cap, cf / gamma)
-                        if f_cap < min_ev:
-                            # sparse: one exact-gap event
-                            gap = int(rng.geometric(p if p < 1.0 else 1.0))
-                            event_at = self.interactions + gap
-                            if target is not None and event_at > target:
-                                self.interactions = target
-                                break
-                            emit_up_to(event_at - 1)
-                            self.interactions = event_at
-                            fired = 1
-                        else:
-                            batch = int(f_cap / p)
-                            if batch > MAX_BATCH:
-                                batch = MAX_BATCH
-                            if target is not None:
-                                batch = min(batch, target - self.interactions)
-                            if next_observation is not None:
-                                batch = min(
-                                    batch, next_observation - self.interactions
-                                )
-                            if batch < 1:
-                                batch = 1
-                            fired = int(
-                                rng.binomial(batch, p if p < 1.0 else 1.0)
-                            )
-                            limit = int(ci) // 2 if same else int(min(ci, cj))
-                            if fired > limit:
-                                fired = limit
-                            self.interactions += batch
-                            self.batches += 1
-                            self._active_count += 1
-                            self._active_pairs_sum += 1
-                            if self._active_pairs_max < 1:
-                                self._active_pairs_max = 1
-                            self._active_states_last = a
-                            if fired > 1:
-                                # picks colliding per the birthday bound;
-                                # resolution is outcome-identity here
-                                self.collision_events += min(
-                                    fired, int(gamma * fired * fired + 0.5)
-                                )
-                        if fired:
-                            for k, code, d in moves:
-                                full_c[k] += d * fired
-                                if d > 0:
-                                    pop.add(code, d * fired)
-                                else:
-                                    pop.remove(code, -d * fired)
-                            self._support_stale = True
-                            self.events += fired
-                            events_done += fired
-                        emit_up_to(self.interactions)
-                        if stop is not None and stop(pop):
-                            stop_now = True
-                            break
-                        if fired and creates:
-                            self._need_rebuild = True
-                            break
-                    self.kernel_seconds += time.perf_counter() - kernel_start
-                    if stop_now:
-                        break
-                    continue
-
-            p_change = sampler.total / pairs_total
-            if silent_weight(sampler.total):
-                # The sampler total is summed fresh from the counts, so
-                # exact zero <=> silence at any scale; a tiny positive
-                # p_change is handled by the geometric endgame instead.
-                # Silent configuration: fast-forward to the budget
+        if sampler.cells_nz is not None and self.guards is None and self.batch is None:
+            go_on = self._one_pair_steps(h)
+            if go_on is not None:
                 self.kernel_seconds += time.perf_counter() - kernel_start
-                if target is not None:
-                    self.interactions = target
-                break
-            if self.guards is not None:
-                self.guards.check_weights(
-                    self, sampler.w, codes=self.table.codes[sampler.act]
-                )
+                return go_on
 
-            gamma = sampler.gamma
-            f_cap = 0.5 * sampler.cap_events
+        p_change = sampler.total / (float(h.n) * float(h.n - 1))
+        if silent_weight(sampler.total):
+            # The sampler total is summed fresh from the counts, so exact
+            # zero <=> silence at any scale; a tiny positive p_change is
+            # handled by the geometric endgame instead.
+            self.kernel_seconds += time.perf_counter() - kernel_start
+            self.interactions = h.fast_forward(self.interactions)
+            return False
+        if self.guards is not None:
+            self.guards.check_weights(
+                self, sampler.w, codes=self.table.codes[sampler.act]
+            )
+
+        gamma = sampler.gamma
+        f_cap = 0.5 * sampler.cap_events
+        if gamma > 0.0:
+            f_cap = min(f_cap, self.COLLISION_FRAC / gamma)
+        autotuned = self.batch is None and f_cap >= MIN_BATCH_EVENTS
+        if autotuned:
+            # feedback-scaled cap: observed batch outcomes move the
+            # multiplier past the feasibility half-cap (repair keeps
+            # scarce-state overdraws safe), but never past the collision
+            # bound — that is the fidelity wall.
+            scaled = f_cap * self._tune_scale
             if gamma > 0.0:
-                f_cap = min(f_cap, self.COLLISION_FRAC / gamma)
-            autotuned = self.batch is None and f_cap >= MIN_BATCH_EVENTS
-            if autotuned:
-                # feedback-scaled cap: observed batch outcomes move the
-                # multiplier past the feasibility half-cap (repair keeps
-                # scarce-state overdraws safe), but never past the
-                # collision bound — that is the fidelity wall.
-                scaled = f_cap * self._tune_scale
-                if gamma > 0.0:
-                    coll_bound = self.COLLISION_FRAC / gamma
-                    if scaled > coll_bound:
-                        scaled = coll_bound
-                if scaled < MIN_BATCH_EVENTS:
-                    scaled = MIN_BATCH_EVENTS
-                f_cap = scaled
+                coll_bound = self.COLLISION_FRAC / gamma
+                if scaled > coll_bound:
+                    scaled = coll_bound
+            if scaled < MIN_BATCH_EVENTS:
+                scaled = MIN_BATCH_EVENTS
+            f_cap = scaled
+        f_cap = min(f_cap, h.events_left())
 
-            if self.batch is None and f_cap < MIN_BATCH_EVENTS:
-                # sparse regime: one exact-gap event on the lean machinery
-                # (geometric gap in the frozen p̄, so endgame convergence
-                # times are not quantized to batch boundaries)
-                gap = int(rng.geometric(min(p_change, 1.0)))
-                event_at = self.interactions + gap
-                if target is not None and event_at > target:
-                    self.interactions = target
-                    self.kernel_seconds += time.perf_counter() - kernel_start
-                    break
-                emit_up_to(event_at - 1)
-                self.interactions = event_at
-                delta, applied, _ = self._feasible_delta(1)
-                if delta is not None:
-                    self._apply_delta_lean(delta)
-                self.events += applied
-                events_done += applied
+        if self.batch is None and f_cap < MIN_BATCH_EVENTS:
+            # sparse regime: one exact-gap event on the lean machinery
+            # (geometric gap in the frozen p̄, so endgame convergence times
+            # are not quantized to batch boundaries)
+            gap = int(rng.geometric(min(p_change, 1.0)))
+            event_at = self.interactions + gap
+            if h.target is not None and event_at > h.target:
+                self.interactions = h.target
                 self.kernel_seconds += time.perf_counter() - kernel_start
-                if self.guards is not None:
-                    self.guards.after_batch(self)
-                if stop is not None and stop(self._population):
-                    break
-                continue
-
-            batch = self.batch if self.batch is not None else int(f_cap / p_change)
-            batch = min(batch, MAX_BATCH)
-            if target is not None:
-                batch = min(batch, target - self.interactions)
-            if next_observation is not None:
-                batch = min(batch, next_observation - self.interactions)
-            if batch < 1:
-                batch = 1
-            if self.guards is not None:
-                self.guards.check_batch(self, batch)
-
-            fired = int(rng.binomial(batch, min(p_change, 1.0)))
-            applied = 0
-            fallbacks_before = self.fallbacks
-            repaired = 0
-            if fired:
-                # colliding tail per the birthday bound: resolved against
-                # fresh counts after the main split lands
-                tail = 0
-                if gamma > 0.0 and fired > 1:
-                    tail = min(fired, int(gamma * fired * fired + 0.5))
-                main = fired - tail
-                if main > 0:
-                    delta, done, excess = self._feasible_delta(
-                        main, repair=autotuned
-                    )
-                    if delta is not None:
-                        self._apply_delta_lean(delta)
-                        applied += done
-                        if excess:
-                            # clamped overdraw joins the fresh-count tail
-                            repaired += excess
-                            tail += excess
-                if tail > 0:
-                    left = tail
-                    tries = 4
-                    while left > 0 and tries:
-                        tries -= 1
-                        sampler.refresh(full_c)
-                        if sampler.total <= 0.0:
-                            break
-                        delta, done, excess = self._feasible_delta(
-                            left, repair=autotuned
-                        )
-                        if delta is None:
-                            break
-                        self._apply_delta_lean(delta)
-                        applied += done
-                        self.collision_events += done
-                        repaired += excess
-                        # halving/clamp leftovers retry against refreshed
-                        # counts a few times, then drop — the frozen p̄
-                        # overestimates the drained weight by at least as
-                        # much (KS-gated)
-                        left -= done
-                if repaired:
-                    self.repair_events += repaired
-
-            self.interactions += batch
+                return False
+            h.emit_up_to(event_at - 1, pop)
+            self.interactions = event_at
+            delta, applied, _ = self._feasible_delta(1)
+            if delta is not None:
+                self._apply_delta_lean(delta)
             self.events += applied
-            events_done += applied
-            self.batches += 1
-            self._active_count += 1
-            cells = sampler.active_cells
-            self._active_pairs_sum += cells
-            if cells > self._active_pairs_max:
-                self._active_pairs_max = cells
-            self._active_states_last = len(sampler.act)
-            if autotuned:
-                # feedback: a clean batch earns a longer epoch next time;
-                # an infeasible draw or a repair burst means the frozen
-                # weights overreached — back off fast
-                burst = repaired > max(8.0, 1e-3 * fired)
-                if self.fallbacks > fallbacks_before or burst:
-                    self._tune_scale = max(
-                        self._AUTOTUNE_SCALE_MIN, self._tune_scale * 0.5
-                    )
-                elif self._tune_scale < self._AUTOTUNE_SCALE_MAX:
-                    self._tune_scale = min(
-                        self._AUTOTUNE_SCALE_MAX, self._tune_scale * 1.2
-                    )
+            h.events += applied
             self.kernel_seconds += time.perf_counter() - kernel_start
             if self.guards is not None:
                 self.guards.after_batch(self)
-            emit_up_to(self.interactions)
-            if stop is not None and stop(self._population):
-                break
-        emit_up_to(self.interactions)
-        return self
+            return not h.halted(pop)
+
+        batch = self.batch if self.batch is not None else int(f_cap / p_change)
+        batch = h.clamp(batch, self.interactions, p_change)
+        if batch < 1:
+            batch = 1
+        if self.guards is not None:
+            self.guards.check_batch(self, batch)
+
+        fired = int(rng.binomial(batch, min(p_change, 1.0)))
+        applied = 0
+        fallbacks_before = self.fallbacks
+        repaired = 0
+        if fired:
+            # colliding tail per the birthday bound: resolved against
+            # fresh counts after the main split lands
+            tail = 0
+            if gamma > 0.0 and fired > 1:
+                tail = min(fired, int(gamma * fired * fired + 0.5))
+            main = fired - tail
+            if main > 0:
+                delta, done, excess = self._feasible_delta(main, repair=autotuned)
+                if delta is not None:
+                    self._apply_delta_lean(delta)
+                    applied += done
+                    if excess:
+                        # clamped overdraw joins the fresh-count tail
+                        repaired += excess
+                        tail += excess
+            if tail > 0:
+                left = tail
+                tries = 4
+                while left > 0 and tries:
+                    tries -= 1
+                    sampler.refresh(full_c)
+                    if sampler.total <= 0.0:
+                        break
+                    delta, done, excess = self._feasible_delta(
+                        left, repair=autotuned
+                    )
+                    if delta is None:
+                        break
+                    self._apply_delta_lean(delta)
+                    applied += done
+                    self.collision_events += done
+                    repaired += excess
+                    # halving/clamp leftovers retry against refreshed
+                    # counts a few times, then drop — the frozen p̄
+                    # overestimates the drained weight by at least as much
+                    # (KS-gated)
+                    left -= done
+            if repaired:
+                self.repair_events += repaired
+
+        self.interactions += batch
+        self.events += applied
+        h.events += applied
+        self.batches += 1
+        self._active_count += 1
+        cells = sampler.active_cells
+        self._active_pairs_sum += cells
+        if cells > self._active_pairs_max:
+            self._active_pairs_max = cells
+        self._active_states_last = len(sampler.act)
+        if autotuned:
+            # feedback: a clean batch earns a longer epoch next time; an
+            # infeasible draw or a repair burst means the frozen weights
+            # overreached — back off fast
+            burst = repaired > max(8.0, 1e-3 * fired)
+            if self.fallbacks > fallbacks_before or burst:
+                self._tune_scale = max(
+                    self._AUTOTUNE_SCALE_MIN, self._tune_scale * 0.5
+                )
+            elif self._tune_scale < self._AUTOTUNE_SCALE_MAX:
+                self._tune_scale = min(
+                    self._AUTOTUNE_SCALE_MAX, self._tune_scale * 1.2
+                )
+        self.kernel_seconds += time.perf_counter() - kernel_start
+        if self.guards is not None:
+            self.guards.after_batch(self)
+        h.emit_up_to(self.interactions, pop)
+        return not h.halted(pop)
+
+    def _one_pair_steps(self, h: Horizon) -> Optional[bool]:
+        """Step a degenerate epoch on exact scalar weights.
+
+        A degenerate epoch has one live ordered pair (the endgame of most
+        workloads, and the leader fight end to end).  When its outcome is
+        deterministic the epoch machinery is pure overhead, so this steps
+        it without freezing or arrays — and with strictly *better*
+        fidelity, since every batch and every sparse gap is sized from the
+        true current counts.  It runs until the pair drains, a firing
+        creates a state, the horizon closes or ``stop`` holds, and returns
+        whether the run goes on; ``None`` (nothing stepped) when the
+        pair's outcome is random.
+        """
+        sampler = self._sampler
+        ct = self.table
+        act = sampler.act
+        a = len(act)
+        cell = int(sampler.cells_nz[0])
+        gi = int(act[cell // a])
+        gj = int(act[cell % a])
+        pc = float(sampler.psub[cell // a, cell % a])
+        flat = gi * ct.num_states + gj
+        s = int(ct.off[flat])
+        if not (
+            int(ct.off[flat + 1]) == s + 1 and float(ct.out_p[s]) > 0.0 and pc > 0.0
+        ):
+            return None
+        full_c = self._full_c
+        pop = self._population
+        rng = self.rng
+        pairs_total = float(h.n) * float(h.n - 1)
+        oa = int(ct.out_a[s])
+        ob = int(ct.out_b[s])
+        # one firing's net change per state, L + L -> L + F being L -1,
+        # F +1; the first firing that creates a support state ends the
+        # epoch, so whether it does is fixed until then
+        net: Dict[int, int] = {}
+        for k, d in ((gi, -1), (gj, -1), (oa, 1), (ob, 1)):
+            net[k] = net.get(k, 0) + d
+        moves = [(k, int(ct.codes[k]), d) for k, d in net.items() if d]
+        creates = (
+            full_c[oa] == 0.0 and oa != gi and oa != gj
+        ) or (full_c[ob] == 0.0 and ob != gi and ob != gj)
+        same = gi == gj
+        cf = self.COLLISION_FRAC
+        min_ev = MIN_BATCH_EVENTS
+        is_open, emit, halted = h.open, h.emit_up_to, h.halted
+        capped = h.max_events is not None
+        while True:
+            ci = float(full_c[gi])
+            cj = float(full_c[gj])
+            wgt = ci * ((cj - 1.0) if same else cj) * pc
+            if silent_weight(wgt):
+                self._need_rebuild = True  # cell drained
+                return True
+            # wgt > 0 means the pair is live no matter how small p gets
+            # (6e-16 at 3 leaders, n = 1e8); the geometric gap below steps
+            # such endgames exactly in O(1), so no absolute floor on p is
+            # needed or wanted.
+            p = wgt / pairs_total
+            if not is_open(self.interactions):
+                return True
+            if same:
+                half_cap = 0.25 * ci  # ½ · c_i/μ_i with μ = 2
+                gamma = 2.0 / ci
+            else:
+                half_cap = 0.5 * min(ci, cj)  # μ_i = μ_j = 1
+                gamma = 0.5 / ci + 0.5 / cj
+            f_cap = min(half_cap, cf / gamma)
+            if capped:
+                f_cap = min(f_cap, h.events_left())
+            if f_cap < min_ev:
+                # sparse: one exact-gap event
+                gap = int(rng.geometric(p if p < 1.0 else 1.0))
+                event_at = self.interactions + gap
+                if h.target is not None and event_at > h.target:
+                    self.interactions = h.target
+                    return True
+                emit(event_at - 1, pop)
+                self.interactions = event_at
+                fired = 1
+            else:
+                batch = h.clamp(int(f_cap / p), self.interactions, p)
+                if batch < 1:
+                    batch = 1
+                fired = int(rng.binomial(batch, p if p < 1.0 else 1.0))
+                limit = int(ci) // 2 if same else int(min(ci, cj))
+                if fired > limit:
+                    fired = limit
+                self.interactions += batch
+                self.batches += 1
+                self._active_count += 1
+                self._active_pairs_sum += 1
+                if self._active_pairs_max < 1:
+                    self._active_pairs_max = 1
+                self._active_states_last = a
+                if fired > 1:
+                    # picks colliding per the birthday bound; resolution
+                    # is outcome-identity here
+                    self.collision_events += min(
+                        fired, int(gamma * fired * fired + 0.5)
+                    )
+            if fired:
+                for k, code, d in moves:
+                    full_c[k] += d * fired
+                    if d > 0:
+                        pop.add(code, d * fired)
+                    else:
+                        pop.remove(code, -d * fired)
+                self._support_stale = True
+                self.events += fired
+                h.events += fired
+            emit(self.interactions, pop)
+            if halted(pop):
+                return False
+            if fired and creates:
+                self._need_rebuild = True
+                return True

@@ -48,7 +48,6 @@ shared across replicas under either runner.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import List, Optional, Sequence
 
@@ -56,15 +55,17 @@ import numpy as np
 
 from ..core.population import Population
 from ..core.protocol import Protocol
-from .api import Engine, EngineStats, Observer, StopCondition, _StopRecorder, require_budget
-from .compiled import TableSource, acquire_table
-from .jump import (
-    ACCURACY,
+from .api import (
     MAX_BATCH,
-    MIN_BATCH_EVENTS,
-    pair_weights,
-    split_outcomes_grouped,
+    Engine,
+    EngineStats,
+    Horizon,
+    Observer,
+    StopCondition,
+    _StopRecorder,
 )
+from .compiled import TableSource, acquire_table
+from .jump import ACCURACY, MIN_BATCH_EVENTS, pair_weights, split_outcomes_grouped
 from .sequential import CountEngine
 from .silence import silent_weight
 from .table import TransitionTable
@@ -309,40 +310,27 @@ class EnsembleEngine(Engine):
             row[idx] = count
         self._pop_stale[r] = False
 
-    def _exact_engine(self, r: int) -> CountEngine:
-        """Row ``r``'s private exact engine (rebuilt after stacked batches)."""
+    def _exact_event(self, r: int, h: Horizon) -> bool:
+        """One exact event on row ``r``: :meth:`CountEngine._exact_step`.
+
+        Steps the row's private engine (rebuilt after stacked batches)
+        under the row's horizon ``h``, which has no stop, so ``False``
+        means nothing fired: the budget ran out first or the row is silent.
+        """
         eng = self._row_eng[r]
         if eng is None:
             self._sync_pop(r)
-            eng = CountEngine(
+            eng = self._row_eng[r] = CountEngine(
                 self.protocol, self._pops[r],
                 rng=self._row_rngs[r], table=self.table, guards=None,
             )
-            self._row_eng[r] = eng
-        return eng
-
-    def _exact_event(self, r: int, target: Optional[int]) -> str:
-        """One exact effective event on row ``r`` via null skipping.
-
-        Returns ``"event"`` (fired), ``"budget"`` (budget exhausted before
-        the next event) or ``"silent"`` (no interaction can change state).
-        """
-        eng = self._exact_engine(r)
-        skip = eng._draw_event_gap()
-        if skip is None:
-            if target is not None:
-                self._row_interactions[r] = target
-            return "silent"
-        event_at = int(self._row_interactions[r]) + skip + 1
-        if target is not None and event_at > target:
-            self._row_interactions[r] = target
-            return "budget"
-        self._row_interactions[r] = event_at
-        eng._fire_event()
-        eng.interactions = event_at
-        self._row_events[r] += 1
-        self._refresh_row(r)
-        return "event"
+        eng.interactions = int(self._row_interactions[r])
+        fired = eng._exact_step(h)
+        self._row_interactions[r] = eng.interactions
+        if fired:
+            self._row_events[r] += 1
+            self._refresh_row(r)
+        return fired
 
     # -- run -----------------------------------------------------------------
     def run(
@@ -398,38 +386,34 @@ class EnsembleEngine(Engine):
                 "EnsembleEngine does not support observers; use a "
                 "per-replica engine for trace observation"
             )
-        require_budget(rounds, interactions, stop, max_events)
+        # one horizon per row: the run's budget and event cap, anchored
+        # at the row's own interaction count
+        n = self._n
+        base = Horizon(n, 0, rounds, interactions, stop, max_events)
         if isinstance(stop, _StopRecorder):
             stop = stop.stop  # rows keep their own verdicts
+        horizons = [base.at(int(t)) for t in self._row_interactions]
 
-        n = self._n
         pairs_total = float(n) * float(n - 1)
         ct = self.table
         q = ct.num_states
         R = self.rows
-
-        budget: Optional[int] = None
-        if interactions is not None:
-            budget = int(interactions)
-        if rounds is not None:
-            by_rounds = int(math.ceil(rounds * n))
-            budget = by_rounds if budget is None else min(budget, by_rounds)
         targets: Optional[np.ndarray] = None
-        if budget is not None:
-            targets = self._row_interactions + budget
+        if base.budget is not None:
+            targets = self._row_interactions + base.budget
 
         vstop: Optional[VectorizedStop] = None
         if stop is not None:
             vstop = VectorizedStop(stop, ct, self.protocol.schema)
-
-        events_done = np.zeros(R, dtype=np.int64)
 
         while True:
             live = ~self._row_done
             if targets is not None:
                 live &= self._row_interactions < targets
             if max_events is not None:
-                live &= events_done < max_events
+                live &= np.fromiter(
+                    (h.events < max_events for h in horizons), bool, R
+                )
             idx = np.nonzero(live)[0]
             if not len(idx):
                 break
@@ -438,14 +422,11 @@ class EnsembleEngine(Engine):
 
             if self.batch == 1:
                 # pure exact mode: every row steps one event per iteration
-                for r in idx:
-                    t = int(targets[r]) if targets is not None else None
-                    status = self._exact_event(int(r), t)
-                    if status == "event":
-                        events_done[r] += 1
-                        progressed.append(int(r))
-                    elif status == "silent" and targets is None:
-                        self._row_done[r] = True
+                for r in idx.tolist():
+                    if self._exact_event(r, horizons[r]):
+                        progressed.append(r)
+                    elif targets is None:
+                        self._row_done[r] = True  # silent
                 self._evaluate_stop(vstop, progressed)
                 continue
 
@@ -494,6 +475,10 @@ class EnsembleEngine(Engine):
                 cap = per_state.min(axis=1)
                 cap = np.where(np.isfinite(cap), cap, 0.0)
                 expected = cap * p_change
+                if max_events is not None:
+                    expected = np.minimum(
+                        expected, [horizons[r].events_left() for r in idx]
+                    )
                 batchable = alive & (expected >= MIN_BATCH_EVENTS)
                 exact_rows = alive & ~batchable
                 B[batchable] = np.minimum(cap[batchable], MAX_BATCH).astype(
@@ -502,6 +487,13 @@ class EnsembleEngine(Engine):
             if targets is not None:
                 room = targets[idx] - self._row_interactions[idx]
                 B = np.minimum(B, room)
+            if max_events is not None:
+                for l in np.nonzero(batchable)[0].tolist():
+                    r = int(idx[l])
+                    B[l] = horizons[r].clamp(
+                        int(B[l]), int(self._row_interactions[r]),
+                        float(p_change[l]),
+                    )
             too_small = batchable & (B < 1)
             if too_small.any():
                 batchable &= ~too_small
@@ -550,11 +542,11 @@ class EnsembleEngine(Engine):
                     self._C[gidx] += delta[good]
                     self._row_interactions[gidx] += B[gl]
                     self._row_events[gidx] += fired[good]
-                    events_done[gidx] += fired[good]
                     self._row_batches[gidx] += 1
                     self._pop_stale[gidx] = True
-                    for r in gidx:
-                        self._row_eng[int(r)] = None
+                    for r, f in zip(gidx.tolist(), fired[good].tolist()):
+                        self._row_eng[r] = None
+                        horizons[r].events += f
                     progressed.extend(int(r) for r in gidx)
                     if self.guards is not None:
                         self.guards.check_rows(
@@ -576,15 +568,11 @@ class EnsembleEngine(Engine):
                 )
 
             if exact_rows.any():
-                for l in np.nonzero(exact_rows)[0]:
-                    r = int(idx[l])
-                    t = int(targets[r]) if targets is not None else None
-                    status = self._exact_event(r, t)
-                    if status == "event":
-                        events_done[r] += 1
+                for r in idx[exact_rows].tolist():
+                    if self._exact_event(r, horizons[r]):
                         progressed.append(r)
-                    elif status == "silent" and targets is None:
-                        self._row_done[r] = True
+                    elif targets is None:
+                        self._row_done[r] = True  # silent
 
             self._evaluate_stop(vstop, progressed)
         return self

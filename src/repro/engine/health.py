@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 #: Largest batch the jump engine may feed a binomial/multinomial draw
-#: (mirrors :data:`repro.engine.jump.MAX_BATCH`; re-declared here to keep
+#: (mirrors :data:`repro.engine.api.MAX_BATCH`; re-declared here to keep
 #: the module dependency-free).
 INT64_HEADROOM = 2 ** 62
 

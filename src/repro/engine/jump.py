@@ -38,11 +38,14 @@ every event; :data:`ACCURACY` bounds the resulting within-batch drift
 (the per-state relative consumption, hence a per-batch total-variation
 distance of ``O(ACCURACY · E[F])`` against the exact process).
 
-Whenever batching is pointless (expected events per batch below
-:data:`MIN_BATCH_EVENTS`) or unsafe (a sampled batch would drive a count
-negative), the engine falls back to **exact** per-event stepping, reusing
-:class:`~repro.engine.sequential.CountEngine`'s geometric null-skipping.
-With ``batch=1`` the engine *only* uses that path and is therefore exactly
+The engine runs on :class:`~repro.engine.sequential.CountEngine`'s run
+loop and contributes one step, :meth:`BatchCountEngine._batch_step`: plan
+a batch clamped by the run's :class:`~repro.engine.api.Horizon`, or step
+one exact event.  Whenever batching is pointless (expected events per
+batch below :data:`MIN_BATCH_EVENTS`) or unsafe (a sampled batch would
+drive a count negative), the step is one **exact** event,
+:meth:`CountEngine._exact_step` with its geometric null-skipping.  With
+``batch=1`` the engine steps *only* exact events and is therefore exactly
 the sequential scheduler process — bit-identical to ``CountEngine`` with a
 ``LazyTable`` under the same seed, closed table or open (the equivalence
 suite in ``tests/test_jump_engine.py`` checks this).
@@ -50,22 +53,18 @@ suite in ``tests/test_jump_engine.py`` checks this).
 
 from __future__ import annotations
 
-import math
 import time
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ..core.population import Population
 from ..core.protocol import Protocol
-from .api import Observer, StopCondition, require_budget
+from .api import Horizon
 from .compiled import TableSource, acquire_table
 from .sequential import CountEngine
 from .silence import silent_weight
 from .table import LazyTable, TransitionTable
-
-#: Largest batch ever attempted (keeps binomial/multinomial draws in int64).
-MAX_BATCH = 2 ** 62
 
 #: Within-batch drift budget: the expected events *consuming each state*
 #: ``s`` are kept below ``ACCURACY · c_s``.  ``0.05`` keeps convergence
@@ -340,159 +339,73 @@ class BatchCountEngine(CountEngine):
         for idx in self.table.canonical(np.nonzero(delta)[0]):
             self._bump(int(codes[idx]), int(delta[idx]))
 
-    # -- main loop -----------------------------------------------------------
-    def _run(
-        self,
-        rounds: Optional[float] = None,
-        interactions: Optional[int] = None,
-        stop: Optional[StopCondition] = None,
-        observer: Optional[Observer] = None,
-        observe_every: float = 1.0,
-        max_events: Optional[int] = None,
-    ) -> "BatchCountEngine":
-        """Advance the simulation (same contract as :meth:`CountEngine.run`).
+    # -- the run's step ---------------------------------------------------------
+    def _pick_step(self) -> Callable[[Horizon], bool]:
+        """``batch=1`` steps exact events only; otherwise :meth:`_batch_step`."""
+        return self._exact_step if self.batch == 1 else self._batch_step
 
-        ``stop`` is evaluated after every batch (and after every event on
-        the exact path); observer snapshots stay on the exact uniform grid
-        because batches never straddle an observation point.
-        """
-        n = self.n
-        pairs_total = float(n) * float(n - 1)
-        target: Optional[int] = None
-        if interactions is not None:
-            target = self.interactions + int(interactions)
-        if rounds is not None:
-            by_rounds = self.interactions + int(math.ceil(rounds * n))
-            target = by_rounds if target is None else min(target, by_rounds)
-        require_budget(rounds, interactions, stop, max_events)
+    def _batch_step(self, h: Horizon) -> bool:
+        """One batch sized from :data:`ACCURACY` and clamped by the horizon,
+        or one exact event where a batch would not pay or fit."""
+        pairs_total = float(h.n) * float(h.n - 1)
+        kernel_start = time.perf_counter()
+        act, weights = self._active_weights()
+        if self.guards is not None:
+            # NaN weights would otherwise degrade silently (cap=0 →
+            # exact path) — vet them before they feed any arithmetic.
+            self.guards.check_weights(self, weights, codes=self.table.codes[act])
+        total_weight = float(weights.sum())
+        p_change = total_weight / pairs_total
+        if silent_weight(total_weight):
+            # Weights are summed fresh from the counts, so an exact zero
+            # means true silence; any positive total — however small
+            # relative to pairs_total — keeps stepping (an absolute
+            # p_change floor falsely halts n >= 1e8 endgames).
+            self.kernel_seconds += time.perf_counter() - kernel_start
+            self.interactions = h.fast_forward(self.interactions)
+            return False
 
-        step = max(int(round(observe_every * n)), 1)
-        next_observation: Optional[int] = None
-        if observer is not None:
-            next_observation = ((self.interactions + step - 1) // step) * step
-
-        def emit_up_to(limit: int) -> None:
-            nonlocal next_observation
-            if observer is None or next_observation is None:
-                return
-            while next_observation <= limit:
-                observer(next_observation / n, self._population)
-                next_observation += step
-
-        events_done = 0
-
-        def exact_event() -> bool:
-            """One exact effective event via null skipping; False = done."""
-            nonlocal events_done
-            skip = self._draw_event_gap()
-            if skip is None:
-                if target is not None:
-                    self.interactions = target
-                return False
-            event_at = self.interactions + skip + 1
-            if target is not None and event_at > target:
-                self.interactions = target
-                return False
-            emit_up_to(event_at - 1)
-            self.interactions = event_at
-            self._fire_event()
-            events_done += 1
-            return True
-
-        while True:
-            if target is not None and self.interactions >= target:
-                break
-            if max_events is not None and events_done >= max_events:
-                break
-
-            if self.batch == 1:
-                if not exact_event():
-                    break
-                if stop is not None and stop(self._population):
-                    break
-                continue
-
-            kernel_start = time.perf_counter()
-            act, weights = self._active_weights()
-            if self.guards is not None:
-                # NaN weights would otherwise degrade silently (cap=0 →
-                # exact path) — vet them before they feed any arithmetic.
-                self.guards.check_weights(
-                    self, weights, codes=self.table.codes[act]
-                )
-            total_weight = float(weights.sum())
-            p_change = total_weight / pairs_total
-            if silent_weight(total_weight):
-                # Weights are summed fresh from the counts, so an exact
-                # zero means true silence; any positive total — however
-                # small relative to pairs_total — keeps stepping (the old
-                # absolute p_change floor falsely halted n >= 1e8 endgames
-                # here): fast-forward to the budget.
+        if self.batch is not None:
+            batch = self.batch
+        else:
+            cap = self._per_state_batch_cap(act, weights, pairs_total)
+            if min(cap * p_change, h.events_left()) < MIN_BATCH_EVENTS:
+                # sparse-event regime: exact null skipping is cheap *and*
+                # exact — batching would only cost fidelity.
                 self.kernel_seconds += time.perf_counter() - kernel_start
-                if target is not None:
-                    self.interactions = target
-                break
+                return self._exact_step(h)
+            batch = int(cap)
+        batch = h.clamp(batch, self.interactions, p_change)
+        if batch < 1:
+            self.kernel_seconds += time.perf_counter() - kernel_start
+            return self._exact_step(h)
+        if self.guards is not None:
+            self.guards.check_batch(self, batch)
 
-            if self.batch is not None:
-                batch = self.batch
-            else:
-                cap = self._per_state_batch_cap(act, weights, pairs_total)
-                expected_events = cap * p_change
-                if expected_events < MIN_BATCH_EVENTS:
-                    # sparse-event regime: exact null skipping is cheap
-                    # *and* exact — batching would only cost fidelity.
-                    self.kernel_seconds += time.perf_counter() - kernel_start
-                    if not exact_event():
-                        break
-                    if stop is not None and stop(self._population):
-                        break
-                    continue
-                batch = int(cap)
-            batch = min(batch, MAX_BATCH)
-            if target is not None:
-                batch = min(batch, target - self.interactions)
-            if next_observation is not None:
-                batch = min(batch, next_observation - self.interactions)
-            if batch < 1:
-                self.kernel_seconds += time.perf_counter() - kernel_start
-                if not exact_event():
-                    break
-                if stop is not None and stop(self._population):
-                    break
-                continue
-            if self.guards is not None:
-                self.guards.check_batch(self, batch)
-
-            self._active_count += 1
-            self._active_pairs_sum += int(np.count_nonzero(weights))
-            self._active_pairs_max = max(
-                self._active_pairs_max, int(np.count_nonzero(weights))
-            )
-            self._active_states_last = len(act)
+        live_cells = int(np.count_nonzero(weights))
+        self._active_count += 1
+        self._active_pairs_sum += live_cells
+        self._active_pairs_max = max(self._active_pairs_max, live_cells)
+        self._active_states_last = len(act)
+        deltas = self._sample_active_deltas(
+            batch, act, weights, total_weight, pairs_total
+        )
+        while deltas is None and batch > 1:
+            # infeasible draw: halve towards the exact regime, retry
+            self.fallbacks += 1
+            batch //= 2
             deltas = self._sample_active_deltas(
                 batch, act, weights, total_weight, pairs_total
             )
-            while deltas is None and batch > 1:
-                # infeasible draw: halve towards the exact regime, retry
-                self.fallbacks += 1
-                batch //= 2
-                deltas = self._sample_active_deltas(
-                    batch, act, weights, total_weight, pairs_total
-                )
-            self.kernel_seconds += time.perf_counter() - kernel_start
-            if deltas is None:
-                if not exact_event():
-                    break
-            else:
-                self._apply_active_deltas(deltas)
-                self.interactions += batch
-                self.events += self._batch_events
-                events_done += self._batch_events
-                self.batches += 1
-                if self.guards is not None:
-                    self.guards.after_batch(self)
-                emit_up_to(self.interactions)
-            if stop is not None and stop(self._population):
-                break
-        emit_up_to(self.interactions)
-        return self
+        self.kernel_seconds += time.perf_counter() - kernel_start
+        if deltas is None:
+            return self._exact_step(h)
+        self._apply_active_deltas(deltas)
+        self.interactions += batch
+        self.events += self._batch_events
+        h.events += self._batch_events
+        self.batches += 1
+        if self.guards is not None:
+            self.guards.after_batch(self)
+        h.emit_up_to(self.interactions, self._population)
+        return not h.halted(self._population)

@@ -19,21 +19,24 @@ probability that an interaction between an initiator in state ``i`` and a
 responder in state ``j`` changes the configuration; ``v = Q @ c`` is kept
 incrementally so each *effective* event costs ``O(support)`` time.
 
-The per-event machinery (`_draw_event_gap` / `_fire_event`) is shared with
-:class:`~repro.engine.jump.BatchCountEngine`, which uses it as the exact
-fallback path between multinomial batch jumps.
+:meth:`CountEngine._run` is the one run loop of ``count``, ``batch`` and
+``bghkpu``: it builds the run's :class:`~repro.engine.api.Horizon` and
+calls the step picked by :meth:`CountEngine._pick_step` until the horizon
+closes or the step ends the run.  ``count`` steps one exact event
+(:meth:`CountEngine._exact_step`), which the other count engines' steps
+and :class:`~repro.engine.ensemble.EnsembleEngine`'s fallback rows reuse.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.population import Population
 from ..core.protocol import Protocol
-from .api import Engine, Observer, StopCondition, require_budget
+from .api import Engine, Horizon, Observer, StopCondition
 from .silence import CRUMB_GUARD, exact_change_weight, silent_weight
 from .table import LazyTable, PairOutcomes, TransitionTable
 
@@ -165,7 +168,7 @@ class CountEngine(Engine):
             if delta:
                 self._bump(code, delta)
 
-    # -- per-event primitives (shared with BatchCountEngine) ------------------
+    # -- per-event primitives -------------------------------------------------
     def _draw_event_gap(self) -> Optional[int]:
         """Geometric number of null interactions before the next effective
         event, or ``None`` when the configuration is silent."""
@@ -197,7 +200,32 @@ class CountEngine(Engine):
         if self.guards is not None:
             self.guards.after_event(self)
 
-    # -- main loop --------------------------------------------------------------
+    # -- the run loop -----------------------------------------------------------
+    def _exact_step(self, h: Horizon) -> bool:
+        """One exact effective event via null skipping; ``False`` ends the run.
+
+        The run ends when the configuration is silent (fast-forwarded to
+        the target), when the next event lies past the target, or when
+        ``stop`` holds after the event.
+        """
+        skip = self._draw_event_gap()
+        if skip is None:
+            self.interactions = h.fast_forward(self.interactions)
+            return False
+        event_at = self.interactions + skip + 1
+        if h.target is not None and event_at > h.target:
+            self.interactions = h.target
+            return False
+        h.emit_up_to(event_at - 1, self._population)
+        self.interactions = event_at
+        self._fire_event()
+        h.events += 1
+        return not h.halted(self._population)
+
+    def _pick_step(self) -> Callable[[Horizon], bool]:
+        """The step function of this run, chosen once per :meth:`run`."""
+        return self._exact_step
+
     def _run(
         self,
         rounds: Optional[float] = None,
@@ -207,66 +235,18 @@ class CountEngine(Engine):
         observe_every: float = 1.0,
         max_events: Optional[int] = None,
     ) -> "CountEngine":
-        """Advance the simulation.
+        """The count engines' one run loop (contract: :meth:`Engine.run`).
 
-        Parameters
-        ----------
-        rounds / interactions:
-            Budget, in parallel rounds or raw interactions (at least one of
-            the two, or ``stop``/``max_events``, must be given).
-        stop:
-            Early-exit predicate on the population, evaluated after every
-            effective event.
-        observer:
-            ``observer(rounds, population)`` invoked on a uniform grid of
-            parallel times (spacing ``observe_every``).  Because the
-            configuration is constant between effective events, snapshots
-            on the grid are exact even across skipped null runs.
+        Steps never straddle a grid point unobserved, and the
+        configuration is constant between effective events, so snapshots
+        on the grid are exact even across skipped null runs.
         """
-        n = self.n
-        target: Optional[int] = None
-        if interactions is not None:
-            target = self.interactions + int(interactions)
-        if rounds is not None:
-            by_rounds = self.interactions + int(math.ceil(rounds * n))
-            target = by_rounds if target is None else min(target, by_rounds)
-        require_budget(rounds, interactions, stop, max_events)
-
-        step = max(int(round(observe_every * n)), 1)
-        next_observation: Optional[int] = None
-        if observer is not None:
-            next_observation = ((self.interactions + step - 1) // step) * step
-
-        def emit_up_to(limit: int) -> None:
-            nonlocal next_observation
-            if observer is None or next_observation is None:
-                return
-            while next_observation <= limit:
-                observer(next_observation / n, self._population)
-                next_observation += step
-
-        events_done = 0
-
-        while True:
-            if target is not None and self.interactions >= target:
-                break
-            if max_events is not None and events_done >= max_events:
-                break
-            skip = self._draw_event_gap()
-            if skip is None:
-                # The protocol is silent: no interaction can change state.
-                if target is not None:
-                    self.interactions = target
-                break
-            event_at = self.interactions + skip + 1
-            if target is not None and event_at > target:
-                self.interactions = target
-                break
-            emit_up_to(event_at - 1)
-            self.interactions = event_at
-            self._fire_event()
-            events_done += 1
-            if stop is not None and stop(self._population):
-                break
-        emit_up_to(self.interactions)
+        h = Horizon(
+            self.n, self.interactions, rounds, interactions, stop,
+            max_events, observer, observe_every,
+        )
+        step = self._pick_step()
+        while h.open(self.interactions) and step(h):
+            pass
+        h.emit_up_to(self.interactions, self._population)
         return self

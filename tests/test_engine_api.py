@@ -5,6 +5,8 @@ All engines must accept the uniform keyword-only constructor
 shared ``n`` / ``rounds`` / ``interactions`` / ``population`` surface, run
 under every budget style (``rounds=``, ``interactions=``, ``stop=``), feed
 observers on a uniform time grid, and reject budget-less runs.
+:class:`~repro.engine.ensemble.EnsembleEngine` takes the budget tests too;
+it rejects observers by design, so it skips the observer tests.
 """
 
 import numpy as np
@@ -21,11 +23,19 @@ from repro.engine import (
     Trace,
 )
 from repro.engine.api import require_budget
+from repro.engine.ensemble import EnsembleEngine
 from repro.engine.table import LazyTable
 
 ALL_ENGINES = [
     CountEngine, BatchCountEngine, BGHKPUEngine, ArrayEngine, MatchingEngine,
 ]
+
+#: every engine, parametrizing a test over the classes above
+each_engine = pytest.mark.parametrize("engine_cls", ALL_ENGINES)
+#: the engines of the budget tests: every engine plus the ensemble
+each_budgeted = pytest.mark.parametrize(
+    "engine_cls", ALL_ENGINES + [EnsembleEngine]
+)
 
 
 @pytest.fixture
@@ -47,12 +57,13 @@ def all_infected(pop):
     return pop.all_satisfy(V("I"))
 
 
-@pytest.mark.parametrize("engine_cls", ALL_ENGINES)
 class TestConformance:
+    @each_engine
     def test_is_engine_subclass(self, engine_cls):
         assert issubclass(engine_cls, Engine)
         assert isinstance(engine_cls.name, str) and engine_cls.name
 
+    @each_engine
     def test_uniform_constructor(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 100)
         eng = engine_cls(
@@ -62,11 +73,13 @@ class TestConformance:
         assert eng.rounds == 0.0
         assert eng.interactions == 0
 
+    @each_engine
     def test_positional_rng_rejected(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 100)
         with pytest.raises(TypeError):
             engine_cls(epidemic, pop, np.random.default_rng(0))
 
+    @each_engine
     def test_schema_mismatch_rejected(self, engine_cls, epidemic):
         other = StateSchema()
         other.flag("I")
@@ -74,17 +87,20 @@ class TestConformance:
         with pytest.raises(ValueError):
             engine_cls(epidemic, pop)
 
+    @each_engine
     def test_tiny_population_rejected(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 1)
         with pytest.raises(ValueError):
             engine_cls(epidemic, pop)
 
+    @each_budgeted
     def test_requires_budget_or_stop(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 100)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(1))
         with pytest.raises(ValueError):
             eng.run()
 
+    @each_budgeted
     def test_runs_to_stop(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 300)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(2))
@@ -93,6 +109,7 @@ class TestConformance:
         assert eng.interactions > 0
         assert eng.rounds > 0.0
 
+    @each_budgeted
     def test_rounds_budget(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 200)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(3))
@@ -101,12 +118,14 @@ class TestConformance:
         # engines may overshoot by at most one scheduling quantum
         assert eng.rounds < 5.0
 
+    @each_budgeted
     def test_interactions_budget(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 200)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(4))
         eng.run(interactions=500)
         assert 500 <= eng.interactions < 500 + 200
 
+    @each_budgeted
     def test_rounds_tracks_interactions(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 200)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(5))
@@ -117,6 +136,7 @@ class TestConformance:
         else:
             assert eng.rounds == pytest.approx(eng.interactions / eng.n)
 
+    @each_budgeted
     def test_population_reflects_final_state(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 150)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(6))
@@ -125,19 +145,35 @@ class TestConformance:
         assert final.n == 150
         assert final.count(V("I")) == 150
 
+    @each_budgeted
     def test_run_until(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 150)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(7))
         assert eng.run_until(all_infected, max_rounds=500.0)
 
+    @each_engine
     def test_observer_uniform_grid(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 200)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(8))
         trace = Trace({"I": V("I")})
         eng.run(rounds=10, observer=trace, observe_every=1.0)
-        assert len(trace) >= 10
-        assert (np.diff(trace.times) > 0).all()
+        if engine_cls is MatchingEngine:
+            # one matching step is one round; samples follow the steps
+            assert len(trace) >= 10
+            assert (np.diff(trace.times) > 0).all()
+            return
+        # the sequential scheduler: exactly t = 0, 1, ..., 10, and the
+        # sample at t = 0 is the initial configuration
+        assert list(trace.times) == [float(t) for t in range(11)]
+        assert trace.series("I")[0] == 1
+        # a continuation run starts on the first grid point at or after
+        # its start (t = 12.5 here), not one interaction past it
+        eng.run(rounds=2.5)
+        more = Trace({"I": V("I")})
+        eng.run(rounds=3, observer=more, observe_every=1.0)
+        assert list(more.times) == [13.0, 14.0, 15.0]
 
+    @each_budgeted
     def test_continuation_accumulates(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 200)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(9))
@@ -179,16 +215,17 @@ class OneShotStop:
         return False
 
 
-@pytest.mark.parametrize("engine_cls", ALL_ENGINES)
 class TestStopVerdict:
     """The engine's own stop evaluation is captured once and reused."""
 
+    @each_budgeted
     def test_verdict_recorded(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 120)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(0))
         eng.run(stop=all_infected)
         assert eng.stop_verdict is True
 
+    @each_budgeted
     def test_verdict_false_when_budget_exhausted(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 500)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(1))
@@ -196,6 +233,7 @@ class TestStopVerdict:
         if eng.stop_verdict is not None:
             assert eng.stop_verdict is False
 
+    @each_engine
     def test_verdict_reset_between_runs(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 120)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(2))
@@ -204,6 +242,7 @@ class TestStopVerdict:
         eng.run(rounds=1.0)
         assert eng.stop_verdict is None
 
+    @each_budgeted
     def test_run_until_does_not_reevaluate(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 120)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(3))
@@ -213,6 +252,7 @@ class TestStopVerdict:
         # wrapper's count and the predicate's own count must agree
         assert stop.calls == eng.stats.stop_evals
 
+    @each_budgeted
     def test_run_until_honours_hysteresis(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 120)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(4))
@@ -221,6 +261,7 @@ class TestStopVerdict:
         # return False and misreport convergence
         assert eng.run_until(stop, max_rounds=500.0) is True
 
+    @each_budgeted
     def test_stop_evals_counter(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 120)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(5))

@@ -68,6 +68,21 @@ class TestCountEngine:
         eng = CountEngine(epidemic, pop, rng=np.random.default_rng(4))
         eng.run(max_events=10, rounds=1000)
         assert eng.events <= 10
+        # one rule on every count engine: a run stops at the first step
+        # that brings its events to max_events, and no batch is planned to
+        # fire more than the events left, so the last few step exactly.
+        # At 5% spread the n = 1e5 epidemic batches from the first step.
+        from repro.engine import BatchCountEngine, BGHKPUEngine
+        from repro.engine.ensemble import EnsembleEngine
+
+        for k in (10, 1000):
+            for cls in (CountEngine, BatchCountEngine, BGHKPUEngine, EnsembleEngine):
+                pop = epidemic_population(epidemic.schema, 100_000, 5_000)
+                eng = cls(epidemic, pop, rng=np.random.default_rng(4))
+                eng.run(max_events=k, rounds=1000)
+                if cls is CountEngine:
+                    assert eng.events == k
+                assert k <= eng.events <= 2 * k, (cls.name, k, eng.events)
 
     def test_requires_budget_or_stop(self, epidemic):
         pop = epidemic_population(epidemic.schema, 100)
