@@ -33,7 +33,12 @@ select the engine by it:
    quantized to batch boundaries.  A *degenerate* epoch — one live
    ordered pair with a deterministic outcome, the endgame of most
    workloads and the leader fight end to end — is stepped on exact
-   scalar weights without the epoch machinery;
+   scalar weights without the epoch machinery, its counts and counters
+   in Python locals (written back on every exit), until ``stop`` holds,
+   the horizon closes, the pair drains or a firing lights another
+   cell.  Creating a state that pairs with nothing (the leader fight's
+   F) only schedules the next rebuild, so a leader fight freezes its
+   epoch once;
 5. every batch is one draw over table entries: the sampler expands the
    ``min(DENSE_TOP_K, live cells)`` heaviest cells into their (pair,
    outcome) entries and draws them plus one pooled light-tail bin in a
@@ -73,14 +78,14 @@ leader fight at n = 10⁸ (``BENCH_bghkpu.json``, ≥5x target).
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..core.population import Population
 from ..core.protocol import Protocol
 from .alias import ActivePairSampler
-from .api import Horizon
+from .api import MAX_BATCH, Horizon
 from .jump import MIN_BATCH_EVENTS, BatchCountEngine
 from .silence import silent_weight
 from .table import TransitionTable
@@ -555,12 +560,25 @@ class BGHKPUEngine(BatchCountEngine):
         A degenerate epoch has one live ordered pair (the endgame of most
         workloads, and the leader fight end to end).  When its outcome is
         deterministic the epoch machinery is pure overhead, so this steps
-        it without freezing or arrays — and with strictly *better*
-        fidelity, since every batch and every sparse gap is sized from the
-        true current counts.  It runs until the pair drains, a firing
-        creates a state, the horizon closes or ``stop`` holds, and returns
-        whether the run goes on; ``None`` (nothing stepped) when the
-        pair's outcome is random.
+        it on Python scalars — and with strictly *better* fidelity, since
+        every batch and every sparse gap is sized from the true current
+        counts.  Returns whether the run goes on; ``None`` (nothing
+        stepped) when the pair's outcome is random.
+
+        The loop ends when ``stop`` holds (``False``), the horizon closes,
+        the pair drains, or a firing lights another cell: it grows a state
+        with a nonzero ``p_change`` to a support state in either order, or
+        to itself.  The last two schedule a rebuild and hand the run back
+        to a fresh epoch.  A firing that creates a state with no such
+        partner (the leader fight's F) does not end the loop; it schedules
+        the rebuild for the next epoch or run, so a leader fight freezes
+        its epoch once.
+
+        The pair's and its moved states' counts live in locals.  The
+        population dict is written on every firing (``stop`` and the
+        observers read it), by the rules of :meth:`_apply_delta_lean`;
+        the compiled count vector and the counters are written back on
+        every exit.
         """
         sampler = self._sampler
         ct = self.table
@@ -577,93 +595,168 @@ class BGHKPUEngine(BatchCountEngine):
         ):
             return None
         full_c = self._full_c
-        pop = self._population
-        rng = self.rng
-        pairs_total = float(h.n) * float(h.n - 1)
-        oa = int(ct.out_a[s])
-        ob = int(ct.out_b[s])
-        # one firing's net change per state, L + L -> L + F being L -1,
-        # F +1; the first firing that creates a support state ends the
-        # epoch, so whether it does is fixed until then
+        # one firing's net change per state, L + L -> L + F being L -1, F +1
         net: Dict[int, int] = {}
-        for k, d in ((gi, -1), (gj, -1), (oa, 1), (ob, 1)):
+        for k, d in (
+            (gi, -1), (gj, -1), (int(ct.out_a[s]), 1), (int(ct.out_b[s]), 1)
+        ):
             net[k] = net.get(k, 0) + d
-        moves = [(k, int(ct.codes[k]), d) for k, d in net.items() if d]
-        creates = (
-            full_c[oa] == 0.0 and oa != gi and oa != gj
-        ) or (full_c[ob] == 0.0 and ob != gi and ob != gj)
+        ks = list(net)
+        grow = [k for k in ks if net[k] > 0]
+        hand_over = self._lights_a_cell(gi, gj, grow)
+        # states the first firing creates: they schedule the next rebuild,
+        # whose (sticky) active set, reported per batch, adds them
+        created = [k for k in grow if full_c[k] == 0.0]
+        if created:
+            a_created = len(set(act.tolist()).union(created))
+
+        cnt = [float(full_c[k]) for k in ks]
+        ii = ks.index(gi)
+        jj = ks.index(gj)
+        moves = [
+            (slot, int(ct.codes[k]), net[k]) for slot, k in enumerate(ks) if net[k]
+        ]
+        pop = self._population
+        counts = pop.counts
+        geometric = self.rng.geometric
+        binomial = self.rng.binomial
+        halted = h.halted
+        emit = h.emit_up_to if h.next_observation is not None else None
+        target = h.target
+        cap = h.max_events
+        pairs_total = float(h.n) * float(h.n - 1)
         same = gi == gj
         cf = self.COLLISION_FRAC
         min_ev = MIN_BATCH_EVENTS
-        is_open, emit, halted = h.open, h.emit_up_to, h.halted
-        capped = h.max_events is not None
-        while True:
-            ci = float(full_c[gi])
-            cj = float(full_c[gj])
-            wgt = ci * ((cj - 1.0) if same else cj) * pc
-            if silent_weight(wgt):
-                self._need_rebuild = True  # cell drained
-                return True
-            # wgt > 0 means the pair is live no matter how small p gets
-            # (6e-16 at 3 leaders, n = 1e8); the geometric gap below steps
-            # such endgames exactly in O(1), so no absolute floor on p is
-            # needed or wanted.
-            p = wgt / pairs_total
-            if not is_open(self.interactions):
-                return True
-            if same:
-                half_cap = 0.25 * ci  # ½ · c_i/μ_i with μ = 2
-                gamma = 2.0 / ci
-            else:
-                half_cap = 0.5 * min(ci, cj)  # μ_i = μ_j = 1
-                gamma = 0.5 / ci + 0.5 / cj
-            f_cap = min(half_cap, cf / gamma)
-            if capped:
-                f_cap = min(f_cap, h.events_left())
-            if f_cap < min_ev:
-                # sparse: one exact-gap event
-                gap = int(rng.geometric(p if p < 1.0 else 1.0))
-                event_at = self.interactions + gap
-                if h.target is not None and event_at > h.target:
-                    self.interactions = h.target
+        now = self.interactions
+        h_events = h.events
+        events = batches = collided = 0
+        a_now = states_last = a
+        try:
+            while True:
+                ci = cnt[ii]
+                cj = cnt[jj]
+                wgt = ci * ((cj - 1.0) if same else cj) * pc
+                if silent_weight(wgt):
+                    self._need_rebuild = True  # cell drained
                     return True
-                emit(event_at - 1, pop)
-                self.interactions = event_at
-                fired = 1
-            else:
-                batch = h.clamp(int(f_cap / p), self.interactions, p)
-                if batch < 1:
-                    batch = 1
-                fired = int(rng.binomial(batch, p if p < 1.0 else 1.0))
-                limit = int(ci) // 2 if same else int(min(ci, cj))
-                if fired > limit:
-                    fired = limit
-                self.interactions += batch
-                self.batches += 1
-                self._active_count += 1
-                self._active_pairs_sum += 1
+                # wgt > 0 means the pair is live no matter how small p gets
+                # (6e-16 at 3 leaders, n = 1e8); the geometric gap below
+                # steps such endgames exactly in O(1), so no absolute floor
+                # on p is needed or wanted.
+                p = wgt / pairs_total
+                if target is not None and now >= target:
+                    return True
+                if same:
+                    half_cap = 0.25 * ci  # ½ · c_i/μ_i with μ = 2
+                    gamma = 2.0 / ci
+                else:
+                    half_cap = 0.5 * (ci if ci < cj else cj)  # μ_i = μ_j = 1
+                    gamma = 0.5 / ci + 0.5 / cj
+                f_cap = cf / gamma
+                if half_cap < f_cap:
+                    f_cap = half_cap
+                if cap is not None:
+                    left = cap - h_events
+                    if left <= 0:
+                        return True
+                    if left < f_cap:
+                        f_cap = left
+                if f_cap < min_ev:
+                    # sparse: one exact-gap event
+                    event_at = now + int(geometric(p if p < 1.0 else 1.0))
+                    if target is not None and event_at > target:
+                        now = target
+                        return True
+                    if emit is not None:
+                        emit(event_at - 1, pop)
+                    now = event_at
+                    fired = 1
+                else:
+                    # Horizon.clamp on the loop's locals
+                    batch = int(f_cap / p)
+                    if batch > MAX_BATCH:
+                        batch = MAX_BATCH
+                    if target is not None and batch > target - now:
+                        batch = target - now
+                    if emit is not None and batch > h.next_observation - now:
+                        batch = h.next_observation - now
+                    if cap is not None and batch > int(left / p):
+                        batch = int(left / p)
+                    if batch < 1:
+                        batch = 1
+                    fired = int(binomial(batch, p if p < 1.0 else 1.0))
+                    limit = int(ci) // 2 if same else int(ci if ci < cj else cj)
+                    if fired > limit:
+                        fired = limit
+                    now += batch
+                    batches += 1
+                    states_last = a_now
+                    if fired > 1:
+                        # picks colliding per the birthday bound;
+                        # resolution is outcome-identity here
+                        tail = int(gamma * fired * fired + 0.5)
+                        collided += tail if tail < fired else fired
+                if fired:
+                    for slot, code, d in moves:
+                        have = cnt[slot]
+                        cnt[slot] = now_have = have + d * fired
+                        if now_have > 0.0:
+                            counts[code] = int(now_have)
+                        elif now_have == 0.0:
+                            del counts[code]
+                        else:
+                            raise ValueError(
+                                "cannot remove {} agents from state {} "
+                                "(have {})".format(-d * fired, code, int(have))
+                            )
+                    events += fired
+                    h_events += fired
+                    if created:
+                        created = None
+                        self._need_rebuild = True
+                        a_now = a_created
+                if emit is not None:
+                    emit(now, pop)
+                if halted(pop):
+                    return False
+                if fired and hand_over:
+                    self._need_rebuild = True
+                    return True
+        finally:
+            for k, c in zip(ks, cnt):
+                full_c[k] = c
+            self.interactions = now
+            h.events = h_events
+            if events:
+                self.events += events
+                self._support_stale = True
+            if batches:
+                self.batches += batches
+                self._active_count += batches
+                self._active_pairs_sum += batches
                 if self._active_pairs_max < 1:
                     self._active_pairs_max = 1
-                self._active_states_last = a
-                if fired > 1:
-                    # picks colliding per the birthday bound; resolution
-                    # is outcome-identity here
-                    self.collision_events += min(
-                        fired, int(gamma * fired * fired + 0.5)
-                    )
-            if fired:
-                for k, code, d in moves:
-                    full_c[k] += d * fired
-                    if d > 0:
-                        pop.add(code, d * fired)
-                    else:
-                        pop.remove(code, -d * fired)
-                self._support_stale = True
-                self.events += fired
-                h.events += fired
-            emit(self.interactions, pop)
-            if halted(pop):
-                return False
-            if fired and creates:
-                self._need_rebuild = True
-                return True
+                self._active_states_last = states_last
+                self.collision_events += collided
+
+    def _lights_a_cell(self, gi: int, gj: int, grow: List[int]) -> bool:
+        """Whether a firing of the lone cell ``(gi, gj)`` can light another.
+
+        ``grow`` holds the states a firing grows.  Some other cell goes
+        live iff one of them has a nonzero ``p_change`` with a support
+        state after the firing, in either order, or with itself.
+        """
+        if not grow:
+            return False
+        m = self.table.p_change_matrix
+        on = self._full_c > 0.0
+        on[grow] = True
+        rows = m[grow] * on
+        cols = m[:, grow].T * on
+        # the lone cell itself stays live by design
+        if gi in grow:
+            rows[grow.index(gi), gj] = 0.0
+        if gj in grow:
+            cols[grow.index(gj), gi] = 0.0
+        return bool(rows.any() or cols.any())

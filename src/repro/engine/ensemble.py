@@ -386,6 +386,10 @@ class EnsembleEngine(Engine):
                 "EnsembleEngine does not support observers; use a "
                 "per-replica engine for trace observation"
             )
+        # each run judges its rows afresh: a row whose stop held or that
+        # was silent last run steps (or is found silent) again
+        self._row_done[:] = False
+        self._row_verdicts = [None] * self.rows
         # one horizon per row: the run's budget and event cap, anchored
         # at the row's own interaction count
         n = self._n

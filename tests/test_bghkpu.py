@@ -17,6 +17,7 @@ from scipy.stats import ks_2samp
 from repro.analysis import aggregate_convergence
 from repro.core import Population, Rule, StateSchema, V, single_thread
 from repro.engine import BGHKPUEngine, CountEngine, Trace, compiled
+from repro.engine.api import Horizon
 from repro.engine.config import EngineConfig
 from repro.engine.health import HealthMonitor, SimulationHealthError
 from repro.simulate import engine_names, make_engine, resolve_engine
@@ -163,6 +164,72 @@ class TestExactness:
         eng.run(interactions=10**9)  # nothing left to fire
         assert eng.interactions == before + 10**9
         assert eng.events == 999
+
+
+class TestOnePairLoop:
+    """Exits and write-back of the degenerate epoch's scalar loop."""
+
+    def test_leader_fight_builds_its_epoch_once(self):
+        """F pairs with nothing, so creating it does not end the loop."""
+        eng, pop = run_leader("bghkpu", 10**8, seed=3)
+        assert pop.count(V("L")) == 1
+        assert eng._sampler.rebuilds == 1
+        assert eng._sampler.refreshes == 0
+        assert eng.stats.alias_rebuilds == 1
+
+    @pytest.mark.parametrize("limits", [
+        {"stop": lambda p: p.count(V("L")) == 1},
+        {"rounds": 10**6},  # no stop: the last pair drains
+        {"rounds": 3.0},
+        {"max_events": 5_000, "rounds": 10**6},
+    ], ids=["halt", "drained", "target", "max-events"])
+    def test_counts_written_back_on_every_exit(self, limits):
+        protocol, schema = leader_fight()
+        pop = leader_population(schema, 10_000)
+        eng = make_engine(
+            protocol, pop, engine="bghkpu", rng=np.random.default_rng(8)
+        )
+        eng.run(**limits)
+        assert 0 < eng.events < 10_000
+        ct = eng.table
+        for code in ct.codes.tolist():
+            assert eng._full_c[ct.state_index(code)] == pop.counts.get(code, 0)
+        assert pop.n == 10_000
+
+    def test_continuation_rebuilds_over_the_created_state(self):
+        eng, pop = run_leader("bghkpu", 10_000, seed=6)
+        assert eng._sampler.rebuilds == 1
+        follower = eng.table.state_index(
+            next(code for code in pop.counts if not pop.schema.truth(V("L"))[code])
+        )
+        assert follower not in eng._sampler.act
+        eng.run(rounds=1.0)
+        assert eng._sampler.rebuilds == 2
+        assert follower in eng._sampler.act
+
+    def test_hands_over_when_a_grown_state_pairs_with_itself(self):
+        """A + B -> A + A on a lone A: the firing lights the A + A cell
+        (A + A -> E + A), so the loop must stop after it."""
+        schema = StateSchema()
+        schema.flag("A")
+        schema.flag("E")
+        a_, b_ = V("A") & ~V("E"), ~V("A") & ~V("E")
+        protocol = single_thread("grow-and-pair", schema, [
+            Rule(a_, b_, None, {"A": True}),
+            Rule(a_, a_, {"A": False, "E": True}, None),
+        ])
+        pop = Population.from_groups(
+            schema, [({"A": True}, 1), ({}, 99_999)]
+        )
+        eng = BGHKPUEngine(
+            protocol, pop, rng=np.random.default_rng(1), cache=None
+        )
+        eng._pick_step()  # freezes the one-pair epoch
+        assert eng._sampler.cells_nz is not None
+        h = Horizon(eng.n, eng.interactions, rounds=100.0)
+        assert eng._one_pair_steps(h) is True
+        assert eng.events == 1 and pop.count(a_) == 2
+        assert eng._need_rebuild
 
 
 class TestApplyDeltaLean:

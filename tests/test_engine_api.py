@@ -233,14 +233,18 @@ class TestStopVerdict:
         if eng.stop_verdict is not None:
             assert eng.stop_verdict is False
 
-    @each_engine
+    @each_budgeted
     def test_verdict_reset_between_runs(self, engine_cls, epidemic):
         pop = epidemic_population(epidemic.schema, 120)
         eng = engine_cls(epidemic, pop, rng=np.random.default_rng(2))
         eng.run(stop=all_infected)
         assert eng.stop_verdict is True
+        held_at = eng.interactions
         eng.run(rounds=1.0)
         assert eng.stop_verdict is None
+        # the continuation steps again (the silent configuration is
+        # found silent again and fast-forwarded)
+        assert eng.interactions > held_at
 
     @each_budgeted
     def test_run_until_does_not_reevaluate(self, engine_cls, epidemic):

@@ -12,7 +12,10 @@ variates are drawn, in which order, breaks them.
 - ``bghkpu`` on the E4 clock at n = 20 000: dense epochs, the colliding
   tail and the repair of overdrawn batches;
 - ``bghkpu`` on approximate majority to full consensus: the lean sparse
-  step once a losing opinion is down to a few agents.
+  step once a losing opinion is down to a few agents;
+- ``bghkpu`` on the leader fight at n = 10⁸: the one-pair endgame loop
+  under an observer grid that clamps its batches, ending at the budget,
+  at a ``max_events`` cap and at the stop.
 """
 
 import hashlib
@@ -24,6 +27,8 @@ from repro.baselines.approx_majority import (
     make_approx_majority,
 )
 from repro.core import Population, V
+import pytest
+
 from repro.engine import BatchCountEngine, BGHKPUEngine, CountEngine, Trace
 from repro.oscillator import make_oscillator_protocol, species, weak_value
 from repro.workloads import build_workload
@@ -175,3 +180,64 @@ def test_bghkpu_lean_sparse_endgame():
         "fallbacks": 0,
     }
     assert pop.count(V("am", "A")) == 20_000
+
+
+@pytest.mark.parametrize("limits, expected", [
+    (
+        # the budget ends the run; the 2-round grid clamps batches once
+        # they grow past it (~20 rounds in)
+        {"rounds": 40.0, "observe_every": 2.0},
+        {
+            "interactions": 4000000000, "events": 97748510, "batches": 45,
+            "collision_events": 19146042, "stop_evals": 45,
+            "stop_verdict": False, "digest": "f7cb83ca0963e818",
+            "times": [float(t) for t in range(0, 41, 2)],
+            "L": [100000000, 31070225, 18384240, 13081532, 10162357,
+                  8295677, 7023558, 6091384, 5374520, 4804544, 4343591,
+                  3965835, 3651152, 3383661, 3154644, 2955222, 2779756,
+                  2625468, 2487638, 2363827, 2251490],
+        },
+    ),
+    (
+        # max_events ends the run; the cap sizes the last batches
+        {"max_events": 10**8 - 1000, "observe_every": 1e4},
+        {
+            "interactions": 9173861639167, "events": 99999007,
+            "batches": 115, "collision_events": 19997664,
+            "stop_evals": 115, "stop_verdict": False,
+            "digest": "4c560681abf6b141",
+            "times": [float(t) for t in range(0, 90_001, 10_000)],
+            "L": [100000000, 9010, 4554, 3041, 2265, 1801, 1516, 1287,
+                  1137, 1018],
+        },
+    ),
+    (
+        # the stop ends the run, deep in the sparse exact-gap steps
+        {"observe_every": 1e7},
+        {
+            "interactions": 7413405332845243, "events": 99999999,
+            "batches": 134, "collision_events": 19997962,
+            "stop_evals": 208, "stop_verdict": True,
+            "digest": "37d22b660912e737",
+            "times": [float(t) for t in range(0, 70_000_001, 10_000_000)],
+            "L": [100000000, 8, 6, 4, 3, 3, 2, 2],
+        },
+    ),
+], ids=["grid-budget", "grid-max-events", "grid-stop"])
+def test_bghkpu_leader_one_pair_loop(limits, expected):
+    wl = build_workload("leader", n=10**8)
+    eng = BGHKPUEngine(
+        wl.protocol, wl.population, rng=np.random.default_rng(41), cache=None,
+    )
+    trace = Trace({"L": V("L")})
+    eng.run(stop=wl.stop, observer=trace, **limits)
+    got = {
+        name: getattr(eng, name)
+        for name in ("interactions", "events", "batches", "collision_events")
+    }
+    got["stop_evals"] = eng.stats.stop_evals
+    got["stop_verdict"] = eng.stop_verdict
+    got["digest"] = counts_digest(eng.population)
+    got["times"] = [float(t) for t in trace.times]
+    got["L"] = [int(v) for v in trace.series("L")]
+    assert got == expected
