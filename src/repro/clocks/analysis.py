@@ -15,11 +15,11 @@ from .base import ClockParams
 
 def phase_histogram(population: Population, params: ClockParams) -> Dict[int, int]:
     """Counts of agents per clock phase."""
-    schema = population.schema
+    ring = population.schema.values(params.field)
+    k = params.k
     hist: Dict[int, int] = {}
     for code, count in population.counts.items():
-        ring_state = schema.value_of(code, params.field)
-        phase = ring_state // params.k
+        phase = ring[code] // k
         hist[phase] = hist.get(phase, 0) + count
     return hist
 

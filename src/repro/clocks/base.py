@@ -170,17 +170,26 @@ class _ClockAdvance:
 
 
 def clock_rules(params: ClockParams) -> List[Rule]:
-    """The clock-advance rule (as one dynamic rule over the ring)."""
-    return [DynamicRule(None, None, _ClockAdvance(params), name="clock-advance")]
+    """The clock-advance rule (as one dynamic rule over the ring).
+
+    It reads and writes only the initiator's ring position, and reads the
+    responder's ring position, species and ``X`` flag; declaring those
+    sides lets the thread memoize its rows on ``ring × state`` keys.
+    """
+    osc = params.osc
+    return [
+        DynamicRule(
+            None,
+            None,
+            _ClockAdvance(params),
+            name="clock-advance",
+            footprint=((params.field,), (params.field, osc.field, osc.x_flag)),
+        )
+    ]
 
 
 def clock_thread(params: ClockParams) -> Thread:
-    return Thread(
-        "C_o[{}]".format(params.field),
-        clock_rules(params),
-        writes=(params.field,),
-        reads=(params.osc.field, params.osc.x_flag),
-    )
+    return Thread("C_o[{}]".format(params.field), clock_rules(params))
 
 
 def make_clock_protocol(

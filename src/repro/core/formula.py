@@ -71,11 +71,17 @@ class Var(Formula):
     """Atomic formula: a boolean variable, or an enum variable compared to
     a value (``Var('phase', 2)`` reads "phase == 2")."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "_hash")
 
     def __init__(self, name: str, value: object = True):
         self.name = name
         self.value = value
+        # hashed once: a memo lookup (StateSchema.truth) hashes on every read
+        self._hash = hash((Var, name, value))
+
+    def __reduce__(self):
+        # str hashes differ between processes: the copy hashes afresh
+        return Var, (self.name, self.value)
 
     def evaluate(self, state) -> bool:
         return state[self.name] == self.value
@@ -101,7 +107,7 @@ class Var(Formula):
         )
 
     def __hash__(self) -> int:
-        return hash((Var, self.name, self.value))
+        return self._hash
 
 
 class Not(Formula):

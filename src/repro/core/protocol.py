@@ -15,7 +15,7 @@ from typing import (
 )
 
 from .formula import Formula
-from .rules import Outcome, Rule
+from .rules import Outcome, Rule, Sides
 from .state import State, StateSchema
 
 #: One memoized rule outcome: (rule position in its thread, code delta of
@@ -23,7 +23,7 @@ from .state import State, StateSchema
 RowEntry = Tuple[int, int, int, float]
 
 
-class _Views(dict):
+class Views(dict):
     """``code -> read-only view`` for one batch of rows, decoded on first use."""
 
     __slots__ = ("schema",)
@@ -38,28 +38,31 @@ class _Views(dict):
 
 class FootprintError(ValueError):
     """A thread touched a field outside its footprint (``reads ∪ writes``
-    plus what its static rules show), or its memoized rows differ from
+    plus what its rules show, per side), or its memoized rows differ from
     the full path."""
 
 
 class Thread:
     """A named ruleset participating in a protocol composition.
 
-    ``writes``/``reads`` declare the fields the thread's rules may write
-    and read.  They are the thread's *footprint* together with what static
-    rules show (guard variables and update keys, see
-    :meth:`~repro.core.rules.Rule.footprint`).  Thread composition (paper
-    Section 1.3) means a thread's outcome on a pair depends only on its
-    footprint fields and changes only those, so
-    :meth:`Protocol.transition` memoizes each thread's rule outcomes on the
-    pair projected onto the footprint and lifts a hit by adding code
-    deltas.  A thread with a :class:`~repro.core.rules.DynamicRule`, a
-    callable guard or an effect must declare what those touch; without any
-    declaration it takes the full path (every rule on every pair), and so
-    does a thread whose footprint is the whole schema.  A
-    write outside the footprint raises :class:`FootprintError` when the
-    memo computes the row; :func:`check_footprints` also catches
-    under-declared reads on sampled pairs.
+    ``writes``/``reads`` declare fields the thread's rules may write and
+    read on either side of a pair.  The thread's *footprint* is, per side
+    (initiator, responder), those declarations plus what its rules show
+    on that side (see :meth:`~repro.core.rules.Rule.footprint`: a static
+    rule's guard variables and update keys, a
+    :class:`~repro.core.rules.DynamicRule`'s declared sides).  Thread
+    composition (paper Section 1.3) means a thread's outcome on a pair
+    depends only on the initiator's footprint fields and the responder's,
+    and changes only those, so :meth:`Protocol.transition` memoizes each
+    thread's rule outcomes on the pair projected side by side onto the
+    footprint and lifts a hit by adding code deltas.  A thread with an
+    undeclared dynamic rule, a callable guard or an effect must declare
+    what those touch in ``reads``/``writes``; without any declaration it
+    takes the full path (every rule on every pair), and so does a thread
+    whose footprint is the whole schema on both sides.  A write outside a
+    side's footprint raises :class:`FootprintError` when the memo computes
+    the row; :func:`check_footprints` also catches under-declared reads on
+    sampled pairs.
 
     The memo lives on the thread, one per schema, so every protocol that
     reuses the thread shares it; it is not pickled.
@@ -93,35 +96,39 @@ class Thread:
     def total_weight(self) -> float:
         return sum(rule.weight for rule in self.rules)
 
-    def footprint(self, schema: StateSchema) -> Optional[FrozenSet[str]]:
-        """Fields the thread's outcomes depend on and change, or ``None``
-        when they are unknown (an opaque rule and no declaration, or a
-        declared name missing from ``schema``)."""
+    def footprint(self, schema: StateSchema) -> Optional[Sides]:
+        """Fields the thread's outcomes depend on and change, per side
+        ``(initiator, responder)``, or ``None`` when they are unknown (an
+        opaque rule and no declaration, or a name missing from
+        ``schema``)."""
         declared = self.reads | self.writes
-        names = set(declared)
+        side_a, side_b = set(declared), set(declared)
         for rule in self.rules:
             seen = rule.footprint()
             if seen is None:
                 if not declared:
                     return None
             else:
-                names |= seen
-        if not all(schema.has_field(name) for name in names):
+                side_a |= seen[0]
+                side_b |= seen[1]
+        if not all(schema.has_field(name) for name in side_a | side_b):
             return None
-        return frozenset(names)
+        return frozenset(side_a), frozenset(side_b)
 
     def memo(self, schema: StateSchema) -> Optional["FootprintMemo"]:
         """This thread's row memo over ``schema`` (``None``: full path)."""
         try:
             return self._memos[schema]
         except KeyError:
-            names = self.footprint(schema)
-            # a footprint covering the whole schema projects each pair onto
-            # itself: the memo would only duplicate the transition table
-            if names is None or len(names) == len(schema.fields):
+            sides = self.footprint(schema)
+            # a footprint covering the whole schema on both sides projects
+            # each pair onto itself: the memo would only duplicate the
+            # transition table
+            whole = len(schema.fields)
+            if sides is None or (len(sides[0]) == whole and len(sides[1]) == whole):
                 memo = None
             else:
-                memo = FootprintMemo(self, schema, names)
+                memo = FootprintMemo(self, schema, *sides)
             self._memos[schema] = memo
             return memo
 
@@ -129,58 +136,96 @@ class Thread:
         return "Thread({}, {} rules)".format(self.name, len(self.rules))
 
 
+def _runs(schema: StateSchema, names: FrozenSet[str]) -> Tuple[Tuple[int, int], ...]:
+    """``names`` as runs of adjacent digits: ``(stride, span)`` pairs."""
+    runs: List[List[int]] = []
+    for stride, size in sorted(
+        (schema.stride(name), schema.field(name).size) for name in names
+    ):
+        if runs and runs[-1][0] * runs[-1][1] == stride:
+            runs[-1][1] *= size
+        else:
+            runs.append([stride, size])
+    return tuple((stride, span) for stride, span in runs)
+
+
+def _project(runs: Tuple[Tuple[int, int], ...], code):
+    """The digits of ``runs`` in ``code`` (an int or an int array) as one
+    mixed-radix integer."""
+    key = 0
+    for stride, span in runs:
+        key = key * span + code // stride % span
+    return key
+
+
+def _outside(runs: Tuple[Tuple[int, int], ...], code: int) -> int:
+    """``code`` with the digits of ``runs`` zeroed."""
+    for stride, span in runs:
+        code -= code // stride % span * stride
+    return code
+
+
 class FootprintMemo:
     """One thread's rule outcomes, keyed by the pair's footprint projection.
 
-    The footprint fields are grouped into runs of adjacent digits, so the
-    projection of a code is one ``code // stride % span`` per run.  A row
-    is a tuple of :data:`RowEntry` in rule and branch order, identity
-    outcomes left out; it holds code *deltas*, which are the same for
-    every pair with the same projection.
+    Each side's footprint fields are grouped into runs of adjacent digits,
+    so the projection of a code is one ``code // stride % span`` per run;
+    a pair's key is the initiator's projection times ``span_b`` plus the
+    responder's.  A row is a tuple of :data:`RowEntry` in rule and branch
+    order, identity outcomes left out; it holds code *deltas*, which are
+    the same for every pair with the same projections.
     """
 
-    __slots__ = ("thread", "schema", "names", "runs", "span", "rows")
+    __slots__ = (
+        "thread", "schema", "names_a", "names_b", "runs_a", "runs_b", "span_b",
+        "rows",
+    )
 
-    def __init__(self, thread: Thread, schema: StateSchema, names: FrozenSet[str]):
+    def __init__(
+        self,
+        thread: Thread,
+        schema: StateSchema,
+        names_a: FrozenSet[str],
+        names_b: FrozenSet[str],
+    ):
         self.thread = thread
         self.schema = schema
-        self.names = names
-        runs: List[List[int]] = []
-        for stride, size in sorted(
-            (schema.stride(name), schema.field(name).size) for name in names
-        ):
-            if runs and runs[-1][0] * runs[-1][1] == stride:
-                runs[-1][1] *= size
-            else:
-                runs.append([stride, size])
-        self.runs = tuple((stride, span) for stride, span in runs)
-        span = 1
-        for _, size in self.runs:
-            span *= size
-        self.span = span
+        self.names_a = names_a
+        self.names_b = names_b
+        self.runs_a = _runs(schema, names_a)
+        self.runs_b = _runs(schema, names_b)
+        self.span_b = 1  # how many values the responder's projection takes
+        for _, span in self.runs_b:
+            self.span_b *= span
         self.rows: Dict[int, Tuple[RowEntry, ...]] = {}
 
-    def project(self, code: int) -> int:
-        """``code``'s footprint digits as one mixed-radix integer."""
-        key = 0
-        for stride, span in self.runs:
-            key = key * span + code // stride % span
-        return key
+    @property
+    def names(self) -> FrozenSet[str]:
+        """Every footprint field, on either side."""
+        return self.names_a | self.names_b
 
-    def _outside(self, code: int) -> int:
-        """``code`` with its footprint digits zeroed."""
-        for stride, span in self.runs:
-            code -= code // stride % span * stride
-        return code
+    def project_a(self, code):
+        """The initiator ``code``'s footprint digits (an int or int array)."""
+        return _project(self.runs_a, code)
+
+    def project_b(self, code):
+        """The responder ``code``'s footprint digits (an int or int array)."""
+        return _project(self.runs_b, code)
+
+    def key(self, code_a: int, code_b: int) -> int:
+        """The memo key of the pair ``(code_a, code_b)``."""
+        return _project(self.runs_a, code_a) * self.span_b + _project(self.runs_b, code_b)
 
     def compute(self, key: int, a: State, b: State) -> Tuple[RowEntry, ...]:
-        """Run every rule on the views, check the writes, store the row."""
+        """Run every rule on the views, check each side's writes, store the
+        row."""
+        runs_a, runs_b = self.runs_a, self.runs_b
         code_a, code_b = a.code, b.code
-        out_a, out_b = self._outside(code_a), self._outside(code_b)
+        out_a, out_b = _outside(runs_a, code_a), _outside(runs_b, code_b)
         row: List[RowEntry] = []
         for pos, rule in enumerate(self.thread.rules):
             for new_a, new_b, branch_p in rule.outcomes(a, b):
-                if self._outside(new_a) != out_a or self._outside(new_b) != out_b:
+                if _outside(runs_a, new_a) != out_a or _outside(runs_b, new_b) != out_b:
                     raise FootprintError(self._leak_message(a, b, new_a, new_b))
                 if new_a != code_a or new_b != code_b:
                     row.append((pos, new_a - code_a, new_b - code_b, branch_p))
@@ -191,15 +236,18 @@ class FootprintMemo:
         schema = self.schema
         leaked = sorted(
             name
-            for old, new in ((a.code, new_a), (b.code, new_b))
+            for old, new, names in (
+                (a.code, new_a, self.names_a), (b.code, new_b, self.names_b)
+            )
             for name in schema.field_names
-            if name not in self.names
+            if name not in names
             and schema.value_of(old, name) != schema.value_of(new, name)
         )
         return (
-            "thread {!r} wrote {} outside its footprint {}; declare them in "
-            "the thread's writes=".format(
-                self.thread.name, leaked, sorted(self.names)
+            "thread {!r} wrote {} outside its footprint (initiator {}, "
+            "responder {}); declare them in the thread's writes= or the "
+            "rule's footprint=".format(
+                self.thread.name, leaked, sorted(self.names_a), sorted(self.names_b)
             )
         )
 
@@ -259,7 +307,7 @@ class Protocol:
                 return thread
         raise KeyError("no thread {!r} in protocol {!r}".format(name, self.name))
 
-    def _row_plan(self) -> List[Tuple[Optional[FootprintMemo], Thread, List[float]]]:
+    def row_plan(self) -> List[Tuple[Optional[FootprintMemo], Thread, List[float]]]:
         """Per thread: its memo (``None``: full path) and its rules' draw
         probabilities."""
         if self._plan is None:
@@ -309,14 +357,14 @@ class Protocol:
     def _transitions(
         self, pairs: Iterable[Tuple[int, int]], memo: bool
     ) -> Iterator[Tuple[List[Outcome], float]]:
-        plan = self._row_plan()
-        views = _Views(self.schema)  # each code decoded once per batch
+        plan = self.row_plan()
+        views = Views(self.schema)  # each code decoded once per batch
         for code_a, code_b in pairs:
             code_a, code_b = int(code_a), int(code_b)
             merged: Dict[Tuple[int, int], float] = {}
             for thread_memo, thread, draws in plan:
                 if memo and thread_memo is not None:
-                    key = thread_memo.project(code_a) * thread_memo.span + thread_memo.project(code_b)
+                    key = thread_memo.key(code_a, code_b)
                     row = thread_memo.rows.get(key)
                     if row is None:
                         row = thread_memo.compute(key, views[code_a], views[code_b])
@@ -402,7 +450,7 @@ def check_footprints(protocol: Protocol, pairs: Iterable[Tuple[int, int]]) -> in
         if fast != full:
             memoized = [
                 thread.name
-                for thread_memo, thread, _ in protocol._row_plan()
+                for thread_memo, thread, _ in protocol.row_plan()
                 if thread_memo is not None
             ]
             raise FootprintError(

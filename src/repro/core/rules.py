@@ -18,7 +18,9 @@ of ``(probability, update)`` alternatives.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from .formula import ANY, Formula, read_set
 from .state import State
@@ -30,6 +32,9 @@ Guard = Union[None, bool, Formula, Callable[[State], bool]]
 #: An outcome of one interaction: (initiator code, responder code, probability).
 Outcome = Tuple[int, int, float]
 
+#: What a rule or thread touches: (initiator fields, responder fields).
+Sides = Tuple[FrozenSet[str], FrozenSet[str]]
+
 
 def _coerce_update(update: UpdateLike) -> Dict[str, object]:
     if update is None:
@@ -37,6 +42,14 @@ def _coerce_update(update: UpdateLike) -> Dict[str, object]:
     if isinstance(update, Formula):
         return update.as_assignments()
     return dict(update)
+
+
+def _guard_reads(guard: Guard) -> Optional[set]:
+    """The fields ``guard`` reads, or ``None`` when a callable hides them."""
+    if guard is None or guard is True:
+        return set()
+    seen = read_set(guard) if isinstance(guard, Formula) else None
+    return None if seen is None else set(seen)
 
 
 def _coerce_guard(guard: Guard) -> Callable[[State], bool]:
@@ -162,24 +175,20 @@ class Rule:
             results.append((new_a, new_b, branch.probability))
         return results
 
-    def footprint(self) -> Optional[FrozenSet[str]]:
-        """The fields this rule reads or writes, as its structure shows them:
-        the guards' formula variables plus the update keys.  ``None`` when a
+    def footprint(self) -> Optional[Sides]:
+        """The fields this rule reads or writes on each side, as its
+        structure shows them: ``(initiator fields, responder fields)``,
+        each side's guard variables plus its update keys.  ``None`` when a
         callable guard or an effect hides what it touches."""
-        names: set = set()
-        for guard in (self.guard_a, self.guard_b):
-            if guard is None or guard is True:
-                continue
-            seen = read_set(guard) if isinstance(guard, Formula) else None
-            if seen is None:
-                return None
-            names |= seen
+        side_a, side_b = _guard_reads(self.guard_a), _guard_reads(self.guard_b)
+        if side_a is None or side_b is None:
+            return None
         for branch in self.branches:
             if branch.effect is not None:
                 return None
-            names.update(branch.update_a)
-            names.update(branch.update_b)
-        return frozenset(names)
+            side_a.update(branch.update_a)
+            side_b.update(branch.update_b)
+        return frozenset(side_a), frozenset(side_b)
 
     # -- transformations used by the compiler --------------------------------
     def guarded(
@@ -274,9 +283,14 @@ class DynamicRule(Rule):
     the function is evaluated once per distinct state pair by the
     transition table and could be expanded into an equivalent finite list
     of bit-mask rules.
+
+    ``footprint=(initiator fields, responder fields)`` declares what
+    ``outcome_fn`` reads or writes on each side; the guards' variables are
+    added to it.  Without it the rule's footprint is unknown (see
+    :meth:`Rule.footprint`).
     """
 
-    __slots__ = ("outcome_fn",)
+    __slots__ = ("outcome_fn", "declared")
 
     def __init__(
         self,
@@ -285,9 +299,14 @@ class DynamicRule(Rule):
         outcome_fn: Callable[[State, State], List[Tuple[Mapping[str, object], Mapping[str, object], float]]],
         weight: float = 1.0,
         name: Optional[str] = None,
+        footprint: Optional[Tuple[Iterable[str], Iterable[str]]] = None,
     ):
         super().__init__(guard_a, guard_b, weight=weight, name=name)
         self.outcome_fn = outcome_fn
+        self.declared: Optional[Sides] = None
+        if footprint is not None:
+            side_a, side_b = footprint
+            self.declared = frozenset(side_a), frozenset(side_b)
 
     def outcomes(self, a: State, b: State) -> List[Outcome]:
         if not self.matches(a, b):
@@ -308,9 +327,16 @@ class DynamicRule(Rule):
             )
         return results
 
-    def footprint(self) -> None:
-        """Unknown: the outcome function may read any field."""
-        return None
+    def footprint(self) -> Optional[Sides]:
+        """The declared sides plus the guards' variables; ``None`` when
+        nothing is declared (the outcome function may read any field) or a
+        guard is a callable."""
+        if self.declared is None:
+            return None
+        guard_a, guard_b = _guard_reads(self.guard_a), _guard_reads(self.guard_b)
+        if guard_a is None or guard_b is None:
+            return None
+        return self.declared[0] | guard_a, self.declared[1] | guard_b
 
     def guarded(self, extra_a: Guard = None, extra_b: Guard = None, name_suffix: str = "") -> "DynamicRule":
         clone = DynamicRule(
@@ -319,6 +345,7 @@ class DynamicRule(Rule):
             self.outcome_fn,
             weight=self.weight,
             name=(self.name or "dynamic") + name_suffix,
+            footprint=self.declared,
         )
         return clone
 

@@ -72,6 +72,10 @@ class Field:
         return "Field({}:{})".format(self.name, kind)
 
 
+#: Stands for "no formula asked yet" in :meth:`StateSchema.truth`.
+_NOTHING = object()
+
+
 class StateSchema:
     """An ordered collection of fields defining the agent state space.
 
@@ -91,19 +95,25 @@ class StateSchema:
         self._layout: List[Tuple[str, int, Tuple[object, ...]]] = []
         self._num_states = 1
         self._frozen = False
-        # formula -> its truth per code (see truth()); not pickled
-        self._truth: Dict[Formula, _Truth] = {}
+        self._memos()
         for field in fields:
             self.add_field(field)
 
+    def _memos(self) -> None:
+        """Empty per-code memos (see truth() and values()); not pickled."""
+        self._truth: Dict[Formula, _Truth] = {}
+        self._last_truth: Tuple[object, Optional[_Truth]] = (_NOTHING, None)
+        self._values: Dict[str, _Values] = {}
+
     def __getstate__(self):
         state = dict(self.__dict__)
-        del state["_truth"]
+        for name in ("_truth", "_last_truth", "_values"):
+            del state[name]
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self._truth = {}
+        self._memos()
 
     # -- construction ------------------------------------------------------
     def add_field(self, field: Field) -> Field:
@@ -227,13 +237,29 @@ class StateSchema:
         Threads sharing a schema may fill the memo at once: every writer
         stores the same answer, so no lock is needed.
         """
+        last, memo = self._last_truth
+        if formula is last:
+            # a stop predicate asks for the same formula object every call
+            return memo
         if not isinstance(formula, Formula):
             formula = coerce_formula(formula)
         memo = self._truth.get(formula)
         if memo is None:
             memo = _Truth(self, formula, structural(formula))
-            if memo.keep:
-                self._truth[formula] = memo
+            if not memo.keep:
+                return memo
+            self._truth[formula] = memo
+        self._last_truth = formula, memo
+        return memo
+
+    def values(self, name: str) -> "_Values":
+        """``values(name)[code]``: field ``name``'s value in state ``code``,
+        decoded on a code's first read and memoized (the schema-side
+        counterpart of :meth:`value_of` for observers that read the same
+        codes over and over)."""
+        memo = self._values.get(name)
+        if memo is None:
+            memo = self._values[name] = _Values(self, name)
         return memo
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -260,6 +286,21 @@ class _Truth(dict):
         value = bool(self.formula.evaluate(self.schema.unpack(code)))
         if self.keep:
             self[code] = value
+        return value
+
+
+class _Values(dict):
+    """``code -> value`` of one field, decoded on a code's first read."""
+
+    __slots__ = ("schema", "name")
+
+    def __init__(self, schema: StateSchema, name: str):
+        super().__init__()
+        self.schema = schema
+        self.name = name
+
+    def __missing__(self, code: int) -> object:
+        value = self[code] = self.schema.value_of(code, self.name)
         return value
 
 

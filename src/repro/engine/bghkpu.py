@@ -412,10 +412,16 @@ class BGHKPUEngine(BatchCountEngine):
         elif sampler.stale(full_c):
             sampler.refresh(full_c)
 
-        if sampler.cells_nz is not None and self.guards is None and self.batch is None:
+        guards = self.guards
+        if guards is not None:
+            guards.check_weights(self, sampler.w, codes=self.table.codes[sampler.act])
+        if sampler.cells_nz is not None and self.batch is None:
             go_on = self._one_pair_steps(h)
             if go_on is not None:
                 self.kernel_seconds += time.perf_counter() - kernel_start
+                if guards is not None:
+                    # the loop has written its counts back
+                    guards.after_batch(self)
                 return go_on
 
         p_change = sampler.total / (float(h.n) * float(h.n - 1))
@@ -426,10 +432,6 @@ class BGHKPUEngine(BatchCountEngine):
             self.kernel_seconds += time.perf_counter() - kernel_start
             self.interactions = h.fast_forward(self.interactions)
             return False
-        if self.guards is not None:
-            self.guards.check_weights(
-                self, sampler.w, codes=self.table.codes[sampler.act]
-            )
 
         gamma = sampler.gamma
         f_cap = 0.5 * sampler.cap_events
@@ -469,16 +471,16 @@ class BGHKPUEngine(BatchCountEngine):
             self.events += applied
             h.events += applied
             self.kernel_seconds += time.perf_counter() - kernel_start
-            if self.guards is not None:
-                self.guards.after_batch(self)
+            if guards is not None:
+                guards.after_batch(self)
             return not h.halted(pop)
 
         batch = self.batch if self.batch is not None else int(f_cap / p_change)
         batch = h.clamp(batch, self.interactions, p_change)
         if batch < 1:
             batch = 1
-        if self.guards is not None:
-            self.guards.check_batch(self, batch)
+        if guards is not None:
+            guards.check_batch(self, batch)
 
         fired = int(rng.binomial(batch, min(p_change, 1.0)))
         applied = 0
@@ -549,8 +551,8 @@ class BGHKPUEngine(BatchCountEngine):
                     self._AUTOTUNE_SCALE_MAX, self._tune_scale * 1.2
                 )
         self.kernel_seconds += time.perf_counter() - kernel_start
-        if self.guards is not None:
-            self.guards.after_batch(self)
+        if guards is not None:
+            guards.after_batch(self)
         h.emit_up_to(self.interactions, pop)
         return not h.halted(pop)
 
@@ -578,7 +580,8 @@ class BGHKPUEngine(BatchCountEngine):
         population dict is written on every firing (``stop`` and the
         observers read it), by the rules of :meth:`_apply_delta_lean`;
         the compiled count vector and the counters are written back on
-        every exit.
+        every exit.  Under guards every batch passes ``check_batch``, and
+        :meth:`_epoch_step` runs the count checks after the write-back.
         """
         sampler = self._sampler
         ct = self.table
@@ -625,6 +628,7 @@ class BGHKPUEngine(BatchCountEngine):
         target = h.target
         cap = h.max_events
         pairs_total = float(h.n) * float(h.n - 1)
+        check_batch = None if self.guards is None else self.guards.check_batch
         same = gi == gj
         cf = self.COLLISION_FRAC
         min_ev = MIN_BATCH_EVENTS
@@ -685,6 +689,8 @@ class BGHKPUEngine(BatchCountEngine):
                         batch = int(left / p)
                     if batch < 1:
                         batch = 1
+                    if check_batch is not None:
+                        check_batch(self, batch)
                     fired = int(binomial(batch, p if p < 1.0 else 1.0))
                     limit = int(ci) // 2 if same else int(ci if ci < cj else cj)
                     if fired > limit:

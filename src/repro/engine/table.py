@@ -12,18 +12,21 @@ outcome row per ordered state pair:
 * ``p_row``  — float64[R], each row's change probability (the sequential
   sum of its ``out_p``).
 
-A row is computed by ``protocol.transition`` the first time it is needed.
 There are two ways to fill a table:
 
 * :func:`LazyTable(protocol) <LazyTable>` is an empty, *open* table.  It
-  indexes states and appends rows as pairs become active, so its size
+  indexes states and appends rows as pairs become active, each row
+  computed by a streamed :meth:`Protocol.transitions` pass, so its size
   follows the occupied support, never the packed space (the paper's
   compiled programs pack ~10⁹ states but touch a few thousand).
 * :func:`repro.engine.compiled.compile_table` fills a *closed* table from
   the reachable closure of an initial support: every ordered pair of the
   closure has a row, and pair ``(i, j)`` owns row ``i * q + j``.  That
   fixed geometry is what the alias and ensemble kernels index directly
-  (:attr:`TransitionTable.p_change_matrix`).
+  (:attr:`TransitionTable.p_change_matrix`).  The closure and its rows
+  are built with array operations over each thread's footprint memo
+  (:class:`_Closure`); the rows equal :meth:`Protocol.transition`'s,
+  float for float.
 
 An open table's indices follow the order in which states were first seen,
 which depends on whichever engine touched them first; engines that order
@@ -45,11 +48,11 @@ import tempfile
 import time
 from array import array
 from math import isqrt
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.protocol import Protocol
+from ..core.protocol import Protocol, Views
 
 class PairOutcomes:
     """Aggregated changing outcomes of one ordered state pair.
@@ -552,26 +555,11 @@ class TransitionTable:
         if limit is None:
             limit = compiled.COMPILE_STATE_LIMIT
         start = time.perf_counter()
-        lazy = cls(protocol)
-        order = reachable_codes(protocol, initial_codes, limit=limit, table=lazy)
-        q = len(order)
-        seen = lazy.indices(np.array(order, dtype=np.int64))
-        src = lazy.rows(np.repeat(seen, q), np.tile(seen, q))
-        begin = lazy.off[src]
-        width = lazy.off[src + 1] - begin
-        off = np.zeros(q * q + 1, dtype=np.int64)
-        np.cumsum(width, out=off[1:])
-        gather = np.repeat(begin - off[:-1], width) + np.arange(off[-1])
-        to_closed = np.empty(lazy.num_states, dtype=np.int64)
-        to_closed[seen] = np.arange(q)
+        closure = _Closure(protocol, initial_codes, limit)
         return cls(
             protocol,
-            np.array(order, dtype=np.int64),
-            lazy.p_row[src],
-            off,
-            to_closed[lazy.out_a[gather]],
-            to_closed[lazy.out_b[gather]],
-            lazy.out_p[gather],
+            closure.codes,
+            *closure.rows(),
             fingerprint=fingerprint,
             compile_seconds=time.perf_counter() - start,
         )
@@ -694,47 +682,270 @@ def reachable_codes(
     protocol: Protocol,
     initial_codes: Iterable[int],
     limit: int = 100000,
-    table: Optional[TransitionTable] = None,
 ) -> List[int]:
     """Closure of state codes reachable from the initial support.
 
     Breadth-first exploration over single-interaction transitions: each
     round pairs only the *new frontier* against the accumulated order (in
     both orientations), never the full order against itself, so every
-    unordered pair is expanded exactly once.  The returned order is
+    ordered pair is expanded exactly once.  The returned order is
     deterministic for a given protocol and initial support (sorted initial
-    codes, then discovery rounds in sorted order).
-
-    Pass an open ``table`` to reuse its rows (and to leave the fully
-    explored pair space in it afterwards —
-    :meth:`TransitionTable.from_protocol` builds the closed table from
-    exactly those rows).  Useful for sizing mean-field systems and for
-    sanity checks on compiled protocols ("the constant is big, but *this*
-    big?").
+    codes, then discovery rounds in sorted order); it is the index order
+    of :meth:`TransitionTable.from_protocol`.  Useful for sizing
+    mean-field systems and for sanity checks on compiled protocols ("the
+    constant is big, but *this* big?").
     """
-    if table is None:
-        table = LazyTable(protocol)
-    seen: Set[int] = set(int(c) for c in initial_codes)
-    order = sorted(seen)
-    frontier = list(order)
-    while frontier:
-        f = table.indices(np.array(frontier, dtype=np.int64))
-        o = table.indices(np.array(order, dtype=np.int64))
-        rows = table.rows(
-            np.concatenate([np.repeat(f, len(o)), np.tile(o, len(f))]),
-            np.concatenate([np.tile(o, len(f)), np.repeat(f, len(o))]),
-        )
-        begin = table.off[rows]
-        width = table.off[rows + 1] - begin
-        total = int(width.sum())
-        entries = np.repeat(begin - np.cumsum(width) + width, width) + np.arange(total)
-        reached = table.codes[np.concatenate([table.out_a[entries], table.out_b[entries]])]
-        new = set(reached.tolist()) - seen
-        if len(seen) + len(new) > limit:
-            raise RuntimeError(
-                "reachable state space exceeds limit={} states".format(limit)
-            )
-        seen.update(new)
-        order.extend(sorted(new))
-        frontier = sorted(new)
-    return order
+    return _Closure(protocol, initial_codes, limit).codes.tolist()
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct ``values`` (``np.unique`` without its lazy
+    ``numpy.ma`` import)."""
+    values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _spans(starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """``starts[k] : starts[k] + widths[k]`` for every ``k``, concatenated."""
+    ends = np.cumsum(widths)
+    return np.repeat(starts - ends + widths, widths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+class _Side:
+    """One side (initiator or responder) of a thread's row keys.
+
+    Each closure state gets the id of its projection onto the side's
+    footprint digits (the state itself when the thread has no memo), ids
+    numbered in order of first appearance; ``reps[i]`` is a state with
+    projection ``keys[i]``.
+    """
+
+    __slots__ = ("project", "ids", "keys", "reps", "of")
+
+    def __init__(self, project):
+        self.project = project
+        self.ids: Dict[int, int] = {}
+        self.keys: List[int] = []
+        self.reps: List[int] = []
+        self.of = np.zeros(0, dtype=np.int64)  # closure index -> id
+
+    def add(self, codes: np.ndarray) -> None:
+        """Give the closure's next states ``codes`` their ids."""
+        keys = codes
+        if self.project is not None:
+            # a side with no footprint fields projects every state onto 0
+            keys = np.broadcast_to(self.project(codes), codes.shape)
+        ids, seen = self.ids, []
+        for code, key in zip(codes.tolist(), keys.tolist()):
+            idx = ids.get(key)
+            if idx is None:
+                idx = ids[key] = len(self.keys)
+                self.keys.append(key)
+                self.reps.append(code)
+            seen.append(idx)
+        self.of = np.concatenate([self.of, np.array(seen, dtype=np.int64)])
+
+
+class _ThreadRows:
+    """One thread's rows over a growing closure.
+
+    A thread with a :class:`~repro.core.protocol.FootprintMemo` keys a pair
+    by its initiator's and responder's footprint projections, so every
+    pair with the same projections shares one row, read from the memo (or
+    computed into it).  Any other thread keys a pair by its two states and
+    computes each row on the full path, every rule on the pair's views.
+    ``grid[ia, ib]`` is the row of side ids ``(ia, ib)``, -1 until it is
+    needed.  Row ``r`` owns ``start[r] : start[r + 1]`` of the entries: code
+    deltas of both sides and probabilities already scaled by the rule's
+    draw probability, in rule and branch order, identity outcomes left
+    out.
+    """
+
+    def __init__(self, memo, thread, draws, views):
+        self.memo, self.thread, self.draws, self.views = memo, thread, draws, views
+        self.side_a = _Side(None if memo is None else memo.project_a)
+        self.side_b = _Side(None if memo is None else memo.project_b)
+        self.grid = np.full((0, 0), -1, dtype=np.int64)
+        self.start = _Column(np.zeros(1, dtype=np.int64))
+        self.da = _Column(np.zeros(0, dtype=np.int64))
+        self.db = _Column(np.zeros(0, dtype=np.int64))
+        self.p = _Column(np.zeros(0, dtype=np.float64))
+
+    def add(self, codes: np.ndarray) -> None:
+        """Key the closure's next states ``codes``."""
+        self.side_a.add(codes)
+        self.side_b.add(codes)
+        shape = (len(self.side_a.keys), len(self.side_b.keys))
+        if shape != self.grid.shape:
+            grid = np.full(shape, -1, dtype=np.int64)
+            grid[: self.grid.shape[0], : self.grid.shape[1]] = self.grid
+            self.grid = grid
+
+    def rows(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        """Row ids of the closure index pairs ``(ia, ib)``, computing the
+        missing rows."""
+        ka, kb = self.side_a.of[ia], self.side_b.of[ib]
+        found = self.grid[ka, kb]
+        missing = np.flatnonzero(found < 0)
+        if len(missing):
+            width = self.grid.shape[1]
+            cells = _distinct(ka[missing] * width + kb[missing]).tolist()
+            row = self.start.size - 1
+            da: List[int] = []
+            db: List[int] = []
+            p: List[float] = []
+            ends: List[int] = []
+            first = self.p.size
+            for cell in cells:
+                self._compute(*divmod(cell, width), da, db, p)
+                ends.append(first + len(p))
+            flat = self.grid.reshape(-1)
+            flat[cells] = np.arange(row, row + len(cells))
+            self.start.extend(ends)
+            self.da.extend(da)
+            self.db.extend(db)
+            self.p.extend(p)
+            found[missing] = self.grid[ka[missing], kb[missing]]
+        return found
+
+    def _compute(self, x: int, y: int, da: List[int], db: List[int], p: List[float]) -> None:
+        """Append the entries of the row of side ids ``(x, y)``."""
+        code_a, code_b = self.side_a.reps[x], self.side_b.reps[y]
+        draws, memo = self.draws, self.memo
+        if memo is not None:
+            key = self.side_a.keys[x] * memo.span_b + self.side_b.keys[y]
+            row = memo.rows.get(key)
+            if row is None:
+                row = memo.compute(key, self.views[code_a], self.views[code_b])
+            for pos, delta_a, delta_b, branch_p in row:
+                da.append(delta_a)
+                db.append(delta_b)
+                p.append(draws[pos] * branch_p)
+            return
+        a, b = self.views[code_a], self.views[code_b]
+        for rule, draw_p in zip(self.thread.rules, draws):
+            for new_a, new_b, branch_p in rule.outcomes(a, b):
+                if new_a != code_a or new_b != code_b:
+                    da.append(new_a - code_a)
+                    db.append(new_b - code_b)
+                    p.append(draw_p * branch_p)
+
+    def entries(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each row's width, and the entry ids of ``rows`` in row order."""
+        start = self.start.buf[: self.start.size]
+        width = (start[1:] - start[:-1])[rows]
+        return width, _spans(start[rows], width)
+
+
+class _Closure:
+    """The reachable closure of an initial support, and its closed rows.
+
+    The closure grows in breadth-first waves.  Each wave keys the pairs it
+    has not expanded yet (one state new, in either order) in every
+    thread, fills the thread rows they miss, and gathers their outcome
+    states as arrays; the closure's codes are the sorted initial codes,
+    then each wave's new codes sorted.  :meth:`rows` assembles the closed
+    table's CSR arrays from the same thread rows.
+    """
+
+    def __init__(self, protocol: Protocol, initial_codes: Iterable[int], limit: int):
+        views = Views(protocol.schema)
+        self.threads = [
+            _ThreadRows(memo, thread, draws, views)
+            for memo, thread, draws in protocol.row_plan()
+        ]
+        codes = np.array(sorted(set(int(c) for c in initial_codes)), dtype=np.int64)
+        self.codes = np.zeros(0, dtype=np.int64)
+        while len(codes):
+            codes = self._wave(codes)
+            if len(self.codes) + len(codes) > limit:
+                raise RuntimeError(
+                    "reachable state space exceeds limit={} states".format(limit)
+                )
+
+    def _wave(self, fresh: np.ndarray) -> np.ndarray:
+        """Add the states ``fresh``, expand every pair that has one of them,
+        and return the sorted states those pairs reach that are new."""
+        lo = len(self.codes)
+        self.codes = codes = np.concatenate([self.codes, fresh])
+        hi = len(codes)
+        new, every, old = np.arange(lo, hi), np.arange(hi), np.arange(lo)
+        ia = np.concatenate([np.repeat(new, hi), np.repeat(old, hi - lo)])
+        ib = np.concatenate([np.tile(every, hi - lo), np.tile(new, lo)])
+        reached = []
+        for rows in self.threads:
+            rows.add(fresh)
+            width, ent = rows.entries(rows.rows(ia, ib))
+            reached.append(codes[np.repeat(ia, width)] + rows.da.buf[ent])
+            reached.append(codes[np.repeat(ib, width)] + rows.db.buf[ent])
+        reached = _distinct(np.concatenate(reached))
+        known = np.sort(codes)
+        pos = np.minimum(np.searchsorted(known, reached), hi - 1)
+        return reached[known[pos] != reached]
+
+    def rows(self) -> Tuple[np.ndarray, ...]:
+        """``(p_row, off, out_a, out_b, out_p)`` of the closed table.
+
+        Pair ``(i, j)`` owns row ``i * q + j``; its outcomes are the
+        threads' entries in thread, rule and branch order, coinciding
+        outcomes merged into the first and summed in that order, and
+        ``p_row`` is each row's sequential sum (what
+        :meth:`Protocol.transition` gives, float for float).
+        """
+        codes = self.codes
+        q = len(codes)
+        pairs = q * q
+        parts = []
+        for rows in self.threads:
+            found = rows.grid[np.ix_(rows.side_a.of, rows.side_b.of)].reshape(-1)
+            parts.append((rows,) + rows.entries(found))
+        width = sum(w for _, w, _ in parts)
+        off = np.zeros(pairs + 1, dtype=np.int64)
+        np.cumsum(width, out=off[1:])
+        nnz = int(off[-1])
+        out_a = np.empty(nnz, dtype=np.int64)
+        out_b = np.empty(nnz, dtype=np.int64)
+        out_p = np.empty(nnz, dtype=np.float64)
+        base = off[:-1].copy()
+        code_a, code_b = np.repeat(codes, q), np.tile(codes, q)
+        for rows, w, ent in parts:
+            dest = _spans(base, w)
+            out_a[dest] = np.repeat(code_a, w) + rows.da.buf[ent]
+            out_b[dest] = np.repeat(code_b, w) + rows.db.buf[ent]
+            out_p[dest] = rows.p.buf[ent]
+            base += w
+        order = np.argsort(codes)
+        out_a = order[np.searchsorted(codes[order], out_a)]
+        out_b = order[np.searchsorted(codes[order], out_b)]
+        row = np.repeat(np.arange(pairs), width)
+        first = _first_equal(off, width, out_a * q + out_b)
+        if first is not None:
+            # coinciding outcomes: each sums into its first occurrence, in
+            # entry order (bincount adds its weights one by one)
+            out_p = np.bincount(first, weights=out_p, minlength=nnz)
+            keep = first == np.arange(nnz)
+            out_a, out_b, out_p, row = out_a[keep], out_b[keep], out_p[keep], row[keep]
+            width = np.bincount(row, minlength=pairs)
+            np.cumsum(width, out=off[1:])
+        p_row = np.bincount(row, weights=out_p, minlength=pairs)
+        return p_row, off, out_a, out_b, out_p
+
+
+def _first_equal(off: np.ndarray, width: np.ndarray, keys: np.ndarray) -> Optional[np.ndarray]:
+    """Per entry, the first entry of its row with an equal key, or ``None``
+    when no row holds two equal keys."""
+    if not len(keys):
+        return None
+    rank = np.arange(len(keys)) - np.repeat(off[:-1], width)
+    first = None
+    for gap in range(1, int(width.max())):
+        # the largest gap that matches wins: the earliest equal entry
+        hit = np.flatnonzero((rank[gap:] >= gap) & (keys[gap:] == keys[:-gap]))
+        if len(hit):
+            if first is None:
+                first = np.arange(len(keys))
+            first[hit + gap] = hit
+    return first

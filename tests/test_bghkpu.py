@@ -177,6 +177,38 @@ class TestOnePairLoop:
         assert eng._sampler.refreshes == 0
         assert eng.stats.alias_rebuilds == 1
 
+    def test_guards_keep_the_loop(self):
+        """Armed guards (the sweep default) check the loop's batches and its
+        written-back counts without leaving it: the records are equal."""
+        guarded, pop_g = run_leader("bghkpu", 10**8, seed=4, guards=True)
+        plain, pop_p = run_leader("bghkpu", 10**8, seed=4)
+        assert guarded.guards is not None and plain.guards is None
+        assert pop_g.counts == pop_p.counts
+        for name in ("interactions", "events", "batches", "stop_evals",
+                     "collision_events", "alias_rebuilds"):
+            assert getattr(guarded.stats, name) == getattr(plain.stats, name), name
+        assert guarded.stats.alias_rebuilds == plain.stats.alias_rebuilds == 1
+
+    def test_guards_check_the_loops_counts(self):
+        protocol, schema = leader_fight()
+        pop = leader_population(schema, 10**8)
+        eng = make_engine(
+            protocol, pop, engine=EngineConfig(engine="bghkpu", guards=True),
+            rng=np.random.default_rng(4),
+        )
+        seen = []
+        check = eng.guards.after_batch
+
+        def after_batch(engine):
+            ct = engine.table
+            seen.append([float(engine._full_c[ct.state_index(c)]) for c in (0, 1)])
+            check(engine)
+
+        eng.guards.after_batch = after_batch
+        eng.run(stop=lambda p: p.count(V("L")) == 1)
+        # one check, on the written-back counts at the loop's exit
+        assert seen == [[float(pop.counts[0]), 1.0]]
+
     @pytest.mark.parametrize("limits", [
         {"stop": lambda p: p.count(V("L")) == 1},
         {"rounds": 10**6},  # no stop: the last pair drains

@@ -73,13 +73,12 @@ class TestReachableOrder:
         # initial support leads, sorted; each later wave is sorted too
         assert first[: len(codes)] == sorted(int(c) for c in codes)
 
-    def test_prebuilt_table_is_reused_and_left_populated(self, oscillator):
+    def test_order_is_the_closed_tables_index_order(self, oscillator):
         pop = oscillator_population(oscillator.schema, 100)
         codes = list(pop.counts.keys())
-        table = LazyTable(oscillator)
-        order = reachable_codes(oscillator, codes, table=table)
-        assert table.cached_pairs > 0
-        assert order == reachable_codes(oscillator, codes)
+        order = reachable_codes(oscillator, codes)
+        table = compile_table(oscillator, codes, cache=None)
+        assert order == table.codes.tolist()
 
 
 class TestCompiledArrays:

@@ -19,7 +19,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.clocks import ClockHierarchy, HierarchyParams
+from repro.clocks import ClockHierarchy, ClockParams, HierarchyParams, make_clock_protocol
 from repro.control import (
     JuntaParams,
     KLevelParams,
@@ -28,7 +28,7 @@ from repro.control import (
     make_junta_protocol,
     make_klevel_protocol,
 )
-from repro.core import DynamicRule, Protocol, Rule, StateSchema, Thread, V
+from repro.core import DynamicRule, Protocol, Rule, StateSchema, Thread, V, coin_rule
 from repro.core.protocol import FootprintError, check_footprints
 from repro.engine import BatchCountEngine, MatchingEngine
 from repro.engine.compiled import compile_table
@@ -85,11 +85,13 @@ def memoized_threads(protocol):
 def test_registered_workloads(name):
     protocol, population, _ = WORKLOADS[name](n=1000)
     schema = protocol.schema
+    whole = set(schema.field_names)
     for thread in protocol.threads:
-        names = thread.footprint(schema)
-        assert names is not None
-        # a whole-schema footprint would only duplicate the table's rows
-        assert (thread.memo(schema) is None) == (len(names) == len(schema.fields))
+        sides = thread.footprint(schema)
+        assert sides is not None
+        # a footprint covering the whole schema on both sides would only
+        # duplicate the table's rows
+        assert (thread.memo(schema) is None) == (set(sides[0]) == set(sides[1]) == whole)
     check(protocol, population.counts)
 
 
@@ -212,6 +214,36 @@ def test_under_declared_writes_raise_on_miss():
     protocol = Protocol("leaky-writes", schema, [thread])
     with pytest.raises(FootprintError, match=r"\['Z'\]"):
         protocol.transition(0, 0)
+
+
+def _copy_initiator_y(a, b):
+    """Responder X := initiator Y (reads the initiator's Y)."""
+    if b["X"] == a["Y"]:
+        return []
+    return [({}, {"X": a["Y"]}, 1.0)]
+
+
+def test_under_declared_initiator_side_fails_loudly():
+    schema = _xy_schema()
+    # the initiator's Y is read but not declared on its side
+    leaky = DynamicRule(None, None, _copy_initiator_y, footprint=((), ("X",)))
+    protocol = Protocol("leaky-initiator", schema, [Thread("copy", [leaky])])
+    codes = list(schema.all_codes())
+    with pytest.raises(FootprintError, match="footprint"):
+        check_footprints(protocol, [(a, b) for a in codes for b in codes])
+
+
+def test_declared_sides_pass_and_key_each_side():
+    schema = _xy_schema()
+    rule = DynamicRule(None, None, _copy_initiator_y, footprint=(("Y",), ("X",)))
+    thread = Thread("copy", [rule])
+    protocol = Protocol("sound-sides", schema, [thread])
+    codes = list(schema.all_codes())
+    assert check_footprints(protocol, [(a, b) for a in codes for b in codes]) == 144
+    memo = thread.memo(schema)
+    assert (memo.names_a, memo.names_b) == ({"Y"}, {"X"})
+    # the initiator's Y times the responder's X: four keys, not sixteen
+    assert len(memo.rows) == 4
 
 
 def test_undeclared_dynamic_thread_takes_full_path():
@@ -353,6 +385,77 @@ def test_closed_clock_table_matches_reference():
     assert _table_digest(table) == CLOCK_TABLE_SHA256
 
 
+def test_closed_k6_clock_table_matches_reference():
+    """The default k = 6 ring: 504 states, 254 016 rows; the reference
+    digest was taken with the LazyTable fill this compile replaced."""
+    protocol, population, _ = WORKLOADS["clock"](n=1000)
+    big = make_clock_protocol(params=ClockParams(module=12, k=6))
+    codes = [
+        big.schema.pack(protocol.schema.decode(code)) for code in population.counts
+    ]
+    table = compile_table(big, sorted(codes), cache=None)
+    assert (table.num_states, table.num_pairs) == (504, 254_016)
+    assert _table_digest(table) == CLOCK_K6_TABLE_SHA256
+
+
+def test_clock_ring_memo_keys_its_initiator_on_the_ring():
+    """The ring thread reads only the initiator's ring position, so its
+    memo holds one row per ring position and responder state."""
+    protocol, population, _ = WORKLOADS["clock"](n=1000)
+    table = compile_table(protocol, sorted(population.counts), cache=None)
+    ring = protocol.thread("C_o[clk]").memo(protocol.schema)
+    assert (ring.names_a, ring.names_b) == ({"clk"}, {"clk", "osc", "X"})
+    assert len(ring.rows) == 24 * table.num_states == 4032
+
+
+def _sum_parity(a, b):
+    """An opaque rule: the responder's Z becomes the pair's Z sum mod 3."""
+    z = (a["Z"] + b["Z"]) % 3
+    return [({}, {"Z": z}, 0.5)] if z != b["Z"] else []
+
+
+def test_closed_rows_equal_transition_pair_by_pair():
+    """Two threads write X, so a pair's outcomes coincide across threads
+    (and across branches within one); a third thread is opaque.  Every
+    closed row must equal ``Protocol.transition``, float for float."""
+    schema = _xy_schema()
+    set_x = Thread("set-x", [
+        Rule(V("Y"), None, {"X": True}, weight=3.0),
+        Rule(None, ~V("X"), None, {"X": True}),
+    ])
+    also_x = Thread("also-x", [
+        coin_rule(V("Y"), None, [(0.3, {"X": True}, None), (0.6, {"X": True}, None)]),
+        Rule(V("X"), V("X"), None, {"Y": True, "X": False}),
+    ])
+    opaque = Thread("opaque", [DynamicRule(None, None, _sum_parity)])
+    protocol = Protocol("coinciding", schema, [set_x, also_x, opaque])
+    assert [t.memo(schema) is None for t in protocol.threads] == [False, False, True]
+    start = [schema.pack({"Y": True}), schema.pack({"Z": 1})]
+    table = compile_table(protocol, start, cache=None)
+    assert table.num_states > len(start)
+    merged = 0
+    codes = table.codes.tolist()
+    for a in codes:
+        for b in codes:
+            outcomes, p_change = protocol.transition(a, b)
+            row = table._row(table.state_index(a), table.state_index(b))
+            lo, hi = int(table.off[row]), int(table.off[row + 1])
+            got = list(zip(
+                table.codes[table.out_a[lo:hi]].tolist(),
+                table.codes[table.out_b[lo:hi]].tolist(),
+                table.out_p[lo:hi].tolist(),
+            ))
+            assert got == outcomes, (a, b)
+            assert table.p_row[row] == p_change, (a, b)
+            raw = sum(
+                (new_a, new_b) != (a, b)
+                for rule in protocol.rules
+                for new_a, new_b, _ in rule.outcomes(schema.view(a), schema.view(b))
+            )
+            merged += len(outcomes) < raw
+    assert merged  # some rows did merge coinciding outcomes
+
+
 # An open table's index and row order follow the order in which an engine
 # met states and pairs, so these pin the whole layout of open tables; the
 # references were taken with the one-row-at-a-time fill that the batched
@@ -386,3 +489,4 @@ E14_ROWS_SHA256 = "cb96c5d6f340330d5aed7ac4c30bcb10302d890546e15b8592013bd8d931c
 CLOCK_TABLE_SHA256 = "8a69ae1da5f997f96a7fef3b8f34e3836d953e74881f6234a7aa1438007c15a0"
 OPEN_E14_TABLE_SHA256 = "acd417c5766cfef990d01f6c6d8874927bb54deac384ccc609cc50b1392e9cd1"
 OPEN_CLOCK_TABLE_SHA256 = "4692b0a8faeca6dc26be450797b435c31b6c913dfbb5eee5a865c70285110714"
+CLOCK_K6_TABLE_SHA256 = "2e7792d10c41185f377031fb1c186377a1025cd9c16b2279ea63545003488810"
