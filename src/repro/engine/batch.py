@@ -66,10 +66,11 @@ class ArrayEngine(Engine):
                 "use CountEngine instead"
             )
         self.table = table if table is not None else LazyTable(protocol)
-        # NOTE: the engine works on a private agent array; unlike
-        # CountEngine it does NOT mutate the passed Population — read the
-        # evolving configuration from the ``population`` property.
-        self.agents = population.to_agent_array(self.rng)
+        # NOTE: the engine works on a private agent array of dense table
+        # indices; unlike CountEngine it does NOT mutate the passed
+        # Population — read the evolving configuration from the
+        # ``population`` property.
+        self.agents = self.table.indices(population.to_agent_array(self.rng))
         self._n = len(self.agents)
         if batch_pairs is None:
             batch_pairs = max(8, int(0.75 * math.sqrt(self._n)))
@@ -87,7 +88,7 @@ class ArrayEngine(Engine):
 
     @property
     def population(self) -> Population:
-        return Population.from_agent_array(self.protocol.schema, self.agents)
+        return Population(self.protocol.schema, self.table.census(self.agents))
 
     # -- pair pre-drawing --------------------------------------------------------
     def _refill(self, want: int) -> None:

@@ -48,10 +48,11 @@ class MatchingEngine(Engine):
                 "use CountEngine instead"
             )
         self.table = table if table is not None else LazyTable(protocol)
-        # NOTE: the engine works on a private agent array; unlike
-        # CountEngine it does NOT mutate the passed Population — read the
-        # evolving configuration from the ``population`` property.
-        self.agents = population.to_agent_array(self.rng)
+        # NOTE: the engine works on a private agent array of dense table
+        # indices; unlike CountEngine it does NOT mutate the passed
+        # Population — read the evolving configuration from the
+        # ``population`` property.
+        self.agents = self.table.indices(population.to_agent_array(self.rng))
         self._n = len(self.agents)
         self.steps = 0
 
@@ -66,7 +67,7 @@ class MatchingEngine(Engine):
 
     @property
     def population(self) -> Population:
-        return Population.from_agent_array(self.protocol.schema, self.agents)
+        return Population(self.protocol.schema, self.table.census(self.agents))
 
     def step(self) -> int:
         """Activate one uniformly random (near-)perfect matching.

@@ -15,8 +15,8 @@ outcome row per ordered state pair:
 There are two ways to fill a table:
 
 * :func:`LazyTable(protocol) <LazyTable>` is an empty, *open* table.  It
-  indexes states and appends rows as pairs become active, each row
-  computed by a streamed :meth:`Protocol.transitions` pass, so its size
+  indexes states and appends rows as pairs become active, each row the
+  one :meth:`Protocol.transitions` gives, float for float, so its size
   follows the occupied support, never the packed space (the paper's
   compiled programs pack ~10⁹ states but touch a few thousand).
 * :func:`repro.engine.compiled.compile_table` fills a *closed* table from
@@ -36,7 +36,8 @@ is already canonical.
 
 The scalar :meth:`~TransitionTable.outcomes` view (:class:`PairOutcomes`)
 serves the exact per-event engines; :meth:`~TransitionTable.apply` applies
-a batch of agent pairs for the agent-array engines; the count-batch
+a batch of agent pairs to an array of dense indices for the agent-array
+engines; the count-batch
 engines read :meth:`~TransitionTable.rows` and
 :meth:`~TransitionTable.p_change_block` over their active states.
 """
@@ -47,12 +48,11 @@ import os
 import tempfile
 import time
 from array import array
-from math import isqrt
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.protocol import Protocol, Views
+from ..core.protocol import FootprintMemo, Protocol, Thread, Views
 
 class PairOutcomes:
     """Aggregated changing outcomes of one ordered state pair.
@@ -117,13 +117,14 @@ class _Lookup:
 
     A snapshot of the dict answers most keys in numpy: a direct-address
     array when the keys are dense, else a sorted array and
-    ``searchsorted``.  Keys missing from the snapshot go to ``resolve`` as
-    one sorted list of distinct keys; it returns their values in that
-    order and may add them to the dict.  A missing key may already be in
-    the dict (the snapshot is older), so ``resolve`` must look before it
-    adds.  The snapshot is rebuilt once the misses have cost about as
-    much as a rebuild, so lookups stay cheap for a small settled dict and
-    a large growing one.
+    ``searchsorted``.  Keys missing from the snapshot go to
+    ``resolve(keys, at)`` as one sorted int64 array of distinct keys,
+    ``at[k]`` the position of the first occurrence of ``keys[k]``; it
+    returns their values in that order and may add them to the dict.  A
+    missing key may already be in the dict (the snapshot is older), so
+    ``resolve`` must look before it adds.  The snapshot is rebuilt once
+    the misses have cost about as much as a rebuild, so lookups stay
+    cheap for a small settled dict and a large growing one.
     """
 
     __slots__ = ("direct", "keys", "values", "size", "misses")
@@ -157,11 +158,16 @@ class _Lookup:
         else:
             pos = np.minimum(np.searchsorted(self.keys, keys), self.size - 1)
             found = np.where(self.keys[pos] == keys, self.values[pos], -1)
-        miss = found < 0
-        if miss.any():
-            uniq, inverse = np.unique(keys[miss], return_inverse=True)
-            self.misses += len(uniq)
-            found[miss] = np.asarray(resolve(uniq.tolist()), dtype=np.int64)[inverse]
+        miss = np.flatnonzero(found < 0)
+        if len(miss):
+            order = miss[keys[miss].argsort(kind="stable")]
+            lost = keys[order]
+            head = np.empty(len(lost), dtype=bool)
+            head[0] = True
+            np.not_equal(lost[1:], lost[:-1], out=head[1:])
+            values = np.asarray(resolve(lost[head], order[head]), dtype=np.int64)
+            self.misses += len(values)
+            found[order] = values[np.cumsum(head) - 1]
         return found
 
 
@@ -176,11 +182,38 @@ def _pair_key(i, j):
     return j * j + i if i < j else i * i + i + j
 
 
-def _pair_of(key: int) -> Tuple[int, int]:
-    """The index pair of a :func:`_pair_key` key."""
-    s = isqrt(key)
-    r = key - s * s
-    return (r, s) if r < s else (s, r - s)
+class _KeyedThread(NamedTuple):
+    """One thread of an open table's row plan.
+
+    A memoized thread (``memo`` set) holds, per state index, the
+    initiator's projection times ``memo.span_b`` (``key_a``) and the
+    responder's projection (``key_b``), so a pair's memo key is one sum.
+    A thread without a memo computes every row on the full path.
+    """
+
+    memo: Optional[FootprintMemo]
+    thread: Thread
+    draws: List[float]
+    key_a: Optional[List[int]]
+    key_b: Optional[List[int]]
+
+    @classmethod
+    def of(cls, memo, thread, draws) -> "_KeyedThread":
+        if memo is None:
+            return cls(None, thread, draws, None, None)
+        return cls(memo, thread, draws, [], [])
+
+    def project(self, codes: List[int]) -> None:
+        """Append the projections of the next indexed states ``codes``."""
+        memo = self.memo
+        if memo is not None:
+            span = memo.span_b
+            self.key_a.extend(memo.project_a(code) * span for code in codes)
+            self.key_b.extend(memo.project_b(code) for code in codes)
+
+    def truncate(self, size: int) -> None:
+        if self.memo is not None:
+            del self.key_a[size:], self.key_b[size:]
 
 
 class TransitionTable:
@@ -237,10 +270,17 @@ class TransitionTable:
         self._state_lookup = _Lookup()
         self._row_lookup = _Lookup()
         self._columns: Optional[Dict[str, _Column]] = None
+        # open tables: per thread of the row plan, each indexed state's
+        # footprint projections (see :meth:`_plan`)
+        self._threads: Optional[List[_KeyedThread]] = None
+        self._keyed = 0  # states whose projections the threads hold
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        for key in ("_entries", "_state_lookup", "_row_lookup", "_columns"):
+        for key in (
+            "_entries", "_state_lookup", "_row_lookup", "_columns", "_threads",
+            "_keyed",
+        ):
             del state[key]
         return state
 
@@ -285,8 +325,19 @@ class TransitionTable:
         return self._index_codes((code,))[0] if idx is None else idx
 
     def indices(self, codes: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`state_index` over an int64 code array."""
-        return self._state_lookup(self.index, codes, self._index_codes)
+        """Vectorized :meth:`state_index` over an int64 code array; unseen
+        codes are indexed in ascending code order."""
+        return self._state_lookup(
+            self.index, codes, lambda fresh, _: self._index_codes(fresh.tolist())
+        )
+
+    def census(self, idx: np.ndarray) -> Dict[int, int]:
+        """``{code: count}`` of an array of dense indices, in code order."""
+        counts = np.bincount(idx)
+        live = np.flatnonzero(counts)
+        codes = self.codes[live]
+        order = np.argsort(codes)
+        return dict(zip(codes[order].tolist(), counts[live[order]].tolist()))
 
     def _index_codes(self, codes: Iterable[int]) -> array:
         """Dense indices of ``codes``; unseen codes are indexed in order of
@@ -311,69 +362,125 @@ class TransitionTable:
             self._extend(codes=fresh)
         return found
 
-    def _pair_rows(self, keys: Sequence[int]) -> List[int]:
-        """Row ids of distinct pair keys, computing the missing rows as one
-        batch (see :meth:`_append_rows`).
+    def _pair_rows(
+        self, keys: Sequence[int], ia: np.ndarray, ib: np.ndarray
+    ) -> List[int]:
+        """Row ids of the distinct pair keys ``keys`` of the index pairs
+        ``(ia, ib)``, computing the missing rows as one batch in key order
+        (see :meth:`_append_rows`).
 
         A key that already has a row keeps it (a lookup snapshot may be
         older than ``_pair_row``).
         """
         pair_row = self._pair_row
-        todo = [key for key in keys if key not in pair_row]
+        todo = [k for k, key in enumerate(keys) if key not in pair_row]
         if todo:
-            code = self.codes.item
+            ia, ib = ia[todo], ib[todo]
             base = len(self.p_row)
             self._append_rows(
-                ((code(i), code(j)) for i, j in map(_pair_of, todo)), []
+                zip(ia.tolist(), ib.tolist(),
+                    self.codes[ia].tolist(), self.codes[ib].tolist()),
+                [],
             )
-            for row, key in enumerate(todo, base):
-                pair_row[key] = row
+            for row, k in enumerate(todo, base):
+                pair_row[keys[k]] = row
         return [pair_row[key] for key in keys]
 
-    def _append_rows(
-        self, pairs: Iterable[Tuple[int, int]], fresh: List[int]
-    ) -> None:
-        """Compute the rows of the code pairs ``pairs`` and append them.
+    def _plan(self, upto: int, fresh: List[int]) -> List[_KeyedThread]:
+        """The row plan, every memoized thread holding the projections of
+        the first ``upto`` states (``fresh`` lists the codes indexed past
+        ``codes``)."""
+        threads = self._threads
+        if threads is None:
+            threads = self._threads = [
+                _KeyedThread.of(*plan) for plan in self.protocol.row_plan()
+            ]
+        if self._keyed < upto:
+            known = len(self.codes)
+            new = self.codes[self._keyed : upto].tolist()
+            if upto > known:
+                new += fresh[max(self._keyed - known, 0) : upto - known]
+            for thread in threads:
+                thread.project(new)
+            self._keyed = upto
+        return threads
 
-        The rows are computed by one streamed :meth:`Protocol.transitions`
-        pass in pair order into typed buffers, and each column grows once
-        per batch, so a batch costs O(its rows + their outcomes), never
-        O(table).  New states are indexed row by row, a row's ``out_a``
-        codes before its ``out_b`` codes, and ``p_row`` is each row's
-        sequential sum (what :class:`PairOutcomes`' cumsum ends on).
-        ``fresh`` lists the codes the batch has indexed so far, in index
-        order; ``pairs`` is consumed lazily and may index more states
-        into it between rows.  A batch whose transitions raise leaves the
-        table unchanged.
+    def _append_rows(
+        self, pairs: Iterable[Tuple[int, int, int, int]], fresh: List[int]
+    ) -> None:
+        """Compute the rows of ``pairs`` and append them.
+
+        ``pairs`` yields ``(i, j, code_a, code_b)``: an index pair and its
+        two codes.  A row sums, in thread, rule and branch order, the
+        changing outcomes of every thread; a memoized thread reads its row
+        from its :class:`~repro.core.protocol.FootprintMemo` under the
+        key of the pair's two projections, which the table keeps per
+        state.  That is :meth:`Protocol.transitions`, float for float.
+        Each column grows once per batch, so a batch costs O(its rows +
+        their outcomes), never O(table).  New states are indexed row by
+        row, a row's ``out_a`` codes before its ``out_b`` codes, and
+        ``p_row`` is each row's sequential sum (what
+        :class:`PairOutcomes`' cumsum ends on).  ``fresh`` lists the codes
+        the batch has indexed so far, in index order; ``pairs`` is
+        consumed lazily and may index more states into it between rows.
+        A batch whose transitions raise leaves the table unchanged.
         """
         index = self.index
         first = len(self.codes)
+        threads = self._plan(first + len(fresh), fresh)
+        keyed = self._keyed
+        views = Views(self.protocol.schema)  # each code decoded once per batch
         out_a, out_b, off = array("q"), array("q"), array("q")
         out_p, p_row = array("d"), array("d")
         nnz = len(self.out_p)
         try:
-            for changing, _ in self.protocol.transitions(pairs):
+            for i, j, code_a, code_b in pairs:
+                if i >= keyed or j >= keyed:  # states this batch indexed
+                    keyed = first + len(fresh)
+                    self._plan(keyed, fresh)
+                merged: Dict[Tuple[int, int], float] = {}
+                for memo, thread, draws, key_a, key_b in threads:
+                    if memo is not None:
+                        key = key_a[i] + key_b[j]
+                        row = memo.rows.get(key)
+                        if row is None:
+                            row = memo.compute(key, views[code_a], views[code_b])
+                        for pos, delta_a, delta_b, branch_p in row:
+                            out = (code_a + delta_a, code_b + delta_b)
+                            merged[out] = merged.get(out, 0.0) + draws[pos] * branch_p
+                        continue
+                    a, b = views[code_a], views[code_b]
+                    for rule, draw_p in zip(thread.rules, draws):
+                        for new_a, new_b, branch_p in rule.outcomes(a, b):
+                            if new_a != code_a or new_b != code_b:
+                                out = (new_a, new_b)
+                                merged[out] = merged.get(out, 0.0) + draw_p * branch_p
                 total = 0.0
-                for a, _, p in changing:
+                for a, _ in merged:
                     idx = index.get(a)
                     if idx is None:
                         idx = index[a] = first + len(fresh)
                         fresh.append(a)
                     out_a.append(idx)
-                    out_p.append(p)
-                    total += p
-                for _, b, _ in changing:
+                for _, b in merged:
                     idx = index.get(b)
                     if idx is None:
                         idx = index[b] = first + len(fresh)
                         fresh.append(b)
                     out_b.append(idx)
-                nnz += len(changing)
+                for p in merged.values():
+                    out_p.append(p)
+                    total += p
+                nnz += len(merged)
                 off.append(nnz)
                 p_row.append(total)
         except BaseException:
             for new in fresh:
                 del index[new]
+            if self._keyed > first:
+                for thread in threads:
+                    thread.truncate(first)
+                self._keyed = first
             raise
         self._extend(
             codes=fresh,
@@ -392,14 +499,21 @@ class TransitionTable:
             return i * len(self.codes) + j
         key = _pair_key(i, j)
         row = self._pair_row.get(key)
-        return self._pair_rows((key,))[0] if row is None else row
+        if row is None:
+            row = self._pair_rows([key], np.array([i]), np.array([j]))[0]
+        return row
 
     def rows(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
         """Row ids of the index pairs ``(ia, ib)``, computing missing rows."""
         if self.closed:
             return ia * len(self.codes) + ib
-        keys = _pair_key(np.asarray(ia, dtype=np.int64), ib)
-        return self._row_lookup(self._pair_row, keys, self._pair_rows)
+        ia = np.asarray(ia, dtype=np.int64)
+        ib = np.asarray(ib, dtype=np.int64)
+        return self._row_lookup(
+            self._pair_row,
+            _pair_key(ia, ib),
+            lambda keys, at: self._pair_rows(keys.tolist(), ia[at], ib[at]),
+        )
 
     def p_change_block(self, act: np.ndarray) -> np.ndarray:
         """The ``(a, a)`` change probabilities among the indices ``act``."""
@@ -481,15 +595,16 @@ class TransitionTable:
                 fresh.append(code)
             return idx
 
-        def missing() -> Iterator[Tuple[int, int]]:
+        def missing() -> Iterator[Tuple[int, int, int, int]]:
             for a, b in zip(codes_a, codes_b):
-                key = _pair_key(intern(a), intern(b))
+                i, j = intern(a), intern(b)
+                key = _pair_key(i, j)
                 row = pair_row.get(key)
                 if row is None:
                     row = new.get(key)
                     if row is None:
                         row = new[key] = base + len(new)
-                        yield a, b
+                        yield i, j, int(a), int(b)
                 rows.append(row)
 
         self._append_rows(missing(), fresh)
@@ -504,19 +619,20 @@ class TransitionTable:
         idx_b: np.ndarray,
         rng: np.random.Generator,
     ) -> int:
-        """Apply one interaction per (initiator, responder) index pair.
+        """Apply one interaction per (initiator, responder) agent pair.
 
-        All indices must be distinct across the two arrays.  One uniform
-        draw per pair, in pair order, decides both whether it fires
-        (``u < p_change``) and which outcome it takes (the first whose
-        cumulative probability exceeds ``u``), so the result depends on
-        the rows' contents, never on the table's index order.  Returns the
-        number of pairs that changed state.
+        ``agents`` holds each agent's state as a dense index of this table
+        (see :meth:`indices`), and the outcomes are written back as
+        indices.  All agent positions must be distinct across ``idx_a``
+        and ``idx_b``.  One uniform draw per pair, in pair order, decides
+        both whether it fires (``u < p_change``) and which outcome it
+        takes (the first whose cumulative probability exceeds ``u``), so
+        the result depends on the rows' contents, never on the table's
+        index order.  Returns the number of pairs that changed state.
         """
         if len(idx_a) == 0:
             return 0
-        states = self.indices(agents[np.concatenate([idx_a, idx_b])])
-        rows = self.rows(states[: len(idx_a)], states[len(idx_a) :])
+        rows = self.rows(agents[idx_a], agents[idx_b])
         u = rng.random(len(rows))
         hits = np.nonzero(u < self.p_row[rows])[0]
         if not len(hits):
@@ -532,8 +648,8 @@ class TransitionTable:
                 np.where(cols < width[:, None], self.out_p[pos], 0.0), axis=1
             )
             pick = pick + np.minimum((u[hits, None] >= cum).sum(axis=1), width - 1)
-        agents[idx_a[hits]] = self.codes[self.out_a[pick]]
-        agents[idx_b[hits]] = self.codes[self.out_b[pick]]
+        agents[idx_a[hits]] = self.out_a[pick]
+        agents[idx_b[hits]] = self.out_b[pick]
         return int(len(hits))
 
     # -- closure --------------------------------------------------------------------

@@ -367,6 +367,21 @@ def _reap(status: Dict[int, int]) -> None:
             os.close(fd)
 
 
+def _preload() -> None:
+    """Import, in the zygote, every module a job child would import."""
+    import ctypes  # noqa: F401 - each child sets its death signal with it
+    # np.load's zip reader decodes member names with cp437: without it a
+    # child's first cached-table load imports the codec (~2 ms)
+    import encodings.cp437  # noqa: F401
+
+    import numpy.random  # noqa: F401 - every job uses it
+
+    import repro
+
+    for name in repro.__all__:  # the package's modules, as an eager import
+        getattr(repro, name)
+
+
 def _zygote_main() -> int:
     """Import what every job needs, then fork one child per request.
 
@@ -376,15 +391,7 @@ def _zygote_main() -> int:
     exits once its children have.  When the socket closes the zygote
     kills its children, reaps them and exits 0 without a word.
     """
-    import ctypes  # noqa: F401 - each child sets its death signal with it
-
-    import numpy.random  # noqa: F401 - every job uses it
-
-    import repro
-
-    for name in repro.__all__:  # the package's modules, as an eager import
-        getattr(repro, name)
-
+    _preload()
     control = socket.socket(fileno=os.dup(0))
     null = os.open(os.devnull, os.O_RDONLY)
     os.dup2(null, 0)

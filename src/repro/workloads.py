@@ -21,6 +21,7 @@ hybrid epoch sampler end to end).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
 
 from .core import Rule, StateSchema, V, single_thread
@@ -53,10 +54,19 @@ def clock_quarter_turn(population: Population) -> bool:
     from the all-phase-0 start, so sweeps converge in seconds while
     still crossing several full epochs of the dense active grid.
     """
+    params, majority_phase = _quarter_turn()
+    phase, frac = majority_phase(population, params)
+    return frac >= 0.6 and phase >= 3
+
+
+@lru_cache(maxsize=None)
+def _quarter_turn():
+    """The ``clock`` workload's clock parameters and phase reader, built
+    once: :mod:`repro.clocks` imports numpy, so this module imports it on
+    first use, not at import."""
     from .clocks import ClockParams, majority_phase
 
-    phase, frac = majority_phase(population, ClockParams(module=12, k=2))
-    return frac >= 0.6 and phase >= 3
+    return ClockParams(module=12, k=2), majority_phase
 
 
 def _flag_mask(codes, schema, formula):

@@ -155,3 +155,25 @@ class TestOperation:
         tail = adjacent[len(adjacent) // 4 :]
         violations = sum(1 for ok in tail if not ok)
         assert violations / len(tail) < 0.02
+
+
+def test_clock_workload_stop_verdicts_on_a_recorded_trajectory():
+    """The ``clock`` workload's stop predicate (its clock parameters built
+    once per process) reads a recorded trajectory as the C_o phase reader
+    does with fresh parameters, false before the quarter turn, true
+    after it."""
+    from repro.engine import BatchCountEngine
+    from repro.workloads import WORKLOADS
+
+    protocol, population, stop = WORKLOADS["clock"](n=20_000)
+    trajectory = []
+    BatchCountEngine(protocol, population, rng=np.random.default_rng(3)).run(
+        rounds=60, observer=lambda _t, pop: trajectory.append(pop.copy()),
+    )
+    verdicts = [stop(pop) for pop in trajectory]
+    expected = []
+    for pop in trajectory:
+        phase, frac = majority_phase(pop, ClockParams(module=12, k=2))
+        expected.append(frac >= 0.6 and phase >= 3)
+    assert verdicts == expected
+    assert not verdicts[0] and verdicts[-1]

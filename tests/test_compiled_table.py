@@ -132,8 +132,10 @@ class TestVectorizedApply:
         pop = oscillator_population(oscillator.schema, n)
         ct = compile_table(oscillator, pop.counts.keys(), cache=None)
         dense = LazyTable(oscillator)
-        agents_c = pop.to_agent_array(np.random.default_rng(7))
-        agents_d = agents_c.copy()
+        start = pop.to_agent_array(np.random.default_rng(7))
+        # each table's apply reads and writes its own dense indices
+        agents_c = ct.indices(start)
+        agents_d = dense.indices(start)
         rng_c = np.random.default_rng(42)
         rng_d = np.random.default_rng(42)
         perm = np.random.default_rng(5).permutation(n)
@@ -142,8 +144,8 @@ class TestVectorizedApply:
             changed_c = ct.apply(agents_c, idx_a, idx_b, rng_c)
             changed_d = dense.apply(agents_d, idx_a, idx_b, rng_d)
             assert changed_c == changed_d
-            assert np.array_equal(agents_c, agents_d)
-        assert (agents_c != pop.to_agent_array(np.random.default_rng(7))).any()
+            assert np.array_equal(ct.codes[agents_c], dense.codes[agents_d])
+        assert (ct.codes[agents_c] != start).any()
 
     def test_apply_rejects_states_outside_closure(self, oscillator):
         pop = oscillator_population(oscillator.schema, 100)
@@ -153,14 +155,14 @@ class TestVectorizedApply:
         ]
         if not outside:  # pragma: no cover
             pytest.skip("every packed state is reachable")
-        agents = np.full(4, outside[0], dtype=np.int64)
-        with pytest.raises(ValueError):
-            ct.apply(
-                agents,
-                np.array([0, 1]),
-                np.array([2, 3]),
-                np.random.default_rng(0),
-            )
+        # agents hold table indices, so an outside state is caught where
+        # the agent array is indexed: at engine construction
+        mixed = Population(
+            oscillator.schema, {outside[0]: 2, next(iter(pop.counts)): 2}
+        )
+        for cls in (ArrayEngine, MatchingEngine):
+            with pytest.raises(ValueError, match="outside the compiled reachable"):
+                cls(oscillator, mixed, rng=np.random.default_rng(0), table=ct)
 
     def test_engines_accept_compiled_table(self, oscillator):
         n = 300

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DynamicRule, Rule, StateSchema, V, single_thread
+from repro.core import DynamicRule, Protocol, Rule, StateSchema, Thread, V, single_thread
 from repro.core.rules import Branch  # noqa: F401 (used in fixtures)
 from repro.engine import compile_table
 from repro.engine.table import LazyTable, _pair_key
@@ -32,11 +32,11 @@ class TestOutcomeSampling:
         table = LazyTable(coin_protocol)
         rng = np.random.default_rng(0)
         trials = 30000
-        agents = np.zeros(2 * trials, dtype=np.int64)
+        agents = table.indices(np.zeros(2 * trials, dtype=np.int64))
         idx_a = np.arange(0, 2 * trials, 2)
         idx_b = np.arange(1, 2 * trials, 2)
         table.apply(agents, idx_a, idx_b, rng)
-        outcomes = agents[idx_a]
+        outcomes = table.codes[agents[idx_a]]
         fractions = np.bincount(outcomes, minlength=4) / trials
         assert fractions[1] == pytest.approx(0.5, abs=0.02)
         assert fractions[2] == pytest.approx(0.3, abs=0.02)
@@ -46,7 +46,7 @@ class TestOutcomeSampling:
         # rows filled by the vectorized apply, by the scalar interface and
         # by a closure compile all hold the protocol's outcomes
         applied = LazyTable(coin_protocol)
-        agents = np.array([0, 0, 0, 1, 2, 3, 3, 2], dtype=np.int64)
+        agents = applied.indices(np.array([0, 0, 0, 1, 2, 3, 3, 2], dtype=np.int64))
         applied.apply(agents, np.arange(4), np.arange(4, 8), np.random.default_rng(3))
         lazy = LazyTable(coin_protocol)
         closed = compile_table(coin_protocol, range(4), cache=None)
@@ -63,7 +63,7 @@ class TestOutcomeSampling:
     def test_lazy_fill_only_touches_used_pairs(self, coin_protocol):
         table = LazyTable(coin_protocol)
         rng = np.random.default_rng(1)
-        agents = np.zeros(4, dtype=np.int64)
+        agents = table.indices(np.zeros(4, dtype=np.int64))
         table.apply(agents, np.array([0]), np.array([1]), rng)
         assert table.misses == 1  # only the (0, 0) pair was computed
 
@@ -83,10 +83,11 @@ class TestOutcomeSampling:
         entry = table.outcomes(0, 0)
         assert len(entry) == 7
         rng = np.random.default_rng(2)
-        agents = np.zeros(64, dtype=np.int64)
+        agents = table.indices(np.zeros(64, dtype=np.int64))
         table.apply(agents, np.arange(0, 64, 2), np.arange(1, 64, 2), rng)
-        assert set(np.unique(agents[np.arange(0, 64, 2)])) <= set(range(8))
-        assert (agents[np.arange(0, 64, 2)] > 0).all()
+        initiators = table.codes[agents[np.arange(0, 64, 2)]]
+        assert set(np.unique(initiators)) <= set(range(8))
+        assert (initiators > 0).all()
 
 
 class TestBatchFill:
@@ -172,3 +173,30 @@ class TestBatchFill:
         table.rows(idx[:1], idx[:1])
         assert table.codes.tolist() == [0, 3, 1]
         assert table.num_pairs == table.misses == 1
+
+    def test_a_failing_batch_drops_the_projections_it_took(self):
+        """A memoized thread's per-state projections are truncated with
+        the states a failing batch indexed, so the next states to take
+        those indices get their own projections."""
+        schema = StateSchema()
+        schema.enum("x", 6)
+        schema.flag("y")
+
+        def outcome(a, b):
+            if b["x"] == 5:
+                raise RuntimeError("bad pair")
+            return []
+
+        step = Thread("step", [Rule(V("x", 0), None, {"x": 1})])
+        fails = Thread("fails", [DynamicRule(None, None, outcome)])
+        protocol = Protocol("half-memo", schema, [step, fails])
+        assert step.memo(schema) is not None
+        code = [schema.pack({"x": x}) for x in range(6)]
+        table = LazyTable(protocol)
+        with pytest.raises(RuntimeError, match="bad pair"):
+            # (2, 2) indexes x = 2 and fills its row before (3, 5) raises
+            table.p_changes([code[2], code[3]], [code[2], code[5]])
+        assert table.num_states == 0
+        got = table.p_changes([code[0], code[0]], [code[0], code[1]])
+        want = LazyTable(protocol).p_changes([code[0], code[0]], [code[0], code[1]])
+        assert got.tolist() == want.tolist() == [0.5, 0.5]

@@ -227,10 +227,10 @@ class TestTables:
     def test_dense_apply_matches_distribution(self, epidemic):
         dense = LazyTable(epidemic)
         rng = np.random.default_rng(0)
-        agents = np.array([1, 0, 1, 0, 1, 0], dtype=np.int64)
+        agents = dense.indices(np.array([1, 0, 1, 0, 1, 0], dtype=np.int64))
         # initiators infected (1), responders susceptible (0): always infects
         dense.apply(agents, np.array([0, 2, 4]), np.array([1, 3, 5]), rng)
-        assert agents.sum() == 6
+        assert dense.codes[agents].sum() == 6
 
 
 def _oscillator_population(schema, n):
@@ -246,6 +246,60 @@ def _oscillator_population(schema, n):
             ({"osc": weak_value(0), "X": True}, 3),
         ],
     )
+
+
+class _CodeTable(LazyTable):
+    """The agent engines' table contract on *code* arrays, pair by pair.
+
+    ``indices`` keeps the codes, ``apply`` draws one uniform per pair and
+    reads each pair's scalar :meth:`~TransitionTable.outcomes`, and
+    ``census`` counts codes with ``np.unique``: an engine built on it is
+    the code-array engine the index path must reproduce.
+    """
+
+    def indices(self, codes):
+        return codes.copy()
+
+    def census(self, codes):
+        return Population.from_agent_array(self.protocol.schema, codes).counts
+
+    def apply(self, agents, idx_a, idx_b, rng):
+        if len(idx_a) == 0:
+            return 0
+        u = rng.random(len(idx_a))
+        changed = 0
+        for a, b, draw in zip(idx_a.tolist(), idx_b.tolist(), u.tolist()):
+            entry = self.outcomes(int(agents[a]), int(agents[b]))
+            if draw < entry.p_change:
+                pick = int(np.searchsorted(entry.cum, draw, side="right"))
+                pick = min(pick, len(entry) - 1)
+                agents[a], agents[b] = entry.codes_a[pick], entry.codes_b[pick]
+                changed += 1
+        return changed
+
+
+class TestAgentArrayIndices:
+    """Agents are dense table indices; the population view maps them back."""
+
+    @pytest.mark.parametrize("cls", [ArrayEngine, MatchingEngine])
+    @pytest.mark.parametrize("table", ["default", "closed"])
+    def test_population_equals_code_array_reference(self, cls, table):
+        from repro.oscillator import make_oscillator_protocol
+
+        protocol = make_oscillator_protocol()
+        pop = _oscillator_population(protocol.schema, 301)
+        opts = {}
+        if table == "closed":
+            opts["table"] = compile_table(protocol, pop.counts.keys(), cache=None)
+        eng = cls(protocol, pop, rng=np.random.default_rng(5), **opts)
+        ref = cls(protocol, pop, rng=np.random.default_rng(5), table=_CodeTable(protocol))
+        for _ in range(4):
+            eng.run(rounds=3)
+            ref.run(rounds=3)
+            assert eng.interactions == ref.interactions
+            assert list(eng.population.counts.items()) == list(ref.population.counts.items())
+        assert eng.agents.max() < eng.table.num_states
+        np.testing.assert_array_equal(eng.table.codes[eng.agents], ref.agents)
 
 
 class TestAgentEngineGolden:

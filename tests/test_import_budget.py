@@ -92,6 +92,29 @@ def test_bghkpu_replicas_load_no_numpy_ma(tmp_path, monkeypatch):
     assert result == [False, False]
 
 
+_ZYGOTE_PROBE = """
+import json, sys, tempfile
+from repro.service.sandbox import _preload
+from repro.engine.table import TransitionTable
+from repro.workloads import WORKLOADS
+
+_preload()
+protocol, population, _ = WORKLOADS["epidemic"](n=100)
+table = TransitionTable.from_protocol(protocol, population.counts, fingerprint="probe")
+before = set(sys.modules)
+with tempfile.TemporaryDirectory() as cache:
+    table.save(cache)
+    loaded = TransitionTable.load(protocol, "probe", cache)
+print(json.dumps([loaded.num_states, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_the_zygote_preloads_what_a_table_load_imports():
+    """A job child forked from the zygote loads its cached table without
+    importing a module (``np.load``'s zip reader needs ``cp437``)."""
+    assert _probe(_ZYGOTE_PROBE) == [2, []]
+
+
 _SERVER_PROBE = """
 import json, sys
 import repro

@@ -255,3 +255,54 @@ def test_precompiled_tree_always_uniform(n_assigns, loop_body):
         return acc
 
     assert widths(pre.root, set()) == {pre.width}
+
+
+# -- the table's vectorized dict reads ---------------------------------------------
+@st.composite
+def key_batches(draw):
+    """Batches of keys >= 0, dense (direct-address snapshots) or spread
+    over 2**40 (sorted snapshots), with repeats inside a batch."""
+    top = draw(st.sampled_from([64, 5000, 2 ** 40]))
+    keys = st.integers(0, top)
+    return draw(st.lists(st.lists(keys, max_size=40), min_size=1, max_size=12))
+
+
+@given(key_batches())
+@settings(max_examples=200, deadline=None)
+def test_lookup_matches_a_dict(batches):
+    """Every read equals the dict's; the keys missing from the snapshot go
+    to ``resolve`` once each, sorted, with the position of their first
+    occurrence; the snapshot is rebuilt once more keys have missed it
+    than it holds."""
+    from repro.engine.table import _Lookup
+
+    lookup = _Lookup()
+    mapping = {}
+    snapshot = {}  # the model: the dict as of the last rebuild
+    misses = 0
+    calls = []
+
+    def resolve(keys, at):
+        calls.append((keys.tolist(), at.tolist()))
+        for key in keys.tolist():
+            if key not in mapping:  # may be there: the snapshot is older
+                mapping[key] = 3 * len(mapping) + 1
+        return [mapping[key] for key in keys.tolist()]
+
+    for batch in batches:
+        if misses > len(snapshot):
+            snapshot, misses = dict(mapping), 0
+        calls.clear()
+        keys = np.array(batch, dtype=np.int64)
+        found = lookup(mapping, keys, resolve)
+        assert found.tolist() == [mapping[key] for key in batch]
+        lost = sorted(set(batch) - set(snapshot))
+        if lost:
+            assert calls == [(lost, [batch.index(key) for key in lost])]
+        else:
+            assert calls == []
+        misses += len(lost)
+        assert (lookup.size, lookup.misses) == (len(snapshot), misses)
+        if snapshot:
+            span = max(snapshot) + 1
+            assert (lookup.direct is not None) == (span <= 4 * len(snapshot) + 4096)
