@@ -12,6 +12,7 @@ footprint fails loudly instead of silently changing the law.
 
 import hashlib
 import json
+import math
 import pickle
 import sys
 import threading
@@ -462,6 +463,33 @@ def test_closed_rows_equal_transition_pair_by_pair():
 # fill replaced.
 
 
+def _canonical_digest(table):
+    """A digest of an open table's contents that its fill order cannot
+    move: states sorted by code, rows keyed by their code pair and sorted,
+    each row's outcomes (as codes) in row order, then its change
+    probability."""
+    codes = table.codes.tolist()
+    rows = []
+    for key, row in table._pair_row.items():
+        root = math.isqrt(key)  # invert the table's Szudzik pair key
+        i, j = (key - root * root, root) if key - root * root < root else (
+            root, key - root * root - root
+        )
+        lo, hi = int(table.off[row]), int(table.off[row + 1])
+        rows.append([
+            codes[i], codes[j],
+            [[codes[a], codes[b], p] for a, b, p in zip(
+                table.out_a[lo:hi].tolist(),
+                table.out_b[lo:hi].tolist(),
+                table.out_p[lo:hi].tolist(),
+            )],
+            float(table.p_row[row]),
+        ])
+    rows.sort(key=lambda r: (r[0], r[1]))
+    assert len(rows) == table.num_pairs
+    return _digest([sorted(codes), rows])
+
+
 def test_open_e14_table_matches_reference():
     """Compiled E14 (Thm 2.4) at n = 200 after 125 seeded matching rounds."""
     protocol, population = _compiled(leader_election_program(), [({}, 200)])
@@ -471,6 +499,7 @@ def test_open_e14_table_matches_reference():
     ).run(rounds=125)
     assert (table.num_states, table.num_pairs, table.misses) == (61, 954, 954)
     assert _table_digest(table) == OPEN_E14_TABLE_SHA256
+    assert _canonical_digest(table) == OPEN_E14_CANONICAL_SHA256
 
 
 def test_open_clock_table_matches_reference():
@@ -482,6 +511,7 @@ def test_open_clock_table_matches_reference():
     ).run(rounds=60)
     assert (table.num_states, table.num_pairs, table.misses) == (73, 2500, 2500)
     assert _table_digest(table) == OPEN_CLOCK_TABLE_SHA256
+    assert _canonical_digest(table) == OPEN_CLOCK_CANONICAL_SHA256
 
 
 E14_STATES = 100
@@ -490,3 +520,6 @@ CLOCK_TABLE_SHA256 = "8a69ae1da5f997f96a7fef3b8f34e3836d953e74881f6234a7aa143800
 OPEN_E14_TABLE_SHA256 = "acd417c5766cfef990d01f6c6d8874927bb54deac384ccc609cc50b1392e9cd1"
 OPEN_CLOCK_TABLE_SHA256 = "4692b0a8faeca6dc26be450797b435c31b6c913dfbb5eee5a865c70285110714"
 CLOCK_K6_TABLE_SHA256 = "2e7792d10c41185f377031fb1c186377a1025cd9c16b2279ea63545003488810"
+# contents of the two open tables above, independent of their fill order
+OPEN_E14_CANONICAL_SHA256 = "72c7d62717bdfb8bbb2c16fd12139f7f4edbf8429018602c9b553920333752c1"
+OPEN_CLOCK_CANONICAL_SHA256 = "cea8ec7283573362405a16c8d66eb189dd001c2f3f50208d4ad58d9e4eb28f9b"
