@@ -29,7 +29,7 @@ _EXPORTS = exports_of({
         "run_single_replica", "spawn_seeds", "supervise",
     ),
     "sequential": ("CountEngine",),
-    "table": ("LazyTable", "PairOutcomes", "TransitionTable", "reachable_codes"),
+    "table": ("LazyTable", "TransitionTable", "reachable_codes"),
 })
 
 __all__ = sorted(_EXPORTS)

@@ -189,14 +189,9 @@ class EnsembleEngine(Engine):
             population.copy() for _ in range(self.rows - 1)
         ]
         base_row = np.zeros(q, dtype=np.float64)
-        for code, count in population.counts.items():
-            idx = table.index.get(code)
-            if idx is None:
-                raise ValueError(
-                    "population occupies state {} outside the compiled "
-                    "closure".format(code)
-                )
-            base_row[idx] = count
+        base_row[table.indices(np.fromiter(population.counts, np.int64))] = list(
+            population.counts.values()
+        )
         self._C = np.tile(base_row, (self.rows, 1))
         self._pop_stale = np.zeros(self.rows, dtype=bool)
         self._row_eng: List[Optional[CountEngine]] = [None] * self.rows

@@ -29,7 +29,8 @@ Guards are opt-in per engine (``guards=`` constructor option, i.e.
 ``EngineConfig(guards=True)`` through :func:`repro.simulate.make_engine`)
 and on by default in ``python -m repro sweep``.  The checks are amortized:
 per *batch* on the jump engine (batches are large, so the cost vanishes)
-and every ``check_every`` events on the exact path, keeping the overhead
+and every ``check_every`` events on the exact path (plus once at the end
+of a run for the events since the last check), keeping the overhead
 well under 5% on the compiled kernel benchmarks.
 """
 
@@ -156,7 +157,7 @@ class HealthMonitor:
             return full, engine.table.codes
         c = getattr(engine, "_c", None)
         if c is not None:
-            return c, getattr(engine, "_codes", None)
+            return c, engine.table.codes[engine._states]
         return None, None
 
     def _offending(self, mask: np.ndarray, codes) -> List[int]:
@@ -229,6 +230,14 @@ class HealthMonitor:
             return
         self._pending = 0
         self._check_counts(engine)
+
+    def after_run(self, engine) -> None:
+        """End-of-run hook (exact path): checks the events fired since the
+        last amortized check, so a run of fewer than ``check_every``
+        events is checked too."""
+        if self._pending:
+            self._pending = 0
+            self._check_counts(engine)
 
     def after_batch(self, engine) -> None:
         """Per-batch hook (jump path): full count checks every batch."""

@@ -221,8 +221,7 @@ class BatchCountEngine(CountEngine):
 
         #: counts over the table's dense state indices
         self._full_c = np.zeros(table.num_states, dtype=np.float64)
-        for code, count in population.counts.items():
-            self._full_c[table.state_index(code)] = count
+        self._full_c[self._states] = self._c
 
     # -- stats surface ---------------------------------------------------------
     @property
@@ -244,9 +243,8 @@ class BatchCountEngine(CountEngine):
         if missing > 0:
             self._full_c = np.concatenate([self._full_c, np.zeros(missing)])
 
-    def _bump(self, code: int, delta: int) -> None:
-        super()._bump(code, delta)
-        idx = self.table.state_index(code)
+    def _bump(self, idx: int, delta: int) -> None:
+        super()._bump(idx, delta)
         if idx >= len(self._full_c):
             self._sync_counts()
         self._full_c[idx] += delta
@@ -335,9 +333,8 @@ class BatchCountEngine(CountEngine):
         return delta
 
     def _apply_active_deltas(self, delta: np.ndarray) -> None:
-        codes = self.table.codes
-        for idx in self.table.canonical(np.nonzero(delta)[0]):
-            self._bump(int(codes[idx]), int(delta[idx]))
+        for idx in self.table.canonical(np.nonzero(delta)[0]).tolist():
+            self._bump(idx, int(delta[idx]))
 
     # -- the run's step ---------------------------------------------------------
     def _pick_step(self) -> Callable[[Horizon], bool]:

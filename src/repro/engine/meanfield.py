@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.population import Population
 from ..core.protocol import Protocol
-from .table import LazyTable, reachable_codes
+from .table import LazyTable, _spans, reachable_codes
 
 
 class MeanFieldSystem:
@@ -36,53 +36,48 @@ class MeanFieldSystem:
         self.protocol = protocol
         self.codes: List[int] = list(codes)
         self.index: Dict[int, int] = {code: i for i, code in enumerate(self.codes)}
-        self._terms: List[Tuple[int, int, np.ndarray]] = []
-        table = LazyTable(protocol)
         size = len(self.codes)
-        for i, a in enumerate(self.codes):
-            for j, b in enumerate(self.codes):
-                entry = table.outcomes(a, b)
-                if not len(entry):
-                    continue
-                delta = np.zeros(size, dtype=np.float64)
-                for new_a, new_b, p in zip(entry.codes_a, entry.codes_b, entry.probs):
-                    if new_a not in self.index or new_b not in self.index:
-                        raise ValueError(
-                            "outcome state {} escapes the provided state list; "
-                            "use reachable closure".format((new_a, new_b))
-                        )
-                    delta[i] -= p
-                    delta[j] -= p
-                    delta[self.index[new_a]] += p
-                    delta[self.index[new_b]] += p
-                self._terms.append((i, j, delta))
-        self._rate_arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        table = LazyTable(protocol)
+        states = table.indices(np.array(self.codes, dtype=np.int64))
+        rows = table.rows(np.repeat(states, size), np.tile(states, size))
+        start = table.off[rows]
+        width = table.off[rows + 1] - start
+        ent = _spans(start, width)
+        # each state's position in the list, -1 for the states it misses
+        local = np.full(table.num_states, -1, dtype=np.int64)
+        local[states] = np.arange(size)
+        new_a, new_b = local[table.out_a[ent]], local[table.out_b[ent]]
+        escaped = np.flatnonzero((new_a < 0) | (new_b < 0))
+        if len(escaped):
+            first = ent[escaped[0]]
+            raise ValueError(
+                "outcome state {} escapes the provided state list; "
+                "use reachable closure".format((
+                    int(table.codes[table.out_a[first]]),
+                    int(table.codes[table.out_b[first]]),
+                ))
+            )
+        # one term per pair with changing outcomes: its delta over the
+        # states, each outcome adding -p, -p, +p, +p in turn
+        live = np.flatnonzero(width)
+        self._ti, self._tj = live // size, live % size
+        term = np.repeat(np.arange(len(live)) * size, width[live])
+        pair = np.repeat(live, width[live])
+        p = table.out_p[ent]
+        cells = np.stack([pair // size, pair % size, new_a, new_b], axis=1)
+        self._deltas = np.bincount(
+            (cells + term[:, None]).ravel(),
+            weights=np.stack([-p, -p, p, p], axis=1).ravel(),
+            minlength=len(live) * size,
+        ).reshape(len(live), size)
 
     @classmethod
     def from_initial(cls, protocol: Protocol, initial_codes: Sequence[int]) -> "MeanFieldSystem":
         """Build the system over the reachable closure of the initial support."""
         return cls(protocol, reachable_codes(protocol, initial_codes))
 
-    def _compiled_rates(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked pair-rate arrays, built once and cached between RHS calls."""
-        if self._rate_arrays is None:
-            size = len(self.codes)
-            if self._terms:
-                ti = np.array([i for i, _, _ in self._terms], dtype=np.int64)
-                tj = np.array([j for _, j, _ in self._terms], dtype=np.int64)
-                deltas = np.stack([d for _, _, d in self._terms])
-            else:
-                ti = np.zeros(0, dtype=np.int64)
-                tj = np.zeros(0, dtype=np.int64)
-                deltas = np.zeros((0, size), dtype=np.float64)
-            self._rate_arrays = (ti, tj, deltas)
-        return self._rate_arrays
-
     def derivative(self, x: np.ndarray) -> np.ndarray:
-        ti, tj, deltas = self._compiled_rates()
-        if not len(ti):
-            return np.zeros_like(x)
-        return (x[ti] * x[tj]) @ deltas
+        return (x[self._ti] * x[self._tj]) @ self._deltas
 
     def initial_vector(self, population: Population) -> np.ndarray:
         n = population.n

@@ -14,10 +14,12 @@ phase, the `X`-elimination process of Proposition 5.3 once ``#X`` is small)
 this turns Θ(n^{1+ε}) scheduler steps into O(n) simulated events without
 changing the sampled process.
 
-Internals: for the set of currently occupied states, ``Q[i, j]`` is the
-probability that an interaction between an initiator in state ``i`` and a
-responder in state ``j`` changes the configuration; ``v = Q @ c`` is kept
-incrementally so each *effective* event costs ``O(support)`` time.
+Internals: the occupied states are table indices in a local order (codes
+sorted at each rebuild, new states appended as events create them).  For
+local states ``i`` and ``j``, ``R[i, j]`` is the transition-table row of
+the pair and ``Q[i, j]`` its change probability; ``v = Q @ c`` is kept
+incrementally so each *effective* event costs ``O(support)`` time, and
+the event's outcome is drawn from row ``R[i, j]``'s ``out_p`` slice.
 
 :meth:`CountEngine._run` is the one run loop of ``count``, ``batch`` and
 ``bghkpu``: it builds the run's :class:`~repro.engine.api.Horizon` and
@@ -38,7 +40,7 @@ from ..core.population import Population
 from ..core.protocol import Protocol
 from .api import Engine, Horizon, Observer, StopCondition
 from .silence import CRUMB_GUARD, exact_change_weight, silent_weight
-from .table import LazyTable, PairOutcomes, TransitionTable
+from .table import LazyTable, TransitionTable
 
 
 class CountEngine(Engine):
@@ -60,57 +62,59 @@ class CountEngine(Engine):
         self.table = table if table is not None else LazyTable(protocol)
         self.events = 0  # effective (state-changing) interactions
 
-        self._codes: List[int] = []
-        self._index: Dict[int, int] = {}
+        self._states: List[int] = []  # table indices, in local order
+        self._local: Dict[int, int] = {}  # table index -> local position
         self._c = np.zeros(0, dtype=np.float64)
+        self._rows = np.zeros((0, 0), dtype=np.int64)
         self._q = np.zeros((0, 0), dtype=np.float64)
         self._v = np.zeros(0, dtype=np.float64)
         self._rebuild()
 
     # -- bookkeeping ---------------------------------------------------------
     def _rebuild(self) -> None:
-        self._codes = sorted(self._population.counts)
-        self._index = {code: i for i, code in enumerate(self._codes)}
-        size = len(self._codes)
-        self._c = np.array(
-            [self._population.counts[code] for code in self._codes], dtype=np.float64
-        )
-        self._q = self.table.p_changes(
-            [a for a in self._codes for _ in range(size)], self._codes * size
+        counts = self._population.counts
+        codes = sorted(counts)
+        states = self.table.indices(np.array(codes, dtype=np.int64))
+        self._states = states.tolist()
+        self._local = {idx: k for k, idx in enumerate(self._states)}
+        size = len(codes)
+        self._c = np.array([counts[code] for code in codes], dtype=np.float64)
+        self._rows = self.table.rows(
+            np.repeat(states, size), np.tile(states, size)
         ).reshape(size, size)
+        self._q = self.table.p_row[self._rows]
         self._v = self._q @ self._c
 
-    def _ensure_state(self, code: int) -> int:
-        idx = self._index.get(code)
-        if idx is not None:
-            return idx
-        idx = len(self._codes)
-        self._codes.append(code)
-        self._index[code] = idx
-        size = idx + 1
-        # the new row and column interleaved, (code, c_0), (c_0, code),
-        # ..., (code, code): an open table indexes states and fills rows
-        # in this order, which its (digest-pinned) layout depends on
-        codes_a, codes_b = [], []
-        for other in self._codes[:idx]:
-            codes_a += (code, other)
-            codes_b += (other, code)
-        codes_a.append(code)
-        codes_b.append(code)
-        p = self.table.p_changes(codes_a, codes_b)
-        new_q = np.zeros((size, size), dtype=np.float64)
-        new_q[:idx, :idx] = self._q
-        new_q[idx, :] = p[0::2]
-        new_q[:idx, idx] = p[1::2]
-        self._q = new_q
+    def _ensure_state(self, idx: int) -> int:
+        """Local position of the table index ``idx``; a new state is
+        appended to the support with its row and column of ``R`` and ``Q``."""
+        k = self._local.get(idx)
+        if k is not None:
+            return k
+        k = len(self._states)
+        self._states.append(idx)
+        self._local[idx] = k
+        states = np.array(self._states, dtype=np.int64)
+        new = np.full(k + 1, idx, dtype=np.int64)
+        rows = self.table.rows(
+            np.concatenate([new, states[:k]]), np.concatenate([states, new[:k]])
+        )
+        grown = np.empty((k + 1, k + 1), dtype=np.int64)
+        grown[:k, :k] = self._rows
+        grown[k, :] = rows[: k + 1]
+        grown[:k, k] = rows[k + 1 :]
+        self._rows = grown
+        self._q = self.table.p_row[grown]
         self._c = np.append(self._c, 0.0)
         self._v = self._q @ self._c
-        return idx
+        return k
 
-    def _bump(self, code: int, delta: int) -> None:
-        idx = self._ensure_state(code)
-        self._c[idx] += delta
-        self._v += self._q[:, idx] * delta
+    def _bump(self, idx: int, delta: int) -> None:
+        """Move ``delta`` agents into the state of table index ``idx``."""
+        k = self._ensure_state(idx)
+        self._c[k] += delta
+        self._v += self._q[:, k] * delta
+        code = int(self.table.codes[idx])
         if delta > 0:
             self._population.add(code, delta)
         else:
@@ -158,16 +162,6 @@ class CountEngine(Engine):
         j = min(j, len(row) - 1)
         return i, j
 
-    def _apply_outcome(self, i: int, j: int, entry: PairOutcomes) -> None:
-        new_a, new_b = entry.sample_changing(self.rng)
-        old_a, old_b = self._codes[i], self._codes[j]
-        deltas: Dict[int, int] = {}
-        for code, d in ((old_a, -1), (old_b, -1), (new_a, +1), (new_b, +1)):
-            deltas[code] = deltas.get(code, 0) + d
-        for code, delta in deltas.items():
-            if delta:
-                self._bump(code, delta)
-
     # -- per-event primitives -------------------------------------------------
     def _draw_event_gap(self) -> Optional[int]:
         """Geometric number of null interactions before the next effective
@@ -192,10 +186,33 @@ class CountEngine(Engine):
         return int(math.log(max(u, 1e-300)) / math.log1p(-p_change))
 
     def _fire_event(self) -> None:
-        """Sample and apply the next effective interaction."""
+        """Sample and apply the next effective interaction.
+
+        The outcome is drawn conditioned on a change: one uniform scaled
+        by the row's cumulative ``out_p`` picks the first outcome whose
+        cumulative probability exceeds it.  A row with no outcomes (only
+        a corrupt table has one with a positive change probability)
+        consumes the pair and produces nothing, as the batch kernels do;
+        the conservation guard then reports it.
+        """
         i, j = self._sample_event_pair()
-        entry = self.table.outcomes(self._codes[i], self._codes[j])
-        self._apply_outcome(i, j, entry)
+        table = self.table
+        row = int(self._rows[i, j])
+        lo, hi = int(table.off[row]), int(table.off[row + 1])
+        moved = [(self._states[i], -1), (self._states[j], -1)]
+        if hi > lo:
+            u = self.rng.random()
+            k = lo
+            if hi > lo + 1:  # a one-outcome row takes its outcome for any u
+                cum = np.cumsum(table.out_p[lo:hi])
+                k += int(np.searchsorted(cum, u * cum[-1], side="right"))
+            moved += [(int(table.out_a[k]), +1), (int(table.out_b[k]), +1)]
+        deltas: Dict[int, int] = {}
+        for idx, d in moved:
+            deltas[idx] = deltas.get(idx, 0) + d
+        for idx, delta in deltas.items():
+            if delta:
+                self._bump(idx, delta)
         self.events += 1
         if self.guards is not None:
             self.guards.after_event(self)
@@ -248,5 +265,7 @@ class CountEngine(Engine):
         step = self._pick_step()
         while h.open(self.interactions) and step(h):
             pass
+        if self.guards is not None:
+            self.guards.after_run(self)
         h.emit_up_to(self.interactions, self._population)
         return self

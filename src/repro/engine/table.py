@@ -34,11 +34,14 @@ work by state must use :meth:`TransitionTable.canonical` so their sample
 paths do not depend on that history.  A closed table's (BFS) index order
 is already canonical.
 
-The scalar :meth:`~TransitionTable.outcomes` view (:class:`PairOutcomes`)
-serves the exact per-event engines; :meth:`~TransitionTable.apply` applies
-a batch of agent pairs to an array of dense indices for the agent-array
-engines; the count-batch
-engines read :meth:`~TransitionTable.rows` and
+There is one way into a table, by dense index: :meth:`~TransitionTable.indices`
+and :meth:`~TransitionTable.state_index` turn codes into indices (an
+open table indexes unseen codes), and :meth:`~TransitionTable.rows` turns
+index pairs into row ids, filling an open table's missing rows.  The
+exact count engine samples each event from one row's ``out_p`` slice;
+:meth:`~TransitionTable.apply` applies a batch of agent pairs to an array
+of dense indices for the agent-array engines; the count-batch engines
+read :meth:`~TransitionTable.rows` and
 :meth:`~TransitionTable.p_change_block` over their active states.
 """
 
@@ -48,48 +51,11 @@ import os
 import tempfile
 import time
 from array import array
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.protocol import FootprintMemo, Protocol, Thread, Views
-
-class PairOutcomes:
-    """Aggregated changing outcomes of one ordered state pair.
-
-    ``codes_a`` / ``codes_b`` are int64 numpy arrays so that engines can
-    index them with outcome-index arrays directly (no per-batch
-    ``np.array(...)`` rebuilds in hot loops).
-    """
-
-    __slots__ = ("codes_a", "codes_b", "probs", "cum", "p_change")
-
-    def __init__(self, outcomes: List[Tuple[int, int, float]]):
-        self.codes_a = np.array([a for a, _, _ in outcomes], dtype=np.int64)
-        self.codes_b = np.array([b for _, b, _ in outcomes], dtype=np.int64)
-        self.probs = np.array([p for _, _, p in outcomes], dtype=np.float64)
-        self.cum = np.cumsum(self.probs)
-        self.p_change = float(self.cum[-1]) if len(outcomes) else 0.0
-
-    def __len__(self) -> int:
-        return len(self.codes_a)
-
-    def sample(self, rng: np.random.Generator) -> Tuple[int, int, bool]:
-        """Sample an outcome unconditionally; the flag reports a change."""
-        u = rng.random()
-        if u >= self.p_change:
-            return -1, -1, False
-        idx = int(np.searchsorted(self.cum, u, side="right"))
-        return int(self.codes_a[idx]), int(self.codes_b[idx]), True
-
-    def sample_changing(self, rng: np.random.Generator) -> Tuple[int, int]:
-        """Sample an outcome conditioned on the interaction changing state."""
-        if not len(self):
-            raise ValueError("pair has no changing outcomes")
-        u = rng.random() * self.p_change
-        idx = int(np.searchsorted(self.cum, u, side="right"))
-        return int(self.codes_a[idx]), int(self.codes_b[idx])
-
 
 class _Column:
     """Append-only numpy column with amortized doubling."""
@@ -171,15 +137,11 @@ class _Lookup:
         return found
 
 
-def _pair_key(i, j):
-    """Szudzik pairing: one key per index pair, all below ``(max(i, j) + 1)²``.
-
-    Small tables thus get small, dense pair keys (see :class:`_Lookup`).
-    Takes two ints or two int64 arrays.
-    """
-    if isinstance(i, np.ndarray):
-        return np.where(i < j, j * j + i, i * i + i + j)
-    return j * j + i if i < j else i * i + i + j
+def _pair_key(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Szudzik pairing of two int64 index arrays: one key per index pair,
+    all below ``(max(i, j) + 1)²``, so small tables get small, dense pair
+    keys (see :class:`_Lookup`)."""
+    return np.where(i < j, j * j + i, i * i + i + j)
 
 
 class _KeyedThread(NamedTuple):
@@ -210,10 +172,6 @@ class _KeyedThread(NamedTuple):
             span = memo.span_b
             self.key_a.extend(memo.project_a(code) * span for code in codes)
             self.key_b.extend(memo.project_b(code) for code in codes)
-
-    def truncate(self, size: int) -> None:
-        if self.memo is not None:
-            del self.key_a[size:], self.key_b[size:]
 
 
 class TransitionTable:
@@ -259,14 +217,12 @@ class TransitionTable:
         self.fingerprint = fingerprint
         #: wall seconds spent building this table's closure (0 when loaded)
         self.compile_seconds = compile_seconds
-        #: rows computed by ``protocol.transition`` / scalar cache hits
+        #: rows an open table has computed
         self.misses = 0
-        self.hits = 0
         self._pair_row: Dict[int, int] = {}  # open tables: pair key -> row
         self._reset_caches()
 
     def _reset_caches(self) -> None:
-        self._entries: Dict[Tuple[int, int], PairOutcomes] = {}
         self._state_lookup = _Lookup()
         self._row_lookup = _Lookup()
         self._columns: Optional[Dict[str, _Column]] = None
@@ -277,10 +233,7 @@ class TransitionTable:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        for key in (
-            "_entries", "_state_lookup", "_row_lookup", "_columns", "_threads",
-            "_keyed",
-        ):
+        for key in ("_state_lookup", "_row_lookup", "_columns", "_threads", "_keyed"):
             del state[key]
         return state
 
@@ -375,69 +328,55 @@ class TransitionTable:
         pair_row = self._pair_row
         todo = [k for k, key in enumerate(keys) if key not in pair_row]
         if todo:
-            ia, ib = ia[todo], ib[todo]
             base = len(self.p_row)
-            self._append_rows(
-                zip(ia.tolist(), ib.tolist(),
-                    self.codes[ia].tolist(), self.codes[ib].tolist()),
-                [],
-            )
+            self._append_rows(ia[todo], ib[todo])
             for row, k in enumerate(todo, base):
                 pair_row[keys[k]] = row
         return [pair_row[key] for key in keys]
 
-    def _plan(self, upto: int, fresh: List[int]) -> List[_KeyedThread]:
+    def _plan(self) -> List[_KeyedThread]:
         """The row plan, every memoized thread holding the projections of
-        the first ``upto`` states (``fresh`` lists the codes indexed past
-        ``codes``)."""
+        every indexed state."""
         threads = self._threads
         if threads is None:
             threads = self._threads = [
                 _KeyedThread.of(*plan) for plan in self.protocol.row_plan()
             ]
-        if self._keyed < upto:
-            known = len(self.codes)
-            new = self.codes[self._keyed : upto].tolist()
-            if upto > known:
-                new += fresh[max(self._keyed - known, 0) : upto - known]
+        if self._keyed < len(self.codes):
+            new = self.codes[self._keyed :].tolist()
             for thread in threads:
                 thread.project(new)
-            self._keyed = upto
+            self._keyed = len(self.codes)
         return threads
 
-    def _append_rows(
-        self, pairs: Iterable[Tuple[int, int, int, int]], fresh: List[int]
-    ) -> None:
-        """Compute the rows of ``pairs`` and append them.
+    def _append_rows(self, ia: np.ndarray, ib: np.ndarray) -> None:
+        """Compute the rows of the indexed state pairs ``(ia[k], ib[k])``
+        and append them.
 
-        ``pairs`` yields ``(i, j, code_a, code_b)``: an index pair and its
-        two codes.  A row sums, in thread, rule and branch order, the
-        changing outcomes of every thread; a memoized thread reads its row
-        from its :class:`~repro.core.protocol.FootprintMemo` under the
-        key of the pair's two projections, which the table keeps per
-        state.  That is :meth:`Protocol.transitions`, float for float.
-        Each column grows once per batch, so a batch costs O(its rows +
-        their outcomes), never O(table).  New states are indexed row by
-        row, a row's ``out_a`` codes before its ``out_b`` codes, and
-        ``p_row`` is each row's sequential sum (what
-        :class:`PairOutcomes`' cumsum ends on).  ``fresh`` lists the codes
-        the batch has indexed so far, in index order; ``pairs`` is
-        consumed lazily and may index more states into it between rows.
-        A batch whose transitions raise leaves the table unchanged.
+        A row sums, in thread, rule and branch order, the changing
+        outcomes of every thread; a memoized thread reads its row from its
+        :class:`~repro.core.protocol.FootprintMemo` under the key of the
+        pair's two projections, which the table keeps per state.  That is
+        :meth:`Protocol.transitions`, float for float.  Each column grows
+        once per batch, so a batch costs O(its rows + their outcomes),
+        never O(table).  New outcome states are indexed row by row, a
+        row's ``out_a`` codes before its ``out_b`` codes, and ``p_row`` is
+        each row's sequential sum.  A batch whose transitions raise leaves
+        the table unchanged.
         """
         index = self.index
         first = len(self.codes)
-        threads = self._plan(first + len(fresh), fresh)
-        keyed = self._keyed
+        threads = self._plan()
+        fresh: List[int] = []
         views = Views(self.protocol.schema)  # each code decoded once per batch
         out_a, out_b, off = array("q"), array("q"), array("q")
         out_p, p_row = array("d"), array("d")
         nnz = len(self.out_p)
         try:
-            for i, j, code_a, code_b in pairs:
-                if i >= keyed or j >= keyed:  # states this batch indexed
-                    keyed = first + len(fresh)
-                    self._plan(keyed, fresh)
+            for i, j, code_a, code_b in zip(
+                ia.tolist(), ib.tolist(),
+                self.codes[ia].tolist(), self.codes[ib].tolist(),
+            ):
                 merged: Dict[Tuple[int, int], float] = {}
                 for memo, thread, draws, key_a, key_b in threads:
                     if memo is not None:
@@ -477,10 +416,6 @@ class TransitionTable:
         except BaseException:
             for new in fresh:
                 del index[new]
-            if self._keyed > first:
-                for thread in threads:
-                    thread.truncate(first)
-                self._keyed = first
             raise
         self._extend(
             codes=fresh,
@@ -493,16 +428,6 @@ class TransitionTable:
         self.misses += len(off)
 
     # -- rows ------------------------------------------------------------------
-    def _row(self, i: int, j: int) -> int:
-        """Scalar :meth:`rows`."""
-        if self.closed:
-            return i * len(self.codes) + j
-        key = _pair_key(i, j)
-        row = self._pair_row.get(key)
-        if row is None:
-            row = self._pair_rows([key], np.array([i]), np.array([j]))[0]
-        return row
-
     def rows(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
         """Row ids of the index pairs ``(ia, ib)``, computing missing rows."""
         if self.closed:
@@ -518,7 +443,8 @@ class TransitionTable:
     def p_change_block(self, act: np.ndarray) -> np.ndarray:
         """The ``(a, a)`` change probabilities among the indices ``act``."""
         a = len(act)
-        return self.p_row[self.rows(np.repeat(act, a), np.tile(act, a))].reshape(a, a)
+        rows = self.rows(np.repeat(act, a), np.tile(act, a))  # may grow p_row
+        return self.p_row[rows].reshape(a, a)
 
     def canonical(self, idx: np.ndarray) -> np.ndarray:
         """``idx`` in a state order that does not depend on table history.
@@ -529,87 +455,6 @@ class TransitionTable:
         if self.closed:
             return idx
         return idx[np.argsort(self.codes[idx], kind="stable")]
-
-    # -- scalar interface --------------------------------------------------------
-    def outcomes(self, code_a: int, code_b: int) -> PairOutcomes:
-        key = (code_a, code_b)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            return entry
-        if self.closed and (code_a not in self.index or code_b not in self.index):
-            # outside the closure: the protocol answers, the table stays closed
-            changing, _ = self.protocol.transition(code_a, code_b)
-            return PairOutcomes(changing)
-        row = self._row(self.state_index(code_a), self.state_index(code_b))
-        lo, hi = int(self.off[row]), int(self.off[row + 1])
-        entry = PairOutcomes(list(zip(
-            self.codes[self.out_a[lo:hi]].tolist(),
-            self.codes[self.out_b[lo:hi]].tolist(),
-            self.out_p[lo:hi].tolist(),
-        )))
-        self._entries[key] = entry
-        return entry
-
-    def p_change(self, code_a: int, code_b: int) -> float:
-        if self.closed and (code_a not in self.index or code_b not in self.index):
-            return self.outcomes(code_a, code_b).p_change
-        row = self._row(self.state_index(code_a), self.state_index(code_b))
-        return float(self.p_row[row])
-
-    def p_changes(
-        self, codes_a: Sequence[int], codes_b: Sequence[int]
-    ) -> np.ndarray:
-        """:meth:`p_change` of every code pair ``(codes_a[k], codes_b[k])``.
-
-        A closed table answers with one gather from
-        :attr:`p_change_matrix`.  An open table indexes states and fills
-        missing rows in one streamed pass, in the order one
-        :meth:`p_change` call per pair would: the pair's initiator, its
-        responder, then its row's outcome states.  The table grows as it
-        would under those calls, whatever batches they come in.
-        """
-        index = self.index
-        if self.closed:
-            q = len(self.codes)
-            try:
-                flat = [index[a] * q + index[b] for a, b in zip(codes_a, codes_b)]
-            except KeyError:
-                # a code outside the closure: the protocol answers
-                return np.array(
-                    [self.p_change(a, b) for a, b in zip(codes_a, codes_b)],
-                    dtype=np.float64,
-                )
-            return self.p_row[np.array(flat, dtype=np.int64)]
-        pair_row = self._pair_row
-        first = len(self.codes)
-        base = len(self.p_row)
-        fresh: List[int] = []
-        new: Dict[int, int] = {}  # pair key -> row, for rows of this pass
-        rows = array("q")
-
-        def intern(code: int) -> int:
-            idx = index.get(code)
-            if idx is None:
-                idx = index[code] = first + len(fresh)
-                fresh.append(code)
-            return idx
-
-        def missing() -> Iterator[Tuple[int, int, int, int]]:
-            for a, b in zip(codes_a, codes_b):
-                i, j = intern(a), intern(b)
-                key = _pair_key(i, j)
-                row = pair_row.get(key)
-                if row is None:
-                    row = new.get(key)
-                    if row is None:
-                        row = new[key] = base + len(new)
-                        yield i, j, int(a), int(b)
-                rows.append(row)
-
-        self._append_rows(missing(), fresh)
-        pair_row.update(new)
-        return self.p_row[np.array(rows, dtype=np.int64)]
 
     # -- vectorized agent-array application --------------------------------------
     def apply(

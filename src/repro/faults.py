@@ -68,9 +68,9 @@ CORRUPT_MODES = ("nan", "drop", "bitflip")
 def corrupt_table(table, mode: str = "nan"):
     """Return a corrupted *copy* of a closed transition table.
 
-    The corruption hits the flat arrays the batch kernels read; the scalar
-    ``outcomes`` / ``p_change`` view of the exact per-event path keeps
-    serving the original rows.
+    The corruption hits the flat arrays every engine reads; an engine's
+    own copies of change probabilities taken before the swap (the exact
+    path's ``Q``) keep their values.
 
     The copy matters: closed tables are memoized process-wide
     (``repro.engine.compiled._MEMO``), so corrupting one in place would
@@ -98,7 +98,6 @@ def corrupt_table(table, mode: str = "nan"):
             )
         )
     bad = copy.copy(table)
-    bad.outcomes, bad.p_change = table.outcomes, table.p_change
     if mode == "nan":
         bad.p_row = table.p_row.copy()
         bad.p_row[0] = np.nan

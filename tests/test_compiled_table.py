@@ -19,6 +19,7 @@ from repro.engine import (
     CountEngine,
     EngineConfig,
     EngineStats,
+    EnsembleEngine,
     LazyTable,
     MatchingEngine,
     TransitionTable,
@@ -98,31 +99,25 @@ class TestCompiledArrays:
         pop = oscillator_population(oscillator.schema, 100)
         ct = compile_table(oscillator, pop.counts.keys(), cache=None)
         lazy = LazyTable(oscillator)
-        for a in ct.codes:
-            for b in ct.codes:
-                mine = ct.outcomes(int(a), int(b))
-                ref = lazy.outcomes(int(a), int(b))
-                assert np.array_equal(mine.codes_a, ref.codes_a)
-                assert np.array_equal(mine.codes_b, ref.codes_b)
-                # identical floats (not approx): exact engine paths running
-                # on a compiled table must consume the rng identically
-                assert np.array_equal(mine.probs, ref.probs)
-                assert mine.p_change == ref.p_change
-                assert ct.p_change(int(a), int(b)) == ref.p_change
-
-    def test_pair_outside_closure_falls_back_to_protocol(self, oscillator):
-        pop = oscillator_population(oscillator.schema, 100)
-        ct = compile_table(oscillator, pop.counts.keys(), cache=None)
-        outside = [
-            c for c in range(oscillator.schema.num_states) if c not in ct.index
-        ]
-        if not outside:  # pragma: no cover - closure covers the packed space
-            pytest.skip("every packed state is reachable")
-        code = outside[0]
-        ref = LazyTable(oscillator).outcomes(code, code)
-        mine = ct.outcomes(code, code)
-        assert np.array_equal(mine.probs, ref.probs)
-        assert mine.p_change == ref.p_change
+        q = ct.num_states
+        # every pair read through rows(), in the closure's order on both
+        idx = np.arange(q)
+        mine = ct.rows(np.repeat(idx, q), np.tile(idx, q))
+        idx = lazy.indices(ct.codes)
+        ref = lazy.rows(np.repeat(idx, q), np.tile(idx, q))
+        for r_mine, r_ref in zip(mine.tolist(), ref.tolist()):
+            lo, hi = ct.off[r_mine], ct.off[r_mine + 1]
+            lo_ref, hi_ref = lazy.off[r_ref], lazy.off[r_ref + 1]
+            assert np.array_equal(
+                ct.codes[ct.out_a[lo:hi]], lazy.codes[lazy.out_a[lo_ref:hi_ref]]
+            )
+            assert np.array_equal(
+                ct.codes[ct.out_b[lo:hi]], lazy.codes[lazy.out_b[lo_ref:hi_ref]]
+            )
+            # identical floats (not approx): exact engine paths running
+            # on a compiled table must consume the rng identically
+            assert np.array_equal(ct.out_p[lo:hi], lazy.out_p[lo_ref:hi_ref])
+            assert ct.p_row[r_mine] == lazy.p_row[r_ref]
 
 
 class TestVectorizedApply:
@@ -155,12 +150,14 @@ class TestVectorizedApply:
         ]
         if not outside:  # pragma: no cover
             pytest.skip("every packed state is reachable")
-        # agents hold table indices, so an outside state is caught where
-        # the agent array is indexed: at engine construction
+        # engines hold table indices, so an outside state is caught where
+        # the population is indexed: at engine construction
         mixed = Population(
             oscillator.schema, {outside[0]: 2, next(iter(pop.counts)): 2}
         )
-        for cls in (ArrayEngine, MatchingEngine):
+        for cls in (
+            ArrayEngine, MatchingEngine, CountEngine, BatchCountEngine, EnsembleEngine
+        ):
             with pytest.raises(ValueError, match="outside the compiled reachable"):
                 cls(oscillator, mixed, rng=np.random.default_rng(0), table=ct)
 

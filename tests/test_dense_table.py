@@ -43,22 +43,25 @@ class TestOutcomeSampling:
         assert fractions[3] == pytest.approx(0.2, abs=0.02)
 
     def test_scalar_interface_agrees_with_lazy(self, coin_protocol):
-        # rows filled by the vectorized apply, by the scalar interface and
-        # by a closure compile all hold the protocol's outcomes
+        # rows filled by the vectorized apply, by one rows() gather and by
+        # a closure compile all hold the protocol's outcomes
         applied = LazyTable(coin_protocol)
         agents = applied.indices(np.array([0, 0, 0, 1, 2, 3, 3, 2], dtype=np.int64))
         applied.apply(agents, np.arange(4), np.arange(4, 8), np.random.default_rng(3))
         lazy = LazyTable(coin_protocol)
         closed = compile_table(coin_protocol, range(4), cache=None)
-        for a in range(4):
-            for b in range(4):
+        codes = np.arange(4, dtype=np.int64)
+        for table in (applied, lazy, closed):
+            idx = table.indices(codes)
+            rows = table.rows(np.repeat(idx, 4), np.tile(idx, 4)).tolist()
+            for (a, b), row in zip(((a, b) for a in range(4) for b in range(4)), rows):
                 changing, p_change = coin_protocol.transition(a, b)
-                for table in (applied, lazy, closed):
-                    entry = table.outcomes(a, b)
-                    assert entry.p_change == pytest.approx(p_change)
-                    assert sorted(zip(entry.codes_a, entry.codes_b)) == sorted(
-                        (x, y) for x, y, _ in changing
-                    )
+                lo, hi = table.off[row], table.off[row + 1]
+                assert table.p_row[row] == pytest.approx(p_change)
+                assert sorted(zip(
+                    table.codes[table.out_a[lo:hi]].tolist(),
+                    table.codes[table.out_b[lo:hi]].tolist(),
+                )) == sorted((x, y) for x, y, _ in changing)
 
     def test_lazy_fill_only_touches_used_pairs(self, coin_protocol):
         table = LazyTable(coin_protocol)
@@ -80,8 +83,9 @@ class TestOutcomeSampling:
         )
         proto = single_thread("many", schema, [rule])
         table = LazyTable(proto)
-        entry = table.outcomes(0, 0)
-        assert len(entry) == 7
+        zero = table.indices(np.zeros(1, dtype=np.int64))
+        row = table.rows(zero, zero)[0]
+        assert table.off[row + 1] - table.off[row] == 7
         rng = np.random.default_rng(2)
         agents = table.indices(np.zeros(64, dtype=np.int64))
         table.apply(agents, np.arange(0, 64, 2), np.arange(1, 64, 2), rng)
@@ -96,17 +100,17 @@ class TestBatchFill:
     def test_stale_snapshot_does_not_duplicate_rows(self, coin_protocol):
         table = LazyTable(coin_protocol)
         idx = table.indices(np.arange(4, dtype=np.int64))
-        # the scalar path fills rows 0..7 without touching the row
-        # lookup, whose snapshot is still the empty one: every pair below
-        # misses it, also the eight that already have rows
-        for row, (a, b) in enumerate((a, b) for a in range(2) for b in range(4)):
-            table.p_change(a, b)
-            assert table.num_pairs == row + 1
         ia, ib = np.repeat(idx, 4), np.tile(idx, 4)
+        table.rows(ia[:8], ib[:8])
+        # the next read rebuilds the row lookup's snapshot on these eight
+        # rows; the four it fills then miss that snapshot until the
+        # misses outgrow it, so the read of every pair below misses it
+        # on four keys that already have rows
+        table.rows(ia[:8], ib[:8])
+        table.rows(ia[8:12], ib[8:12])
+        assert table.num_pairs == table.misses == 12
         rows = table.rows(ia, ib)
-        assert table.num_pairs == 16
-        assert table.misses == 16
-        assert rows[:8].tolist() == list(range(8))
+        assert table.num_pairs == table.misses == 16
         assert sorted(rows.tolist()) == list(range(16))
         np.testing.assert_array_equal(table.rows(ia, ib), rows)
         assert table.misses == 16
@@ -127,28 +131,6 @@ class TestBatchFill:
             np.testing.assert_array_equal(
                 getattr(batched, name), getattr(single, name)
             )
-
-    def test_p_changes_equal_one_scalar_call_per_pair(self, coin_protocol):
-        """The batched read gives the values and grows the table exactly
-        as one :meth:`p_change` call per pair, in pair order: initiator,
-        responder, then the row's outcome states."""
-        pairs = [(2, 0), (0, 2), (0, 0), (2, 0), (3, 1), (0, 3), (1, 1)]
-        batched = LazyTable(coin_protocol)
-        single = LazyTable(coin_protocol)
-        batched.p_change(1, 1)  # rows that already exist are read, not filled
-        single.p_change(1, 1)
-        got = batched.p_changes([a for a, _ in pairs], [b for _, b in pairs])
-        want = [single.p_change(a, b) for a, b in pairs]
-        assert got.tolist() == want
-        for name in ("codes", "off", "out_a", "out_b", "out_p", "p_row"):
-            np.testing.assert_array_equal(
-                getattr(batched, name), getattr(single, name)
-            )
-        assert batched.index == single.index
-        assert batched.misses == single.misses == 6
-        closed = compile_table(coin_protocol, [0, 1, 2, 3], cache=None)
-        got = closed.p_changes([a for a, _ in pairs], [b for _, b in pairs])
-        assert got.tolist() == [closed.p_change(a, b) for a, b in pairs]
 
     def test_a_failing_batch_leaves_the_table_unchanged(self):
         schema = StateSchema()
@@ -175,28 +157,38 @@ class TestBatchFill:
         assert table.num_pairs == table.misses == 1
 
     def test_a_failing_batch_drops_the_projections_it_took(self):
-        """A memoized thread's per-state projections are truncated with
-        the states a failing batch indexed, so the next states to take
-        those indices get their own projections."""
+        """A failing batch keeps no footprint projection of a state it
+        indexed, so the next state to take that index gets its own."""
         schema = StateSchema()
         schema.enum("x", 6)
-        schema.flag("y")
 
         def outcome(a, b):
             if b["x"] == 5:
                 raise RuntimeError("bad pair")
             return []
 
-        step = Thread("step", [Rule(V("x", 0), None, {"x": 1})])
+        step = Thread("step", [
+            Rule(V("x", 0), None, {"x": 1}),
+            Rule(V("x", 1), None, {"x": 2}),
+        ])
         fails = Thread("fails", [DynamicRule(None, None, outcome)])
         protocol = Protocol("half-memo", schema, [step, fails])
         assert step.memo(schema) is not None
-        code = [schema.pack({"x": x}) for x in range(6)]
+        code = np.array([schema.pack({"x": x}) for x in range(6)], dtype=np.int64)
         table = LazyTable(protocol)
+        idx = table.indices(code[[0, 5]])
         with pytest.raises(RuntimeError, match="bad pair"):
-            # (2, 2) indexes x = 2 and fills its row before (3, 5) raises
-            table.p_changes([code[2], code[3]], [code[2], code[5]])
-        assert table.num_states == 0
-        got = table.p_changes([code[0], code[0]], [code[0], code[1]])
-        want = LazyTable(protocol).p_changes([code[0], code[0]], [code[0], code[1]])
-        assert got.tolist() == want.tolist() == [0.5, 0.5]
+            # (0, 0) indexes x = 1 as index 2 before (0, 5) raises
+            table.rows(idx[[0, 0]], idx[[0, 1]])
+        assert table.num_states == 2
+        fresh = LazyTable(protocol)
+        fresh.indices(code[[0, 5]])
+        for t in (table, fresh):
+            # x = 3 takes index 2; had it kept x = 1's projection, its row
+            # would step on to x = 2
+            i = t.indices(code[[0, 3]])
+            t.rows(i, i)
+        for name in ("codes", "off", "out_a", "out_b", "out_p", "p_row"):
+            np.testing.assert_array_equal(getattr(table, name), getattr(fresh, name))
+        assert table.codes.tolist() == code[[0, 5, 3, 1]].tolist()
+        assert table.p_row[0] > 0.0 and table.p_row[1] == 0.0

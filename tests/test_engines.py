@@ -208,21 +208,22 @@ class TestEngineAgreement:
 class TestTables:
     def test_lazy_table_caches(self, epidemic):
         table = LazyTable(epidemic)
-        table.outcomes(0, 1)
+        idx = table.indices(np.array([0, 1], dtype=np.int64))
+        row = table.rows(idx[:1], idx[1:])
         misses = table.misses
-        table.outcomes(0, 1)
+        assert table.rows(idx[:1], idx[1:]).tolist() == row.tolist()
         assert table.misses == misses
-        assert table.hits >= 1
 
     def test_dense_and_lazy_agree(self, epidemic):
         """An open table and the compiled closure agree pair by pair."""
         lazy = LazyTable(epidemic)
         dense = compile_table(epidemic, [0, 1], cache=None)
-        for a in range(2):
-            for b in range(2):
-                assert lazy.outcomes(a, b).p_change == pytest.approx(
-                    dense.outcomes(a, b).p_change
-                )
+        a, b = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        p = []
+        for table in (lazy, dense):
+            rows = table.rows(table.indices(a), table.indices(b))
+            p.append(table.p_row[rows].tolist())
+        assert p[0] == pytest.approx(p[1])
 
     def test_dense_apply_matches_distribution(self, epidemic):
         dense = LazyTable(epidemic)
@@ -252,9 +253,9 @@ class _CodeTable(LazyTable):
     """The agent engines' table contract on *code* arrays, pair by pair.
 
     ``indices`` keeps the codes, ``apply`` draws one uniform per pair and
-    reads each pair's scalar :meth:`~TransitionTable.outcomes`, and
-    ``census`` counts codes with ``np.unique``: an engine built on it is
-    the code-array engine the index path must reproduce.
+    reads each pair's row on its own, and ``census`` counts codes with
+    ``np.unique``: an engine built on it is the code-array engine the
+    index path must reproduce.
     """
 
     def indices(self, codes):
@@ -269,11 +270,15 @@ class _CodeTable(LazyTable):
         u = rng.random(len(idx_a))
         changed = 0
         for a, b, draw in zip(idx_a.tolist(), idx_b.tolist(), u.tolist()):
-            entry = self.outcomes(int(agents[a]), int(agents[b]))
-            if draw < entry.p_change:
-                pick = int(np.searchsorted(entry.cum, draw, side="right"))
-                pick = min(pick, len(entry) - 1)
-                agents[a], agents[b] = entry.codes_a[pick], entry.codes_b[pick]
+            i = self.state_index(int(agents[a]))
+            j = self.state_index(int(agents[b]))
+            row = int(self.rows(np.array([i]), np.array([j]))[0])
+            lo, hi = int(self.off[row]), int(self.off[row + 1])
+            cum = np.cumsum(self.out_p[lo:hi])
+            if hi > lo and draw < cum[-1]:
+                pick = lo + min(int(np.searchsorted(cum, draw, side="right")), hi - lo - 1)
+                agents[a] = self.codes[self.out_a[pick]]
+                agents[b] = self.codes[self.out_b[pick]]
                 changed += 1
         return changed
 

@@ -110,3 +110,28 @@ class TestDynamics:
         ode = mf.fraction_series(solution, schema.pack({"I": True}))
         sim = trace.series("I") / n
         assert np.abs(ode - sim).max() < 0.05
+
+    def test_oscillator_drift_matches_transition_pair_by_pair(self):
+        """On the E3 oscillator's closure, the drift read from the table's
+        rows equals the ODE summed pair by pair from
+        ``Protocol.transition``."""
+        from repro.oscillator import make_oscillator_protocol, weak_value
+
+        protocol = make_oscillator_protocol()
+        schema = protocol.schema
+        initial = [schema.pack({"osc": weak_value(k)}) for k in range(3)]
+        initial.append(schema.pack({"osc": weak_value(0), "X": True}))
+        mf = MeanFieldSystem.from_initial(protocol, initial)
+        size = len(mf.codes)
+        assert size > len(initial)
+        for x in np.random.default_rng(3).dirichlet(np.ones(size), size=4):
+            want = np.zeros(size)
+            for i, a in enumerate(mf.codes):
+                for j, b in enumerate(mf.codes):
+                    for new_a, new_b, p in protocol.transition(a, b)[0]:
+                        rate = x[i] * x[j] * p
+                        want[i] -= rate
+                        want[j] -= rate
+                        want[mf.index[new_a]] += rate
+                        want[mf.index[new_b]] += rate
+            np.testing.assert_allclose(mf.derivative(x), want, rtol=1e-12, atol=1e-15)

@@ -181,9 +181,11 @@ def test_table_probabilities_bounded(code_a, code_b):
         ],
     )
     table = LazyTable(proto)
-    entry = table.outcomes(code_a, code_b)
-    assert 0.0 <= entry.p_change <= 1.0 + 1e-12
-    assert all(p >= 0 for p in entry.probs)
+    row = table.rows(
+        np.array([table.state_index(code_a)]), np.array([table.state_index(code_b)])
+    )[0]
+    assert 0.0 <= table.p_row[row] <= 1.0 + 1e-12
+    assert (table.out_p[table.off[row] : table.off[row + 1]] >= 0).all()
 
 
 # -- predicate algebra -----------------------------------------------------------------
