@@ -43,7 +43,7 @@ class MeanFieldSystem:
         start = table.off[rows]
         width = table.off[rows + 1] - start
         ent = _spans(start, width)
-        # each state's position in the list, -1 for the states it misses
+        # each table state's position in the list, -1 outside it
         local = np.full(table.num_states, -1, dtype=np.int64)
         local[states] = np.arange(size)
         new_a, new_b = local[table.out_a[ent]], local[table.out_b[ent]]

@@ -74,13 +74,13 @@ class CountEngine(Engine):
     def _rebuild(self) -> None:
         counts = self._population.counts
         codes = sorted(counts)
-        states = self.table.indices(np.array(codes, dtype=np.int64))
-        self._states = states.tolist()
+        self._states = [self.table.state_index(code) for code in codes]
         self._local = {idx: k for k, idx in enumerate(self._states)}
         size = len(codes)
         self._c = np.array([counts[code] for code in codes], dtype=np.float64)
+        states = np.array(self._states, dtype=np.int64)
         self._rows = self.table.rows(
-            np.repeat(states, size), np.tile(states, size)
+            states.repeat(size), np.tile(states, size)
         ).reshape(size, size)
         self._q = self.table.p_row[self._rows]
         self._v = self._q @ self._c

@@ -34,15 +34,16 @@ work by state must use :meth:`TransitionTable.canonical` so their sample
 paths do not depend on that history.  A closed table's (BFS) index order
 is already canonical.
 
-There is one way into a table, by dense index: :meth:`~TransitionTable.indices`
-and :meth:`~TransitionTable.state_index` turn codes into indices (an
-open table indexes unseen codes), and :meth:`~TransitionTable.rows` turns
-index pairs into row ids, filling an open table's missing rows.  The
-exact count engine samples each event from one row's ``out_p`` slice;
-:meth:`~TransitionTable.apply` applies a batch of agent pairs to an array
-of dense indices for the agent-array engines; the count-batch engines
-read :meth:`~TransitionTable.rows` and
-:meth:`~TransitionTable.p_change_block` over their active states.
+There is one way into a table, by dense index:
+:meth:`~TransitionTable.indices` and :meth:`~TransitionTable.state_index`
+turn codes into indices (an open table indexes unseen codes), and
+:meth:`~TransitionTable.rows` turns index pairs into row ids, filling an
+open table's missing rows.  The exact count engine samples each event
+from one row's ``out_p`` slice; :meth:`~TransitionTable.apply` applies a
+batch of agent pairs to an array of dense indices for the agent-array
+engines; the count-batch engines and the mean-field system read
+:meth:`~TransitionTable.rows` and :meth:`~TransitionTable.p_change_block`
+over their states.
 """
 
 from __future__ import annotations

@@ -115,6 +115,13 @@ class TestBatchFill:
         np.testing.assert_array_equal(table.rows(ia, ib), rows)
         assert table.misses == 16
 
+    def test_p_change_block_reads_the_rows_it_fills(self, coin_protocol):
+        table = LazyTable(coin_protocol)
+        idx = table.indices(np.array([0, 1, 3], dtype=np.int64))
+        block = table.p_change_block(idx)
+        assert table.num_pairs == 9
+        assert block.tolist() == [[1.0, 1.0, 1.0], [0.0] * 3, [0.0] * 3]
+
     def test_one_batch_equals_one_row_at_a_time(self, coin_protocol):
         """Rows, state indices and probabilities do not depend on how the
         missing rows were batched."""
