@@ -110,7 +110,8 @@ class CountEngine(Engine):
         return k
 
     def _bump(self, idx: int, delta: int) -> None:
-        """Move ``delta`` agents into the state of table index ``idx``."""
+        """Add ``delta`` agents (fewer when negative) to the state of table
+        index ``idx``."""
         k = self._ensure_state(idx)
         self._c[k] += delta
         self._v += self._q[:, k] * delta
