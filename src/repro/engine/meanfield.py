@@ -26,37 +26,55 @@ import numpy as np
 
 from ..core.population import Population
 from ..core.protocol import Protocol
-from .table import LazyTable, _spans, reachable_codes
+from .table import TransitionTable, _spans
 
 
 class MeanFieldSystem:
-    """The ODE system of a protocol restricted to a finite state list."""
+    """The ODE system of a protocol restricted to a finite state list.
+
+    The system is read off a closed :class:`~repro.engine.table.TransitionTable`
+    over the states: one term per ordered pair with changing outcomes.
+    """
 
     def __init__(self, protocol: Protocol, codes: Sequence[int]):
+        codes = list(codes)
+        try:
+            # the reachable closure of a list closed under the transitions
+            # is the list itself
+            table = TransitionTable.from_protocol(protocol, codes, limit=len(set(codes)))
+        except RuntimeError as err:
+            raise ValueError(
+                "an outcome state escapes the provided state list; "
+                "use reachable closure"
+            ) from err
+        self._derive(protocol, codes, table)
+
+    @classmethod
+    def from_initial(cls, protocol: Protocol, initial_codes: Sequence[int]) -> "MeanFieldSystem":
+        """Build the system over the reachable closure of the initial support
+        (at most :data:`~repro.engine.compiled.COMPILE_STATE_LIMIT` states),
+        in :func:`~repro.engine.table.reachable_codes` order."""
+        table = TransitionTable.from_protocol(protocol, initial_codes)
+        system = cls.__new__(cls)
+        system._derive(protocol, table.codes.tolist(), table)
+        return system
+
+    def _derive(self, protocol: Protocol, codes: List[int], table: TransitionTable) -> None:
+        """The system over the list ``codes`` from the rows of the closed
+        ``table``, whose states they all are."""
         self.protocol = protocol
-        self.codes: List[int] = list(codes)
-        self.index: Dict[int, int] = {code: i for i, code in enumerate(self.codes)}
-        size = len(self.codes)
-        table = LazyTable(protocol)
-        states = table.indices(np.array(self.codes, dtype=np.int64))
+        self.codes: List[int] = codes
+        self.index: Dict[int, int] = {code: i for i, code in enumerate(codes)}
+        size = len(codes)
+        states = table.indices(np.array(codes, dtype=np.int64))
         rows = table.rows(np.repeat(states, size), np.tile(states, size))
         start = table.off[rows]
         width = table.off[rows + 1] - start
         ent = _spans(start, width)
-        # each table state's position in the list, -1 outside it
-        local = np.full(table.num_states, -1, dtype=np.int64)
+        # each table state's position in the list
+        local = np.empty(table.num_states, dtype=np.int64)
         local[states] = np.arange(size)
         new_a, new_b = local[table.out_a[ent]], local[table.out_b[ent]]
-        escaped = np.flatnonzero((new_a < 0) | (new_b < 0))
-        if len(escaped):
-            first = ent[escaped[0]]
-            raise ValueError(
-                "outcome state {} escapes the provided state list; "
-                "use reachable closure".format((
-                    int(table.codes[table.out_a[first]]),
-                    int(table.codes[table.out_b[first]]),
-                ))
-            )
         # one term per pair with changing outcomes: its delta over the
         # states, each outcome adding -p, -p, +p, +p in turn
         live = np.flatnonzero(width)
@@ -70,11 +88,6 @@ class MeanFieldSystem:
             weights=np.stack([-p, -p, p, p], axis=1).ravel(),
             minlength=len(live) * size,
         ).reshape(len(live), size)
-
-    @classmethod
-    def from_initial(cls, protocol: Protocol, initial_codes: Sequence[int]) -> "MeanFieldSystem":
-        """Build the system over the reachable closure of the initial support."""
-        return cls(protocol, reachable_codes(protocol, initial_codes))
 
     def derivative(self, x: np.ndarray) -> np.ndarray:
         return (x[self._ti] * x[self._tj]) @ self._deltas

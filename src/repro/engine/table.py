@@ -52,7 +52,8 @@ import os
 import tempfile
 import time
 from array import array
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from math import isqrt
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -80,69 +81,86 @@ class _Column:
 
 
 class _Lookup:
-    """Vectorized reads of a growing ``int -> int`` dict with keys ``>= 0``.
+    """Vectorized reads of the positions in an append-only list of
+    distinct keys ``>= 0``.
 
-    A snapshot of the dict answers most keys in numpy: a direct-address
-    array when the keys are dense, else a sorted array and
-    ``searchsorted``.  Keys missing from the snapshot go to
-    ``resolve(keys, at)`` as one sorted int64 array of distinct keys,
-    ``at[k]`` the position of the first occurrence of ``keys[k]``; it
-    returns their values in that order and may add them to the dict.  A
-    missing key may already be in the dict (the snapshot is older), so
-    ``resolve`` must look before it adds.  The snapshot is rebuilt once
-    the misses have cost about as much as a rebuild, so lookups stay
-    cheap for a small settled dict and a large growing one.
+    :meth:`add` appends keys, each taking the next position.  A snapshot
+    answers a read in numpy: a direct-address array while the keys are
+    dense, else the sorted keys and ``searchsorted``.  Keys added since
+    the last read are written into a direct array in place when they fit
+    it, so a dense list never misses a key it holds.  Otherwise they wait
+    (the read misses them) until the reads have missed as many keys as
+    the snapshot holds, and then the snapshot is rebuilt, so a large
+    sparse list costs O(1) per key.  A direct array spans every key the
+    density rule admits at its size, so a growing list is written in
+    place until it has about quadrupled.
     """
 
-    __slots__ = ("direct", "keys", "values", "size", "misses")
+    __slots__ = ("direct", "keys", "values", "size", "pending", "misses")
 
-    def __init__(self):
+    def __init__(self, keys: Iterable[int] = ()):
         # the empty snapshot: every key reads the spare -1 slot and misses
         self.direct: Optional[np.ndarray] = np.full(1, -1, dtype=np.int64)
         self.keys: Optional[np.ndarray] = None
         self.values: Optional[np.ndarray] = None
-        self.size = 0  # entries in the snapshot
-        self.misses = 0  # keys resolved one by one since it was built
+        self.size = 0  # keys in the snapshot
+        self.pending: List[int] = list(keys)  # keys added since, in order
+        self.misses = 0  # keys read since the snapshot was built, missed
 
-    def _rebuild(self, mapping: Dict[int, int]) -> None:
-        keys = np.fromiter(mapping, np.int64, len(mapping))
-        values = np.fromiter(mapping.values(), np.int64, len(mapping))
-        span = int(keys.max()) + 1 if len(keys) else 0
-        if span <= 4 * len(keys) + 4096:
-            # one spare -1 slot: clipped out-of-range keys read it as a miss
-            self.direct = np.full(span + 1, -1, dtype=np.int64)
-            self.direct[keys] = values
-        else:
-            order = keys.argsort()
-            self.direct, self.keys, self.values = None, keys[order], values[order]
-        self.size, self.misses = len(keys), 0
+    def add(self, keys: Iterable[int]) -> None:
+        """Append ``keys``, none of them in the list yet."""
+        self.pending.extend(keys)
 
-    def __call__(self, mapping: Dict[int, int], keys: np.ndarray, resolve) -> np.ndarray:
-        if self.misses > self.size:
-            self._rebuild(mapping)
+    def __call__(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each key's position, -1 where the snapshot misses it, and the
+        indices of those misses."""
+        if self.pending and (self.direct is not None or self.misses >= self.size):
+            self._fold()
         if self.direct is not None:
             found = self.direct.take(keys, mode="clip")
         else:
             pos = np.minimum(np.searchsorted(self.keys, keys), self.size - 1)
             found = np.where(self.keys[pos] == keys, self.values[pos], -1)
-        miss = np.flatnonzero(found < 0)
-        if len(miss):
-            order = miss[keys[miss].argsort(kind="stable")]
-            lost = keys[order]
-            head = np.empty(len(lost), dtype=bool)
-            head[0] = True
-            np.not_equal(lost[1:], lost[:-1], out=head[1:])
-            values = np.asarray(resolve(lost[head], order[head]), dtype=np.int64)
-            self.misses += len(values)
-            found[order] = values[np.cumsum(head) - 1]
-        return found
+        miss = (found < 0).nonzero()[0]
+        self.misses += len(miss)
+        return found, miss
+
+    def _fold(self) -> None:
+        pending, direct = self.pending, self.direct
+        end = self.size + len(pending)
+        if direct is not None and max(pending) < len(direct) - 1:
+            direct[pending] = range(self.size, end)
+        else:
+            if direct is not None:
+                keys = np.flatnonzero(direct >= 0)
+                values = direct[keys]
+            else:
+                keys, values = self.keys, self.values
+            keys = np.concatenate([keys, np.array(pending, dtype=np.int64)])
+            values = np.concatenate([values, np.arange(self.size, end)])
+            if int(keys.max()) < 4 * end + 4096:
+                # one spare -1 slot: clipped out-of-range keys read it as a miss
+                self.direct = np.full(4 * end + 4097, -1, dtype=np.int64)
+                self.direct[keys] = values
+                self.keys = self.values = None
+            else:
+                order = keys.argsort(kind="stable")
+                self.direct, self.keys, self.values = None, keys[order], values[order]
+            self.misses = 0
+        self.pending = []
+        self.size = end
 
 
 def _pair_key(i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Szudzik pairing of two int64 index arrays: one key per index pair,
     all below ``(max(i, j) + 1)²``, so small tables get small, dense pair
     keys (see :class:`_Lookup`)."""
-    return np.where(i < j, j * j + i, i * i + i + j)
+    # j² + i when i < j, else i² + i + j: max(i, j)² + i, plus j when i >= j
+    top = np.maximum(i, j)
+    key = top * top
+    key += i
+    key += j * (i >= j)
+    return key
 
 
 class _KeyedThread(NamedTuple):
@@ -224,17 +242,20 @@ class TransitionTable:
         self._reset_caches()
 
     def _reset_caches(self) -> None:
-        self._state_lookup = _Lookup()
-        self._row_lookup = _Lookup()
+        # numpy reads of ``index`` and ``_pair_row``, whose keys are in
+        # the order of their values (see :class:`_Lookup`)
+        self._state_lookup = _Lookup(self.index)
+        self._row_lookup = _Lookup(self._pair_row)
         self._columns: Optional[Dict[str, _Column]] = None
-        # open tables: per thread of the row plan, each indexed state's
-        # footprint projections (see :meth:`_plan`)
+        # open tables: the row plan's threads, which hold each indexed
+        # state's footprint projections, and each state's code as a
+        # Python int (see :meth:`_plan`)
         self._threads: Optional[List[_KeyedThread]] = None
-        self._keyed = 0  # states whose projections the threads hold
+        self._code_list: List[int] = []
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        for key in ("_state_lookup", "_row_lookup", "_columns", "_threads", "_keyed"):
+        for key in ("_state_lookup", "_row_lookup", "_columns", "_threads", "_code_list"):
             del state[key]
         return state
 
@@ -281,9 +302,7 @@ class TransitionTable:
     def indices(self, codes: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`state_index` over an int64 code array; unseen
         codes are indexed in ascending code order."""
-        return self._state_lookup(
-            self.index, codes, lambda fresh, _: self._index_codes(fresh.tolist())
-        )
+        return self._find(self._state_lookup, self.index, codes, self._index_codes)
 
     def census(self, idx: np.ndarray) -> Dict[int, int]:
         """``{code: count}`` of an array of dense indices, in code order."""
@@ -314,45 +333,29 @@ class TransitionTable:
             found.append(idx)
         if fresh:
             self._extend(codes=fresh)
+            self._state_lookup.add(fresh)
         return found
-
-    def _pair_rows(
-        self, keys: Sequence[int], ia: np.ndarray, ib: np.ndarray
-    ) -> List[int]:
-        """Row ids of the distinct pair keys ``keys`` of the index pairs
-        ``(ia, ib)``, computing the missing rows as one batch in key order
-        (see :meth:`_append_rows`).
-
-        A key that already has a row keeps it (a lookup snapshot may be
-        older than ``_pair_row``).
-        """
-        pair_row = self._pair_row
-        todo = [k for k, key in enumerate(keys) if key not in pair_row]
-        if todo:
-            base = len(self.p_row)
-            self._append_rows(ia[todo], ib[todo])
-            for row, k in enumerate(todo, base):
-                pair_row[keys[k]] = row
-        return [pair_row[key] for key in keys]
 
     def _plan(self) -> List[_KeyedThread]:
         """The row plan, every memoized thread holding the projections of
-        every indexed state."""
+        every indexed state, and ``_code_list`` every indexed state's
+        code."""
         threads = self._threads
         if threads is None:
             threads = self._threads = [
                 _KeyedThread.of(*plan) for plan in self.protocol.row_plan()
             ]
-        if self._keyed < len(self.codes):
-            new = self.codes[self._keyed :].tolist()
+        known = len(self._code_list)
+        if known < len(self.codes):
+            new = self.codes[known:].tolist()
             for thread in threads:
                 thread.project(new)
-            self._keyed = len(self.codes)
+            self._code_list.extend(new)
         return threads
 
-    def _append_rows(self, ia: np.ndarray, ib: np.ndarray) -> None:
-        """Compute the rows of the indexed state pairs ``(ia[k], ib[k])``
-        and append them.
+    def _append_rows(self, keys: List[int]) -> None:
+        """Compute the rows of the ascending pair keys ``keys`` (see
+        :func:`_pair_key`), whose states are indexed, and append them.
 
         A row sums, in thread, rule and branch order, the changing
         outcomes of every thread; a memoized thread reads its row from its
@@ -368,16 +371,19 @@ class TransitionTable:
         index = self.index
         first = len(self.codes)
         threads = self._plan()
+        codes = self._code_list
         fresh: List[int] = []
         views = Views(self.protocol.schema)  # each code decoded once per batch
         out_a, out_b, off = array("q"), array("q"), array("q")
         out_p, p_row = array("d"), array("d")
         nnz = len(self.out_p)
         try:
-            for i, j, code_a, code_b in zip(
-                ia.tolist(), ib.tolist(),
-                self.codes[ia].tolist(), self.codes[ib].tolist(),
-            ):
+            for pair in keys:
+                # invert the Szudzik pairing of :func:`_pair_key`
+                i = isqrt(pair)
+                j = pair - i * i
+                i, j = (j, i) if j < i else (i, j - i)
+                code_a, code_b = codes[i], codes[j]
                 merged: Dict[Tuple[int, int], float] = {}
                 for memo, thread, draws, key_a, key_b in threads:
                     if memo is not None:
@@ -418,6 +424,7 @@ class TransitionTable:
             for new in fresh:
                 del index[new]
             raise
+        base = len(self.p_row)
         self._extend(
             codes=fresh,
             p_row=p_row,
@@ -426,7 +433,11 @@ class TransitionTable:
             out_b=out_b,
             out_p=out_p,
         )
-        self.misses += len(off)
+        self._pair_row.update(zip(keys, range(base, base + len(keys))))
+        self._row_lookup.add(keys)
+        if fresh:
+            self._state_lookup.add(fresh)
+        self.misses += len(keys)
 
     # -- rows ------------------------------------------------------------------
     def rows(self, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
@@ -435,11 +446,29 @@ class TransitionTable:
             return ia * len(self.codes) + ib
         ia = np.asarray(ia, dtype=np.int64)
         ib = np.asarray(ib, dtype=np.int64)
-        return self._row_lookup(
-            self._pair_row,
-            _pair_key(ia, ib),
-            lambda keys, at: self._pair_rows(keys.tolist(), ia[at], ib[at]),
-        )
+        return self._find(self._row_lookup, self._pair_row, _pair_key(ia, ib), self._append_rows)
+
+    @staticmethod
+    def _find(lookup: _Lookup, known: Dict[int, int], keys: np.ndarray, add) -> np.ndarray:
+        """The values of ``keys`` in ``known`` (the state index or the row
+        of each pair key), read through ``lookup``.
+
+        The keys it misses are taken as Python ints; those not in
+        ``known`` go to ``add`` once each, in ascending order, which enters
+        them in ``known`` and ``lookup``.  Then the misses are read again;
+        keys that a waiting snapshot still misses are read from ``known``.
+        """
+        found, miss = lookup(keys)
+        if len(miss):
+            lost = keys[miss]
+            new = sorted(set(lost.tolist()).difference(known))
+            if new:
+                add(new)
+            again, stale = lookup(lost)
+            if len(stale):
+                again[stale] = [known[key] for key in lost[stale].tolist()]
+            found[miss] = again
+        return found
 
     def p_change_block(self, act: np.ndarray) -> np.ndarray:
         """The ``(a, a)`` change probabilities among the indices ``act``."""
@@ -480,7 +509,7 @@ class TransitionTable:
             return 0
         rows = self.rows(agents[idx_a], agents[idx_b])
         u = rng.random(len(rows))
-        hits = np.nonzero(u < self.p_row[rows])[0]
+        hits = (u < self.p_row[rows]).nonzero()[0]
         if not len(hits):
             return 0
         rows = rows[hits]
@@ -488,12 +517,13 @@ class TransitionTable:
         width = self.off[rows + 1] - pick
         widest = int(width.max())
         if widest > 1:
-            cols = np.arange(widest)
-            pos = np.minimum(pick[:, None] + cols, len(self.out_p) - 1)
-            cum = np.cumsum(
-                np.where(cols < width[:, None], self.out_p[pos], 0.0), axis=1
-            )
-            pick = pick + np.minimum((u[hits, None] >= cum).sum(axis=1), width - 1)
+            # a fired pair's ``u`` is below its row's total, and the
+            # columns past a row (clipped reads of the next rows' outcome
+            # probabilities, all >= 0) only add to it, so they never count
+            cum = self.out_p.take(
+                pick[:, None] + np.arange(widest), mode="clip"
+            ).cumsum(axis=1)
+            pick = pick + np.minimum((cum <= u[hits][:, None]).sum(axis=1), width - 1)
         agents[idx_a[hits]] = self.out_a[pick]
         agents[idx_b[hits]] = self.out_b[pick]
         return int(len(hits))

@@ -102,10 +102,9 @@ class TestBatchFill:
         idx = table.indices(np.arange(4, dtype=np.int64))
         ia, ib = np.repeat(idx, 4), np.tile(idx, 4)
         table.rows(ia[:8], ib[:8])
-        # the next read rebuilds the row lookup's snapshot on these eight
-        # rows; the four it fills then miss that snapshot until the
-        # misses outgrow it, so the read of every pair below misses it
-        # on four keys that already have rows
+        # every read below repeats pairs that already have rows, which
+        # the row lookup's snapshot must answer without computing them
+        # again
         table.rows(ia[:8], ib[:8])
         table.rows(ia[8:12], ib[8:12])
         assert table.num_pairs == table.misses == 12
@@ -199,3 +198,37 @@ class TestBatchFill:
             np.testing.assert_array_equal(getattr(table, name), getattr(fresh, name))
         assert table.codes.tolist() == code[[0, 5, 3, 1]].tolist()
         assert table.p_row[0] > 0.0 and table.p_row[1] == 0.0
+
+
+def test_a_pickled_open_table_goes_on_like_the_original():
+    """An unpickled open table rebuilds its lookups, its row plan's
+    projections and its code list, then fills the same rows and takes the
+    same sample path as the table it was pickled from."""
+    import copy
+    import pickle
+
+    from repro.engine import MatchingEngine
+    from repro.workloads import WORKLOADS
+
+    protocol, population, _ = WORKLOADS["clock"](n=600)
+    table = LazyTable(protocol)
+    engine = MatchingEngine(protocol, population, rng=np.random.default_rng(4), table=table)
+    engine.run(rounds=20)
+    clone = pickle.loads(pickle.dumps(table))
+    pickled = table.misses
+    assert clone._threads is None and clone._code_list == []
+    assert clone._state_lookup.size == clone._row_lookup.size == 0
+    runs = []
+    for t in (table, clone):
+        agents, rng = engine.agents.copy(), copy.deepcopy(engine.rng)
+        for _ in range(40):
+            perm = rng.permutation(len(agents))
+            t.apply(agents, perm[0::2], perm[1::2], rng)
+        runs.append(agents)
+    np.testing.assert_array_equal(runs[0], runs[1])
+    assert clone.misses == table.misses > pickled  # both went on filling
+    for name in ("codes", "off", "out_a", "out_b", "out_p", "p_row"):
+        np.testing.assert_array_equal(getattr(clone, name), getattr(table, name))
+    assert clone._pair_row == table._pair_row
+    assert clone._code_list == table._code_list
+    assert clone.indices(table.codes).tolist() == list(range(table.num_states))

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import functools
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -272,39 +274,189 @@ def key_batches(draw):
 @given(key_batches())
 @settings(max_examples=200, deadline=None)
 def test_lookup_matches_a_dict(batches):
-    """Every read equals the dict's; the keys missing from the snapshot go
-    to ``resolve`` once each, sorted, with the position of their first
-    occurrence; the snapshot is rebuilt once more keys have missed it
-    than it holds."""
+    """Read, add the distinct missing keys, read again, as the table does.
+    A read returns the position of every key it does not miss, and it
+    misses exactly the keys not added yet plus the added keys still
+    waiting.  Keys wait only on a sorted snapshot, until the reads since
+    its rebuild have missed as many keys as it holds; a direct array
+    takes new keys in place when they fit it, and a rebuild picks the
+    direct array exactly when the keys are dense."""
     from repro.engine.table import _Lookup
 
     lookup = _Lookup()
-    mapping = {}
-    snapshot = {}  # the model: the dict as of the last rebuild
-    misses = 0
-    calls = []
+    position = {}
 
-    def resolve(keys, at):
-        calls.append((keys.tolist(), at.tolist()))
-        for key in keys.tolist():
-            if key not in mapping:  # may be there: the snapshot is older
-                mapping[key] = 3 * len(mapping) + 1
-        return [mapping[key] for key in keys.tolist()]
+    def read(keys):
+        waiting = bool(lookup.pending)
+        folds = waiting and (lookup.direct is not None or lookup.misses >= lookup.size)
+        direct, misses = lookup.direct, lookup.misses
+        found, miss = lookup(keys)
+        stale = set(lookup.pending)
+        assert found.tolist() == [
+            -1 if key in stale else position.get(key, -1) for key in keys.tolist()
+        ]
+        assert miss.tolist() == np.flatnonzero(found < 0).tolist()
+        if folds:
+            assert lookup.pending == [] and lookup.size == len(position)
+            dense = max(position) < 4 * len(position) + 4096
+            assert (lookup.direct is not None) == dense
+            if direct is not None and lookup.direct is direct:
+                assert lookup.misses == misses + len(miss)  # written in place
+            else:
+                assert lookup.misses == len(miss)  # rebuilt
+        else:
+            assert lookup.pending == [] or lookup.direct is None
+            assert lookup.misses == misses + len(miss)
 
     for batch in batches:
-        if misses > len(snapshot):
-            snapshot, misses = dict(mapping), 0
-        calls.clear()
         keys = np.array(batch, dtype=np.int64)
-        found = lookup(mapping, keys, resolve)
-        assert found.tolist() == [mapping[key] for key in batch]
-        lost = sorted(set(batch) - set(snapshot))
-        if lost:
-            assert calls == [(lost, [batch.index(key) for key in lost])]
-        else:
-            assert calls == []
-        misses += len(lost)
-        assert (lookup.size, lookup.misses) == (len(snapshot), misses)
-        if snapshot:
-            span = max(snapshot) + 1
-            assert (lookup.direct is not None) == (span <= 4 * len(snapshot) + 4096)
+        read(keys)
+        fresh = sorted(set(batch) - set(position))
+        lookup.add(fresh)
+        position.update((key, len(position)) for key in fresh)
+        read(keys)
+
+
+# -- open-table fills -----------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _fill_protocol(top):
+    """One dynamic rule over ``x < top``: the initiator takes ``(x_a +
+    x_b) % top``, or with probability 1/4 the responder takes ``x_a``;
+    a pair whose initiator holds ``top - 1`` raises."""
+    from repro.core import DynamicRule
+
+    schema = StateSchema()
+    schema.enum("x", top)
+
+    def outcome(a, b):
+        if a["x"] == top - 1:
+            raise RuntimeError("bad pair")
+        return [({"x": (a["x"] + b["x"]) % top}, {}, 0.75), ({}, {"x": a["x"]}, 0.25)]
+
+    return single_thread("fill", schema, [DynamicRule(None, None, outcome)])
+
+
+@st.composite
+def fills(draw):
+    """A packed space, the states to index, the index pairs whose rows to
+    fill (in ascending pair-key order, so a round-by-round fill lays them
+    out as one call does) and how to split both into rounds.  Small
+    spaces keep every snapshot direct-address; spread codes and large
+    state indices reach keys past the direct span and sorted snapshots."""
+    from repro.engine.table import _pair_key
+
+    top = draw(st.sampled_from([16, 2 ** 20]))
+    q = draw(st.integers(1, 15) if top == 16 else st.sampled_from([8, 160]))
+    codes = sorted(draw(st.lists(st.integers(0, top - 2), min_size=q, max_size=q, unique=True)))
+    # large state indices give sparse pair keys (a sorted row snapshot)
+    index = st.one_of(st.integers(0, q - 1), st.integers(0, q - 1).map(lambda k: q - 1 - k))
+    pairs = draw(st.lists(st.tuples(index, index), max_size=200))
+    ia = np.array([i for i, _ in pairs], dtype=np.int64)
+    ib = np.array([j for _, j in pairs], dtype=np.int64)
+    order = np.argsort(_pair_key(ia, ib), kind="stable")
+    cuts = sorted(draw(st.lists(st.integers(0, len(pairs)), max_size=24)))
+    state_cuts = sorted(draw(st.lists(st.integers(0, q), max_size=4)))
+    return top, codes, ia[order], ib[order], cuts, state_cuts, draw(st.randoms())
+
+
+def _layout(table):
+    return [getattr(table, name).tolist() for name in ("codes", "off", "out_a", "out_b", "out_p", "p_row")]
+
+
+@given(fills())
+@settings(max_examples=150, deadline=None)
+def test_many_small_fills_equal_one_fill(fill):
+    """An open table filled round by round through small ``indices`` and
+    ``rows`` calls (each round repeats some known codes and pairs, in
+    shuffled order) ends with the layout and contents of a table filled
+    in one call of each, and every round's row ids are that table's."""
+    _check_small_fills(*fill)
+
+
+def test_small_fills_through_a_waiting_sparse_row_snapshot():
+    """The same on sparse pair keys in many rounds, so the sorted row
+    snapshot keeps new keys waiting and later rounds read them from the
+    table's pair dict."""
+    import random
+
+    from repro.engine.table import _pair_key
+
+    rnd = random.Random(5)
+    codes = sorted(rnd.sample(range(2 ** 20 - 1), 160))
+    ia = np.array([rnd.randrange(100, 160) for _ in range(400)], dtype=np.int64)
+    ib = np.array([rnd.randrange(160) for _ in range(400)], dtype=np.int64)
+    order = np.argsort(_pair_key(ia, ib), kind="stable")
+    _check_small_fills(2 ** 20, codes, ia[order], ib[order], list(range(10, 400, 10)), [], rnd)
+
+
+def _check_small_fills(top, codes, ia, ib, cuts, state_cuts, rnd):
+    protocol = _fill_protocol(top)
+    whole = LazyTable(protocol)
+    whole_idx = whole.indices(np.array(codes, dtype=np.int64))
+    whole_rows = whole.rows(ia, ib)
+    assert whole.misses == len(set(zip(ia.tolist(), ib.tolist())))
+
+    table = LazyTable(protocol)
+    bounds = list(zip([0] + state_cuts, state_cuts + [len(codes)]))
+    for lo, hi in bounds:
+        part = codes[lo:hi] + (rnd.sample(codes[:lo], min(lo, 3)) if lo else [])
+        rnd.shuffle(part)
+        got = table.indices(np.array(part, dtype=np.int64))
+        assert got.tolist() == [codes.index(code) for code in part]
+    bounds = list(zip([0] + cuts, cuts + [len(ia)]))
+    for lo, hi in bounds:
+        picks = list(range(lo, hi)) + (rnd.choices(range(hi), k=4) if hi else [])
+        rnd.shuffle(picks)
+        got = table.rows(ia[picks], ib[picks])
+        assert got.tolist() == whole_rows[picks].tolist()
+        # a second read of the same pairs computes nothing
+        misses = table.misses
+        assert table.rows(ia[picks], ib[picks]).tolist() == got.tolist()
+        assert table.misses == misses
+    assert _layout(table) == _layout(whole)
+    assert table.misses == whole.misses
+    assert table.indices(whole.codes).tolist() == list(range(whole.num_states))
+    assert whole_idx.tolist() == list(range(len(codes)))
+
+
+def _snapshot(lookup):
+    return [
+        None if part is None else part.tolist()
+        for part in (lookup.direct, lookup.keys, lookup.values)
+    ] + [lookup.size, list(lookup.pending)]
+
+
+@given(fills())
+@settings(max_examples=100, deadline=None)
+def test_a_failing_fill_changes_nothing(fill):
+    """A fill whose transition raises leaves the table's columns, state
+    index and both lookup snapshots as they were, and the next fill
+    equals a fresh table's."""
+    top, codes, ia, ib, cuts, _, rnd = fill
+    protocol = _fill_protocol(top)
+    table = LazyTable(protocol)
+    table.indices(np.array(codes + [top - 1], dtype=np.int64))
+    first = cuts[0] if cuts else len(ia)
+    table.rows(ia[:first], ib[:first])
+    before = _layout(table), dict(table.index), dict(table._pair_row), table.misses
+    for lookup in (table._state_lookup, table._row_lookup):
+        if lookup.pending:  # no read of the failing fill may fold them in
+            lookup._fold()
+    lookups = _snapshot(table._state_lookup), _snapshot(table._row_lookup)
+    bad = len(codes)  # the index of the state that raises
+    picks = list(range(first, len(ia)))
+    xa = np.append(ia[picks], bad)
+    xb = np.append(ib[picks], rnd.randrange(len(codes) + 1))
+    try:
+        table.rows(xa, xb)
+    except RuntimeError as err:
+        assert "bad pair" in str(err)
+    else:
+        raise AssertionError("the fill did not raise")
+    assert (_layout(table), table.index, table._pair_row, table.misses) == before
+    assert (_snapshot(table._state_lookup), _snapshot(table._row_lookup)) == lookups
+    fresh = LazyTable(protocol)
+    fresh.indices(np.array(codes + [top - 1], dtype=np.int64))
+    for t in (table, fresh):
+        t.rows(ia, ib)
+    assert _layout(table) == _layout(fresh)
