@@ -178,7 +178,7 @@ def _clock_workload(n, n_x=3):
     return protocol, population
 
 
-def _time_kernel(table, n, rounds, seed, cache):
+def _time_kernel(table, n, rounds, seed):
     from repro.engine import BatchCountEngine, LazyTable
 
     protocol, population = _clock_workload(n)
@@ -187,7 +187,6 @@ def _time_kernel(table, n, rounds, seed, cache):
         population,
         rng=np.random.default_rng(seed),
         table=LazyTable(protocol) if table == "open" else None,
-        cache=cache,
     )
     start = time.perf_counter()
     eng.run(rounds=rounds)
@@ -206,7 +205,7 @@ def _time_kernel(table, n, rounds, seed, cache):
     return record
 
 
-def kernels(n=KERNELS_N, rounds=KERNELS_ROUNDS, seed=0, cache="auto"):
+def kernels(n=KERNELS_N, rounds=KERNELS_ROUNDS, seed=0):
     """The active-pair batch kernel on a closed vs an open table (C_o)."""
     print(
         "kernels: C_o oscillator+phase-clock (q=168), n={}, {} rounds".format(
@@ -216,7 +215,7 @@ def kernels(n=KERNELS_N, rounds=KERNELS_ROUNDS, seed=0, cache="auto"):
     results = {}
     for label in ("compiled", "open"):
         print("  {} table ...".format(label), end=" ", flush=True)
-        results[label] = _time_kernel(label, n, rounds, seed, cache)
+        results[label] = _time_kernel(label, n, rounds, seed)
         print("{:.2f}s ({} batches, {} events)".format(
             results[label]["wall_seconds"],
             results[label].get("batches", 0),
@@ -911,23 +910,21 @@ def run_gate(payloads_with_baselines, wall_threshold, interactions_tol):
 
 
 def chaos(seed=0, processes=2):
-    """Fault-injection smoke: crash + hang + corrupt cache, then resume.
+    """Fault-injection smoke: crash + hang, then resume.
 
     Exercises the supervised replica pool end to end: a sweep where one
     replica always crashes its worker and another always hangs must
     complete without raising and report both failures in ``summary()``;
     resuming the manifest with the faults removed must reproduce the
-    clean (no-fault) sweep bit-identically.  Also checks corrupt-cache
-    recovery and measures the health guards' overhead on the kernel-race
-    workload.  Returns True on success.
+    clean (no-fault) sweep bit-identically.  Also measures the health
+    guards' overhead on the kernel-race workload.  Returns True on success.
     """
     import shutil
     import tempfile
 
     from repro import EngineConfig, FaultPlan, resume_sweep, run_replicas
-    from repro.engine import BatchCountEngine, clear_memo
-    from repro.engine.compiled import acquire_table
-    from repro.faults import ALWAYS, corrupt_cache_entry
+    from repro.engine import BatchCountEngine
+    from repro.faults import ALWAYS
     from repro.workloads import build_workload
 
     print("chaos: supervised sweep with injected crash + hang, then resume")
@@ -982,23 +979,6 @@ def chaos(seed=0, processes=2):
             print("  FAIL: resumed sweep differs from the no-fault run")
             ok = False
 
-        # corrupt-cache recovery: a truncated .npz must recompile cleanly
-        cache_dir = os.path.join(workdir, "cache")
-        os.makedirs(cache_dir)
-        codes = list(workload.population.counts.keys())
-        clear_memo()  # the sweeps above memoized this table in-process
-        acquire_table(workload.protocol, codes, cache=cache_dir)
-        assert corrupt_cache_entry(cache_dir), "no cache entry was written"
-        clear_memo()
-        _, source = acquire_table(workload.protocol, codes, cache=cache_dir)
-        if source.cache == "corrupt" and source.corrupt == 1:
-            print("  corrupt cache entry: dropped and recompiled")
-        else:
-            print("  FAIL: corrupt cache not reported (status={})".format(
-                source.cache
-            ))
-            ok = False
-
         # guard overhead on the kernel-race workload (target <= 5%; the
         # 10% bar leaves noise headroom on loaded CI machines)
         def _timed(guards):
@@ -1013,7 +993,7 @@ def chaos(seed=0, processes=2):
             eng.run(rounds=KERNELS_ROUNDS)
             return time.perf_counter() - start
 
-        _timed(None)  # warm the compile cache
+        _timed(None)  # warm the table memo
         bare = min(_timed(None) for _ in range(3))
         guarded = min(_timed(True) for _ in range(3))
         overhead = guarded / max(bare, 1e-9) - 1.0
@@ -1057,7 +1037,7 @@ def main(argv=None) -> int:
     )
     ap.add_argument(
         "--chaos", action="store_true",
-        help="fault-injection smoke only: crash + hang + corrupt-cache "
+        help="fault-injection smoke only: crash + hang "
         "sweep, resume bit-identity, guard overhead (skips the benches)",
     )
     ap.add_argument(

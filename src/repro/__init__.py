@@ -19,7 +19,7 @@ Quick start::
     simulate(epidemic, pop, config, stop=lambda p: p.all_satisfy(V("I")))
 
 Engine construction settings travel in a typed :class:`EngineConfig`
-(engine name, forced batch size, table cache, health guards) — the one
+(engine name, forced batch size, health guards) — the one
 way to configure an engine;
 the same config flows through :func:`make_engine`, :func:`run_replicas`,
 the run manifests, the service and the CLI.  The public surface is the

@@ -265,14 +265,6 @@ def cmd_sweep(args) -> int:
     if args.stats:
         for tally in summary.engines.values():
             print(tally.format(), file=sys.stderr)
-        if rs.table_prewarm is not None:
-            # the parent's compile before fan-out: the records only say
-            # "prewarmed", so a cold sweep's compile shows here
-            print("table prewarm:", file=sys.stderr)
-            for key, value in rs.table_prewarm.items():
-                if isinstance(value, float):
-                    value = "{:.6g}".format(value)
-                print("  {:<22} {}".format(key, value), file=sys.stderr)
     if summary.failures:
         return 1
     fraction = summary.converged_fraction
@@ -370,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print the engine's perf counters (batches, kernel time, "
-        "compiled-table cache status, ...) after the command",
+        "compiled-table memo provenance, ...) after the command",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -9,7 +9,7 @@ clock, the converged fraction — and, when the records carry per-worker
 ``EngineStats`` payloads (``ReplicaRecord.stats``), a per-engine
 :class:`EngineTally` of the counters that would otherwise die at the
 process boundary: batches, fallbacks, kernel seconds, and the compiled
-transition-table cache provenance across all R workers.
+transition-table memo provenance across all R workers.
 """
 
 from __future__ import annotations
@@ -36,35 +36,13 @@ class EngineTally:
     replica reported are absent, not zero.  ``categories`` tallies the
     non-numeric fields as ``{field: {value: replicas}}`` — in particular
     ``table_cache`` records the compiled-table provenance mix (how many
-    workers compiled fresh vs hit the in-process memo or the on-disk
-    cache).
+    workers compiled fresh vs read the in-process memo).
     """
 
     engine: str
     replicas: int
     counters: Dict[str, float] = field(default_factory=dict)
     categories: Dict[str, Dict[str, int]] = field(default_factory=dict)
-
-    @property
-    def cache_hit_rate(self) -> Optional[float]:
-        """Fraction of workers whose compiled table came from a cache.
-
-        ``"hit"`` (on-disk cache), ``"memo"`` (in-process memo) and
-        ``"prewarmed"`` (a cache populated by the replica runner's parent
-        process before fan-out) count as hits; ``"miss"``, ``"off"`` and
-        ``"corrupt"`` (a cache entry that failed to load and forced a
-        recompile) do not.
-        """
-        statuses = self.categories.get("table_cache")
-        if not statuses:
-            return None
-        total = sum(statuses.values())
-        hits = (
-            statuses.get("hit", 0)
-            + statuses.get("memo", 0)
-            + statuses.get("prewarmed", 0)
-        )
-        return hits / total if total else None
 
     def format(self) -> str:
         """Human-readable one-counter-per-line rendering."""
@@ -79,9 +57,6 @@ class EngineTally:
                 for label, count in sorted(buckets.items())
             )
             lines.append("  {:<22} {}".format(name, mix))
-        rate = self.cache_hit_rate
-        if rate is not None:
-            lines.append("  {:<22} {:.0%}".format("table_cache_hit_rate", rate))
         return "\n".join(lines)
 
     def __str__(self) -> str:
@@ -181,9 +156,6 @@ class ConvergenceStats:
                 bits.append(
                     "kernel {:.2f}s".format(tally.counters["kernel_seconds"])
                 )
-            rate = tally.cache_hit_rate
-            if rate is not None:
-                bits.append("cache {:.0%}".format(rate))
             parts.append("[{}]".format(" ".join(bits)))
         return ", ".join(parts)
 

@@ -12,8 +12,7 @@ _EXPORTS = exports_of({
     "batch": ("ArrayEngine",),
     "bghkpu": ("BGHKPUEngine",),
     "compiled": (
-        "clear_memo", "compile_table", "corrupt_cache_events",
-        "protocol_fingerprint",
+        "clear_memo", "compile_table", "protocol_fingerprint",
     ),
     "config": ("EngineConfig",),
     "ensemble": ("EnsembleEngine", "VectorizedStop"),

@@ -96,7 +96,7 @@ class EngineStats:
     :meth:`Engine.run` refreshes the counters after each call, so
     ``eng.stats`` always reflects the engine's cumulative work: wall time,
     scheduler progress, batching behaviour (for engines that batch), the
-    transition table (closed or open) and its compile/cache provenance,
+    transition table (closed or open) and its compile/memo provenance,
     and the active-pair sizes seen by the batch kernels.  Fields that
     do not apply to an engine stay ``None`` and are omitted from
     :meth:`as_dict` / :meth:`format`.
@@ -129,7 +129,6 @@ class EngineStats:
         "table_pairs",
         "table_compile_seconds",
         "table_cache",
-        "cache_corrupt",
     )
     __slots__ = _ORDER
 
@@ -174,7 +173,7 @@ class EngineStats:
         ``source`` is the engine's own
         :class:`~repro.engine.compiled.TableSource` (``None`` when the
         engine was handed its table or runs on an open one), so compile
-        seconds and cache provenance are per acquisition, never those of
+        seconds and memo provenance are per acquisition, never those of
         whichever process first built a shared table.
         """
         self.table_kind = "compiled" if table.closed else "lazy"
@@ -183,8 +182,6 @@ class EngineStats:
         if source is not None:
             self.table_compile_seconds = source.seconds
             self.table_cache = source.cache
-            if source.corrupt:  # stays None (omitted) on the common clean path
-                self.cache_corrupt = source.corrupt
 
     # -- reporting ---------------------------------------------------------
     def as_dict(self) -> Dict[str, object]:

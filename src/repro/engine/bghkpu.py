@@ -144,12 +144,11 @@ class BGHKPUEngine(BatchCountEngine):
         rng: Optional[np.random.Generator] = None,
         table: Optional[TransitionTable] = None,
         batch: Optional[int] = None,
-        cache: object = "auto",
         guards: object = None,
     ):
         super().__init__(
             protocol, population, rng=rng, table=table, batch=batch,
-            cache=cache, guards=guards,
+            guards=guards,
         )
         #: Tail events re-drawn against fresh counts (collision resolution).
         self.collision_events = 0

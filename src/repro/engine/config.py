@@ -13,10 +13,8 @@ manifests, the service and every CLI subcommand.
   restore the exact options.  :meth:`from_dict` is also the reader of
   configs stored by older releases.
 
-``None`` means "engine default" for every knob (``cache`` uses its real
-default ``"auto"`` since ``None`` there meaningfully disables the cache):
-only explicitly set fields are projected onto engines, serialized, or
-shown.  Unknown knobs (``table=``, ``rows=``, ...) live in ``extra`` and
+``None`` means "engine default" for every knob: only explicitly set
+fields are projected onto engines, serialized, or shown.  Unknown knobs (``table=``, ``rows=``, ...) live in ``extra`` and
 are passed through to the engine constructor unconditionally, so typos
 still fail loudly with a ``TypeError``.
 
@@ -40,7 +38,7 @@ ENGINE_CHOICES = (
 )
 
 #: Construction knobs with a typed field (everything else goes to extra).
-_TYPED_OPTS = ("batch", "cache", "guards")
+_TYPED_OPTS = ("batch", "guards")
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,8 +80,8 @@ class EngineConfig:
 
     ``engine`` is a registry name (``"auto"`` resolves per workload, see
     :func:`repro.simulate.resolve_engine`); ``batch`` forces a batch size
-    on the batching engines (``1`` = exact stepping); ``cache`` is the
-    closed-table cache policy; ``guards`` arms the health guards;
+    on the batching engines (``1`` = exact stepping); ``guards`` arms the
+    health guards;
     ``ensemble_chunk`` is the replica runner's rows-per-worker setting (a
     supervision knob, never passed to engine constructors); ``extra``
     carries any other constructor argument.
@@ -91,8 +89,8 @@ class EngineConfig:
     The transition table is not a knob.  There is one table type with two
     ways to fill it: the count-batch engines compile the reachable closure
     into a closed table whenever it fits
-    :data:`~repro.engine.compiled.COMPILE_STATE_LIMIT` states (cached per
-    ``cache``) and otherwise run on an open
+    :data:`~repro.engine.compiled.COMPILE_STATE_LIMIT` states (memoized
+    per process) and otherwise run on an open
     :data:`~repro.engine.table.LazyTable` that grows with the occupied
     support; the agent-array and exact engines start from an open table.
     A pre-built table of either kind travels as ``extra["table"]``.
@@ -100,7 +98,6 @@ class EngineConfig:
 
     engine: str = "auto"
     batch: Optional[int] = None
-    cache: Any = "auto"
     guards: Optional[Any] = None
     ensemble_chunk: Optional[int] = None
     extra: Mapping[str, Any] = field(default_factory=dict)
@@ -111,14 +108,11 @@ class EngineConfig:
         return _dc_replace(self, **changes)
 
     def _set_opts(self) -> Dict[str, Any]:
-        """The explicitly-set typed knobs (cache only when not 'auto')."""
+        """The explicitly-set typed knobs."""
         out: Dict[str, Any] = {}
         for name in _TYPED_OPTS:
             value = getattr(self, name)
-            if name == "cache":
-                if not (isinstance(value, str) and value == "auto"):
-                    out[name] = value
-            elif value is not None:
+            if value is not None:
                 out[name] = value
         return out
 
@@ -157,7 +151,10 @@ class EngineConfig:
         A ``backend`` key (the retired array-backend setting of releases
         up to 1.3.0) is dropped whatever its value: every random draw was
         made on the host generator under every backend, so old manifest
-        headers and service journals replay the same run without it.
+        headers and service journals replay the same run without it.  A
+        ``cache`` key (the retired closed-table cache setting) is dropped
+        the same way: it chose where a compiled table was stored, never
+        a sample path.
 
         The retired ``compiled`` / ``compile_limit`` knobs of the same
         releases are dropped too: every engine now compiles the closure
@@ -178,6 +175,7 @@ class EngineConfig:
         """
         payload = dict(data or {})
         payload.pop("backend", None)
+        payload.pop("cache", None)
         if payload.pop("compiled", None) is False:
             raise ValueError(
                 "compiled=false selected the legacy dense-support batch "

@@ -132,11 +132,11 @@ class EnsembleEngine(Engine):
     batch:
         As for :class:`~repro.engine.jump.BatchCountEngine`, applied per
         row (``batch=1`` forces the exact path for every row).
-    table / cache:
+    table:
         The ensemble *requires* a closed table (the stacked kernels index
         its fixed ``i * q + j`` row geometry): a closed ``table`` is used
-        as given, otherwise the closure is compiled with this ``cache``
-        policy, and a closure above the compile limit raises
+        as given, otherwise the closure is compiled (or read from the
+        memo), and a closure above the compile limit raises
         ``RuntimeError``.
     """
 
@@ -152,7 +152,6 @@ class EnsembleEngine(Engine):
         rows: int = 1,
         row_rngs: Optional[Sequence[np.random.Generator]] = None,
         batch: Optional[int] = None,
-        cache: object = "auto",
         guards: object = None,
     ):
         if rows < 1:
@@ -166,7 +165,7 @@ class EnsembleEngine(Engine):
         self.table_source: Optional[TableSource] = None
         if table is None or not table.closed:
             table, self.table_source = acquire_table(
-                protocol, population.counts.keys(), cache=cache
+                protocol, population.counts.keys()
             )
         self.table = table
 
@@ -273,7 +272,7 @@ class EnsembleEngine(Engine):
         source = self.table_source
         if source is not None and r:
             # the rows share one acquisition: row 0 carries its cost
-            source = source._replace(seconds=0.0, corrupt=0)
+            source = source._replace(seconds=0.0)
         stats.observe_table(self.table, source)
         return stats
 

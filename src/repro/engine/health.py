@@ -2,7 +2,7 @@
 
 Long sweeps at the paper's scales (Θ(n·polylog n) interactions, hours of
 wall clock) can silently go wrong in ways no unit test sees at n = 300:
-a corrupted transition table (bit-flipped cache entry) leaks or destroys
+a corrupted transition table (a bit-flipped offset) leaks or destroys
 agents, a NaN probability row turns every batch draw into garbage, an
 int64 overflow wraps a multinomial count, a broken stop predicate spins
 the engine forever on a settled configuration.  :class:`HealthMonitor`

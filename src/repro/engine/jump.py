@@ -20,8 +20,8 @@ The batch math runs over the **active pair set** — ordered pairs whose
 *both* counts are positive — of the engine's
 :class:`~repro.engine.table.TransitionTable`.  By default the protocol's
 reachable closure is compiled once into a closed table
-(:func:`~repro.engine.compiled.acquire_table`, with an on-disk cache keyed
-by a protocol fingerprint); a closure above
+(:func:`~repro.engine.compiled.acquire_table`, memoized in-process by a
+protocol fingerprint); a closure above
 :data:`~repro.engine.compiled.COMPILE_STATE_LIMIT` states runs on an open
 :data:`~repro.engine.table.LazyTable` instead, as does any open table
 passed as ``table=`` — the batch kernel first fills the missing rows among
@@ -175,10 +175,6 @@ class BatchCountEngine(CountEngine):
         expected events; an integer forces that batch size.  ``batch=1``
         disables batching entirely — the engine then runs the exact
         null-skipping process.
-    cache:
-        Closed-table cache policy (see
-        :func:`repro.engine.compiled.acquire_table`): ``"auto"``, a
-        directory path, or ``None`` to disable caching.
     """
 
     name = "batch"
@@ -191,7 +187,6 @@ class BatchCountEngine(CountEngine):
         rng: Optional[np.random.Generator] = None,
         table: Optional[TransitionTable] = None,
         batch: Optional[int] = None,
-        cache: object = "auto",
         guards: object = None,
     ):
         if batch is not None and batch < 1:
@@ -203,7 +198,7 @@ class BatchCountEngine(CountEngine):
         if table is None:
             try:
                 table, self.table_source = acquire_table(
-                    protocol, population.counts.keys(), cache=cache
+                    protocol, population.counts.keys()
                 )
             except RuntimeError:
                 table = LazyTable(protocol)  # closure too large to compile

@@ -255,16 +255,8 @@ class ReplicaSet:
     them via :attr:`failures` and the tally in :meth:`summary`.
     """
 
-    def __init__(
-        self,
-        records: Sequence[ReplicaRecord],
-        table_prewarm: Optional[Dict[str, Any]] = None,
-    ):
+    def __init__(self, records: Sequence[ReplicaRecord]):
         self.records = list(records)
-        #: how the runner's parent process obtained the closed table it
-        #: compiled before fan-out (:meth:`TableSource.as_stats`), or
-        #: ``None`` when it prewarmed none
-        self.table_prewarm = table_prewarm
 
     def __len__(self) -> int:
         return len(self.records)
@@ -306,7 +298,7 @@ class ReplicaSet:
 
         Includes the per-engine :class:`~repro.analysis.replicas.EngineTally`
         aggregation of every worker's ``EngineStats`` (batches, fallbacks,
-        kernel seconds, table cache provenance) under ``.engines``.
+        kernel seconds, table memo provenance) under ``.engines``.
         """
         from ..analysis.replicas import aggregate_convergence
 
@@ -564,46 +556,6 @@ def _failure_records(
         )
         for k, seed_seq in zip(block.members, block.seeds)
     ]
-
-
-def _prewarm_table(
-    protocol: Protocol,
-    population: Population,
-    config: EngineConfig,
-) -> Optional[Dict[str, Any]]:
-    """Compile the transition table once in the parent before fan-out.
-
-    Spawned workers re-import everything, so without this every worker
-    pays the reachable-closure compile on its first replica (they race to
-    write the same disk cache entry).  Compiling here populates the
-    in-process memo (serial runs) and the on-disk cache (spawned workers
-    hit it immediately).  Returns how the table was obtained
-    (:meth:`~repro.engine.compiled.TableSource.as_stats`: cache status and
-    compile seconds) when a table was prewarmed — the runner then puts it
-    in the manifest header and relabels the workers' ``table_cache``
-    provenance as ``"prewarmed"`` — else ``None``: for engines that never
-    compile, for runs that pass an explicit table or disable the cache,
-    and for closures that fail to compile (the workers will surface the
-    real error themselves).
-    """
-    if config.extra.get("table") is not None or config.cache in (None, False):
-        return None  # nothing to share: each replica compiles its own
-    engine = config.engine
-    if engine == "auto":
-        from ..simulate import default_engine_name
-
-        engine = default_engine_name(protocol, population)
-    if engine not in ("batch", "bghkpu", "ensemble"):
-        return None
-    from .compiled import acquire_table
-
-    try:
-        _, source = acquire_table(
-            protocol, population.counts.keys(), cache=config.cache
-        )
-    except (RuntimeError, ValueError):
-        return None
-    return source.as_stats()
 
 
 def _task_replica(payload):
@@ -1092,7 +1044,6 @@ def run_replicas(
         for members in replica_blocks(cfg, replicas, run_indices)
     ]
 
-    prewarm = _prewarm_table(protocol, population, cfg)
     writer = None
     if manifest is not None:
         from ..obs import ManifestWriter
@@ -1112,7 +1063,6 @@ def run_replicas(
                 "max_retries": max_retries,
                 "backoff": backoff,
             },
-            table_prewarm=prewarm,
             meta=manifest_meta,
         )
 
@@ -1126,14 +1076,6 @@ def run_replicas(
         # dedup
         if record.index not in requested:
             return
-        if (
-            prewarm is not None
-            and record.status == "ok"
-            and record.stats is not None
-            and record.stats.get("table_cache") in ("hit", "memo")
-        ):
-            record.stats = dict(record.stats)
-            record.stats["table_cache"] = "prewarmed"
         records_by_index[record.index] = record
         if writer is not None:
             writer.append_record(record)
@@ -1166,7 +1108,7 @@ def run_replicas(
         if writer is not None:
             writer.close()
     records = [records_by_index[k] for k in sorted(records_by_index)]
-    return ReplicaSet(records, table_prewarm=prewarm)
+    return ReplicaSet(records)
 
 
 def map_replicas(

@@ -48,8 +48,6 @@ over their states.
 
 from __future__ import annotations
 
-import os
-import tempfile
 import time
 from array import array
 from math import isqrt
@@ -234,7 +232,7 @@ class TransitionTable:
         self.out_p = out_p
         self.index: Dict[int, int] = {int(c): i for i, c in enumerate(codes)}
         self.fingerprint = fingerprint
-        #: wall seconds spent building this table's closure (0 when loaded)
+        #: wall seconds spent building this table's closure (0 when open)
         self.compile_seconds = compile_seconds
         #: rows an open table has computed
         self.misses = 0
@@ -537,7 +535,7 @@ class TransitionTable:
         limit: Optional[int] = None,
         fingerprint: str = "",
     ) -> "TransitionTable":
-        """The closed table of the reachable closure (no caching).
+        """The closed table of the reachable closure (no memo).
 
         Raises ``RuntimeError`` when the closure exceeds ``limit`` states
         (default :data:`~repro.engine.compiled.COMPILE_STATE_LIMIT`).
@@ -555,114 +553,6 @@ class TransitionTable:
             fingerprint=fingerprint,
             compile_seconds=time.perf_counter() - start,
         )
-
-    # -- disk cache -------------------------------------------------------------------
-    def save(self, cache_dir: str) -> str:
-        """Persist a closed table's arrays; returns the cache file path."""
-        os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, self.fingerprint + ".npz")
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(
-                    handle,
-                    codes=self.codes,
-                    p_change=self.p_change_matrix,
-                    off=self.off,
-                    out_a=self.out_a,
-                    out_b=self.out_b,
-                    out_p=self.out_p,
-                )
-                handle.flush()
-                # land the bytes before the rename publishes the entry, so
-                # a crash can only ever leave a whole old/new file behind —
-                # never a visible half-written one
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)  # atomic: concurrent replica workers race safely
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        return path
-
-    @classmethod
-    def load(
-        cls, protocol: Protocol, fingerprint: str, cache_dir: str
-    ) -> Optional["TransitionTable"]:
-        """Load a saved closed table, or ``None`` on miss/corruption.
-
-        A corrupt entry is unlinked and counted (see
-        :func:`repro.engine.compiled.corrupt_cache_events`).
-        """
-        from .compiled import _CORRUPT_EVENTS
-
-        path = os.path.join(cache_dir, fingerprint + ".npz")
-        if not os.path.exists(path):
-            return None
-        try:
-            with np.load(path) as data:
-                if data["p_change"].ndim != 2:
-                    raise ValueError("p_change is not a matrix")
-                table = cls(
-                    protocol,
-                    data["codes"],
-                    data["p_change"],
-                    data["off"],
-                    data["out_a"],
-                    data["out_b"],
-                    data["out_p"],
-                    fingerprint=fingerprint,
-                )
-            table._validate_arrays()
-            return table
-        except Exception:
-            # corrupt / truncated cache entry: recompile rather than crash
-            _CORRUPT_EVENTS[0] += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-
-    def _validate_arrays(self) -> None:
-        """Structural and numeric sanity of a closed table; raises on lies.
-
-        A torn cache write can survive ``np.load`` — the zip container
-        stays readable while an inner array was truncated or zeroed — so
-        the loader re-checks the CSR invariants before any engine
-        consumes the offsets, and the probabilities before any engine
-        draws from them.
-        """
-        q = len(self.codes)
-        off = self.off
-        if self.p_row.shape != (q * q,):
-            raise ValueError("p_change matrix shape mismatch")
-        if off.shape != (q * q + 1,) or int(off[0]) != 0:
-            raise ValueError("offset array shape mismatch")
-        width = np.diff(off)
-        if (width < 0).any():
-            raise ValueError("offsets not monotone")
-        nnz = int(off[-1])
-        if not (len(self.out_a) == len(self.out_b) == len(self.out_p) == nnz):
-            raise ValueError("outcome arrays inconsistent with offsets")
-        if nnz and (
-            int(self.out_a.min()) < 0
-            or int(self.out_b.min()) < 0
-            or int(self.out_a.max()) >= q
-            or int(self.out_b.max()) >= q
-        ):
-            raise ValueError("outcome indices out of range")
-        p, out_p = self.p_row, self.out_p
-        if not (np.isfinite(p).all() and np.isfinite(out_p).all()):
-            raise ValueError("non-finite probabilities")
-        if (p < 0.0).any() or (p > 1.0 + 1e-9).any():
-            raise ValueError("change probability outside [0, 1]")
-        if (out_p < 0.0).any():
-            raise ValueError("negative outcome probability")
-        sums = np.bincount(
-            np.repeat(np.arange(q * q), width), weights=out_p, minlength=q * q
-        )
-        if (np.abs(sums - p) > 1e-9).any():
-            raise ValueError("outcome probabilities do not sum to p_change")
 
 
 #: The open table: ``LazyTable(protocol)`` is an empty

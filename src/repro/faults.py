@@ -2,8 +2,7 @@
 
 Multi-hour sweeps die in practice to a small set of failure shapes: a
 worker process is OOM-killed, a worker wedges on a stuck filesystem, a
-cached transition table is truncated by a full disk, a bad deploy ships a
-corrupt rule table.  This module injects exactly those faults *on
+bad deploy ships a corrupt rule table.  This module injects exactly those faults *on
 purpose* — keyed by replica index and attempt number so chaos tests are
 fully deterministic — letting the test suite and the ``--chaos`` smoke in
 ``benchmarks/run_all.py`` prove that the supervised pool, the health
@@ -22,9 +21,6 @@ Injectors
   (:func:`corrupt_table` modes below); the engine's health guards must
   catch it with a :class:`~repro.engine.health.SimulationHealthError`,
   which the supervisor records as a *non-retryable* failure.
-* **cache corruption** (:func:`corrupt_cache_entry`) — on-disk ``.npz``
-  table-cache entries are overwritten with garbage; ``TransitionTable.load``
-  must survive, recompile, and count a ``cache_corrupt`` event.
 
 A :class:`FaultPlan` travels (pickled) inside each replica payload, so
 injection happens inside the worker process itself.  ``simulate=True``
@@ -41,7 +37,6 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -108,20 +103,6 @@ def corrupt_table(table, mode: str = "nan"):
         off[len(off) // 2] ^= 1
         bad.off = off
     return bad
-
-
-def corrupt_cache_entry(cache_dir, pattern: str = "*.npz") -> List[str]:
-    """Overwrite cached ``.npz`` table entries with garbage bytes.
-
-    Returns the corrupted paths (empty if the directory holds no
-    entries).  ``TransitionTable.load`` must treat these as cache misses —
-    recorded as ``cache_corrupt`` — and recompile from the protocol.
-    """
-    corrupted = []
-    for path in sorted(Path(cache_dir).glob(pattern)):
-        path.write_bytes(b"not an npz" + bytes(range(32)))
-        corrupted.append(str(path))
-    return corrupted
 
 
 @dataclass

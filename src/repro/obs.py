@@ -185,7 +185,6 @@ class ManifestWriter:
         processes: Optional[int] = None,
         replicas: Optional[int] = None,
         supervisor: Optional[Dict[str, Any]] = None,
-        table_prewarm: Optional[Dict[str, Any]] = None,
         meta: Optional[Dict[str, Any]] = None,
     ):
         config = EngineConfig.coerce(engine, config=config)
@@ -207,7 +206,6 @@ class ManifestWriter:
                 "processes": processes,
                 "supervisor": _jsonable(supervisor or {}),
                 "protocol": _protocol_summary(protocol, population),
-                "table_prewarm": _jsonable(table_prewarm),
             }
             for key, value in (meta or {}).items():
                 header[key] = _jsonable(value)
@@ -616,7 +614,7 @@ def resume_sweep(
         max_retries = supervisor.get("max_retries", 2)
     if backoff is None:
         backoff = supervisor.get("backoff", 0.1)
-    resumed = run_replicas(
+    run_replicas(
         protocol,
         population,
         replicas=replicas,
@@ -633,6 +631,4 @@ def resume_sweep(
         indices=missing,
         **_replayable(manifest.header.get("run_kwargs")),
     )
-    complete = load_manifest(path).replica_set()
-    complete.table_prewarm = resumed.table_prewarm
-    return complete
+    return load_manifest(path).replica_set()

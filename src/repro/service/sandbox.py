@@ -370,9 +370,6 @@ def _reap(status: Dict[int, int]) -> None:
 def _preload() -> None:
     """Import, in the zygote, every module a job child would import."""
     import ctypes  # noqa: F401 - each child sets its death signal with it
-    # np.load's zip reader decodes member names with cp437: without it a
-    # child's first cached-table load imports the codec (~2 ms)
-    import encodings.cp437  # noqa: F401
 
     import numpy.random  # noqa: F401 - every job uses it
 

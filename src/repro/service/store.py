@@ -16,8 +16,8 @@ Each submitted run owns one directory under the store root::
                                     streaming endpoint replays for
                                     finished runs
 
-``status.json`` is published with the same write-to-temp + ``os.replace``
-dance the compiled-table cache uses, so a poller never reads a torn
+``status.json`` is published with a write-to-temp + ``os.replace``
+dance, so a poller never reads a torn
 status — and should the file still turn up empty or torn (a crash
 between open and write by some other writer, a filesystem hiccup),
 :meth:`RunStore.status` falls back to reconstructing the state from the

@@ -147,7 +147,7 @@ class TestExactness:
     def test_compile_limit_fallback(self, monkeypatch):
         """An uncompilable closure falls back to the parent wholesale."""
         monkeypatch.setattr(compiled, "COMPILE_STATE_LIMIT", 1)
-        eng, pop = run_leader("bghkpu", 2_000, seed=3, cache=None)
+        eng, pop = run_leader("bghkpu", 2_000, seed=3)
         assert not eng.table.closed
         assert pop.count(V("L")) == 1
         assert eng.events == 1_999
@@ -254,7 +254,7 @@ class TestOnePairLoop:
             schema, [({"A": True}, 1), ({}, 99_999)]
         )
         eng = BGHKPUEngine(
-            protocol, pop, rng=np.random.default_rng(1), cache=None
+            protocol, pop, rng=np.random.default_rng(1)
         )
         eng._pick_step()  # freezes the one-pair epoch
         assert eng._sampler.cells_nz is not None

@@ -2,8 +2,8 @@
 
 Covers: deterministic reachable-closure ordering, bit-identical agreement
 of the closed table's CSR arrays with an open LazyTable, the vectorized
-apply path, the fingerprinted disk cache (hit / miss / memo, invalidation
-on protocol mutation, corruption recovery), the closure-limit fallback
+apply path, the fingerprint memo (miss / memo, invalidation on protocol
+mutation, digests recorded manifests carry), the closure-limit fallback
 rule, and the uniform EngineStats surface.
 """
 
@@ -22,7 +22,6 @@ from repro.engine import (
     EnsembleEngine,
     LazyTable,
     MatchingEngine,
-    TransitionTable,
     compile_table,
     protocol_fingerprint,
     reachable_codes,
@@ -30,9 +29,9 @@ from repro.engine import (
 )
 from repro.engine import compiled
 from repro.engine.compiled import _MEMO, acquire_table
-from repro.obs import load_manifest
 from repro.oscillator import make_oscillator_protocol, strong_value, weak_value
 from repro.simulate import make_engine
+from repro.workloads import build_workload
 
 
 @pytest.fixture
@@ -78,14 +77,14 @@ class TestReachableOrder:
         pop = oscillator_population(oscillator.schema, 100)
         codes = list(pop.counts.keys())
         order = reachable_codes(oscillator, codes)
-        table = compile_table(oscillator, codes, cache=None)
+        table = compile_table(oscillator, codes)
         assert order == table.codes.tolist()
 
 
 class TestCompiledArrays:
     def test_csr_layout_is_consistent(self, oscillator):
         pop = oscillator_population(oscillator.schema, 100)
-        ct = compile_table(oscillator, pop.counts.keys(), cache=None)
+        ct = compile_table(oscillator, pop.counts.keys())
         q = ct.num_states
         assert ct.off[0] == 0
         assert ct.off[-1] == len(ct.out_p)
@@ -97,7 +96,7 @@ class TestCompiledArrays:
 
     def test_matches_lazy_table_bit_for_bit(self, oscillator):
         pop = oscillator_population(oscillator.schema, 100)
-        ct = compile_table(oscillator, pop.counts.keys(), cache=None)
+        ct = compile_table(oscillator, pop.counts.keys())
         lazy = LazyTable(oscillator)
         q = ct.num_states
         # every pair read through rows(), in the closure's order on both
@@ -125,7 +124,7 @@ class TestVectorizedApply:
         """Closed and open tables apply the same stream (one ``u`` per pair)."""
         n = 600
         pop = oscillator_population(oscillator.schema, n)
-        ct = compile_table(oscillator, pop.counts.keys(), cache=None)
+        ct = compile_table(oscillator, pop.counts.keys())
         dense = LazyTable(oscillator)
         start = pop.to_agent_array(np.random.default_rng(7))
         # each table's apply reads and writes its own dense indices
@@ -144,7 +143,7 @@ class TestVectorizedApply:
 
     def test_apply_rejects_states_outside_closure(self, oscillator):
         pop = oscillator_population(oscillator.schema, 100)
-        ct = compile_table(oscillator, pop.counts.keys(), cache=None)
+        ct = compile_table(oscillator, pop.counts.keys())
         outside = [
             c for c in range(oscillator.schema.num_states) if c not in ct.index
         ]
@@ -164,7 +163,7 @@ class TestVectorizedApply:
     def test_engines_accept_compiled_table(self, oscillator):
         n = 300
         pop = oscillator_population(oscillator.schema, n)
-        ct = compile_table(oscillator, pop.counts.keys(), cache=None)
+        ct = compile_table(oscillator, pop.counts.keys())
         for cls in (ArrayEngine, MatchingEngine):
             eng = cls(
                 oscillator,
@@ -177,29 +176,21 @@ class TestVectorizedApply:
 
 
 class TestFingerprintCache:
-    def test_miss_then_hit_then_memo(self, tmp_path):
+    def test_miss_then_memo(self):
         protocol = leader_fight()
         pop = Population.uniform(protocol.schema, 50, {"L": True})
         codes = list(pop.counts.keys())
-        fp = protocol_fingerprint(protocol, codes)
-        _MEMO.pop(fp, None)
+        _MEMO.pop(protocol_fingerprint(protocol, codes), None)
 
-        first, source = acquire_table(protocol, codes, cache=str(tmp_path))
+        first, source = acquire_table(protocol, codes)
         assert source.cache == "miss"
-        assert (tmp_path / (fp + ".npz")).exists()
+        assert source.seconds == first.compile_seconds > 0
 
-        _MEMO.pop(fp, None)
-        second, source = acquire_table(protocol, codes, cache=str(tmp_path))
-        assert source.cache == "hit"
-        assert np.array_equal(second.codes, first.codes)
-        assert np.array_equal(second.out_p, first.out_p)
-        assert np.array_equal(second.p_change_matrix, first.p_change_matrix)
+        second, source = acquire_table(protocol, list(reversed(codes)))
+        assert source == ("memo", 0.0)
+        assert second is first
 
-        third, source = acquire_table(protocol, codes, cache=str(tmp_path))
-        assert source.cache == "memo"
-        assert third is second
-
-    def test_mutated_protocol_misses_the_cache(self, tmp_path):
+    def test_mutated_protocol_misses_the_cache(self):
         pop_codes = None
         fingerprints = set()
         for weight in (1.0, 2.0):
@@ -223,16 +214,16 @@ class TestFingerprintCache:
         fingerprints.add(protocol_fingerprint(mutated, pop_codes))
         assert len(fingerprints) == 3
 
-        # and each variant gets its own cache file
-        for weight in (1.0, 2.0):
-            protocol = leader_fight(weight=weight)
-            pop = Population.uniform(protocol.schema, 50, {"L": True})
-            _MEMO.pop(protocol_fingerprint(protocol, pop.counts.keys()), None)
-            _, source = acquire_table(
-                protocol, pop.counts.keys(), cache=str(tmp_path)
-            )
+        # and each variant is a memo miss that compiles its own table
+        for fingerprint in fingerprints:
+            _MEMO.pop(fingerprint, None)
+        tables = []
+        for protocol in (leader_fight(1.0), leader_fight(2.0), mutated):
+            table, source = acquire_table(protocol, pop_codes)
             assert source.cache == "miss"
-        assert len(list(tmp_path.glob("*.npz"))) == 2
+            tables.append(table)
+        assert {t.fingerprint for t in tables} == fingerprints
+        assert all(_MEMO[t.fingerprint] is t for t in tables)
 
     def test_initial_support_changes_fingerprint(self):
         protocol = leader_fight()
@@ -244,74 +235,34 @@ class TestFingerprintCache:
             protocol, all_l.counts.keys()
         ) != protocol_fingerprint(protocol, mixed.counts.keys())
 
-    def test_corrupt_cache_entry_recompiles(self, tmp_path):
-        protocol = leader_fight()
-        pop = Population.uniform(protocol.schema, 50, {"L": True})
-        codes = list(pop.counts.keys())
-        fp = protocol_fingerprint(protocol, codes)
-        _MEMO.pop(fp, None)
-        compile_table(protocol, codes, cache=str(tmp_path))
-        path = tmp_path / (fp + ".npz")
-        path.write_bytes(b"not an npz file")
-        _MEMO.pop(fp, None)
-        table, source = acquire_table(protocol, codes, cache=str(tmp_path))
-        assert source.cache == "corrupt"  # corrupt file dropped, rebuilt
-        assert source.corrupt == 1
-        assert table.num_states == 2
-        # the rebuilt table was re-saved, so a fresh load is a clean hit
-        _MEMO.pop(fp, None)
-        _, source = acquire_table(protocol, codes, cache=str(tmp_path))
-        assert source.cache == "hit"
-
-
-    def test_impossible_probabilities_recompile(self, tmp_path):
-        """A cache entry with intact shapes but lying values is corrupt."""
-        protocol = leader_fight()
-        pop = Population.uniform(protocol.schema, 50, {"L": True})
-        codes = list(pop.counts.keys())
-        fp = protocol_fingerprint(protocol, codes)
-        _MEMO.pop(fp, None)
-        good = compile_table(protocol, codes, cache=str(tmp_path))
-        path = tmp_path / (fp + ".npz")
-
-        def poison(**bad):
-            arrays = dict(
-                codes=good.codes, p_change=good.p_change_matrix, off=good.off,
-                out_a=good.out_a, out_b=good.out_b, out_p=good.out_p,
-            )
-            arrays.update(bad)
-            np.savez(str(path)[: -len(".npz")], **arrays)
-
-        p = good.p_change_matrix
-        cases = [
-            dict(p_change=np.full_like(p, 7.5)),
-            dict(p_change=np.where(p > 0, np.nan, p)),
-            dict(out_p=-0.3 * np.ones_like(good.out_p)),
-            dict(out_p=good.out_p / 2),  # rows no longer sum to p_change
-        ]
-        for case in cases:
-            poison(**case)
-            assert TransitionTable.load(protocol, fp, str(tmp_path)) is None
-            assert not path.exists()  # the lying entry was unlinked
-            poison(**case)
-            _MEMO.pop(fp, None)
-            table, source = acquire_table(protocol, codes, cache=str(tmp_path))
-            assert source.cache == "corrupt"
-            assert np.array_equal(table.p_change_matrix, p)
-            assert np.array_equal(table.out_p, good.out_p)
+    @pytest.mark.parametrize("name, digest", [
+        ("epidemic",
+         "6f92c6afa059a5f59b7654d627d2deaec32254136dfe9605dc6915e5754fb957"),
+        ("leader",
+         "c9477c5d3b8897b6adb6bcde996052c1f62fb645846bcfeadd6917115204e2b4"),
+        ("clock",
+         "975727829cb4e0545c827f34beb016b289830c4cf7da281f6ff2f33ab8956ea0"),
+    ])
+    def test_recorded_fingerprints_are_stable(self, name, digest):
+        """Manifests carry these digests; ``verify_fingerprint`` must keep
+        accepting them (clock is the 168-state E4 closure)."""
+        workload = build_workload(name)
+        assert protocol_fingerprint(
+            workload.protocol, workload.population.counts.keys()
+        ) == digest
 
 
 class TestFallbackRule:
     def test_closure_limit_raises(self, oscillator):
         pop = oscillator_population(oscillator.schema, 100)
         with pytest.raises(RuntimeError):
-            compile_table(oscillator, pop.counts.keys(), limit=2, cache=None)
+            compile_table(oscillator, pop.counts.keys(), limit=2)
 
     def test_engine_falls_back_to_lazy_table(self, oscillator, monkeypatch):
         monkeypatch.setattr(compiled, "COMPILE_STATE_LIMIT", 2)
         pop = oscillator_population(oscillator.schema, 20000)
         eng = BatchCountEngine(
-            oscillator, pop, rng=np.random.default_rng(3), cache=None
+            oscillator, pop, rng=np.random.default_rng(3)
         )
         assert not eng.table.closed
         assert eng.table_source is None
@@ -335,7 +286,7 @@ class TestEngineStats:
     def test_batch_engine_reports_compiled_counters(self, oscillator):
         pop = oscillator_population(oscillator.schema, 20000)
         eng = BatchCountEngine(
-            oscillator, pop, rng=np.random.default_rng(0), cache=None
+            oscillator, pop, rng=np.random.default_rng(0)
         )
         eng.run(rounds=20)
         stats = eng.stats.as_dict()
@@ -345,7 +296,7 @@ class TestEngineStats:
         assert stats["interactions"] == eng.interactions
         assert stats["table_kind"] == "compiled"
         assert stats["table_states"] == eng.table.num_states
-        assert stats["table_cache"] == "off"
+        assert stats["table_cache"] in ("miss", "memo")
         assert stats["batches"] == eng.batches
         if eng.batches:
             assert stats["active_states"] >= 1
@@ -382,57 +333,30 @@ class TestEngineStats:
         for name, value in exposed.items():
             assert stats[name] == value, name
 
-    def test_compile_seconds_count_once_per_sweep(self, oscillator, tmp_path):
-        """Replicas reusing a shared table report no compile time."""
+    def test_compile_seconds_count_once_per_sweep(self, oscillator):
+        """The first replica compiles; the others reuse the memo and
+        report no compile time."""
         n, replicas = 300, 24
         pop = oscillator_population(oscillator.schema, n)
         _MEMO.pop(protocol_fingerprint(oscillator, pop.counts.keys()), None)
         start = time.perf_counter()
         rs = run_replicas(
             oscillator, pop, replicas=replicas, seed=1, processes=1,
-            rounds=0.2, config=EngineConfig(engine="batch", cache=str(tmp_path)),
+            rounds=0.2, config=EngineConfig(engine="batch"),
         )
         wall = time.perf_counter() - start
         seconds = [r.stats["table_compile_seconds"] for r in rs.records]
-        assert sum(seconds) <= wall
-        # the runner's prewarm built the table; no replica did
-        assert seconds == [0.0] * replicas
-        assert {r.stats["table_cache"] for r in rs.records} == {"prewarmed"}
-
-    def test_prewarm_shows_in_the_sweep_and_its_header(self, oscillator, tmp_path):
-        """The records say "prewarmed"; the sweep and its manifest header
-        say how the parent's prewarm got the table and what it cost."""
-        pop = oscillator_population(oscillator.schema, 300)
-        fingerprint = protocol_fingerprint(oscillator, pop.counts.keys())
-        config = EngineConfig(engine="batch", cache=str(tmp_path / "tables"))
-        seen = []
-        for k in range(2):
-            _MEMO.pop(fingerprint, None)  # the second sweep reads the disk
-            path = str(tmp_path / "run{}.jsonl".format(k))
-            rs = run_replicas(
-                oscillator, pop, replicas=2, seed=1, processes=1,
-                rounds=0.2, config=config, manifest=path,
-            )
-            assert {r.stats["table_cache"] for r in rs.records} == {"prewarmed"}
-            assert load_manifest(path).header["table_prewarm"] == rs.table_prewarm
-            seen.append(rs.table_prewarm)
-        cold, warm = seen
-        assert cold["table_cache"] == "miss"
-        assert cold["table_compile_seconds"] > 0
-        assert warm == {"table_cache": "hit", "table_compile_seconds": 0.0}
-        path = str(tmp_path / "off.jsonl")
-        rs = run_replicas(
-            oscillator, pop, replicas=1, seed=1, processes=1, rounds=0.2,
-            config=EngineConfig(engine="batch", cache=None), manifest=path,
+        assert 0 < sum(seconds) <= wall
+        assert seconds[1:] == [0.0] * (replicas - 1)
+        assert [r.stats["table_cache"] for r in rs.records] == (
+            ["miss"] + ["memo"] * (replicas - 1)
         )
-        assert rs.table_prewarm is None
-        assert load_manifest(path).header["table_prewarm"] is None
 
-    def test_compile_seconds_are_per_acquisition(self, oscillator, tmp_path):
+    def test_compile_seconds_are_per_acquisition(self, oscillator):
         pop = oscillator_population(oscillator.schema, 300)
         _MEMO.pop(protocol_fingerprint(oscillator, pop.counts.keys()), None)
-        first = BatchCountEngine(oscillator, pop, cache=str(tmp_path))
-        second = BatchCountEngine(oscillator, pop, cache=str(tmp_path))
+        first = BatchCountEngine(oscillator, pop)
+        second = BatchCountEngine(oscillator, pop)
         assert second.table is first.table
         for eng in (first, second):
             eng.run(rounds=0.1)

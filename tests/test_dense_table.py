@@ -49,7 +49,7 @@ class TestOutcomeSampling:
         agents = applied.indices(np.array([0, 0, 0, 1, 2, 3, 3, 2], dtype=np.int64))
         applied.apply(agents, np.arange(4), np.arange(4, 8), np.random.default_rng(3))
         lazy = LazyTable(coin_protocol)
-        closed = compile_table(coin_protocol, range(4), cache=None)
+        closed = compile_table(coin_protocol, range(4))
         codes = np.arange(4, dtype=np.int64)
         for table in (applied, lazy, closed):
             idx = table.indices(codes)

@@ -31,7 +31,8 @@ from repro import (
 )
 from repro.engine import BatchCountEngine, CountEngine, EnsembleEngine
 from repro.obs import _header_config
-from repro.service import ServiceApp, SubmitRequest
+from repro.service import JobQueue, ServiceApp, SubmitRequest
+from repro.service.store import RunStore
 
 
 def epidemic(n=120):
@@ -87,6 +88,13 @@ class TestEngineConfig:
         for value in ("numpy", "cupy", "jax"):
             cfg = EngineConfig.from_dict({"engine": "batch", "backend": value})
             assert cfg == EngineConfig(engine="batch")
+
+    def test_from_dict_drops_retired_cache_key(self):
+        # the key chose where a compiled table was stored, never a path
+        for value in ("auto", None, False, "/some/dir"):
+            cfg = EngineConfig.from_dict({"engine": "batch", "cache": value})
+            assert cfg == EngineConfig(engine="batch")
+            assert "cache" not in cfg.as_dict()
 
 
 class TestCoerce:
@@ -280,15 +288,32 @@ def _v3_accuracy_header(header):
     header["config"]["accuracy"] = 0.05
 
 
+def _v3_cache_header(header):
+    """Schema-3 shape written while closed tables were cached on disk:
+    the config names its ``cache`` directory, and the header carries the
+    sweep's ``table_prewarm`` block after ``protocol``."""
+    config = header["config"]
+    config = dict(engine=config.pop("engine"), cache="/tmp/tables", **config)
+    edited = {}
+    for key, value in header.items():
+        edited[key] = config if key == "config" else value
+        if key == "protocol":
+            edited["table_prewarm"] = {
+                "table_cache": "miss", "table_compile_seconds": 0.00062,
+            }
+    header.clear()
+    header.update(edited)
+
+
 class TestOldRecords:
     CFG = EngineConfig(engine="batch", guards=True)
 
     @pytest.mark.parametrize(
         "edit",
         [_v2_header, _v3_backend_header, _v3_compiled_header,
-         _v3_compile_limit_header, _v3_accuracy_header],
+         _v3_compile_limit_header, _v3_accuracy_header, _v3_cache_header],
         ids=["v2-engine-opts", "v3-config-backend", "v3-compiled-true",
-             "v3-compile-limit", "v3-accuracy-default"],
+             "v3-compile-limit", "v3-accuracy-default", "v3-cache-prewarm"],
     )
     def test_old_header_replays_bit_identically(self, tmp_path, edit):
         _, path, rs = sweep(tmp_path, self.CFG)
@@ -300,6 +325,26 @@ class TestOldRecords:
             assert fresh.rounds == record.rounds
             assert fresh.interactions == record.interactions
             assert fresh.converged == record.converged
+
+    def test_old_cache_header_resumes_bit_identically(self, tmp_path):
+        workload, _, full = sweep(tmp_path, self.CFG, replicas=4, seed=11)
+        partial = str(tmp_path / "partial.jsonl")
+        run_replicas(
+            workload.protocol, workload.population, replicas=4, seed=11,
+            processes=1, stop=workload.stop, config=self.CFG,
+            manifest=partial, manifest_meta={"workload": workload.spec()},
+            indices=[0, 2],
+        )
+        _rewrite_header(partial, _v3_cache_header)
+        resumed = resume_sweep(partial, processes=1)
+        assert [r.index for r in resumed.records] == [0, 1, 2, 3]
+        for mine, theirs in zip(resumed.records, full.records):
+            assert mine.rounds == theirs.rounds
+            assert mine.interactions == theirs.interactions
+            assert mine.converged == theirs.converged
+        header = load_manifest(partial).header
+        assert header["config"]["cache"] == "/tmp/tables"
+        assert _header_config(header) == self.CFG
 
     def test_compiled_false_names_the_legacy_path(self, tmp_path):
         # compiled: false selected the retired legacy batch path, whose
@@ -373,6 +418,25 @@ class TestOldRecords:
             assert loaded.rounds == record.rounds
             assert loaded.interactions == record.interactions
             assert loaded.converged == record.converged
+
+
+def test_a_submitted_cache_key_writes_nothing(tmp_path):
+    """A client's ``config.cache`` once named a directory the job's
+    sandbox child created and wrote a compiled table into."""
+    planted = tmp_path / "planted"
+    queue = JobQueue(RunStore(str(tmp_path / "runs")), workers=1)
+    try:
+        job = queue.submit(SubmitRequest.from_payload({
+            "workload": "epidemic", "params": {"n": 120}, "replicas": 2,
+            "seed": 9, "config": {"engine": "batch", "cache": str(planted)},
+        }))
+        deadline = time.monotonic() + 120.0
+        while not job.terminal and time.monotonic() < deadline:
+            job.wait_events(len(job.events_since(0)), timeout=1.0)
+        assert job.state == "done"
+    finally:
+        queue.shutdown()
+    assert not planted.exists()
 
 
 class TestRetiredKnobs:

@@ -217,7 +217,7 @@ class TestTables:
     def test_dense_and_lazy_agree(self, epidemic):
         """An open table and the compiled closure agree pair by pair."""
         lazy = LazyTable(epidemic)
-        dense = compile_table(epidemic, [0, 1], cache=None)
+        dense = compile_table(epidemic, [0, 1])
         a, b = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
         p = []
         for table in (lazy, dense):
@@ -295,7 +295,7 @@ class TestAgentArrayIndices:
         pop = _oscillator_population(protocol.schema, 301)
         opts = {}
         if table == "closed":
-            opts["table"] = compile_table(protocol, pop.counts.keys(), cache=None)
+            opts["table"] = compile_table(protocol, pop.counts.keys())
         eng = cls(protocol, pop, rng=np.random.default_rng(5), **opts)
         ref = cls(protocol, pop, rng=np.random.default_rng(5), table=_CodeTable(protocol))
         for _ in range(4):
@@ -345,7 +345,7 @@ class TestAgentEngineGolden:
         pop = _oscillator_population(protocol.schema, 500)
         opts = {}
         if table == "closed":
-            opts["table"] = compile_table(protocol, pop.counts.keys(), cache=None)
+            opts["table"] = compile_table(protocol, pop.counts.keys())
         cls, seed, rounds = self.RUNS[kind]
         eng = cls(protocol, pop, rng=np.random.default_rng(seed), **opts)
         snaps = []

@@ -35,7 +35,6 @@ from repro.faults import (
     CRASH_EXIT_CODE,
     InjectedCrash,
     InjectedHang,
-    corrupt_cache_entry,
     corrupt_table,
 )
 from repro.obs import verify_fingerprint
@@ -144,9 +143,6 @@ class TestCorruptTable:
         bad = corrupt_table(table, "drop")
         assert bad.off.sum() == 0
         assert table.off.sum() != 0
-
-    def test_corrupt_cache_entry_empty_dir(self, tmp_path):
-        assert corrupt_cache_entry(str(tmp_path)) == []
 
 
 class TestRetrySeeds:

@@ -33,7 +33,7 @@ from repro.core import DynamicRule, Protocol, Rule, StateSchema, Thread, V, coin
 from repro.core.protocol import FootprintError, check_footprints
 from repro.engine import BatchCountEngine, MatchingEngine
 from repro.engine.compiled import compile_table
-from repro.engine.table import LazyTable
+from repro.engine.table import LazyTable, TransitionTable
 from repro.lang import compile_program
 from repro.oscillator import weak_value
 from repro.protocols import (
@@ -381,7 +381,7 @@ def _table_digest(table):
 
 def test_closed_clock_table_matches_reference():
     protocol, population, _ = WORKLOADS["clock"](n=1000)
-    table = compile_table(protocol, sorted(population.counts), cache=None)
+    table = compile_table(protocol, sorted(population.counts))
     assert len(table.codes) == 168
     assert _table_digest(table) == CLOCK_TABLE_SHA256
 
@@ -394,7 +394,7 @@ def test_closed_k6_clock_table_matches_reference():
     codes = [
         big.schema.pack(protocol.schema.decode(code)) for code in population.counts
     ]
-    table = compile_table(big, sorted(codes), cache=None)
+    table = compile_table(big, sorted(codes))
     assert (table.num_states, table.num_pairs) == (504, 254_016)
     assert _table_digest(table) == CLOCK_K6_TABLE_SHA256
 
@@ -403,7 +403,9 @@ def test_clock_ring_memo_keys_its_initiator_on_the_ring():
     """The ring thread reads only the initiator's ring position, so its
     memo holds one row per ring position and responder state."""
     protocol, population, _ = WORKLOADS["clock"](n=1000)
-    table = compile_table(protocol, sorted(population.counts), cache=None)
+    # compile this protocol object's closure itself: a memoized table
+    # would have filled another object's thread memos
+    table = TransitionTable.from_protocol(protocol, sorted(population.counts))
     ring = protocol.thread("C_o[clk]").memo(protocol.schema)
     assert (ring.names_a, ring.names_b) == ({"clk"}, {"clk", "osc", "X"})
     assert len(ring.rows) == 24 * table.num_states == 4032
@@ -432,7 +434,7 @@ def test_closed_rows_equal_transition_pair_by_pair():
     protocol = Protocol("coinciding", schema, [set_x, also_x, opaque])
     assert [t.memo(schema) is None for t in protocol.threads] == [False, False, True]
     start = [schema.pack({"Y": True}), schema.pack({"Z": 1})]
-    table = compile_table(protocol, start, cache=None)
+    table = compile_table(protocol, start)
     assert table.num_states > len(start)
     merged = 0
     codes = table.codes.tolist()

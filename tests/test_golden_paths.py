@@ -101,7 +101,7 @@ def test_batch_on_oscillator_where_it_batches():
     protocol = make_oscillator_protocol()
     eng = BatchCountEngine(
         protocol, oscillator_population(protocol.schema, 600),
-        rng=np.random.default_rng(32), cache=None,
+        rng=np.random.default_rng(32),
     )
     trace = species_trace()
     eng.run(rounds=40.0, observer=trace, observe_every=4.0)
@@ -124,7 +124,7 @@ def test_batch_on_oscillator_where_it_batches():
 def test_bghkpu_on_clock_dense_epochs():
     wl = build_workload("clock", n=20_000)
     eng = BGHKPUEngine(
-        wl.protocol, wl.population, rng=np.random.default_rng(33), cache=None,
+        wl.protocol, wl.population, rng=np.random.default_rng(33),
     )
     trace = species_trace()
     eng.run(rounds=60.0, stop=wl.stop, observer=trace, observe_every=5.0)
@@ -156,7 +156,7 @@ def test_bghkpu_lean_sparse_endgame():
     protocol = make_approx_majority()
     pop = approx_majority_population(protocol.schema, 20_000, 11_000, 9_000)
     eng = BGHKPUEngine(
-        protocol, pop, rng=np.random.default_rng(0), cache=None,
+        protocol, pop, rng=np.random.default_rng(0),
     )
 
     def consensus(p):
@@ -227,7 +227,7 @@ def test_bghkpu_lean_sparse_endgame():
 def test_bghkpu_leader_one_pair_loop(limits, expected):
     wl = build_workload("leader", n=10**8)
     eng = BGHKPUEngine(
-        wl.protocol, wl.population, rng=np.random.default_rng(41), cache=None,
+        wl.protocol, wl.population, rng=np.random.default_rng(41),
     )
     trace = Trace({"L": V("L")})
     eng.run(stop=wl.stop, observer=trace, **limits)

@@ -48,7 +48,7 @@ else:
     from repro.engine.compiled import compile_table
     from repro.workloads import WORKLOADS
     protocol, population, _ = WORKLOADS["clock"](n=1000)
-    table = compile_table(protocol, sorted(population.counts), cache=None)
+    table = compile_table(protocol, sorted(population.counts))
     print(json.dumps([table.num_states, 'numpy.ma' in sys.modules]))
 """
 
@@ -82,10 +82,9 @@ else:
 """
 
 
-def test_bghkpu_replicas_load_no_numpy_ma(tmp_path, monkeypatch):
+def test_bghkpu_replicas_load_no_numpy_ma():
     """The sticky-support union and the outcome split's width groups:
     ``np.union1d`` and a plain ``np.unique`` both import ``numpy.ma``."""
-    monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path))
     result = _probe(_REPLICA_MA_PROBE)
     if result is None:
         pytest.skip("import numpy alone loads numpy.ma (numpy 1.x)")
@@ -93,25 +92,23 @@ def test_bghkpu_replicas_load_no_numpy_ma(tmp_path, monkeypatch):
 
 
 _ZYGOTE_PROBE = """
-import json, sys, tempfile
+import json, sys
 from repro.service.sandbox import _preload
-from repro.engine.table import TransitionTable
-from repro.workloads import WORKLOADS
 
 _preload()
-protocol, population, _ = WORKLOADS["epidemic"](n=100)
-table = TransitionTable.from_protocol(protocol, population.counts, fingerprint="probe")
 before = set(sys.modules)
-with tempfile.TemporaryDirectory() as cache:
-    table.save(cache)
-    loaded = TransitionTable.load(protocol, "probe", cache)
-print(json.dumps([loaded.num_states, sorted(set(sys.modules) - before)]))
+from repro.engine.compiled import compile_table
+from repro.workloads import WORKLOADS
+
+protocol, population, _ = WORKLOADS["epidemic"](n=100)
+table = compile_table(protocol, population.counts)
+print(json.dumps([table.num_states, sorted(set(sys.modules) - before)]))
 """
 
 
-def test_the_zygote_preloads_what_a_table_load_imports():
-    """A job child forked from the zygote loads its cached table without
-    importing a module (``np.load``'s zip reader needs ``cp437``)."""
+def test_a_zygote_child_compiles_a_table_without_importing():
+    """A job child forked from the zygote builds its workload and
+    compiles its closed table without importing a module."""
     assert _probe(_ZYGOTE_PROBE) == [2, []]
 
 

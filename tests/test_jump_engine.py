@@ -202,7 +202,7 @@ class TestOutcomeSplit:
         assert got.sum() == 2 * (counts.sum() - 8)
 
 
-#: BatchCountEngine(oscillator, n=5000, seed 777, cache=None),
+#: BatchCountEngine(oscillator, n=5000, seed 777),
 #: run(rounds=15.0) — captured before the batch kernels were factored out
 #: of the engine; any change to the draw sequence breaks it.
 GOLDEN_BATCH = {
@@ -233,7 +233,6 @@ class TestGolden:
             protocol,
             oscillator_population(protocol.schema, 5000),
             rng=np.random.default_rng(777),
-            cache=None,
         )
         eng.run(rounds=15.0)
         assert eng.interactions == GOLDEN_BATCH["interactions"]

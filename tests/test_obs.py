@@ -241,27 +241,30 @@ class TestCli:
         assert "engine batch" in out.err  # --stats prints per-engine tallies
         assert len(load_manifest(path)) == 3
 
-    def test_sweep_stats_show_the_prewarm(self, tmp_path, capsys, monkeypatch):
+    def test_sweep_stats_show_the_compile(self, tmp_path, capsys, monkeypatch):
+        """A cold sweep's first replica compiles the table and the rest
+        read the memo; nothing is written outside the manifest."""
         from repro.engine.compiled import _MEMO, protocol_fingerprint
 
         workload = build_workload("epidemic", n=100)
-        fingerprint = protocol_fingerprint(
+        _MEMO.pop(protocol_fingerprint(
             workload.protocol, workload.population.counts.keys()
-        )
-        _MEMO.pop(fingerprint, None)
-        monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path / "tables"))
+        ), None)
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
         args = ["sweep", "epidemic", "--n", "100", "--replicas", "2",
                 "--processes", "1", "--engine", "batch", "--stats"]
         assert main(args) == 0
         err = capsys.readouterr().err
-        assert "table_cache            2x prewarmed" in err
-        assert "table prewarm:\n  table_cache            miss\n" in err
-        assert "  table_compile_seconds  0\n" not in err.split("table prewarm:")[1]
-        _MEMO.pop(fingerprint)  # the second sweep reads the disk entry
+        assert "table_cache            1x memo, 1x miss\n" in err
+        assert "table prewarm" not in err
+        seconds = [line for line in err.splitlines()
+                   if line.split()[:1] == ["table_compile_seconds"]]
+        assert len(seconds) == 1 and float(seconds[0].split()[1]) > 0
         assert main(args) == 0
-        err = capsys.readouterr().err
-        assert "table prewarm:\n  table_cache            hit\n" \
-            "  table_compile_seconds  0\n" in err
+        assert "table_cache            2x memo\n" in capsys.readouterr().err
+        assert list(home.iterdir()) == []
 
     def test_replay_matches(self, tmp_path, capsys):
         path = str(tmp_path / "cli.jsonl")

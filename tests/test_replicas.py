@@ -438,7 +438,10 @@ class TestEngineStatsThreading:
         tally = rs.stats_by_engine()["batch"]
         statuses = tally.categories.get("table_cache")
         assert statuses and sum(statuses.values()) == 4
-        assert tally.cache_hit_rate is not None
+        # one process: at most the first replica compiles, the rest
+        # read the memo
+        assert set(statuses) <= {"miss", "memo"}
+        assert statuses.get("miss", 0) <= 1
 
     def test_records_without_stats_are_skipped(self):
         tallies = aggregate_engine_stats(

@@ -112,7 +112,7 @@ class TestBatchEngineEndgame:
         """Closed (compiled closure) and open tables alike."""
         protocol, pop, stop = endgame()
         extra = {} if compiled else {"table": LazyTable(protocol)}
-        cfg = EngineConfig(engine="batch", cache=False, extra=extra)
+        cfg = EngineConfig(engine="batch", extra=extra)
         eng = make_engine(protocol, pop, engine=cfg, seed=4)
         eng.run(stop=stop, max_events=10)
         assert pop.count(V("L")) == 1
@@ -120,7 +120,7 @@ class TestBatchEngineEndgame:
 
     def test_true_silence_fast_forwards(self):
         protocol, pop = followers_only()
-        cfg = EngineConfig(engine="batch", cache=False)
+        cfg = EngineConfig(engine="batch")
         eng = make_engine(protocol, pop, engine=cfg, seed=5)
         eng.run(rounds=3.0)
         assert eng.interactions == 3 * N_HUGE
@@ -132,7 +132,7 @@ class TestBGHKPUEndgame:
         # the acceptance-criteria path: bghkpu's scalar lone-cell loop
         # steps the 3-leader endgame at n = 1e8 on exact geometric gaps
         protocol, pop, stop = endgame()
-        cfg = EngineConfig(engine="bghkpu", cache=False)
+        cfg = EngineConfig(engine="bghkpu")
         eng = make_engine(protocol, pop, engine=cfg, seed=6)
         eng.run(stop=stop, max_events=10)
         assert pop.count(V("L")) == 1
@@ -142,7 +142,7 @@ class TestBGHKPUEndgame:
 
     def test_true_silence_fast_forwards(self):
         protocol, pop = followers_only()
-        cfg = EngineConfig(engine="bghkpu", cache=False)
+        cfg = EngineConfig(engine="bghkpu")
         eng = make_engine(protocol, pop, engine=cfg, seed=7)
         eng.run(rounds=2.0)
         assert eng.interactions == 2 * N_HUGE
@@ -155,7 +155,7 @@ class TestEnsembleEndgame:
 
         protocol, pop, stop = endgame()
         eng = EnsembleEngine(
-            protocol, pop, rows=2, rng=np.random.default_rng(8), cache=False,
+            protocol, pop, rows=2, rng=np.random.default_rng(8),
         )
         eng.run(stop=stop, max_events=10)
         for r in range(2):
