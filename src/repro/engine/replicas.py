@@ -14,10 +14,12 @@ fans those replicas out across processes:
   their own protocol per trial (the tier-T3 interpreter sweeps of E1/E2):
   any picklable ``task(seed_sequence)`` callable.
 
-Both use the ``spawn`` start method so the fan-out behaves identically on
-Linux/macOS/Windows, and both degrade to an in-process loop when only one
-worker is requested (or available), so single-core machines and tests pay
-no pool overhead.  Replica seeds come from
+Both fork their workers from one pre-imported zygote
+(:func:`repro.zygote.pool`) that ``run_replicas`` first has compile the
+sweep's closed table, and both run an in-process loop when one worker is
+requested (or available) or the host cannot fork (no ``os.fork`` or
+``socket.send_fds``), so single-core machines and tests pay no pool
+overhead.  Replica seeds come from
 :meth:`numpy.random.SeedSequence.spawn`, guaranteeing independent streams
 regardless of worker scheduling.
 
@@ -34,7 +36,7 @@ checkpoint groups are :func:`replica_blocks`, so replay, resume and the
 service agree with the runner by construction.
 
 The fan-out is *supervised* (:func:`supervise`): each worker process owns
-a duplex pipe to the parent, which attributes every crash, hang and
+a socket to the parent, which attributes every crash, hang and
 exception to the specific block that caused it.  A block that fails or
 exceeds the per-task ``timeout`` is retried up to ``max_retries`` times
 with exponential backoff, every member moving to a **fresh seed child**
@@ -50,19 +52,21 @@ tally and aggregates only the ``ok`` records.  A
 hang under ``processes=1``) is recorded with ``status="timeout"`` just
 like a supervisor-enforced deadline.
 
-The usual spawn caveats apply with ``processes > 1``: ``stop``/``task``
-callables must be module-level (or ``functools.partial`` of one), and the
-calling ``__main__`` must be an importable file — from a REPL or stdin
+With ``processes > 1``, ``stop``/``task`` callables must be module-level
+(or a ``functools.partial`` of one); workers re-run the calling script
+as ``spawn`` does (:func:`repro.zygote.prepare`), so from a REPL or stdin
 script, use ``processes=1``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
-import multiprocessing
-import multiprocessing.connection
 import numbers
 import os
+import pickle
+import select
+import socket
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -70,6 +74,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import zygote
 from ..core.population import Population
 from ..core.protocol import Protocol
 from .config import EngineConfig
@@ -336,7 +341,8 @@ def _resolve_processes(processes: Optional[int], replicas: int) -> int:
     The default (and the env override) is capped at :func:`available_cpus`
     so fan-outs never oversubscribe a CI runner or a nested pool; an
     explicit ``processes`` argument is honored as given (capped only at
-    the replica count).
+    the replica count).  A host that cannot fork workers
+    (:data:`repro.zygote.FORKS`) gets 1: the tasks run in-process.
     """
     if processes is None:
         env = os.environ.get("REPRO_PROCESSES", "").strip()
@@ -350,6 +356,8 @@ def _resolve_processes(processes: Optional[int], replicas: int) -> int:
         else:
             processes = available_cpus()
         processes = min(processes, available_cpus())
+    if not zygote.FORKS:
+        return 1
     return max(1, min(processes, replicas))
 
 
@@ -525,6 +533,25 @@ def run_block(
     )]
 
 
+def _compile_closed_table(
+    protocol: Protocol, population: Population, config: EngineConfig
+) -> None:
+    """Compile the closed table the sweep's engines will acquire, if any,
+    in the pool zygote (:meth:`repro.zygote.Zygote.call`): every worker
+    forked after it finds the table in its inherited memo."""
+    from ..simulate import resolve_engine
+    from .compiled import acquire_table
+    from .ensemble import EnsembleEngine
+    from .jump import BatchCountEngine
+
+    engine = resolve_engine(config.engine, protocol, population)
+    compiles = issubclass(engine, (BatchCountEngine, EnsembleEngine))
+    if compiles and "table" not in config.extra:
+        # a closure over the compile limit raises: engines run open tables
+        with contextlib.suppress(RuntimeError):
+            acquire_table(protocol, population.counts.keys())
+
+
 def _block_worker(payload) -> List[ReplicaRecord]:
     """Worker entry point: run one block (top-level for pickling)."""
     return run_block(*payload)
@@ -584,77 +611,98 @@ def _describe_error(exc: BaseException) -> str:
     return "{}: {}".format(type(exc).__name__, exc)
 
 
-def _pool_worker_main(conn, worker: Callable) -> None:
-    """Worker-process loop: serve ``(task_id, payload)`` requests.
+def _attempt(worker: Callable, payload: Any) -> Tuple[str, Any, bool]:
+    """One attempt at a task: ``(status, value or error, nonretryable)``.
 
-    Replies ``(task_id, status, value, nonretryable)`` per task; a
-    ``None`` message (or a closed pipe) shuts the worker down.  All
-    exceptions — including :class:`TimeoutError` subclasses, reported
-    with ``status="timeout"`` — are turned into replies, never tracebacks:
-    the parent decides what to do with them.
+    Exceptions become data: a :class:`TimeoutError` subclass is a
+    ``"timeout"``, anything else ``"failed"``, and a
+    :class:`SimulationHealthError` (deterministic in the seed) is never
+    retried.
     """
+    try:
+        return "ok", worker(payload), False
+    except Exception as exc:  # noqa: BLE001 - record, don't raise
+        status = "timeout" if isinstance(exc, TimeoutError) else "failed"
+        return status, _describe_error(exc), isinstance(exc, SimulationHealthError)
+
+
+def _send(stream, data: bytes) -> None:
+    """One message on a worker's socket: a pickle, framed as a pickled
+    bytes object so that the peer survives failing to unpickle it."""
+    pickle.dump(data, stream)
+    stream.flush()
+
+
+def _pool_worker_main(spec: Tuple[Dict[str, Any], bytes], fd: int) -> int:
+    """A pool worker forked by the zygote: serve the parent on socket ``fd``.
+
+    ``spec`` is the parent's :func:`~repro.zygote.preparation` and its
+    pickled worker callable.  Each request is one payload; each reply is
+    an :func:`_attempt` at it (a payload that fails to unpickle is a
+    failed attempt).  The worker exits when its socket closes.
+    """
+    preparation, worker = spec
+    zygote.prepare(preparation)
+    worker = pickle.loads(worker)
+    stream = socket.socket(fileno=fd).makefile("rwb")
+
+    def run(payload: bytes) -> Any:
+        return worker(pickle.loads(payload))
+
     while True:
         try:
-            msg = conn.recv()
+            payload = pickle.load(stream)
         except (EOFError, OSError):
-            break
-        if msg is None:
-            break
-        task_id, payload = msg
+            return 0
+        reply = _attempt(run, payload)
         try:
-            # ack starts the parent's wall-clock deadline: a fresh spawn
-            # spends noticeable time importing before it can begin work,
-            # and that startup cost must not eat into the task's timeout
-            conn.send(("ack", task_id))
-        except (BrokenPipeError, OSError):
-            break
-        try:
-            reply = ("done", task_id, "ok", worker(payload), False)
-        except BaseException as exc:  # noqa: BLE001 - report, don't die
-            status = "timeout" if isinstance(exc, TimeoutError) else "failed"
-            nonretryable = isinstance(exc, SimulationHealthError)
-            reply = ("done", task_id, status, _describe_error(exc), nonretryable)
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            break
+            data = pickle.dumps(reply)
         except Exception as exc:  # unpicklable result
-            conn.send(("done", task_id, "failed", _describe_error(exc), True))
-    conn.close()
+            data = pickle.dumps(("failed", _describe_error(exc), True))
+        try:
+            _send(stream, data)
+        except OSError:
+            return 0
 
 
 class _PoolWorker:
-    """Parent-side handle of one supervised worker process."""
+    """Parent-side handle of one supervised worker, forked by the zygote."""
 
-    __slots__ = ("process", "conn", "task_id", "started", "deadline")
-
-    def __init__(self, ctx, worker: Callable):
-        self.conn, child = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(
-            target=_pool_worker_main, args=(child, worker), daemon=True
-        )
-        self.process.start()
-        child.close()
+    def __init__(self, spec: Tuple[Dict[str, Any], bytes]):
+        self.sock, theirs = socket.socketpair()
+        self.stream = self.sock.makefile("rwb")
         self.task_id: Optional[int] = None
         self.started = 0.0
         self.deadline: Optional[float] = None
-
-    def reap(self) -> Optional[int]:
-        """Close the pipe and join a dead/doomed worker; return exit code."""
         try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        self.process.join(timeout=5.0)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
-            self.process.kill()
-            self.process.join(timeout=5.0)
-        return self.process.exitcode
+            # the worker writes to this process's stdout and stderr
+            self.child, _ = zygote.pool().fork(
+                "repro.engine.replicas:_pool_worker_main", spec,
+                (1, 2, theirs.fileno()),
+            )
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            theirs.close()
 
-    def terminate(self) -> None:
+    def close(self) -> None:
+        """Close the socket: an idle worker exits on it."""
+        self.stream.close()
+        self.sock.close()
+
+    def reap(self) -> int:
+        """Close the socket and wait for the worker's exit; its exit code."""
+        self.close()
+        return self.child.wait()
+
+    def terminate(self) -> int:
         """Forcibly stop the worker (timeout enforcement)."""
-        self.process.terminate()
-        self.reap()
+        try:
+            self.child.kill()
+        except ProcessLookupError:
+            pass  # it exited on its own
+        return self.reap()
 
 
 def _retry_delay(backoff: float, failures: int) -> float:
@@ -683,19 +731,14 @@ def _supervise_serial(
         current = payload
         while True:
             start = time.perf_counter()
-            status, value, error, nonretryable = "ok", None, None, False
-            try:
-                value = worker(current)
-            except SimulationHealthError as exc:
-                status, error, nonretryable = "failed", _describe_error(exc), True
-            except TimeoutError as exc:
-                status, error = "timeout", _describe_error(exc)
-            except Exception as exc:  # noqa: BLE001 - record, don't raise
-                status, error = "failed", _describe_error(exc)
+            status, value, nonretryable = _attempt(worker, current)
             wall = time.perf_counter() - start
             if status == "ok" or nonretryable or failures >= max_retries:
-                attempts = failures + 1
-                outcome = TaskOutcome(key, status, value, error, attempts, wall)
+                ok = status == "ok"
+                outcome = TaskOutcome(
+                    key, status, value if ok else None, None if ok else value,
+                    failures + 1, wall,
+                )
                 outcomes.append(outcome)
                 if on_result is not None:
                     on_result(outcome)
@@ -721,163 +764,109 @@ def _supervise_pool(
 ) -> List[TaskOutcome]:
     """Process-pool supervision with per-task attribution.
 
-    Each worker owns a duplex pipe, so every crash (pipe EOF), hang
-    (deadline exceeded → terminate that worker only) and exception is
-    attributed to the one task the worker was running; sibling replicas
-    are never disturbed, unlike ``Pool``/``ProcessPoolExecutor`` whose
-    pool-wide failure modes kill innocent in-flight work.
+    Each worker, forked from the zygote, owns a socket to this process,
+    so every crash (socket EOF), hang (deadline exceeded → kill that
+    worker only) and exception is attributed to the one task the worker
+    was running; sibling replicas are never disturbed, unlike
+    ``Pool``/``ProcessPoolExecutor`` whose pool-wide failure modes kill
+    innocent in-flight work.  A deadline runs from the task's dispatch.
     """
-    ctx = multiprocessing.get_context("spawn")
-    state = {
-        tid: {"key": key, "base": payload, "current": payload, "failures": 0}
-        for tid, (key, payload) in enumerate(tasks)
-    }
+    spec = (zygote.preparation(), pickle.dumps(worker))
+    current = [payload for _, payload in tasks]
+    failures = [0] * len(tasks)  # failed attempts per task
     ready = deque(range(len(tasks)))
     retry_heap: List[Tuple[float, int]] = []
     outcomes: Dict[int, TaskOutcome] = {}
-    workers = [_PoolWorker(ctx, worker) for _ in range(min(processes, len(tasks)))]
-    idle = deque(workers)
-    busy: Dict[int, _PoolWorker] = {}
+    workers: List[_PoolWorker] = []
 
     def finish(tid: int, status: str, value, error, wall: float) -> None:
-        # "failures" counts failed attempts; a success adds one more attempt
-        st = state[tid]
-        attempts = st["failures"] + 1 if status == "ok" else st["failures"]
-        outcome = TaskOutcome(st["key"], status, value, error, attempts, wall)
-        outcomes[tid] = outcome
+        # a success is one attempt more than the failed ones
+        attempts = failures[tid] + (status == "ok")
+        outcomes[tid] = TaskOutcome(
+            tasks[tid][0], status, value, error, attempts, wall
+        )
         if on_result is not None:
-            on_result(outcome)
+            on_result(outcomes[tid])
 
-    def handle_failure(
-        tid: int, status: str, error: str, nonretryable: bool, wall: float
-    ) -> None:
-        st = state[tid]
-        st["failures"] += 1
-        if nonretryable or st["failures"] > max_retries:
+    def fail(tid: int, status: str, error: str, final: bool, wall: float) -> None:
+        failures[tid] += 1
+        if final or failures[tid] > max_retries:
             finish(tid, status, None, error, wall)
             return
         if retry_payload is not None:
-            st["current"] = retry_payload(st["key"], st["base"], st["failures"])
-        when = time.monotonic() + _retry_delay(backoff, st["failures"])
+            key, base = tasks[tid]
+            current[tid] = retry_payload(key, base, failures[tid])
+        when = time.monotonic() + _retry_delay(backoff, failures[tid])
         heapq.heappush(retry_heap, (when, tid))
 
-    def replace_worker(dead: _PoolWorker) -> None:
+    def replace(dead: _PoolWorker) -> None:
         workers.remove(dead)
-        fresh = _PoolWorker(ctx, worker)
-        workers.append(fresh)
-        idle.append(fresh)
+        workers.append(_PoolWorker(spec))
 
     try:
+        workers.extend(
+            _PoolWorker(spec) for _ in range(min(processes, len(tasks)))
+        )
         while len(outcomes) < len(tasks):
-            now = time.monotonic()
-            while retry_heap and retry_heap[0][0] <= now:
-                _, tid = heapq.heappop(retry_heap)
-                ready.append(tid)
-
-            while ready and idle:
+            while retry_heap and retry_heap[0][0] <= time.monotonic():
+                ready.append(heapq.heappop(retry_heap)[1])
+            for w in [w for w in workers if w.task_id is None]:
+                if not ready:
+                    break
                 tid = ready.popleft()
-                w = idle.popleft()
-                st = state[tid]
+                data = pickle.dumps(current[tid])
                 try:
-                    w.conn.send((tid, st["current"]))
-                except (BrokenPipeError, OSError):
+                    _send(w.stream, data)
+                except OSError:
                     # worker died while idle: replace it, re-queue the task
                     w.reap()
-                    replace_worker(w)
+                    replace(w)
                     ready.appendleft(tid)
                     continue
-                w.task_id = tid
-                w.started = time.monotonic()
-                # the deadline is armed when the worker acks the task —
-                # spawn/startup time must not count against the timeout
-                w.deadline = None
-                busy[tid] = w
-
+                w.task_id, w.started = tid, time.monotonic()
+                w.deadline = w.started + timeout if timeout else None
+            busy = {w.sock: w for w in workers if w.task_id is not None}
             if not busy:
                 if retry_heap:
                     time.sleep(max(0.0, retry_heap[0][0] - time.monotonic()))
-                    continue
-                if ready:
-                    continue  # all workers just died; dispatch retries
-                break  # every task finished between dispatch rounds
+                elif not ready:
+                    break  # every task finished between dispatch rounds
+                continue
 
-            wait_until: Optional[float] = None
-            for w in busy.values():
-                if w.deadline is not None:
-                    wait_until = (
-                        w.deadline
-                        if wait_until is None
-                        else min(wait_until, w.deadline)
-                    )
-            if retry_heap:
-                head = retry_heap[0][0]
-                wait_until = head if wait_until is None else min(wait_until, head)
-            wait_s = (
-                None
-                if wait_until is None
-                else max(0.0, wait_until - time.monotonic())
-            )
-            conn_to_worker = {w.conn: w for w in busy.values()}
-            ready_conns = multiprocessing.connection.wait(
-                list(conn_to_worker), timeout=wait_s
-            )
-
-            for conn in ready_conns:
-                w = conn_to_worker[conn]
-                tid = w.task_id
-                wall = time.monotonic() - w.started
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    # the worker process died mid-task (crash/OOM kill)
-                    code = w.reap()
-                    del busy[tid]
-                    replace_worker(w)
-                    handle_failure(
-                        tid,
-                        "failed",
-                        "worker process died (exit code {})".format(code),
-                        False,
-                        wall,
-                    )
-                    continue
-                if msg[0] == "ack":
-                    # the worker actually started the task: arm the clock
-                    w.started = time.monotonic()
-                    if timeout is not None:
-                        w.deadline = w.started + timeout
-                    continue
-                _, _, status, value, nonretryable = msg
-                del busy[tid]
+            wakes = [w.deadline for w in busy.values()] if timeout else []
+            wakes += [when for when, _ in retry_heap[:1]]
+            wait_s = max(0.0, min(wakes) - time.monotonic()) if wakes else None
+            for sock in select.select(list(busy), [], [], wait_s)[0]:
+                w = busy[sock]
+                tid, wall = w.task_id, time.monotonic() - w.started
                 w.task_id = None
-                idle.append(w)
+                try:
+                    data = pickle.load(w.stream)
+                except (EOFError, OSError, pickle.UnpicklingError):
+                    # the worker process died mid-task (crash/OOM kill)
+                    error = "worker process died (exit code {})".format(w.reap())
+                    replace(w)
+                    fail(tid, "failed", error, False, wall)
+                    continue
+                status, value, nonretryable = pickle.loads(data)
                 if status == "ok":
                     finish(tid, "ok", value, None, wall)
                 else:
-                    handle_failure(tid, status, value, nonretryable, wall)
+                    fail(tid, status, value, nonretryable, wall)
 
-            if timeout is not None:
-                now = time.monotonic()
-                for tid, w in list(busy.items()):
-                    if w.deadline is not None and now >= w.deadline:
-                        w.terminate()
-                        del busy[tid]
-                        replace_worker(w)
-                        handle_failure(
-                            tid,
-                            "timeout",
-                            "replica exceeded the {:.3g}s wall-clock "
-                            "timeout".format(timeout),
-                            False,
-                            now - w.started,
-                        )
+            now = time.monotonic()
+            for w in busy.values():
+                if w.task_id is not None and timeout and now >= w.deadline:
+                    tid = w.task_id
+                    w.terminate()
+                    replace(w)
+                    error = "replica exceeded the {:.3g}s wall-clock timeout"
+                    fail(tid, "timeout", error.format(timeout), False,
+                         now - w.started)
     finally:
-        for w in workers:
+        for w in workers:  # idle workers exit on the closed socket
             if w.task_id is None:
-                try:
-                    w.conn.send(None)
-                except (BrokenPipeError, OSError):
-                    pass
+                w.close()
         for w in workers:
             if w.task_id is not None:
                 w.terminate()
@@ -904,15 +893,16 @@ def supervise(
     attempt)`` builds the payload of retry ``attempt`` (1-based);
     ``on_result`` observes each final outcome as it is reached (out of
     submission order under a pool), which is how the manifest writer
-    checkpoints finished replicas.  With ``processes <= 1`` the tasks run
-    in-process with the same retry/status bookkeeping (but no preemptive
-    timeout — see :func:`_supervise_serial`).
+    checkpoints finished replicas.  With ``processes <= 1``, or on a host
+    without ``os.fork`` or ``socket.send_fds`` (:data:`repro.zygote.FORKS`),
+    the tasks run in-process with the same retry/status bookkeeping (but
+    no preemptive timeout — see :func:`_supervise_serial`).
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
     if timeout is not None and timeout <= 0:
         raise ValueError("timeout must be positive (or None)")
-    if processes <= 1:
+    if processes <= 1 or not zygote.FORKS:
         return _supervise_serial(
             worker, tasks, timeout, max_retries, backoff, retry_payload, on_result
         )
@@ -964,9 +954,9 @@ def run_replicas(
     seed:
         Root seed; replica ``k`` gets the ``k``-th spawned child stream.
     processes:
-        Worker processes (default: the ``REPRO_PROCESSES`` env override,
-        else the affinity-aware CPU count; capped at ``replicas``);
-        ``1`` runs in-process.
+        Worker processes, forked from the zygote (default: the
+        ``REPRO_PROCESSES`` env override, else the affinity-aware CPU
+        count; capped at ``replicas``); ``1`` runs in-process.
     stop:
         Convergence predicate, evaluated by each replica's engine; the
         engine's own final verdict fills ``ReplicaRecord.converged`` (the
@@ -1043,6 +1033,11 @@ def run_replicas(
         (members[0], payload(members[0], 0))
         for members in replica_blocks(cfg, replicas, run_indices)
     ]
+    if processes > 1:
+        # the workers fork from the zygote after it compiled the table;
+        # what fails here fails again in a worker, where it is attributed
+        with contextlib.suppress(RuntimeError):
+            zygote.pool().call(_compile_closed_table, protocol, population, cfg)
 
     writer = None
     if manifest is not None:

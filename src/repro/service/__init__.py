@@ -34,8 +34,8 @@ or embed one::
 from .._lazy import lazy_exports
 
 #: Public name -> the submodule defining it.  They load on first use, so
-#: ``python -m repro.service.sandbox`` (the sandbox zygote) imports only
-#: what it runs, and runs its own module once.
+#: the zygote's import of :mod:`repro.service.sandbox` (its job entry)
+#: loads only what a job runs.
 _EXPORTS = {
     "Job": "jobs",
     "JobQueue": "jobs",

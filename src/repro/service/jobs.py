@@ -19,13 +19,16 @@ limit; an unexpected child death is retried (the respawn resumes from
 the manifest checkpoint, bit-identically) and, if retries are exhausted,
 recorded as ``failed`` — the server itself never goes down with a job.
 The children are forked from the queue's one sandbox zygote
-(:class:`repro.service.sandbox.Zygote`), which the first job starts and
-drain or shutdown stops and reaps.
+(:class:`repro.zygote.Zygote`), which the first job starts and drain or
+shutdown stops and reaps.
 
 Every state transition is **journaled write-ahead** (``journal.jsonl``,
 fsynced) before the status is published: accepted → started →
-checkpoint* → done/failed/cancelled/killed, with ``retry``/``recovered``
-/``interrupted`` marking the survivability paths.  On startup
+done/failed/cancelled/killed, with ``retry``/``recovered``
+/``interrupted`` marking the survivability paths.  ``checkpoint`` lines
+are progress notes, journaled just after their event is published;
+recovery needs none of them (a run that started still owes work), and
+it resumes from the run manifest.  On startup
 :meth:`JobQueue.enqueue_recovered` re-admits every run the journal says
 still owes work; graceful drain (:meth:`JobQueue.drain`) SIGTERMs the
 sandbox children so running jobs stop at their next checkpoint group as
@@ -48,6 +51,7 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional
 
+from ..zygote import ForkedChild, Zygote, note_working_directory
 from . import sandbox
 from .schema import QuotaSpec, ServiceError, SubmitRequest
 from .store import RunStore
@@ -98,7 +102,7 @@ class Job:
         self._cancel = threading.Event()
         self._drain = threading.Event()
         self._cond = threading.Condition()
-        self._child: Optional[sandbox.ForkedChild] = None
+        self._child: Optional[ForkedChild] = None
         self._child_lock = threading.Lock()
         self.on_checkpoint = lambda event: None  # set by the owning queue
         self._events: List[Dict[str, Any]] = []
@@ -159,7 +163,7 @@ class Job:
             except OSError:
                 pass
 
-    def _attach_child(self, proc: Optional[sandbox.ForkedChild]) -> None:
+    def _attach_child(self, proc: Optional[ForkedChild]) -> None:
         with self._child_lock:
             self._child = proc
             if proc is not None and (self._cancel.is_set() or self._drain.is_set()):
@@ -194,7 +198,7 @@ class Job:
         self.store.append_event(self.run_id, event)
 
     # -- execution -------------------------------------------------------
-    def execute(self, zygote: sandbox.Zygote, retries: int = 1) -> None:
+    def execute(self, zygote: Zygote, retries: int = 1) -> None:
         if self._cancel.is_set():
             self._set_state("cancelled", done=0)
             return
@@ -209,7 +213,7 @@ class Job:
             }
         self._settle(outcome)
 
-    def _attempts(self, zygote: sandbox.Zygote, retries: int) -> Dict[str, Any]:
+    def _attempts(self, zygote: Zygote, retries: int) -> Dict[str, Any]:
         attempt = 0
         while True:
             outcome = self._run_once(zygote)
@@ -231,7 +235,7 @@ class Job:
                 continue  # the respawn resumes from the manifest checkpoint
             return outcome
 
-    def _run_once(self, zygote: sandbox.Zygote) -> Dict[str, Any]:
+    def _run_once(self, zygote: Zygote) -> Dict[str, Any]:
         def emit(event: Dict[str, Any]) -> None:
             self._emit(event)
             if event.get("kind") == "checkpoint":
@@ -304,8 +308,8 @@ class JobQueue:
         self.retries = retries
         self.last_checkpoint: Optional[float] = None
         self._draining = False
-        sandbox.note_working_directory()
-        self._zygote = sandbox.Zygote()
+        note_working_directory()
+        self._zygote = Zygote()
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue(maxsize=capacity)
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
@@ -430,9 +434,9 @@ class JobQueue:
         ``accepted``); running jobs get a SIGTERM to their sandbox child
         and stop at the next group boundary as ``interrupted``.  Any job
         still running past the ``grace`` deadline has its child
-        hard-killed — the manifest checkpoint is fsynced per record, so
-        even that remains resumable.  Last, the sandbox zygote is stopped
-        and reaped.
+        hard-killed — each manifest record was flushed to the file before
+        the next replica ran, so even that remains resumable.  Last, the
+        sandbox zygote is stopped and reaped.
         """
         self._draining = True
         with self._lock:

@@ -6,9 +6,10 @@ Each submitted run owns one directory under the store root::
     <root>/<run_id>/status.json     queued|running|interrupted|done|
                                     failed|cancelled|killed
     <root>/<run_id>/journal.jsonl   the write-ahead job journal: accepted
-                                    -> started -> checkpoint* -> terminal,
-                                    each line fsynced before the matching
-                                    status is published
+                                    -> started -> terminal, each line
+                                    fsynced before the matching status
+                                    is published (checkpoint lines are
+                                    progress notes written after theirs)
     <root>/<run_id>/manifest.jsonl  the repro.obs run manifest (appended
                                     group by group, so an interrupted run
                                     is resumable with repro.obs.resume_sweep)

@@ -2,7 +2,7 @@
 
 scipy is needed only by :meth:`repro.engine.MeanFieldSystem.integrate`,
 which imports it on call (``tests/test_meanfield.py`` covers that path),
-so neither the package nor the sandbox child module may load it.  Nor
+so neither the package nor the zygote and its job entry may load it.  Nor
 may compiling a closed transition table or running a bghkpu replica load
 ``numpy.ma``: every forked job child would pay its import again.
 """
@@ -20,6 +20,7 @@ _PROBE = """
 import json, sys
 import repro
 import repro.service.sandbox
+import repro.zygote
 print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
 """
 
@@ -93,23 +94,27 @@ def test_bghkpu_replicas_load_no_numpy_ma():
 
 _ZYGOTE_PROBE = """
 import json, sys
-from repro.service.sandbox import _preload
+from repro.zygote import _preload
 
 _preload()
 before = set(sys.modules)
 from repro.engine.compiled import compile_table
 from repro.workloads import WORKLOADS
 
-protocol, population, _ = WORKLOADS["epidemic"](n=100)
-table = compile_table(protocol, population.counts)
-print(json.dumps([table.num_states, sorted(set(sys.modules) - before)]))
+states = []
+for name in ("epidemic", "clock"):
+    protocol, population, stop = WORKLOADS[name](n=100)
+    states.append(compile_table(protocol, population.counts).num_states)
+    stop(population)
+print(json.dumps([states, sorted(set(sys.modules) - before)]))
 """
 
 
 def test_a_zygote_child_compiles_a_table_without_importing():
-    """A job child forked from the zygote builds its workload and
-    compiles its closed table without importing a module."""
-    assert _probe(_ZYGOTE_PROBE) == [2, []]
+    """A child forked from the zygote builds its workload, compiles its
+    closed table and evaluates its stop predicate without importing a
+    module."""
+    assert _probe(_ZYGOTE_PROBE) == [[2, 168], []]
 
 
 _SERVER_PROBE = """

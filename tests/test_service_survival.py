@@ -32,6 +32,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import repro
+import repro.zygote
 from repro import EngineConfig, build_workload, load_manifest, run_replicas
 from repro.faults import SERVICE_FAULT_ENV, ServiceFaultPlan, tear_final_line
 from repro.obs import resume_sweep
@@ -259,7 +260,8 @@ def _alive(pid):
 
 
 def _sandbox_pids(parent):
-    """Live ``repro.service.sandbox`` children of process ``parent``."""
+    """Live ``repro.zygote`` children of process ``parent``: zygotes, or
+    the children a zygote forked."""
     pids = set()
     for name in os.listdir("/proc"):
         stat = _proc_stat(name) if name.isdigit() else None
@@ -270,7 +272,7 @@ def _sandbox_pids(parent):
                 cmdline = fh.read()
         except OSError:
             continue
-        if b"repro.service.sandbox" in cmdline:
+        if b"repro.zygote" in cmdline:
             pids.add(int(name))
     return pids
 
@@ -489,9 +491,9 @@ def test_idle_child_exits_quietly_when_stdin_closes():
     ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
     with ours, theirs:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.service.sandbox"],
+            [sys.executable, "-m", "repro.zygote"],
             stdin=theirs, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, env=sandbox._child_env(),
+            text=True, env=repro.zygote._context()[0],
         )
     out, err = proc.communicate(timeout=120)
     assert (proc.returncode, out, err) == (0, "", "")
