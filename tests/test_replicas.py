@@ -1,6 +1,6 @@
 """Replica fan-out: pickling, seeding, aggregation, and the process pool.
 
-The spawn-based pool requires every payload to round-trip through pickle
+The process pool requires every payload to round-trip through pickle
 with the protocol/population *sharing one schema object* on the far side
 (engines check schema identity); these tests pin that contract down
 before exercising run_replicas / map_replicas serially and across real
@@ -159,7 +159,7 @@ class TestRunReplicas:
 
     @pytest.mark.slow
     def test_process_pool(self):
-        # real spawn workers: payloads and records cross process boundaries
+        # real forked workers: payloads and records cross process boundaries
         protocol, population = make_epidemic()
         rs = run_replicas(
             protocol,
@@ -195,7 +195,7 @@ class TestRunReplicas:
     @pytest.mark.parametrize("processes", [2, None], ids=["two", "default"])
     def test_open_table_determinism_across_process_counts(self, processes):
         # serial replicas share one open table that grows as they run;
-        # spawned workers each get a pickled (empty) copy — the records
+        # pool workers each get a pickled (empty) copy — the records
         # must not depend on rows or indices an earlier replica added
         workload = build_workload("clock", n=2000)
 
